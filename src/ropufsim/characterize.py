@@ -3,7 +3,6 @@ statistics and reject erroneous (high-deviation) oscillators."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Literal
 
@@ -167,13 +166,16 @@ def export_profile_csv(chip: ChipProfile, prof: FrequencyProfile, path: str) -> 
     """Write a profile in the same CSV schema ``ingest_csv`` reads.
 
     The per-site mean is emitted as a single mhz sample, so re-ingesting
-    reproduces site identities and means.
+    reproduces site identities and means.  Each row joins the site's label
+    from the chip's layout, formatted once per site list, with the ``repr`` of
+    its mean: the bytes ``csv.writer`` would write, since no field needs
+    quoting, with its CRLF line ends.
     """
+    labels = chip.layout.csv_labels
+    rows = ["clb_x,clb_y,corner,class,mhz_1"]
+    rows += [
+        f"{labels[ref]},{mean!r}"
+        for ref, mean in zip(prof.site_refs.tolist(), prof.mean.tolist())
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clb_x", "clb_y", "corner", "class", "mhz_1"])
-        for ref, mean in zip(prof.site_refs, prof.mean):
-            site = chip.sites[int(ref)]
-            writer.writerow(
-                [site.clb_x, site.clb_y, site.corner, site.slice_class.value, repr(float(mean))]
-            )
+        fh.write("\r\n".join(rows) + "\r\n")

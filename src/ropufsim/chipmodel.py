@@ -10,12 +10,13 @@ produces integer pulse counts over a fixed enable window.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import statistics
 from dataclasses import dataclass, field, asdict
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -200,11 +201,12 @@ class ChipProfile:
 
     device_id: str
     spec: DeviceSpec
-    sites: list[FabricSite]
+    sites: Sequence[FabricSite]
     nominal_freq: np.ndarray
     temp_coeff: Optional[np.ndarray]
     volt_coeff: Optional[np.ndarray]
     meas_sigma_site: np.ndarray
+    _layout: Optional[FabricLayout] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.sites)
@@ -227,14 +229,78 @@ class ChipProfile:
     def has_env_model(self) -> bool:
         return self.temp_coeff is not None and self.volt_coeff is not None
 
+    @property
+    def layout(self) -> FabricLayout:
+        """Per-site arrays of ``sites``; synthesized chips share their family's."""
+        if self._layout is None:
+            self._layout = FabricLayout.of(self.sites)
+        return self._layout
+
     def active_indices(self) -> np.ndarray:
-        return np.array([i for i, s in enumerate(self.sites) if not s.excluded], dtype=np.intp)
+        return self.layout.active
 
 
 def _fabric_dims(n_clb: int) -> tuple[int, int]:
     nx = int(math.ceil(math.sqrt(n_clb)))
     ny = int(math.ceil(n_clb / nx))
     return nx, ny
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class FabricLayout:
+    """Per-site arrays of one site list, built once and shared read-only.
+
+    ``class_codes`` index ``tuple(SliceClass)``; ``diag`` is clb_x + clb_y;
+    ``active`` lists the non-excluded site indices; ``csv_labels`` holds each
+    site's ``clb_x,clb_y,corner,class`` profile CSV fields.
+    """
+
+    sites: tuple[FabricSite, ...]
+    class_codes: np.ndarray
+    diag: np.ndarray
+    active: np.ndarray
+    csv_labels: tuple[str, ...]
+
+    @classmethod
+    def of(cls, sites: Sequence[FabricSite]) -> FabricLayout:
+        codes = {c: i for i, c in enumerate(SliceClass)}
+        return cls(
+            sites=tuple(sites),
+            class_codes=_readonly(np.array([codes[s.slice_class] for s in sites],
+                                           dtype=np.intp)),
+            diag=_readonly(np.array([s.clb_x + s.clb_y for s in sites], dtype=float)),
+            active=_readonly(np.array([i for i, s in enumerate(sites) if not s.excluded],
+                                      dtype=np.intp)),
+            csv_labels=tuple(f"{s.clb_x},{s.clb_y},{s.corner},{s.slice_class.value}"
+                             for s in sites),
+        )
+
+
+# build_fabric reads nothing else of the spec, so chips of one family share
+# one layout
+@functools.lru_cache(maxsize=16)
+def _fabric_layout(site_count: int, central_exclusion: float) -> FabricLayout:
+    n_clb = (site_count + 3) // 4
+    nx, ny = _fabric_dims(n_clb)
+    cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
+    half_w, half_h = central_exclusion * nx, central_exclusion * ny
+    sites: list[FabricSite] = []
+    for y in range(ny):
+        for x in range(nx):
+            if len(sites) >= site_count:
+                break
+            has_m = x % 2 == 1
+            excluded = abs(x - cx) < half_w and abs(y - cy) < half_h
+            for corner in CORNERS:
+                if len(sites) >= site_count:
+                    break
+                sites.append(FabricSite(x, y, corner, classify_corner(corner, has_m), excluded))
+    return FabricLayout.of(sites)
 
 
 def build_fabric(spec: DeviceSpec) -> list[FabricSite]:
@@ -244,22 +310,7 @@ def build_fabric(spec: DeviceSpec) -> list[FabricSite]:
     the real fabric).  Sites inside the central exclusion box are flagged and
     never characterized or used for oscillators.
     """
-    n_clb = (spec.site_count + 3) // 4
-    nx, ny = _fabric_dims(n_clb)
-    cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
-    half_w, half_h = spec.central_exclusion * nx, spec.central_exclusion * ny
-    sites: list[FabricSite] = []
-    for y in range(ny):
-        for x in range(nx):
-            if len(sites) >= spec.site_count:
-                break
-            has_m = x % 2 == 1
-            excluded = abs(x - cx) < half_w and abs(y - cy) < half_h
-            for corner in CORNERS:
-                if len(sites) >= spec.site_count:
-                    break
-                sites.append(FabricSite(x, y, corner, classify_corner(corner, has_m), excluded))
-    return sites
+    return list(_fabric_layout(spec.site_count, spec.central_exclusion).sites)
 
 
 def _expected_range_factor(n: int) -> float:
@@ -281,14 +332,14 @@ def synth_chip(spec: DeviceSpec, device_seed: int, device_id: str | None = None)
     """
     spec.validate()
     rng = np.random.default_rng(device_seed)
-    sites = build_fabric(spec)
-    n = len(sites)
-
-    class_off = np.array([spec.bias_for(s.slice_class) for s in sites])
-    diag = np.array([s.clb_x + s.clb_y for s in sites], dtype=float)
-    sys_off = spec.systematic_gradient * (diag - diag.mean())
+    layout = _fabric_layout(spec.site_count, spec.central_exclusion)
+    n = len(layout.sites)
 
     bias_values = [spec.bias_for(c) for c in SliceClass]
+    class_off = np.array(bias_values)[layout.class_codes]
+    diag = layout.diag
+    sys_off = spec.systematic_gradient * (diag - diag.mean())
+
     cb_span = max(bias_values) - min(bias_values)
     sys_span = spec.systematic_gradient * (diag.max() - diag.min()) if n > 1 else 0.0
     residual_span = max(0.0, spec.mean_span - cb_span - sys_span)
@@ -305,15 +356,17 @@ def synth_chip(spec: DeviceSpec, device_seed: int, device_id: str | None = None)
         bad = rng.random(n) < spec.erroneous_fraction
         meas_sigma = np.where(bad, meas_sigma * spec.erroneous_sigma_mult, meas_sigma)
 
-    return ChipProfile(
+    chip = ChipProfile(
         device_id=device_id or f"{spec.kind}_{device_seed}",
         spec=spec,
-        sites=sites,
+        sites=layout.sites,
         nominal_freq=nominal,
         temp_coeff=temp_coeff,
         volt_coeff=volt_coeff,
         meas_sigma_site=meas_sigma,
     )
+    chip._layout = layout
+    return chip
 
 
 def _env_scale(chip: ChipProfile, env: EnvCondition) -> np.ndarray | float:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .chipmodel import PRESETS, ingest_csv
-from .nist import run_suite
+from .nist import format_rate, run_suite
 from .pipeline import (
     PipelineConfig,
     bench,
@@ -67,7 +67,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"reliability r_avg={report.r_avg:.4f} r_min={report.r_min:.4f} "
         f"uniqueness u={report.u:.4f} min_entropy={report.min_entropy_avg:.4f}"
     )
-    print(f"nist pass rate {100.0 * nist_report.pass_rate:.1f}% "
+    print(f"nist pass rate {format_rate(nist_report.pass_rate, '.1%')} "
           f"({'all pass' if nist_report.all_pass() else 'some fail'})")
     return 0
 
@@ -77,7 +77,7 @@ def cmd_sweep_kappa(args: argparse.Namespace) -> int:
     points = sweep_kappa(config)
     full = [p.kappa for p in points if p.all_pass]
     for p in points:
-        print(f"kappa={p.kappa:<7g} pass_rate={100.0 * p.pass_rate:5.1f}% "
+        print(f"kappa={p.kappa:<7g} pass_rate={format_rate(p.pass_rate, '6.1%')} "
               f"u={p.uniqueness:.4f} h={p.min_entropy_avg:.4f}")
     print(f"full-pass ratios: {full if full else 'none'}")
     return 0
@@ -94,11 +94,11 @@ def cmd_sweep_m(args: argparse.Namespace) -> int:
         md = float(np.median([r.relocated_min_diff for r in runs]))
         rows.append((m, k, md, report.r_avg, nist_report.pass_rate))
         print(f"M={m:<3d} bits={k:<5d} median_min_diff={md:.3f} MHz "
-              f"r_avg={report.r_avg:.4f} nist={100.0 * nist_report.pass_rate:.0f}%")
+              f"r_avg={report.r_avg:.4f} nist={format_rate(nist_report.pass_rate, '.0%')}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["m,bits,median_min_diff_mhz,r_avg,nist_pass_rate"]
-    lines += [f"{m},{k},{md:.6f},{r:.6f},{pr:.4f}" for m, k, md, r, pr in rows]
+    lines += [f"{m},{k},{md:.6f},{r:.6f},{format_rate(pr, '.4f')}" for m, k, md, r, pr in rows]
     (out / "m_sweep.csv").write_text("\n".join(lines) + "\n")
     return 0
 
@@ -129,7 +129,7 @@ def cmd_nist(args: argparse.Namespace) -> int:
         return 1
     report = run_suite([r.bits for r in responses])
     sys.stdout.write(report.to_csv())
-    print(f"pass rate {100.0 * report.pass_rate:.1f}% over {report.sequences} sequences")
+    print(f"pass rate {format_rate(report.pass_rate, '.1%')} over {report.sequences} sequences")
     return 0 if report.all_pass() else 2
 
 

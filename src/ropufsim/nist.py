@@ -284,9 +284,11 @@ class NistReport:
         return list(self.results)
 
     @property
-    def pass_rate(self) -> float:
+    def pass_rate(self) -> float | None:
+        """Share of applicable tests whose population verdict passes; None
+        (NA) when no test applies at this length."""
         if not self.results:
-            return 0.0
+            return None
         return sum(r.population_pass for r in self.results.values()) / len(self.results)
 
     def all_pass(self) -> bool:
@@ -320,6 +322,11 @@ class NistReport:
         for name in self.not_applicable:
             lines.append(f"{name},NA,NA,NA")
         return "\n".join(lines) + "\n"
+
+
+def format_rate(rate: float | None, spec: str) -> str:
+    """A pass rate formatted with ``spec``, or ``NA`` when no test applied."""
+    return "NA" if rate is None else format(rate, spec)
 
 
 def min_pass_count(sequences: int, alpha: float = ALPHA_DEFAULT) -> int:

@@ -20,6 +20,7 @@ import numpy as np
 from .characterize import (
     DEFAULT_QUANTILE,
     DEFAULT_THRESHOLD,
+    FrequencyProfile,
     characterize,
     export_profile_csv,
     reject_erroneous,
@@ -35,8 +36,14 @@ from .chipmodel import (
 )
 from .chipmodel import synth_chip
 from .metrics import EvalReport, evaluate_population
-from .nist import NistReport, run_suite
-from .placement import assign_groups, emit_constraints, randomize_placement, valid_kappas
+from .nist import NistReport, format_rate, run_suite
+from .placement import (
+    PlacementPlan,
+    assign_groups,
+    emit_constraints,
+    randomize_placement,
+    valid_kappas,
+)
 from .puf import ResponseSet, generate_response, save_responses
 from .select import SelectionConfig, improved_kmeans, relocate_centroids
 
@@ -134,11 +141,18 @@ def device_seeds(global_seed: int, index: int) -> dict[str, int]:
 
 @dataclass(eq=False)
 class DeviceRun:
-    """Artifacts of one device's stage chain."""
+    """Artifacts of one device's stage chain.
+
+    ``profile`` is the characterization before rejection and ``plan`` the
+    placement the responses came from; the artifact writer emits both as
+    they are, so no stage runs again to write a run.
+    """
 
     device_id: str
     seeds: dict[str, int]
     chip: ChipProfile
+    profile: FrequencyProfile
+    plan: PlacementPlan
     kept_sites: int
     rejected: int
     selection_min_diff: float
@@ -216,6 +230,8 @@ def run_device(
         device_id=chip.device_id,
         seeds=seeds,
         chip=chip,
+        profile=prof,
+        plan=plan,
         kept_sites=clean.z_bar,
         rejected=clean.rejected_count,
         selection_min_diff=km.min_diff,
@@ -306,22 +322,11 @@ def _write_run(
     for i, r in enumerate(runs):
         dev_dir = root / f"device_{i:03d}"
         dev_dir.mkdir(exist_ok=True)
-        prof = characterize(
-            r.chip, m=config.samples, t_on_us=config.t_on_us,
-            rng=np.random.default_rng(r.seeds["characterize"]),
-        )
-        export_profile_csv(r.chip, prof, str(dev_dir / "profile.csv"))
+        export_profile_csv(r.chip, r.profile, str(dev_dir / "profile.csv"))
         (dev_dir / "selection.json").write_text(
             json.dumps(r.selection_json, indent=2, sort_keys=True)
         )
-        sel = r.selection_json["plan"]
-        assignment = assign_groups(
-            [(int(a), float(b)) for a, b in
-             r.selection_json["relocated"]["chosen"]],
-            sel["kappa"], derive_seed(r.seeds["assign"], 0),
-        )
-        plan = randomize_placement(assignment, r.chip.sites, sel["placement_seed"])
-        emit_constraints(plan, str(dev_dir / "constraints.txt"))
+        emit_constraints(r.plan, str(dev_dir / "constraints.txt"))
         save_responses(str(dev_dir / "responses.csv"), [r.golden, *r.sweep_responses])
 
     reports = root / "reports"
@@ -344,7 +349,7 @@ def _write_run(
 @dataclass
 class KappaSweepPoint:
     kappa: float
-    pass_rate: float
+    pass_rate: float | None
     all_pass: bool
     per_test: dict[str, bool]
     uniqueness: float
@@ -402,7 +407,7 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
         rows = ["kappa,pass_rate,all_pass,uniqueness,min_entropy"]
         for p in points:
             rows.append(
-                f"{p.kappa},{p.pass_rate:.4f},{int(p.all_pass)},"
+                f"{p.kappa},{format_rate(p.pass_rate, '.4f')},{int(p.all_pass)},"
                 f"{p.uniqueness:.4f},{p.min_entropy_avg:.4f}"
             )
         (root / "kappa_sweep.csv").write_text("\n".join(rows) + "\n")
@@ -435,7 +440,10 @@ def bench(config: PipelineConfig) -> BenchReport:
         chip, m=config.samples, t_on_us=config.t_on_us,
         rng=np.random.default_rng(seeds["characterize"]),
     )
-    clean = reject_erroneous(prof)
+    clean = reject_erroneous(
+        prof, mode=config.reject_mode,
+        threshold=config.reject_threshold, quantile=config.reject_quantile,
+    )
     t_p1 = spec.site_count * config.samples * SAMPLE_COST_SEC
 
     order = np.argsort(clean.kept.mean, kind="stable")

@@ -8,6 +8,7 @@ between the two selected oscillators, measured fresh per challenge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,6 +94,9 @@ def lfsr_sequence(
     traversal still visits every nonzero state exactly once.  Raises if the
     tap polynomial is not maximal-length (the single-step cycle would revisit
     a state early or fail to close).
+
+    The validated table is cached per (width, taps, seed, clocks); each call
+    returns its own copy, so a caller that mutates it changes no other result.
     """
     if taps is None:
         try:
@@ -101,6 +105,13 @@ def lfsr_sequence(
             raise ValueError(f"no default taps for width {width}") from None
     if clocks_per_word is None:
         clocks_per_word = WORD_CLOCKS.get(width, 1)
+    return _lfsr_table(width, tuple(taps), seed_state, clocks_per_word).copy()
+
+
+@functools.lru_cache(maxsize=256)
+def _lfsr_table(
+    width: int, taps: tuple[int, ...], seed_state: int, clocks_per_word: int
+) -> np.ndarray:
     if seed_state == 0:
         raise ValueError("LFSR seed state must be nonzero")
     period = (1 << width) - 1
@@ -120,7 +131,9 @@ def lfsr_sequence(
             f"taps {taps} are not maximal-length for width {width} "
             f"(period check failed)"
         )
-    return single[(np.arange(period) * clocks_per_word) % period]
+    table = single[(np.arange(period) * clocks_per_word) % period]
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)

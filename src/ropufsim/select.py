@@ -93,18 +93,27 @@ def mean_intracluster_distance(
     """Per-cluster mean absolute distance to the centroid, plus the average.
 
     Empty clusters contribute zero and are listed in ``empty_clusters``.
+    A stable sort by label makes every cluster one contiguous slice that
+    keeps its members in index order, so each slice reduces with the same
+    pairwise summation as the cluster's masked members would.
     """
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
-    m = len(centroids)
+    cents = np.asarray(centroids, dtype=float)
+    m = len(cents)
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    bounds = np.searchsorted(ranked, np.arange(m + 1)).tolist()
+    lo, hi = bounds[0], bounds[-1]
+    dist = np.abs(values[order[lo:hi]] - cents[ranked[lo:hi]])
     per_cluster = np.zeros(m)
     empty: list[int] = []
     for j in range(m):
-        members = values[labels == j]
-        if members.size == 0:
+        s, e = bounds[j] - lo, bounds[j + 1] - lo
+        if s == e:
             empty.append(j)
         else:
-            per_cluster[j] = float(np.abs(members - centroids[j]).mean())
+            per_cluster[j] = np.add.reduce(dist[s:e]) / (e - s)
     return {
         "per_cluster": per_cluster,
         "mean": float(per_cluster.mean()),
@@ -162,17 +171,24 @@ def seed_centroids(
     raise ValueError(f"unknown seeding strategy {strategy!r}")
 
 
-def _snap_distinct(
-    fs: np.ndarray, centroids: np.ndarray, occupied: set[int] | None = None
-) -> np.ndarray:
+def _snap_distinct(fs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-existing-frequency indices, one distinct candidate per centroid.
 
     ``fs`` must be sorted.  Exact distance ties go to the lower value, which
-    for duplicated frequencies is the lowest index.  A centroid whose nearest
+    for duplicated frequencies is the lowest index.  When nearest candidates
+    collide, centroids are resolved in ascending order and one whose nearest
     candidate is taken walks outward to the nearest free one.
     """
     n = fs.size
-    taken: set[int] = set() if occupied is None else occupied
+    centroids = np.asarray(centroids, dtype=float)
+    if centroids.size <= n:
+        pos = np.searchsorted(fs, centroids)
+        d_lo = np.where(pos > 0, centroids - fs[np.maximum(pos - 1, 0)], np.inf)
+        d_hi = np.where(pos < n, fs[np.minimum(pos, n - 1)] - centroids, np.inf)
+        nearest = np.where(d_lo <= d_hi, pos - 1, pos)
+        if np.unique(nearest).size == nearest.size:
+            return nearest
+    taken: set[int] = set()
     out = np.empty(len(centroids), dtype=np.intp)
     order = np.argsort(centroids, kind="stable")
     for rank in order:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,18 @@ from ropufsim.characterize import (
     reject_erroneous,
 )
 from ropufsim.chipmodel import get_preset, ingest_csv, synth_chip
+
+
+def export_reference(chip, prof, path):
+    """The profile CSV as csv.writer writes it, one row per kept site."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["clb_x", "clb_y", "corner", "class", "mhz_1"])
+        for ref, mean in zip(prof.site_refs, prof.mean):
+            site = chip.sites[int(ref)]
+            writer.writerow(
+                [site.clb_x, site.clb_y, site.corner, site.slice_class.value, repr(float(mean))]
+            )
 
 
 def profile_from_ratios(ratios, mean=400.0):
@@ -143,3 +157,15 @@ class TestExportRoundTrip:
             orig = small_chip.sites[int(ref)]
             assert (site.clb_x, site.clb_y, site.corner) == orig.key
             assert site.slice_class == orig.slice_class
+
+    def test_bytes_equal_csv_writer(self, small_chip, tmp_path):
+        prof = characterize(small_chip, rng=np.random.default_rng(9))
+        kept = reject_erroneous(prof).kept
+        ingested = tmp_path / "ingested.csv"
+        ingested.write_text("clb_x,clb_y,corner,mhz_1\n3,1,BR,401.5\n0,0,TL,1e-05\n")
+        back = ingest_csv(str(ingested))
+        back_prof = characterize(back, rng=np.random.default_rng(1))
+        for chip, p in ((small_chip, prof), (small_chip, kept), (back, back_prof)):
+            export_profile_csv(chip, p, str(tmp_path / "fast.csv"))
+            export_reference(chip, p, str(tmp_path / "ref.csv"))
+            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

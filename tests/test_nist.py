@@ -18,6 +18,7 @@ from ropufsim.nist import (
     block_frequency_test,
     cumulative_sums_test,
     dft_test,
+    format_rate,
     frequency_test,
     longest_run_test,
     min_pass_count,
@@ -239,6 +240,14 @@ class TestSuite:
         report = run_suite(seqs)
         assert "dft" in report.results
         assert len(report.results) == 10
+
+    def test_pass_rate_na_when_no_test_applies(self):
+        report = run_suite([random_bits(63, i) for i in range(54)])
+        assert report.results == {}
+        assert report.pass_rate is None
+        assert not report.all_pass()
+        assert format_rate(report.pass_rate, ".1%") == "NA"
+        assert format_rate(0.5, ".1%") == "50.0%"
 
     def test_ragged_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import ropufsim.pipeline as pipeline
 from ropufsim.cli import main
 from ropufsim.pipeline import (
     BenchReport,
@@ -28,6 +30,21 @@ def tiny_config(tmp_path, **overrides) -> PipelineConfig:
     )
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def tree_sha256(root: Path) -> str:
+    """sha256 over every file's relative path and bytes, in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+# Artifact tree of tiny_config with out_dir="run".  Only a change that
+# announces a behaviour change may move it.
+TINY_RUN_SHA256 = "280b8e80b730a8445622e8d68056c538e1cc455f45169da80a503b97e0ae6c07"
 
 
 class TestConfig:
@@ -83,6 +100,23 @@ class TestRunPipeline:
         }
         assert first == second
 
+    def test_written_run_runs_each_stage_once_per_device(self, tmp_path, monkeypatch):
+        calls = {}
+        for name in ("characterize", "assign_groups", "randomize_placement"):
+            def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        monkeypatch.chdir(tmp_path)
+        config = tiny_config(tmp_path, out_dir="run")
+        run_pipeline(config)
+        assert calls == {
+            "characterize": config.devices,
+            "assign_groups": config.devices,
+            "randomize_placement": config.devices,
+        }
+        assert tree_sha256(Path("run")) == TINY_RUN_SHA256
+
     def test_reference_only_run_is_trivially_reliable(self, tmp_path):
         config = tiny_config(tmp_path, env_mode="reference", devices=1)
         report, _, _ = run_pipeline(config, write=False)
@@ -110,7 +144,10 @@ class TestSweeps:
         config = tiny_config(tmp_path, devices=4)
         points = sweep_kappa(config)
         assert [p.kappa for p in points] == [0.0, 0.5, 1.0]
-        assert (Path(config.out_dir) / "kappa_sweep.csv").exists()
+        # no SP 800-22 test applies to 15-bit responses
+        assert all(p.pass_rate is None for p in points)
+        rows = (Path(config.out_dir) / "kappa_sweep.csv").read_text().splitlines()
+        assert [r.split(",")[1] for r in rows[1:]] == ["NA"] * 3
 
     def test_kappa_zero_identical_ones_count(self, tmp_path):
         # ordered-only assignment leaves the multiset of compared rank pairs
@@ -135,6 +172,22 @@ class TestBench:
         )
         assert report.selection_wall_sec > 0
         assert report.p2_much_less_than_p1
+
+    def test_reject_settings_reach_bench(self, tmp_path, monkeypatch):
+        kept = {}
+
+        def spy(prof, **kwargs):
+            clean = reject(prof, **kwargs)
+            kept[kwargs.get("mode", "fixed")] = clean.z_bar
+            return clean
+
+        reject = pipeline.reject_erroneous
+        monkeypatch.setattr(pipeline, "reject_erroneous", spy)
+        bench(tiny_config(tmp_path))
+        bench(tiny_config(tmp_path, reject_mode="quantile", reject_quantile=0.5))
+        # the median ratio as threshold keeps about half the pool; the fixed
+        # default keeps all but the erroneous few percent
+        assert kept["quantile"] < 0.6 * kept["fixed"]
 
     def test_single_site_model_minimal(self, tmp_path):
         # characterization model scales down to a single site
@@ -192,7 +245,10 @@ class TestCli:
         out = capsys.readouterr().out
         for m in (8, 16, 32, 64):
             assert f"M={m}" in out
-        assert (tmp_path / "cli_sweep_m" / "m_sweep.csv").exists()
+        # no SP 800-22 test applies at M = 8 (15 bits) or M = 16 (63 bits)
+        assert out.count("nist=NA") == 2
+        rows = (tmp_path / "cli_sweep_m" / "m_sweep.csv").read_text().splitlines()
+        assert [r.split(",")[-1] for r in rows[1:3]] == ["NA", "NA"]
 
     def test_device_spec_file_flag(self, tmp_path):
         spec_file = tmp_path / "device.json"

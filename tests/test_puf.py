@@ -7,6 +7,7 @@ from conftest import manual_chip
 from ropufsim.chipmodel import REFERENCE_ENV, EnvCondition
 from ropufsim.placement import assign_groups, randomize_placement
 from ropufsim.puf import (
+    TAPS,
     WORD_CLOCKS,
     Challenge,
     Lfsr,
@@ -27,6 +28,17 @@ def make_plan(freqs, kappa=0.0, seed=0):
     sel = [(int(i), float(f)) for i, f in enumerate(freqs)]
     assignment = assign_groups(sel, kappa, np.random.default_rng(0))
     return randomize_placement(assignment, chip.sites, seed), chip
+
+
+def lfsr_reference(width, seed_state):
+    """Galois LFSR stepped bit by bit, decimated by the word clock count."""
+    mask = (1 | sum(1 << e for e in TAPS[width])) >> 1
+    period = (1 << width) - 1
+    single, s = [], seed_state
+    for _ in range(period):
+        single.append(s)
+        s = (s >> 1) ^ (mask if s & 1 else 0)
+    return [single[(i * WORD_CLOCKS[width]) % period] for i in range(period)]
 
 
 class TestLfsr:
@@ -64,6 +76,17 @@ class TestLfsr:
         b = lfsr_sequence(8, seed_state=2)
         assert set(a.tolist()) == set(b.tolist())
         assert a.tolist() != b.tolist()
+
+    @pytest.mark.parametrize("width,seed", [(4, 1), (6, 5), (8, 1), (8, 200), (10, 77)])
+    def test_matches_reference(self, width, seed):
+        assert lfsr_sequence(width, seed_state=seed).tolist() == lfsr_reference(width, seed)
+
+    def test_results_independent_of_caller_mutation(self):
+        first = lfsr_sequence(8, seed_state=3)
+        first[:] = 0
+        second = lfsr_sequence(8, seed_state=3)
+        second[::2] = -1
+        assert lfsr_sequence(8, seed_state=3).tolist() == lfsr_reference(8, 3)
 
     def test_lfsr_state_validation(self):
         with pytest.raises(ValueError):

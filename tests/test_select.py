@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ropufsim.select import (
     SelectionConfig,
+    _snap_distinct,
     baseline_select,
     improved_kmeans,
     mean_intracluster_distance,
@@ -23,6 +26,46 @@ def brute_force_best_min_diff(freqs, m):
     for combo in itertools.combinations(fs, m):
         best = max(best, float(np.min(np.diff(np.asarray(combo)))))
     return best
+
+
+def micd_reference(values, labels, centroids):
+    """Masked-mean MICD: one boolean mask per cluster."""
+    per_cluster = np.zeros(len(centroids))
+    empty = []
+    for j in range(len(centroids)):
+        members = values[labels == j]
+        if members.size == 0:
+            empty.append(j)
+        else:
+            per_cluster[j] = float(np.abs(members - centroids[j]).mean())
+    return per_cluster, float(per_cluster.mean()), empty
+
+
+def snap_reference(fs, centroids):
+    """Outward walk from each centroid, in ascending centroid order."""
+    n = fs.size
+    taken = set()
+    out = np.empty(len(centroids), dtype=np.intp)
+    for rank in np.argsort(centroids, kind="stable"):
+        c = centroids[rank]
+        pos = int(np.searchsorted(fs, c))
+        best = -1
+        lo, hi = pos - 1, pos
+        while lo >= 0 or hi < n:
+            d_lo = c - fs[lo] if lo >= 0 else np.inf
+            d_hi = fs[hi] - c if hi < n else np.inf
+            if d_lo <= d_hi:
+                i, lo = lo, lo - 1
+            else:
+                i, hi = hi, hi + 1
+            if i not in taken:
+                best = i
+                break
+        if best < 0:
+            raise ValueError("more centroids than candidates")
+        taken.add(best)
+        out[rank] = best
+    return out
 
 
 def config(m, **kw):
@@ -84,6 +127,64 @@ class TestMicd:
         )
         assert out["empty_clusters"] == [1]
         assert out["per_cluster"][1] == 0.0
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 400),
+        m=st.integers(1, 40),
+        used=st.integers(1, 40),
+        sort_labels=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_masked_mean(self, n, m, used, sort_labels, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(380.0, 450.0, n)
+        # labels drawn from a random subset of the clusters leave some empty
+        pool = rng.choice(m, size=min(used, m), replace=False)
+        labels = rng.choice(pool, size=n)
+        if sort_labels:
+            values, labels = np.sort(values), np.sort(labels)
+        centroids = rng.uniform(380.0, 450.0, m)
+        per_cluster, mean, empty = micd_reference(values, labels, centroids)
+        out = mean_intracluster_distance(values, labels, centroids)
+        assert out["per_cluster"].tolist() == per_cluster.tolist()
+        assert out["mean"] == mean
+        assert out["empty_clusters"] == empty
+
+
+class TestSnapDistinct:
+    @pytest.mark.parametrize("fs,centroids", [
+        ([1.0, 2.0, 3.0, 4.0], [2.1, 2.2, 2.3]),          # collision on one site
+        ([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5]),          # exact ties go lower
+        ([1.0, 2.0, 2.0, 2.0, 5.0], [2.0, 2.0, 2.0]),     # duplicate frequencies
+        ([1.0, 2.0, 3.0], [-50.0, 0.0, 99.0]),            # beyond either end
+        ([1.0, 2.0, 3.0], [9.0, 8.0, 7.0]),               # all past the top
+        ([1.0, 2.0, 3.0, 4.0], [4.0, 1.0]),               # unsorted, distinct
+    ])
+    def test_cases_match_walk(self, fs, centroids):
+        fs, centroids = np.asarray(fs), np.asarray(centroids)
+        assert _snap_distinct(fs, centroids).tolist() == snap_reference(fs, centroids).tolist()
+
+    def test_more_centroids_than_candidates(self):
+        with pytest.raises(ValueError, match="more centroids"):
+            _snap_distinct(np.array([1.0, 2.0]), np.array([1.0, 1.5, 2.0]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        grid=st.lists(st.integers(0, 20), min_size=1, max_size=30),
+        cents=st.lists(st.integers(-10, 50), min_size=1, max_size=30),
+    )
+    def test_matches_walk(self, grid, cents):
+        # half-unit grids make duplicates, exact midpoint ties and centroids
+        # beyond either end common
+        fs = np.sort(np.asarray(grid, dtype=float) / 2.0)
+        centroids = np.asarray(cents, dtype=float) / 4.0
+        if centroids.size > fs.size:
+            with pytest.raises(ValueError):
+                _snap_distinct(fs, centroids)
+            return
+        assert _snap_distinct(fs, centroids).tolist() == snap_reference(fs, centroids).tolist()
 
 
 class TestSeedCentroids:
