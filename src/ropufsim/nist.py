@@ -1,4 +1,4 @@
-"""Applicable subset of the SP 800-22 statistical tests.
+"""Applicable subset of the SP 800-22 statistical tests, batched over sequences.
 
 Implements the nine tests usable at 255-bit sequences plus the spectral test
 that activates from 1000 bits: frequency, block frequency, both cumulative
@@ -6,10 +6,22 @@ sums, runs, longest run of ones, approximate entropy, the two serial
 p-values and DFT.  Population judgment follows the standard two-pronged
 rule: a minimum proportion of passing sequences and a chi-square uniformity
 check on the p-value distribution.
+
+``run_suite`` takes an (s, n) 0/1 matrix or a list of s equal-length
+sequences.  Each test computes its statistic for many rows at once with
+whole-array operations (row sums, cumulative sums, one offset ``bincount``
+for the pattern counts, a row-wise FFT), then maps each row's statistic to a
+p-value through a memo keyed on it: (n, |S|) for frequency, (n, z) for the
+cumulative sums, (n, ones, runs) for runs, (n, N1) for DFT and (a, x) for
+the incomplete gamma function behind the chi-square tests.  The memos are
+bounded ``functools.lru_cache`` helpers that fill as values are first asked
+for.  Each public ``*_test`` judges one sequence as a one-row matrix through
+the same code, so a batched p-value equals the one-sequence p-value exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -74,14 +86,47 @@ class NistParams:
 
 
 def _as_bits(bits) -> np.ndarray:
+    """One sequence (bit string, list or array) as a 1-D array, values unchecked."""
     if isinstance(bits, str):
         if set(bits) - {"0", "1"}:
             raise ValueError("bit strings may only contain 0 and 1")
         return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    arr = np.asarray(bits).astype(np.uint8)
+    arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
     return arr
+
+
+def _as_matrix(sequences) -> np.ndarray:
+    """An (s, n) uint8 matrix from a 2-D array or from equal-length sequences.
+
+    Every value must be 0 or 1: a cast alone would wrap 256 to 0 and count 2
+    as a one, so any other value is rejected with the index of its sequence.
+    """
+    if isinstance(sequences, np.ndarray):
+        if sequences.ndim != 2:
+            raise ValueError(
+                f"a bit matrix must be two-dimensional (sequences, bits), "
+                f"got shape {sequences.shape}"
+            )
+        arr = sequences
+    else:
+        rows = [_as_bits(s) for s in sequences]
+        if rows and any(r.size != rows[0].size for r in rows):
+            raise ValueError("all sequences must have the same length")
+        arr = np.stack(rows) if rows else np.empty((0, 0), dtype=np.uint8)
+    if arr.shape[0] == 0:
+        raise ValueError("need at least one sequence")
+    ok = arr <= 1 if arr.dtype.kind in "bu" else (arr == 0) | (arr == 1)
+    if not ok.all():
+        bad = int(np.argmin(ok.all(axis=1)))
+        raise ValueError(f"sequence {bad} holds a value other than 0 and 1")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
+
+
+def _as_row(bits) -> np.ndarray:
+    """One sequence as a checked (1, n) matrix."""
+    return _as_matrix(_as_bits(bits)[None])
 
 
 def _check_n(n: int, floor: int, check: bool, name: str) -> None:
@@ -89,42 +134,61 @@ def _check_n(n: int, floor: int, check: bool, name: str) -> None:
         raise NotApplicableError(f"{name} requires n >= {floor}, got {n}")
 
 
-def frequency_test(bits, check_n: bool = True) -> float:
-    """Monobit: p = erfc(|S| / sqrt(2 n)) with S the +-1 sum."""
-    b = _as_bits(bits)
-    n = b.size
-    _check_n(n, 100, check_n, "frequency test")
-    s = int(2 * int(b.sum()) - n)
-    s_obs = abs(s) / math.sqrt(n)
+# Each test's p-value is a function of a small statistic.  The memos below are
+# keyed on it: an integer sufficient statistic where one exists, otherwise the
+# (a, x) arguments of the incomplete gamma function.  They fill lazily and are
+# bounded, so no table is built at import and memory stays flat.
+_MEMO_SIZE = 1 << 12
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _gamma_q(a: float, x: float) -> float:
+    return reg_gamma_upper(a, x)
+
+
+def _gamma_p_values(a: float, xs: np.ndarray) -> np.ndarray:
+    return np.array([_gamma_q(a, x) for x in xs.tolist()], dtype=float)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _frequency_p(n: int, abs_s: int) -> float:
+    s_obs = abs_s / math.sqrt(n)
     return erfc(s_obs / math.sqrt(2.0))
 
 
-def block_frequency_test(bits, block_len: int = 20, check_n: bool = True) -> float:
-    """Proportion of ones per M-bit block against one half."""
-    b = _as_bits(bits)
-    n = b.size
+def _frequency(mat: np.ndarray, check_n: bool = True) -> np.ndarray:
+    s, n = mat.shape
+    _check_n(n, 100, check_n, "frequency test")
+    abs_s = np.abs(2 * mat.sum(axis=1, dtype=np.int64) - n)
+    return np.array([_frequency_p(n, v) for v in abs_s.tolist()], dtype=float)
+
+
+def frequency_test(bits, check_n: bool = True) -> float:
+    """Monobit: p = erfc(|S| / sqrt(2 n)) with S the +-1 sum."""
+    return float(_frequency(_as_row(bits), check_n)[0])
+
+
+def _block_frequency(mat: np.ndarray, block_len: int = 20, check_n: bool = True) -> np.ndarray:
+    s, n = mat.shape
     _check_n(n, 100, check_n, "block frequency test")
     if block_len < 1:
         raise ValueError("block length must be positive")
     num_blocks = n // block_len
     if num_blocks < 1:
         raise NotApplicableError(f"no complete {block_len}-bit block in {n} bits")
-    trimmed = b[: num_blocks * block_len].reshape(num_blocks, block_len)
-    pi = trimmed.sum(axis=1) / block_len
-    chi2 = 4.0 * block_len * float(((pi - 0.5) ** 2).sum())
-    return reg_gamma_upper(num_blocks / 2.0, chi2 / 2.0)
+    blocks = mat[:, : num_blocks * block_len].reshape(s, num_blocks, block_len)
+    pi = blocks.sum(axis=2) / block_len
+    chi2 = 4.0 * block_len * ((pi - 0.5) ** 2).sum(axis=1)
+    return _gamma_p_values(num_blocks / 2.0, chi2 / 2.0)
 
 
-def cumulative_sums_test(bits, reverse: bool = False, check_n: bool = True) -> float:
-    """Maximum excursion of the +-1 random walk, forward or reversed."""
-    b = _as_bits(bits)
-    n = b.size
-    _check_n(n, 100, check_n, "cumulative sums test")
-    x = 2 * b.astype(np.int64) - 1
-    if reverse:
-        x = x[::-1]
-    partial = np.cumsum(x)
-    z = int(np.abs(partial).max())
+def block_frequency_test(bits, block_len: int = 20, check_n: bool = True) -> float:
+    """Proportion of ones per M-bit block against one half."""
+    return float(_block_frequency(_as_row(bits), block_len, check_n)[0])
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _cusum_p(n: int, z: int) -> float:
     if z == 0:
         return 1.0
     sqrt_n = math.sqrt(n)
@@ -142,31 +206,53 @@ def cumulative_sums_test(bits, reverse: bool = False, check_n: bool = True) -> f
     return min(max(1.0 - sum1 + sum2, 0.0), 1.0)
 
 
-def runs_test(bits, check_n: bool = True) -> float:
-    """Total number of runs against its expectation for the observed bias.
+def _cumulative_sums(mat: np.ndarray, reverse: bool = False, check_n: bool = True) -> np.ndarray:
+    s, n = mat.shape
+    _check_n(n, 100, check_n, "cumulative sums test")
+    if reverse:
+        mat = mat[:, ::-1]
+    # the +-1 walk after k steps is 2 * (ones so far) - k
+    walk = 2 * np.cumsum(mat, axis=1, dtype=np.int64) - np.arange(1, n + 1)
+    z = np.maximum(walk.max(axis=1), -walk.min(axis=1))
+    return np.array([_cusum_p(n, v) for v in z.tolist()], dtype=float)
 
-    Returns 0.0 when the ones proportion precondition |pi - 1/2| >= 2/sqrt(n)
-    fails, matching the standard's handling.
-    """
-    b = _as_bits(bits)
-    n = b.size
-    _check_n(n, 100, check_n, "runs test")
-    ones = int(b.sum())
+
+def cumulative_sums_test(bits, reverse: bool = False, check_n: bool = True) -> float:
+    """Maximum excursion of the +-1 random walk, forward or reversed."""
+    return float(_cumulative_sums(_as_row(bits), reverse, check_n)[0])
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _runs_p(n: int, ones: int, v: int) -> float:
     # |pi - 1/2| >= 2/sqrt(n) as an exact integer comparison, so the gate and
     # the statistic are bitwise invariant under bit complement
     if (2 * ones - n) ** 2 >= 16 * n:
         return 0.0
-    v = 1 + int(np.count_nonzero(b[1:] != b[:-1]))
     prod = ones * (n - ones) / (float(n) * n)
     num = abs(v - 2.0 * n * prod)
     den = 2.0 * math.sqrt(2.0 * n) * prod
     return erfc(num / den)
 
 
-def longest_run_test(bits, check_n: bool = True) -> float:
-    """Longest run of ones per block against the tabulated distribution."""
-    b = _as_bits(bits)
-    n = b.size
+def _runs(mat: np.ndarray, check_n: bool = True) -> np.ndarray:
+    s, n = mat.shape
+    _check_n(n, 100, check_n, "runs test")
+    ones = mat.sum(axis=1, dtype=np.int64).tolist()
+    runs = (1 + np.count_nonzero(mat[:, 1:] != mat[:, :-1], axis=1)).tolist()
+    return np.array([_runs_p(n, o, v) for o, v in zip(ones, runs)], dtype=float)
+
+
+def runs_test(bits, check_n: bool = True) -> float:
+    """Total number of runs against its expectation for the observed bias.
+
+    Returns 0.0 when the ones proportion precondition |pi - 1/2| >= 2/sqrt(n)
+    fails, matching the standard's handling.
+    """
+    return float(_runs(_as_row(bits), check_n)[0])
+
+
+def _longest_run(mat: np.ndarray, check_n: bool = True) -> np.ndarray:
+    s, n = mat.shape
     if n < _LONGEST_RUN_TIERS[0][0]:
         raise NotApplicableError(f"longest-run test requires n >= 128, got {n}")
     tier = _LONGEST_RUN_TIERS[0]
@@ -175,87 +261,137 @@ def longest_run_test(bits, check_n: bool = True) -> float:
             tier = t
     _, block_len, v_min, v_max, pi = tier
     num_blocks = n // block_len
-    blocks = b[: num_blocks * block_len].reshape(num_blocks, block_len)
-    longest = np.zeros(num_blocks, dtype=np.int64)
-    run = np.zeros(num_blocks, dtype=np.int64)
+    blocks = mat[:, : num_blocks * block_len].reshape(s, num_blocks, block_len)
+    longest = np.zeros((s, num_blocks), dtype=np.int64)
+    run = np.zeros((s, num_blocks), dtype=np.int64)
     for col in range(block_len):
-        run = (run + 1) * blocks[:, col]
+        run = (run + 1) * blocks[:, :, col]
         longest = np.maximum(longest, run)
     classes = np.clip(longest, v_min, v_max) - v_min
-    counts = np.bincount(classes, minlength=len(pi))
+    # one bincount for every row: row r's classes are offset by r * len(pi)
+    offset = classes + len(pi) * np.arange(s, dtype=np.int64)[:, None]
+    counts = np.bincount(offset.ravel(), minlength=s * len(pi)).reshape(s, len(pi))
     expected = num_blocks * np.asarray(pi)
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return reg_gamma_upper(len(pi) / 2.0 - 0.5, chi2 / 2.0)
+    chi2 = ((counts - expected) ** 2 / expected).sum(axis=1)
+    return _gamma_p_values(len(pi) / 2.0 - 0.5, chi2 / 2.0)
 
 
-def _overlapping_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Counts of all m-bit overlapping patterns with wraparound."""
-    n = b.size
-    if m == 0:
-        return np.array([n], dtype=np.int64)
-    v = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    for j in range(m):
-        v = (v << 1) | b[(idx + j) % n]
-    return np.bincount(v, minlength=1 << m)
+def longest_run_test(bits, check_n: bool = True) -> float:
+    """Longest run of ones per block against the tabulated distribution."""
+    return float(_longest_run(_as_row(bits), check_n)[0])
 
 
-def approximate_entropy_test(bits, m: int | None = None, check_n: bool = True) -> float:
-    """phi(m) - phi(m+1) against ln 2 for overlapping pattern frequencies."""
-    b = _as_bits(bits)
-    n = b.size
+def _pattern_counts(mat: np.ndarray, top: int) -> list[np.ndarray]:
+    """Per-row counts of the overlapping, wrapping m-bit patterns, m = 0..top.
+
+    Entry m is an (s, 2^m) table.  Only the top length is counted, with one
+    ``bincount`` over codes that start from the row index, so row r's
+    patterns land in bins r * 2^top onwards.  The (m-1)-bit pattern at a
+    position is the m-bit one without its last bit, so each shorter table is
+    an exact integer marginal of the next longer one.
+    """
+    s, n = mat.shape
+    wrapped = mat[:, np.arange(n + top - 1) % n]
+    v = np.repeat(np.arange(s, dtype=np.intp)[:, None], n, axis=1)
+    for j in range(top):
+        v <<= 1
+        v |= wrapped[:, j : j + n]
+    tables = [np.bincount(v.ravel(), minlength=s << top).reshape(s, 1 << top)]
+    for _ in range(top):
+        tables.append(tables[-1].reshape(s, -1, 2).sum(axis=2))
+    return tables[::-1]
+
+
+def _phi(counts: np.ndarray, n: int) -> np.ndarray:
+    """sum(c ln(c/n)) / n over each row's nonzero counts, in ascending order.
+
+    Rows are grouped by their number of nonzero counts, so every row sums
+    exactly its own nonzero counts, as it would alone in a one-row matrix;
+    padding with zero terms would change numpy's pairwise summation order.
+    """
+    srt = np.sort(counts, axis=1)
+    nnz = np.count_nonzero(srt, axis=1)
+    phi = np.empty(len(srt))
+    for k in set(nnz.tolist()):
+        rows = nnz == k
+        nz = srt[rows, srt.shape[1] - k :].astype(float)
+        phi[rows] = np.sum(nz * np.log(nz / n), axis=1) / n
+    return phi
+
+
+def _approximate_entropy(
+    mat: np.ndarray, m: int | None = None, check_n: bool = True
+) -> np.ndarray:
+    s, n = mat.shape
     _check_n(n, 128, check_n, "approximate entropy test")
     if m is None:
         m = NistParams().entropy_block_len(n)
     if m < 1:
         raise ValueError("block length must be >= 1")
-
-    def phi(block: int) -> float:
-        counts = np.sort(_overlapping_counts(b, block))
-        nz = counts[counts > 0].astype(float)
-        return float(np.sum(nz * np.log(nz / n))) / n
-
-    apen = phi(m) - phi(m + 1)
+    tables = _pattern_counts(mat, m + 1)
+    apen = _phi(tables[m], n) - _phi(tables[m + 1], n)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
-    return reg_gamma_upper(float(1 << (m - 1)), chi2 / 2.0)
+    return _gamma_p_values(float(1 << (m - 1)), chi2 / 2.0)
 
 
-def serial_test(bits, m: int | None = None, check_n: bool = True) -> tuple[float, float]:
-    """Two-level pattern-frequency test; returns both p-values."""
-    b = _as_bits(bits)
-    n = b.size
+def approximate_entropy_test(bits, m: int | None = None, check_n: bool = True) -> float:
+    """phi(m) - phi(m+1) against ln 2 for overlapping pattern frequencies."""
+    return float(_approximate_entropy(_as_row(bits), m, check_n)[0])
+
+
+def _serial(
+    mat: np.ndarray, m: int | None = None, check_n: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    s, n = mat.shape
     _check_n(n, 100, check_n, "serial test")
     if m is None:
         m = NistParams().serial_block_len(n)
     if m < 2:
         raise ValueError("serial block length must be >= 2")
+    tables = _pattern_counts(mat, m)
 
-    def psi_sq(block: int) -> float:
+    def psi_sq(block: int) -> np.ndarray:
         if block == 0:
-            return 0.0
-        counts = _overlapping_counts(b, block)
-        return (1 << block) / n * int((counts * counts).sum()) - n
+            return np.zeros(s)
+        counts = tables[block]
+        return (1 << block) / n * (counts * counts).sum(axis=1) - n
 
     p_m, p_m1, p_m2 = psi_sq(m), psi_sq(m - 1), psi_sq(m - 2)
-    d1 = p_m - p_m1
-    d2 = p_m - 2.0 * p_m1 + p_m2
-    p1 = reg_gamma_upper(float(1 << (m - 2)), d1 / 2.0)
-    p2 = reg_gamma_upper(float(1 << (m - 3)) if m >= 3 else 0.5, d2 / 2.0)
+    # Rounding can leave a difference that is zero in exact arithmetic just
+    # below zero (-7e-15); it is read as zero, whose p-value Q(a, 0) is 1.
+    d1 = np.maximum(p_m - p_m1, 0.0)
+    d2 = np.maximum(p_m - 2.0 * p_m1 + p_m2, 0.0)
+    p1 = _gamma_p_values(float(1 << (m - 2)), d1 / 2.0)
+    p2 = _gamma_p_values(float(1 << (m - 3)) if m >= 3 else 0.5, d2 / 2.0)
     return p1, p2
+
+
+def serial_test(bits, m: int | None = None, check_n: bool = True) -> tuple[float, float]:
+    """Two-level pattern-frequency test; returns both p-values."""
+    p1, p2 = _serial(_as_row(bits), m, check_n)
+    return float(p1[0]), float(p2[0])
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _dft_p(n: int, n1: int) -> float:
+    n0 = 0.95 * n / 2.0
+    d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    return erfc(abs(d) / math.sqrt(2.0))
+
+
+def _dft(mat: np.ndarray, min_n: int = 1000, check_n: bool = True) -> np.ndarray:
+    s, n = mat.shape
+    _check_n(n, min_n, check_n, "dft test")
+    x = 2.0 * mat.astype(float) - 1.0
+    moduli = np.abs(np.fft.fft(x, axis=1))[:, : n // 2]
+    threshold = math.sqrt(math.log(1.0 / 0.05) * n)
+    n1 = np.count_nonzero(moduli < threshold, axis=1)
+    return np.array([_dft_p(n, v) for v in n1.tolist()], dtype=float)
 
 
 def dft_test(bits, min_n: int = 1000, check_n: bool = True) -> float:
     """Spectral test: fraction of low-magnitude DFT peaks vs expectation."""
-    b = _as_bits(bits)
-    n = b.size
-    _check_n(n, min_n, check_n, "dft test")
-    x = 2.0 * b.astype(float) - 1.0
-    moduli = np.abs(np.fft.fft(x))[: n // 2]
-    threshold = math.sqrt(math.log(1.0 / 0.05) * n)
-    n0 = 0.95 * n / 2.0
-    n1 = int(np.count_nonzero(moduli < threshold))
-    d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
-    return erfc(abs(d) / math.sqrt(2.0))
+    return float(_dft(_as_row(bits), min_n, check_n)[0])
 
 
 @dataclass
@@ -352,43 +488,54 @@ def uniformity_p_value(p_values: np.ndarray) -> float:
     return reg_gamma_upper(4.5, chi2 / 2.0)
 
 
-def _suite_tests(n: int, params: NistParams):
-    tests: list[tuple[str, callable]] = [
-        ("frequency", lambda b: frequency_test(b)),
-        ("block_frequency", lambda b: block_frequency_test(b, params.block_len)),
-        ("cumsum_forward", lambda b: cumulative_sums_test(b, reverse=False)),
-        ("cumsum_reverse", lambda b: cumulative_sums_test(b, reverse=True)),
-        ("runs", lambda b: runs_test(b)),
-        ("longest_run", lambda b: longest_run_test(b)),
-        ("approximate_entropy", lambda b: approximate_entropy_test(b, params.m_entropy)),
-        ("serial_1", None),
-        ("serial_2", None),
-        ("dft", lambda b: dft_test(b, params.dft_min_n)),
-    ]
-    return tests
+# Report order of the suite's results.
+_SUITE_ORDER = (
+    "frequency", "block_frequency", "cumsum_forward", "cumsum_reverse", "runs",
+    "longest_run", "approximate_entropy", "serial_1", "serial_2", "dft",
+)
+
+
+def _suite_tests(params: NistParams):
+    """(result names, batched test) in run order; serial runs last, so when
+    it does not apply its names follow dft's in the NA list."""
+    return (
+        (("frequency",), lambda b: (_frequency(b),)),
+        (("block_frequency",), lambda b: (_block_frequency(b, params.block_len),)),
+        (("cumsum_forward",), lambda b: (_cumulative_sums(b, reverse=False),)),
+        (("cumsum_reverse",), lambda b: (_cumulative_sums(b, reverse=True),)),
+        (("runs",), lambda b: (_runs(b),)),
+        (("longest_run",), lambda b: (_longest_run(b),)),
+        (("approximate_entropy",), lambda b: (_approximate_entropy(b, params.m_entropy),)),
+        (("dft",), lambda b: (_dft(b, params.dft_min_n),)),
+        (("serial_1", "serial_2"), lambda b: _serial(b, params.m_serial)),
+    )
+
+
+# run_suite judges a population in blocks of rows holding at most this many
+# bits (at least one row), so the largest temporary, the DFT's complex rows,
+# stays near 1 MB however many sequences there are.
+_BLOCK_BITS = 1 << 14
 
 
 def run_suite(sequences, params: NistParams | None = None) -> NistReport:
     """Apply every applicable test to each sequence and judge the population.
 
+    ``sequences`` is an (s, n) 0/1 matrix or a list of s equal-length
+    sequences; any other value, or a ragged, empty or higher-dimensional
+    input, raises ``ValueError``.  Each test computes its statistic over
+    blocks of rows at once.
     Tests that do not apply at this length are reported NA, never failed.  A
     test's population verdict needs both the passing proportion and, from
     ``uniformity_min_sequences`` sequences up, a uniform p-value spread.
     """
     if params is None:
         params = NistParams()
-    mats = [_as_bits(s) for s in sequences]
-    if not mats:
-        raise ValueError("need at least one sequence")
-    n = mats[0].size
-    if any(m.size != n for m in mats):
-        raise ValueError("all sequences must have the same length")
-    s_count = len(mats)
+    mat = _as_matrix(sequences)
+    s_count, n = mat.shape
     results: dict[str, TestOutcome] = {}
     not_applicable: list[str] = []
 
-    def add(name: str, p_values: list[float]) -> None:
-        arr = np.asarray(p_values, dtype=float)
+    def add(name: str, arr: np.ndarray) -> None:
         passed = arr >= params.alpha
         min_pass = min_pass_count(s_count, params.alpha)
         prop_ok = int(passed.sum()) >= min_pass
@@ -410,22 +557,18 @@ def run_suite(sequences, params: NistParams | None = None) -> NistReport:
             population_pass=prop_ok and unif_ok,
         )
 
-    for name, fn in _suite_tests(n, params):
-        if name.startswith("serial"):
-            continue
+    rows = max(1, _BLOCK_BITS // max(n, 1))
+    blocks = [mat[i : i + rows] for i in range(0, s_count, rows)]
+    for names, test in _suite_tests(params):
         try:
-            add(name, [fn(b) for b in mats])
+            p_sets = [np.concatenate(ps) for ps in zip(*(test(b) for b in blocks))]
         except NotApplicableError:
-            not_applicable.append(name)
-    try:
-        pairs = [serial_test(b, params.m_serial) for b in mats]
-        add("serial_1", [p[0] for p in pairs])
-        add("serial_2", [p[1] for p in pairs])
-    except NotApplicableError:
-        not_applicable.extend(["serial_1", "serial_2"])
+            not_applicable.extend(names)
+            continue
+        for name, p_values in zip(names, p_sets):
+            add(name, p_values)
 
-    order = [name for name, _ in _suite_tests(n, params)]
-    results = {name: results[name] for name in order if name in results}
+    results = {name: results[name] for name in _SUITE_ORDER if name in results}
     return NistReport(
         n=n, sequences=s_count, alpha=params.alpha,
         results=results, not_applicable=not_applicable,

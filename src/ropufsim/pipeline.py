@@ -20,6 +20,7 @@ import numpy as np
 from .characterize import (
     DEFAULT_QUANTILE,
     DEFAULT_THRESHOLD,
+    CleanProfile,
     FrequencyProfile,
     characterize,
     export_profile_csv,
@@ -45,7 +46,7 @@ from .placement import (
     valid_kappas,
 )
 from .puf import ResponseSet, generate_response, save_responses
-from .select import SelectionConfig, improved_kmeans, relocate_centroids
+from .select import SelectionConfig, SelectionResult, improved_kmeans, relocate_centroids
 
 DEFAULT_TEMPS = tuple(float(t) for t in range(-5, 76, 10))
 DEFAULT_VOLTS = tuple(float(v) for v in range(900, 1101, 20))
@@ -170,18 +171,20 @@ def _device_spec(config: PipelineConfig) -> DeviceSpec:
     return get_preset(config.preset)
 
 
-def run_device(
-    config: PipelineConfig,
-    index: int,
-    spec: DeviceSpec | None = None,
-    kappa: float | None = None,
-    lfsr_seed: int | None = None,
-    env_grid: Sequence[EnvCondition] | None = None,
-    kappa_tag: int = 0,
-) -> DeviceRun:
-    """Execute the full per-device chain."""
-    spec = spec or _device_spec(config)
-    kappa = config.kappa if kappa is None else kappa
+@dataclass(eq=False)
+class _Selection:
+    """The ratio-independent half of a device chain: synth -> characterize ->
+    reject -> K-means -> relocation."""
+
+    seeds: dict[str, int]
+    chip: ChipProfile
+    profile: FrequencyProfile
+    clean: CleanProfile
+    kmeans: SelectionResult
+    relocated: SelectionResult
+
+
+def _select_device(config: PipelineConfig, index: int, spec: DeviceSpec) -> _Selection:
     seeds = device_seeds(config.global_seed, index)
     chip = synth_chip(spec, seeds["synth"], device_id=f"{spec.kind}_{index:03d}")
 
@@ -206,41 +209,65 @@ def run_device(
     rel = relocate_centroids(
         nu, km.centroids, max_iter=config.relocation_max_iter, site_refs=nu_refs
     )
+    return _Selection(seeds, chip, prof, clean, km, rel)
 
-    assign_seed = derive_seed(seeds["assign"], kappa_tag)
-    place_seed = derive_seed(seeds["place"], kappa_tag)
-    assignment = assign_groups(rel.chosen, kappa, assign_seed)
-    plan = randomize_placement(assignment, chip.sites, place_seed)
 
+def _place(sel: _Selection, kappa: float, kappa_tag: int) -> tuple[PlacementPlan, int]:
+    """Group assignment and placement at one ratio; returns the plan and its seed."""
+    assignment = assign_groups(
+        sel.relocated.chosen, kappa, derive_seed(sel.seeds["assign"], kappa_tag)
+    )
+    place_seed = derive_seed(sel.seeds["place"], kappa_tag)
+    return randomize_placement(assignment, sel.chip.sites, place_seed), place_seed
+
+
+def _respond(
+    sel: _Selection, plan: PlacementPlan, lfsr_seed: int, env: EnvCondition,
+    kappa_tag: int, slot: int,
+) -> ResponseSet:
+    """One response; slot 0 is the golden one, slot 1 + j the j-th condition."""
+    return generate_response(
+        plan, sel.chip, lfsr_seed, env,
+        rng=np.random.default_rng(derive_seed(sel.seeds["response"], kappa_tag, slot)),
+    )
+
+
+def run_device(
+    config: PipelineConfig,
+    index: int,
+    spec: DeviceSpec | None = None,
+    kappa: float | None = None,
+    lfsr_seed: int | None = None,
+    env_grid: Sequence[EnvCondition] | None = None,
+    kappa_tag: int = 0,
+) -> DeviceRun:
+    """Execute the full per-device chain."""
+    spec = spec or _device_spec(config)
+    kappa = config.kappa if kappa is None else kappa
     if lfsr_seed is None:
         lfsr_seed = 1
-    golden = generate_response(
-        plan, chip, lfsr_seed, REFERENCE_ENV,
-        rng=np.random.default_rng(derive_seed(seeds["response"], kappa_tag, 0)),
-    )
-    sweep: list[ResponseSet] = []
-    for j, env in enumerate(env_grid if env_grid is not None else []):
-        sweep.append(
-            generate_response(
-                plan, chip, lfsr_seed, env,
-                rng=np.random.default_rng(derive_seed(seeds["response"], kappa_tag, 1 + j)),
-            )
-        )
+    sel = _select_device(config, index, spec)
+    plan, place_seed = _place(sel, kappa, kappa_tag)
+    golden = _respond(sel, plan, lfsr_seed, REFERENCE_ENV, kappa_tag, 0)
+    sweep = [
+        _respond(sel, plan, lfsr_seed, env, kappa_tag, 1 + j)
+        for j, env in enumerate(env_grid if env_grid is not None else [])
+    ]
     return DeviceRun(
-        device_id=chip.device_id,
-        seeds=seeds,
-        chip=chip,
-        profile=prof,
+        device_id=sel.chip.device_id,
+        seeds=sel.seeds,
+        chip=sel.chip,
+        profile=sel.profile,
         plan=plan,
-        kept_sites=clean.z_bar,
-        rejected=clean.rejected_count,
-        selection_min_diff=km.min_diff,
-        relocated_min_diff=rel.min_diff,
+        kept_sites=sel.clean.z_bar,
+        rejected=sel.clean.rejected_count,
+        selection_min_diff=sel.kmeans.min_diff,
+        relocated_min_diff=sel.relocated.min_diff,
         golden=golden,
         sweep_responses=sweep,
         selection_json={
-            "kmeans": km.to_json_dict(),
-            "relocated": rel.to_json_dict(),
+            "kmeans": sel.kmeans.to_json_dict(),
+            "relocated": sel.relocated.to_json_dict(),
             "plan": {
                 "kappa": kappa,
                 "placement_seed": place_seed,
@@ -366,39 +393,24 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
 
     spec = _device_spec(config)
     kappas = valid_kappas(config.ro_count)
-    base_runs = [
-        run_device(config, i, spec, kappa=0.0, lfsr_seed=_shared_lfsr_seed(config, i))
-        for i in range(config.devices)
-    ]
+    selections = [_select_device(config, i, spec) for i in range(config.devices)]
+    lfsr_seeds = [_shared_lfsr_seed(config, i) for i in range(config.devices)]
     points: list[KappaSweepPoint] = []
     for k_idx, kappa in enumerate(kappas):
-        goldens = []
-        for i, base in enumerate(base_runs):
-            chosen = [(int(a), float(b)) for a, b in base.selection_json["relocated"]["chosen"]]
-            assignment = assign_groups(
-                chosen, kappa, derive_seed(base.seeds["assign"], k_idx)
-            )
-            plan = randomize_placement(
-                assignment, base.chip.sites, derive_seed(base.seeds["place"], k_idx)
-            )
-            goldens.append(
-                generate_response(
-                    plan, base.chip, _shared_lfsr_seed(config, i), REFERENCE_ENV,
-                    rng=np.random.default_rng(
-                        derive_seed(base.seeds["response"], k_idx, 0)
-                    ),
-                )
-            )
-        mat = np.stack([g.bits for g in goldens])
-        nist_report = run_suite([g.bits for g in goldens])
+        rows = []
+        for sel, lfsr_seed in zip(selections, lfsr_seeds):
+            plan, _ = _place(sel, kappa, k_idx)
+            rows.append(_respond(sel, plan, lfsr_seed, REFERENCE_ENV, k_idx, 0).bits)
+        golden = np.stack(rows)
+        nist_report = run_suite(golden)
         points.append(
             KappaSweepPoint(
                 kappa=kappa,
                 pass_rate=nist_report.pass_rate,
                 all_pass=nist_report.all_pass(),
                 per_test={n: r.population_pass for n, r in nist_report.results.items()},
-                uniqueness=uniqueness(mat)["u"] if len(goldens) >= 2 else 0.0,
-                min_entropy_avg=min_entropy(mat)["h_avg"],
+                uniqueness=uniqueness(golden)["u"] if len(golden) >= 2 else 0.0,
+                min_entropy_avg=min_entropy(golden)["h_avg"],
             )
         )
     if write:

@@ -170,24 +170,26 @@ class ResponseSet:
 
     def to_hex(self) -> str:
         """Pack bits little-endian (bit 0 = first challenge) into hex."""
-        value = 0
-        for i, b in enumerate(self.bits):
-            if b:
-                value |= 1 << i
+        packed = np.packbits(self.bits, bitorder="little").tobytes()
         digits = (self.k + 3) // 4
-        return format(value, f"0{digits}x")
+        return format(int.from_bytes(packed, "little"), f"0{digits}x")
 
 
 def bits_from_hex(hexbits: str, k: int | None = None) -> np.ndarray:
     """Inverse of ``ResponseSet.to_hex``.
 
     For the supported designs k = (M/2)^2 - 1 is one less than a multiple of
-    four, so it can be inferred from the digit count when not given.
+    four, so it can be inferred from the digit count when not given.  A value
+    with a bit set at or above k comes from a dump with another k and is
+    rejected rather than truncated.
     """
     if k is None:
         k = 4 * len(hexbits) - 1
     value = int(hexbits, 16)
-    return np.array([(value >> i) & 1 for i in range(k)], dtype=np.uint8)
+    if value < 0 or value >> k:
+        raise ValueError(f"hex value {hexbits!r} does not fit in k={k} bits")
+    packed = np.frombuffer(value.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=k, bitorder="little")
 
 
 def _plan_frequencies(

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_sp80022 import (
     ref_approximate_entropy,
@@ -272,3 +276,131 @@ class TestSuite:
         assert "dft,NA" in csv
         d = report.to_json_dict()
         assert d["n"] == 255 and d["sequences"] == 12
+
+
+# (names, one-sequence test) in run_suite's run order
+ONE_SEQUENCE_TESTS = (
+    (("frequency",), lambda b: (frequency_test(b),)),
+    (("block_frequency",), lambda b: (block_frequency_test(b),)),
+    (("cumsum_forward",), lambda b: (cumulative_sums_test(b),)),
+    (("cumsum_reverse",), lambda b: (cumulative_sums_test(b, reverse=True),)),
+    (("runs",), lambda b: (runs_test(b),)),
+    (("longest_run",), lambda b: (longest_run_test(b),)),
+    (("approximate_entropy",), lambda b: (approximate_entropy_test(b),)),
+    (("dft",), lambda b: (dft_test(b),)),
+    (("serial_1", "serial_2"), lambda b: serial_test(b)),
+)
+ROW_KINDS = ("random", "biased", "zeros", "ones", "alternating", "alternating_from_one")
+
+
+@st.composite
+def bit_populations(draw):
+    """Populations mixing random, biased and degenerate rows at lengths on
+    both sides of every applicability threshold."""
+    n = draw(st.sampled_from([100, 127, 128, 255, 999, 1000, 1023]))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = {
+        "zeros": lambda: np.zeros(n),
+        "ones": lambda: np.ones(n),
+        "alternating": lambda: np.arange(n) % 2,
+        "alternating_from_one": lambda: 1 - np.arange(n) % 2,
+        "random": lambda: rng.integers(0, 2, n),
+        "biased": lambda: rng.random(n) < rng.uniform(0.02, 0.98),
+    }
+    return np.array([rows[k]() for k in kinds], dtype=np.uint8)
+
+
+class TestBatchedSuite:
+    @settings(max_examples=60, deadline=None)
+    @given(mat=bit_populations())
+    def test_rows_equal_one_sequence_tests(self, mat):
+        report = run_suite(mat)
+        expected, not_applicable = {}, []
+        for names, test in ONE_SEQUENCE_TESTS:
+            try:
+                columns = list(zip(*(test(row) for row in mat)))
+            except NotApplicableError:
+                not_applicable.extend(names)
+                continue
+            expected.update(zip(names, columns))
+        assert report.not_applicable == not_applicable
+        assert set(report.results) == set(expected)
+        for name, column in expected.items():
+            assert report.results[name].p_values.tolist() == list(column), name
+
+    @pytest.mark.parametrize("n,na", [
+        (100, ["longest_run", "approximate_entropy", "dft"]),
+        (127, ["longest_run", "approximate_entropy", "dft"]),
+        (128, ["dft"]),
+        (999, ["dft"]),
+        (1000, []),
+        (63, ["frequency", "block_frequency", "cumsum_forward", "cumsum_reverse", "runs",
+              "longest_run", "approximate_entropy", "dft", "serial_1", "serial_2"]),
+    ])
+    def test_not_applicable_sets(self, n, na):
+        assert run_suite([random_bits(n, i) for i in range(3)]).not_applicable == na
+
+    def test_p_values_pinned(self):
+        # sha256 over each report's NA list and p-values, computed with the
+        # one-sequence-at-a-time suite this batched one replaced
+        rng = np.random.default_rng(1)
+        pops = []
+        for n in (100, 127, 128, 255, 999, 1000, 1023):
+            mat = rng.integers(0, 2, (16, n), dtype=np.uint8)
+            mat[0] = 0
+            mat[1] = 1
+            mat[2] = np.arange(n) % 2
+            mat[3] = rng.random(n) < 0.4
+            pops.append(mat)
+        custom = NistParams(block_len=10, m_entropy=2, m_serial=3)
+        h = hashlib.sha256()
+        for mat, params in [(m, None) for m in pops] + [(pops[3], custom), (pops[6], custom)]:
+            report = run_suite(mat, params)
+            h.update(",".join(report.not_applicable).encode() + b";")
+            for name, r in report.results.items():
+                h.update(name.encode() + r.p_values.astype(np.float64).tobytes())
+        assert h.hexdigest() == "4a892a696200aa2449bb5dbadb351f59ff516d905ed8422dad58aa9ab61fa764"
+
+    def test_matrix_and_list_inputs_agree(self):
+        mat = np.stack([random_bits(255, i) for i in range(20)])
+        strings = ["".join(map(str, row)) for row in mat]
+        by_matrix = run_suite(mat).to_json_dict()
+        assert run_suite(list(mat)).to_json_dict() == by_matrix
+        assert run_suite(strings).to_json_dict() == by_matrix
+        assert run_suite(mat.astype(bool)).to_json_dict() == by_matrix
+        assert run_suite(mat.astype(float)).to_json_dict() == by_matrix
+
+    @pytest.mark.parametrize("value", [2, 256, -1, 0.5])
+    def test_non_bit_value_rejected_with_sequence_index(self, value):
+        mat = np.stack([random_bits(255, i) for i in range(5)]).astype(float)
+        mat[3, 17] = value
+        with pytest.raises(ValueError, match="sequence 3 "):
+            run_suite(mat)
+        with pytest.raises(ValueError, match="sequence 3 "):
+            run_suite([row.tolist() for row in mat])
+        with pytest.raises(ValueError):
+            frequency_test(mat[3])
+
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            run_suite(np.zeros((2, 3, 255), dtype=np.uint8))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            run_suite([np.zeros((3, 255), dtype=np.uint8)])
+        with pytest.raises(ValueError, match="two-dimensional"):
+            run_suite(random_bits(255, 0))
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            run_suite([])
+        with pytest.raises(ValueError, match="at least one"):
+            run_suite(np.zeros((0, 255), dtype=np.uint8))
+
+    def test_serial_rounding_below_zero_reads_as_zero(self):
+        # d2 is exactly zero here, but the float arithmetic left it at -7e-15,
+        # which used to raise ValueError out of run_suite
+        bits = ("11101010110010001110011100010001110100001111000000011010"
+                "00110000101101001011110100100100011000000101")
+        assert serial_test(bits)[1] == 1.0
+        report = run_suite([bits] + [random_bits(100, i) for i in range(9)])
+        assert report.results["serial_2"].p_values[0] == 1.0

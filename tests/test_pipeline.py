@@ -149,6 +149,37 @@ class TestSweeps:
         rows = (Path(config.out_dir) / "kappa_sweep.csv").read_text().splitlines()
         assert [r.split(",")[1] for r in rows[1:]] == ["NA"] * 3
 
+    def test_kappa_sweep_places_each_device_once_per_ratio(self, tmp_path, monkeypatch):
+        calls = {}
+        for name in ("characterize", "assign_groups", "randomize_placement",
+                     "generate_response"):
+            def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        config = tiny_config(tmp_path)
+        points = sweep_kappa(config, write=False)
+        placements = config.devices * len(points)  # 3 devices x 3 ratios at M = 8
+        assert calls == {
+            "characterize": config.devices,
+            "assign_groups": placements,
+            "randomize_placement": placements,
+            "generate_response": placements,
+        }
+
+    def test_kappa_sweep_output_pinned(self, tmp_path):
+        # kappa_sweep.csv of a 12-device M = 32 sweep, where every test but
+        # dft applies; the sha256 was computed before the sweep reused the
+        # device selections directly
+        config = PipelineConfig(preset="zybo", devices=12, ro_count=32,
+                                global_seed=2026, out_dir=str(tmp_path / "sweep"))
+        points = sweep_kappa(config)
+        text = (tmp_path / "sweep" / "kappa_sweep.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == (
+            "78779fb14d7f6b9b6a7ea61045f95b9957c62f2a10b79d186e905e138bc4e5e5"
+        )
+        assert [p.pass_rate for p in points][2:6] == [1.0] * 4
+
     def test_kappa_zero_identical_ones_count(self, tmp_path):
         # ordered-only assignment leaves the multiset of compared rank pairs
         # fixed, so every device's golden response has the same weight +-1

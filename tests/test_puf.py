@@ -202,12 +202,49 @@ class TestGenerateResponse:
             generate_response(plan, small, 1)
 
 
+def hex_by_bit_loop(bits) -> str:
+    """Reference packing: bit i of the value is bits[i]."""
+    value = 0
+    for i, b in enumerate(bits):
+        if b:
+            value |= 1 << i
+    return format(value, f"0{(len(bits) + 3) // 4}x")
+
+
 class TestResponseIo:
     def test_hex_round_trip(self):
         rng = np.random.default_rng(6)
-        bits = rng.integers(0, 2, 255).astype(np.uint8)
-        resp = ResponseSet("dev", REFERENCE_ENV, bits, 255, 1)
-        assert np.array_equal(bits_from_hex(resp.to_hex()), bits)
+        for k in (15, 63, 255, 1023):
+            for bits in (rng.integers(0, 2, k).astype(np.uint8),
+                         np.zeros(k, np.uint8), np.ones(k, np.uint8)):
+                resp = ResponseSet("dev", REFERENCE_ENV, bits, k, 1)
+                text = resp.to_hex()
+                assert text == hex_by_bit_loop(bits)
+                assert len(text) == (k + 1) // 4
+                back = bits_from_hex(text)
+                assert back.dtype == np.uint8
+                assert np.array_equal(back, bits)
+                assert np.array_equal(bits_from_hex(text, k), bits)
+
+    def test_hex_with_bit_at_or_above_k_rejected(self):
+        # 16 digits hold a 63-bit dump; a 64-bit one sets the top bit
+        rng = np.random.default_rng(9)
+        bits64 = rng.integers(0, 2, 64).astype(np.uint8)
+        bits64[63] = 1
+        text = hex_by_bit_loop(bits64)
+        with pytest.raises(ValueError, match="k=63"):
+            bits_from_hex(text)
+        with pytest.raises(ValueError, match="k=62"):
+            bits_from_hex(text[-16:], k=62)
+        assert np.array_equal(bits_from_hex(text, k=64), bits64)
+
+    def test_dump_with_other_k_reports_line(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("device_id,temp_c,vcc_mv,hexbits\n"
+                        "dev0,35,1000,7fff\n"
+                        "dev1,35,1000,ffff\n")
+        with pytest.raises(ValueError, match=r"mixed\.csv:3"):
+            load_responses(str(path))
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
