@@ -11,12 +11,12 @@ check on the p-value distribution.
 sequences.  Each test computes its statistic for many rows at once with
 whole-array operations (row sums, cumulative sums, one offset ``bincount``
 for the pattern counts, a row-wise FFT), then maps each row's statistic to a
-p-value through a memo keyed on it: (n, |S|) for frequency, (n, z) for the
-cumulative sums, (n, ones, runs) for runs, (n, N1) for DFT and (a, x) for
-the incomplete gamma function behind the chi-square tests.  The memos are
-bounded ``functools.lru_cache`` helpers that fill as values are first asked
-for.  Each public ``*_test`` judges one sequence as a one-row matrix through
-the same code, so a batched p-value equals the one-sequence p-value exactly.
+p-value.  The cumulative-sums p-value, a sum over many normal CDFs, is
+memoized on its integer statistic (n, z) in a bounded ``functools.lru_cache``
+that fills as values are first asked for; the other p-values are computed
+directly.  Each public ``*_test`` judges one sequence as a one-row matrix
+through the same code, so a batched p-value equals the one-sequence p-value
+exactly.
 """
 
 from __future__ import annotations
@@ -134,33 +134,17 @@ def _check_n(n: int, floor: int, check: bool, name: str) -> None:
         raise NotApplicableError(f"{name} requires n >= {floor}, got {n}")
 
 
-# Each test's p-value is a function of a small statistic.  The memos below are
-# keyed on it: an integer sufficient statistic where one exists, otherwise the
-# (a, x) arguments of the incomplete gamma function.  They fill lazily and are
-# bounded, so no table is built at import and memory stays flat.
-_MEMO_SIZE = 1 << 12
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _gamma_q(a: float, x: float) -> float:
-    return reg_gamma_upper(a, x)
-
-
 def _gamma_p_values(a: float, xs: np.ndarray) -> np.ndarray:
-    return np.array([_gamma_q(a, x) for x in xs.tolist()], dtype=float)
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _frequency_p(n: int, abs_s: int) -> float:
-    s_obs = abs_s / math.sqrt(n)
-    return erfc(s_obs / math.sqrt(2.0))
+    return np.array([reg_gamma_upper(a, x) for x in xs.tolist()], dtype=float)
 
 
 def _frequency(mat: np.ndarray, check_n: bool = True) -> np.ndarray:
     s, n = mat.shape
     _check_n(n, 100, check_n, "frequency test")
     abs_s = np.abs(2 * mat.sum(axis=1, dtype=np.int64) - n)
-    return np.array([_frequency_p(n, v) for v in abs_s.tolist()], dtype=float)
+    return np.array(
+        [erfc(v / math.sqrt(n) / math.sqrt(2.0)) for v in abs_s.tolist()], dtype=float
+    )
 
 
 def frequency_test(bits, check_n: bool = True) -> float:
@@ -187,7 +171,9 @@ def block_frequency_test(bits, block_len: int = 20, check_n: bool = True) -> flo
     return float(_block_frequency(_as_row(bits), block_len, check_n)[0])
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+# The p-value depends only on the integers (n, z), and a miss costs O(n / z)
+# normal CDFs, so it is memoized; the cache is bounded and fills lazily.
+@functools.lru_cache(maxsize=1 << 12)
 def _cusum_p(n: int, z: int) -> float:
     if z == 0:
         return 1.0
@@ -222,7 +208,6 @@ def cumulative_sums_test(bits, reverse: bool = False, check_n: bool = True) -> f
     return float(_cumulative_sums(_as_row(bits), reverse, check_n)[0])
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _runs_p(n: int, ones: int, v: int) -> float:
     # |pi - 1/2| >= 2/sqrt(n) as an exact integer comparison, so the gate and
     # the statistic are bitwise invariant under bit complement
@@ -372,7 +357,6 @@ def serial_test(bits, m: int | None = None, check_n: bool = True) -> tuple[float
     return float(p1[0]), float(p2[0])
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _dft_p(n: int, n1: int) -> float:
     n0 = 0.95 * n / 2.0
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)

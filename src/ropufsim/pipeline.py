@@ -212,13 +212,14 @@ def _select_device(config: PipelineConfig, index: int, spec: DeviceSpec) -> _Sel
     return _Selection(seeds, chip, prof, clean, km, rel)
 
 
-def _place(sel: _Selection, kappa: float, kappa_tag: int) -> tuple[PlacementPlan, int]:
-    """Group assignment and placement at one ratio; returns the plan and its seed."""
+def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
+    """Group assignment and placement at one ratio."""
     assignment = assign_groups(
         sel.relocated.chosen, kappa, derive_seed(sel.seeds["assign"], kappa_tag)
     )
-    place_seed = derive_seed(sel.seeds["place"], kappa_tag)
-    return randomize_placement(assignment, sel.chip.sites, place_seed), place_seed
+    return randomize_placement(
+        assignment, sel.chip.sites, derive_seed(sel.seeds["place"], kappa_tag)
+    )
 
 
 def _respond(
@@ -247,7 +248,7 @@ def run_device(
     if lfsr_seed is None:
         lfsr_seed = 1
     sel = _select_device(config, index, spec)
-    plan, place_seed = _place(sel, kappa, kappa_tag)
+    plan = _place(sel, kappa, kappa_tag)
     golden = _respond(sel, plan, lfsr_seed, REFERENCE_ENV, kappa_tag, 0)
     sweep = [
         _respond(sel, plan, lfsr_seed, env, kappa_tag, 1 + j)
@@ -270,7 +271,7 @@ def run_device(
             "relocated": sel.relocated.to_json_dict(),
             "plan": {
                 "kappa": kappa,
-                "placement_seed": place_seed,
+                "placement_seed": plan.placement_seed,
                 "lower": [[int(r), float(f)] for r, f in plan.lower_order],
                 "upper": [[int(r), float(f)] for r, f in plan.upper_order],
             },
@@ -399,7 +400,7 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
     for k_idx, kappa in enumerate(kappas):
         rows = []
         for sel, lfsr_seed in zip(selections, lfsr_seeds):
-            plan, _ = _place(sel, kappa, k_idx)
+            plan = _place(sel, kappa, k_idx)
             rows.append(_respond(sel, plan, lfsr_seed, REFERENCE_ENV, k_idx, 0).bits)
         golden = np.stack(rows)
         nist_report = run_suite(golden)
