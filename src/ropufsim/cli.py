@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chipmodel import PRESETS, ingest_csv
+from .chipmodel import PRESETS, ConfigError, ingest_csv
 from .nist import format_rate, run_suite
 from .pipeline import (
     PipelineConfig,
@@ -56,6 +56,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     }
     for k, v in overrides.items():
         setattr(config, k, v)
+    config.validate()
     return config
 
 
@@ -169,7 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"ropuf {args.verb}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -463,9 +463,18 @@ def min_pass_count(sequences: int, alpha: float = ALPHA_DEFAULT) -> int:
     return min(sequences, math.ceil(threshold * sequences))
 
 
+# Edges of the ten equal uniformity bins over [0, 1].
+_UNIFORMITY_EDGES = np.linspace(0.0, 1.0, 11)
+
+
 def uniformity_p_value(p_values: np.ndarray) -> float:
-    """Chi-square uniformity of p-values over ten equal bins."""
-    counts, _ = np.histogram(np.asarray(p_values, dtype=float), bins=np.linspace(0.0, 1.0, 11))
+    """Chi-square uniformity of p-values over ten equal bins.
+
+    The bins are those of ``np.histogram`` on ``_UNIFORMITY_EDGES``: each is
+    closed below and open above, except the last, which also holds 1.0.
+    """
+    bins = np.searchsorted(_UNIFORMITY_EDGES, np.asarray(p_values, dtype=float), "right") - 1
+    counts = np.bincount(np.minimum(bins, 9), minlength=10)
     s = counts.sum()
     expected = s / 10.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .chipmodel import (
     DEFAULT_T_ON_US,
     REFERENCE_ENV,
     ChipProfile,
+    ConfigError,
     DeviceSpec,
     EnvCondition,
     get_preset,
@@ -40,13 +41,21 @@ from .metrics import EvalReport, evaluate_population
 from .nist import NistReport, format_rate, run_suite
 from .placement import (
     PlacementPlan,
+    _kappa_counts,
     assign_groups,
     emit_constraints,
     randomize_placement,
     valid_kappas,
 )
 from .puf import ResponseSet, generate_response, save_responses
-from .select import SelectionConfig, SelectionResult, improved_kmeans, relocate_centroids
+from .select import (
+    SeedStrategy,
+    SelectionConfig,
+    SelectionResult,
+    improved_kmeans,
+    micd_traces,
+    relocate_centroids,
+)
 
 DEFAULT_TEMPS = tuple(float(t) for t in range(-5, 76, 10))
 DEFAULT_VOLTS = tuple(float(v) for v in range(900, 1101, 20))
@@ -78,6 +87,42 @@ class PipelineConfig:
     workers: int = 1
     out_dir: str = "runs/out"
     device_spec_file: str | None = None  # overrides preset when set
+
+    def validate(self) -> None:
+        """Reject a config that cannot run, naming the field and its value,
+        before any device work starts."""
+
+        def bad(name: str, rule: str) -> ConfigError:
+            return ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+        def is_int(value) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        if not (is_int(self.devices) and self.devices >= 1):
+            raise bad("devices", "an integer >= 1")
+        m = self.ro_count
+        if not (is_int(m) and m >= 4 and m & (m - 1) == 0):
+            raise bad("ro_count", "a power of two >= 4")
+        try:
+            _kappa_counts(m, self.kappa)
+        except (TypeError, ValueError):
+            raise bad("kappa", f"one of {valid_kappas(m)}") from None
+        if not (is_int(self.samples) and self.samples >= 2):
+            raise bad("samples", "an integer >= 2")
+        if not self.t_on_us > 0:
+            raise bad("t_on_us", "positive")
+        for name, known in (
+            ("env_mode", ("axes", "cross", "reference")),
+            ("reject_mode", ("fixed", "quantile")),
+            ("lfsr_seed_policy", ("shared", "per_device")),
+            ("seeding", get_args(SeedStrategy)),
+        ):
+            if getattr(self, name) not in known:
+                raise bad(name, f"one of {list(known)}")
+        if not (is_int(self.k_max) and self.k_max >= 1):
+            raise bad("k_max", "an integer >= 1")
+        if not (is_int(self.workers) and self.workers >= 1):
+            raise bad("workers", "an integer >= 1")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -146,7 +191,9 @@ class DeviceRun:
 
     ``profile`` is the characterization before rejection and ``plan`` the
     placement the responses came from; the artifact writer emits both as
-    they are, so no stage runs again to write a run.
+    they are, so no stage runs again to write a run.  ``kmeans`` and
+    ``relocated`` are the two selection results; ``selection_json`` is their
+    file form, built on each access.
     """
 
     device_id: str
@@ -156,11 +203,32 @@ class DeviceRun:
     plan: PlacementPlan
     kept_sites: int
     rejected: int
-    selection_min_diff: float
-    relocated_min_diff: float
+    kmeans: SelectionResult
+    relocated: SelectionResult
     golden: ResponseSet
     sweep_responses: list[ResponseSet]
-    selection_json: dict
+
+    @property
+    def selection_min_diff(self) -> float:
+        return self.kmeans.min_diff
+
+    @property
+    def relocated_min_diff(self) -> float:
+        return self.relocated.min_diff
+
+    @property
+    def selection_json(self) -> dict:
+        plan = self.plan
+        return {
+            "kmeans": self.kmeans.to_json_dict(),
+            "relocated": self.relocated.to_json_dict(),
+            "plan": {
+                "kappa": plan.assignment.kappa,
+                "placement_seed": plan.placement_seed,
+                "lower": [[int(r), float(f)] for r, f in plan.lower_order],
+                "upper": [[int(r), float(f)] for r, f in plan.upper_order],
+            },
+        }
 
 
 def _device_spec(config: PipelineConfig) -> DeviceSpec:
@@ -172,19 +240,19 @@ def _device_spec(config: PipelineConfig) -> DeviceSpec:
 
 
 @dataclass(eq=False)
-class _Selection:
-    """The ratio-independent half of a device chain: synth -> characterize ->
-    reject -> K-means -> relocation."""
+class _Pool:
+    """One device's candidate pool: synth -> characterize -> reject, with the
+    kept sites sorted by mean frequency."""
 
     seeds: dict[str, int]
     chip: ChipProfile
     profile: FrequencyProfile
     clean: CleanProfile
-    kmeans: SelectionResult
-    relocated: SelectionResult
+    nu: np.ndarray
+    nu_refs: np.ndarray
 
 
-def _select_device(config: PipelineConfig, index: int, spec: DeviceSpec) -> _Selection:
+def _candidate_pool(config: PipelineConfig, index: int, spec: DeviceSpec) -> _Pool:
     seeds = device_seeds(config.global_seed, index)
     chip = synth_chip(spec, seeds["synth"], device_id=f"{spec.kind}_{index:03d}")
 
@@ -196,29 +264,46 @@ def _select_device(config: PipelineConfig, index: int, spec: DeviceSpec) -> _Sel
         prof, mode=config.reject_mode,
         threshold=config.reject_threshold, quantile=config.reject_quantile,
     )
-
-    sel_config = SelectionConfig(
-        m=config.ro_count, seeding=config.seeding,
-        k_max=config.k_max, relocation_max_iter=config.relocation_max_iter,
-        rng_seed=seeds["select"],
-    )
     kept = clean.kept
     order = np.argsort(kept.mean, kind="stable")
-    nu, nu_refs = kept.mean[order], kept.site_refs[order]
-    km = improved_kmeans(nu, sel_config, site_refs=nu_refs)
-    rel = relocate_centroids(
-        nu, km.centroids, max_iter=config.relocation_max_iter, site_refs=nu_refs
+    return _Pool(seeds, chip, prof, clean, kept.mean[order], kept.site_refs[order])
+
+
+def _selection_config(config: PipelineConfig, pool: _Pool) -> SelectionConfig:
+    return SelectionConfig(
+        m=config.ro_count, seeding=config.seeding,
+        k_max=config.k_max, relocation_max_iter=config.relocation_max_iter,
+        rng_seed=pool.seeds["select"],
     )
-    return _Selection(seeds, chip, prof, clean, km, rel)
+
+
+@dataclass(eq=False)
+class _Selection:
+    """The ratio-independent half of a device chain: the candidate pool,
+    K-means and relocation."""
+
+    pool: _Pool
+    kmeans: SelectionResult
+    relocated: SelectionResult
+
+
+def _select_device(config: PipelineConfig, index: int, spec: DeviceSpec) -> _Selection:
+    pool = _candidate_pool(config, index, spec)
+    km = improved_kmeans(pool.nu, _selection_config(config, pool), site_refs=pool.nu_refs)
+    rel = relocate_centroids(
+        pool.nu, km.centroids, max_iter=config.relocation_max_iter, site_refs=pool.nu_refs
+    )
+    return _Selection(pool, km, rel)
 
 
 def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
     """Group assignment and placement at one ratio."""
+    pool = sel.pool
     assignment = assign_groups(
-        sel.relocated.chosen, kappa, derive_seed(sel.seeds["assign"], kappa_tag)
+        sel.relocated.chosen, kappa, derive_seed(pool.seeds["assign"], kappa_tag)
     )
     return randomize_placement(
-        assignment, sel.chip.sites, derive_seed(sel.seeds["place"], kappa_tag)
+        assignment, pool.chip.sites, derive_seed(pool.seeds["place"], kappa_tag)
     )
 
 
@@ -228,8 +313,8 @@ def _respond(
 ) -> ResponseSet:
     """One response; slot 0 is the golden one, slot 1 + j the j-th condition."""
     return generate_response(
-        plan, sel.chip, lfsr_seed, env,
-        rng=np.random.default_rng(derive_seed(sel.seeds["response"], kappa_tag, slot)),
+        plan, sel.pool.chip, lfsr_seed, env,
+        rng=np.random.default_rng(derive_seed(sel.pool.seeds["response"], kappa_tag, slot)),
     )
 
 
@@ -254,28 +339,19 @@ def run_device(
         _respond(sel, plan, lfsr_seed, env, kappa_tag, 1 + j)
         for j, env in enumerate(env_grid if env_grid is not None else [])
     ]
+    pool = sel.pool
     return DeviceRun(
-        device_id=sel.chip.device_id,
-        seeds=sel.seeds,
-        chip=sel.chip,
-        profile=sel.profile,
+        device_id=pool.chip.device_id,
+        seeds=pool.seeds,
+        chip=pool.chip,
+        profile=pool.profile,
         plan=plan,
-        kept_sites=sel.clean.z_bar,
-        rejected=sel.clean.rejected_count,
-        selection_min_diff=sel.kmeans.min_diff,
-        relocated_min_diff=sel.relocated.min_diff,
+        kept_sites=pool.clean.z_bar,
+        rejected=pool.clean.rejected_count,
+        kmeans=sel.kmeans,
+        relocated=sel.relocated,
         golden=golden,
         sweep_responses=sweep,
-        selection_json={
-            "kmeans": sel.kmeans.to_json_dict(),
-            "relocated": sel.relocated.to_json_dict(),
-            "plan": {
-                "kappa": kappa,
-                "placement_seed": plan.placement_seed,
-                "lower": [[int(r), float(f)] for r, f in plan.lower_order],
-                "upper": [[int(r), float(f)] for r, f in plan.upper_order],
-            },
-        },
     )
 
 
@@ -299,7 +375,12 @@ def _shared_lfsr_seed(config: PipelineConfig, index: int) -> int:
 def run_pipeline(
     config: PipelineConfig, write: bool = True
 ) -> tuple[EvalReport, NistReport, list[DeviceRun]]:
-    """Full multi-device run; optionally writes the artifact tree."""
+    """Full multi-device run; optionally writes the artifact tree.
+
+    The MICD traces of ``selection.json`` are computed for all devices in
+    one batch just before writing; a run without files never computes them.
+    """
+    config.validate()
     spec = _device_spec(config)
     env_grid = config.env_grid()
     args = [
@@ -319,6 +400,7 @@ def run_pipeline(
     nist_report = run_suite([r.golden.bits for r in runs])
 
     if write:
+        micd_traces([r.kmeans for r in runs])
         _write_run(config, runs, report, nist_report)
     return report, nist_report, runs
 
@@ -392,6 +474,7 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
     """
     from .metrics import min_entropy, uniqueness
 
+    config.validate()
     spec = _device_spec(config)
     kappas = valid_kappas(config.ro_count)
     selections = [_select_device(config, i, spec) for i in range(config.devices)]
@@ -444,31 +527,22 @@ def bench(config: PipelineConfig) -> BenchReport:
     """Computation-time accounting for one device.
 
     Characterization time uses the per-sample cost model (the hardware-bound
-    part); selection and relocation are wall-clock measured.
+    part); selection, including its MICD trace, and relocation are
+    wall-clock measured.
     """
+    config.validate()
     spec = _device_spec(config)
-    seeds = device_seeds(config.global_seed, 0)
-    chip = synth_chip(spec, seeds["synth"])
-    prof = characterize(
-        chip, m=config.samples, t_on_us=config.t_on_us,
-        rng=np.random.default_rng(seeds["characterize"]),
-    )
-    clean = reject_erroneous(
-        prof, mode=config.reject_mode,
-        threshold=config.reject_threshold, quantile=config.reject_quantile,
-    )
+    pool = _candidate_pool(config, 0, spec)
     t_p1 = spec.site_count * config.samples * SAMPLE_COST_SEC
 
-    order = np.argsort(clean.kept.mean, kind="stable")
-    nu = clean.kept.mean[order]
-    sel_config = SelectionConfig(
-        m=config.ro_count, seeding=config.seeding,
-        k_max=config.k_max, rng_seed=seeds["select"],
-    )
+    sel_config = _selection_config(config, pool)
     t0 = time.perf_counter()
-    km = improved_kmeans(nu, sel_config)
+    km = improved_kmeans(pool.nu, sel_config, site_refs=pool.nu_refs)
+    micd_traces([km])
     t1 = time.perf_counter()
-    rel = relocate_centroids(nu, km.centroids, max_iter=config.relocation_max_iter)
+    rel = relocate_centroids(
+        pool.nu, km.centroids, max_iter=config.relocation_max_iter, site_refs=pool.nu_refs
+    )
     t2 = time.perf_counter()
     t_p2 = t2 - t0
     return BenchReport(

@@ -6,6 +6,13 @@ K-means that snaps centroids to existing frequencies each iteration and keeps
 the globally best snapped list, followed by an iterative centroid-relocation
 pass that widens the currently smallest gap.  Baseline selectors are provided
 for comparison.
+
+Each K-means iteration works on the sorted candidates, where every cluster is
+one contiguous slice, so it needs no label vector and no sort.  The mean
+intra-cluster distance (MICD) trace is a diagnostic that only the written
+``selection.json`` shows: a run records the cluster slices that changed in
+each iteration, and ``micd_traces`` computes the traces of many runs (all
+devices of a population) in one batch, or a single trace on first use.
 """
 
 from __future__ import annotations
@@ -45,6 +52,25 @@ class SelectionConfig:
 
 
 @dataclass(eq=False)
+class _MicdRecord:
+    """What one K-means run needs to compute its MICD trace later.
+
+    ``fs`` are the sorted candidates.  ``changed`` marks, per iteration and
+    cluster, a cluster whose slice or centroid differs from the previous
+    iteration's (every cluster of the first); ``starts``, ``ends`` and
+    ``centroids`` describe those slices in row-major order.  An unchanged
+    cluster keeps its previous mean distance.
+    """
+
+    fs: np.ndarray
+    changed: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    centroids: np.ndarray
+    trace: list[float] | None = None
+
+
+@dataclass(eq=False)
 class SelectionResult:
     """Chosen sites/frequencies plus convergence diagnostics.
 
@@ -57,8 +83,16 @@ class SelectionResult:
     centroids: np.ndarray
     min_diff: float
     min_diff_trace: list[float] = field(default_factory=list)
-    micd_trace: list[float] = field(default_factory=list)
     iterations: int = 0
+    _micd: list[float] | _MicdRecord = field(default_factory=list, repr=False)
+
+    @property
+    def micd_trace(self) -> list[float]:
+        """MICD after each K-means iteration; a pending trace is computed on
+        first use (``micd_traces`` fills many at once)."""
+        if isinstance(self._micd, _MicdRecord):
+            micd_traces([self])
+        return self._micd
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -87,6 +121,42 @@ def min_pairwise_diff(freqs: Sequence[float] | np.ndarray) -> float:
     return float(np.diff(a).min())
 
 
+# Bound on the candidate values the MICD batch concatenates at once, and on
+# the values it stacks for one reduction; it bounds the batch's temporaries.
+_BLOCK_VALUES = 1 << 17
+
+
+def _slice_means(
+    values: np.ndarray, starts: np.ndarray, ends: np.ndarray, cents: np.ndarray
+) -> np.ndarray:
+    """Mean of |values[s:e] - c| for each slice (s, e, c); 0.0 when empty.
+
+    Slices of one length are stacked as the rows of a matrix and reduced
+    along axis 1.  numpy sums each contiguous row with the same pairwise
+    summation as a 1-D reduce of the slice alone, so every mean is
+    bit-identical to reducing its slice by itself.
+    """
+    lengths = ends - starts
+    out = np.zeros(lengths.size)
+    order = np.argsort(lengths, kind="stable")
+    group_lengths, firsts = np.unique(lengths[order], return_index=True)
+    group_ends = [*firsts[1:].tolist(), order.size]
+    for length, g0, g1 in zip(group_lengths.tolist(), firsts.tolist(), group_ends):
+        if length == 0:
+            continue
+        windows = np.lib.stride_tricks.as_strided(
+            values, (values.size - length + 1, length), values.strides * 2, writeable=False
+        )
+        step = max(1, _BLOCK_VALUES // length)
+        for b in range(g0, g1, step):
+            rows = order[b : min(b + step, g1)]
+            dist = windows[starts[rows]]
+            dist -= cents[rows, None]
+            np.abs(dist, out=dist)
+            out[rows] = np.add.reduce(dist, axis=1) / length
+    return out
+
+
 def mean_intracluster_distance(
     values: np.ndarray, labels: np.ndarray, centroids: np.ndarray
 ) -> dict:
@@ -102,23 +172,77 @@ def mean_intracluster_distance(
     cents = np.asarray(centroids, dtype=float)
     m = len(cents)
     order = np.argsort(labels, kind="stable")
-    ranked = labels[order]
-    bounds = np.searchsorted(ranked, np.arange(m + 1)).tolist()
-    lo, hi = bounds[0], bounds[-1]
-    dist = np.abs(values[order[lo:hi]] - cents[ranked[lo:hi]])
-    per_cluster = np.zeros(m)
-    empty: list[int] = []
-    for j in range(m):
-        s, e = bounds[j] - lo, bounds[j + 1] - lo
-        if s == e:
-            empty.append(j)
-        else:
-            per_cluster[j] = np.add.reduce(dist[s:e]) / (e - s)
+    bounds = np.searchsorted(labels[order], np.arange(m + 1))
+    per_cluster = _slice_means(values[order], bounds[:-1], bounds[1:], cents)
     return {
         "per_cluster": per_cluster,
         "mean": float(per_cluster.mean()),
-        "empty_clusters": empty,
+        "empty_clusters": np.flatnonzero(bounds[:-1] == bounds[1:]).tolist(),
     }
+
+
+def _micd_record(fs: np.ndarray, bounds: list, cents: list) -> _MicdRecord | list[float]:
+    """The slices a K-means run must reduce for its MICD trace, from the
+    (M + 1) bounds and M centroids of each iteration."""
+    if not cents:
+        return []
+    b, c = np.array(bounds), np.array(cents)
+    starts, ends = b[:, :-1], b[:, 1:]
+    changed = np.ones(c.shape, dtype=bool)
+    changed[1:] = (starts[1:] != starts[:-1]) | (ends[1:] != ends[:-1]) | (c[1:] != c[:-1])
+    return _MicdRecord(
+        fs, changed, starts[changed].astype(np.int32), ends[changed].astype(np.int32),
+        c[changed],
+    )
+
+
+def _fill_block(records: list[_MicdRecord]) -> None:
+    """MICD traces of a few records, their slices reduced together."""
+    offsets = np.cumsum([0] + [r.fs.size for r in records[:-1]])
+    means = _slice_means(
+        np.concatenate([r.fs for r in records]),
+        np.concatenate([r.starts + off for r, off in zip(records, offsets)]),
+        np.concatenate([r.ends + off for r, off in zip(records, offsets)]),
+        np.concatenate([r.centroids for r in records]),
+    )
+    pos = 0
+    for r in records:
+        t, m = r.changed.shape
+        per_cluster = np.zeros((t, m))
+        per_cluster[r.changed] = means[pos : pos + r.starts.size]
+        pos += r.starts.size
+        # each cluster repeats its value from the last iteration it changed in
+        last = np.maximum.accumulate(np.where(r.changed, np.arange(t)[:, None], 0), axis=0)
+        per_cluster = per_cluster[last, np.arange(m)]
+        r.trace = (np.add.reduce(per_cluster, axis=1) / m).tolist()
+
+
+def micd_traces(results: Sequence[SelectionResult]) -> None:
+    """Fill the pending MICD traces of ``results`` in one batch.
+
+    Equal-length slices of every iteration and every result are reduced
+    together, in blocks of about ``_BLOCK_VALUES`` candidates, so a block
+    costs one reduction per distinct slice length instead of one per
+    cluster and iteration.  Each trace equals, bit for bit, the mean over
+    clusters of ``mean_intracluster_distance`` at every iteration.
+    """
+    pending = {
+        id(r._micd): r._micd for r in results
+        if isinstance(r._micd, _MicdRecord) and r._micd.trace is None
+    }
+    block: list[_MicdRecord] = []
+    size = 0
+    for record in pending.values():
+        block.append(record)
+        size += record.fs.size
+        if size >= _BLOCK_VALUES:
+            _fill_block(block)
+            block, size = [], 0
+    if block:
+        _fill_block(block)
+    for r in results:
+        if isinstance(r._micd, _MicdRecord):
+            r._micd = r._micd.trace
 
 
 def _require_candidates(freqs) -> np.ndarray:
@@ -186,7 +310,7 @@ def _snap_distinct(fs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         d_lo = np.where(pos > 0, centroids - fs[np.maximum(pos - 1, 0)], np.inf)
         d_hi = np.where(pos < n, fs[np.minimum(pos, n - 1)] - centroids, np.inf)
         nearest = np.where(d_lo <= d_hi, pos - 1, pos)
-        if np.unique(nearest).size == nearest.size:
+        if (nearest[1:] > nearest[:-1]).all() or np.unique(nearest).size == nearest.size:
             return nearest
     taken: set[int] = set()
     out = np.empty(len(centroids), dtype=np.intp)
@@ -218,32 +342,42 @@ def _snap_distinct(fs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _kmeans_iterations(fs: np.ndarray, init: np.ndarray, k_max: int):
     """Standard 1-D expectation-maximization, yielding per-iteration state.
 
-    Candidates must be sorted.  Empty clusters are re-seeded to the candidate
-    farthest from all current centroids.
+    Candidates must be sorted, so every cluster is a contiguous slice.  Each
+    iteration yields its sorted centroids and the M + 1 bounds of their
+    clusters, cluster j being ``fs[bounds[j]:bounds[j + 1]]``; a candidate on
+    a midpoint belongs to the lower cluster.  Empty clusters are re-seeded to
+    the candidate farthest from all current centroids.
     """
     n = fs.size
     cum = np.concatenate([[0.0], np.cumsum(fs)])
     c = np.sort(np.asarray(init, dtype=float))
     m = c.size
+    mids = (c[:-1] + c[1:]) / 2.0
+    # the update step assigns a candidate on a midpoint to the upper cluster
+    update_bounds = np.empty(m + 1, dtype=np.intp)
+    update_bounds[0], update_bounds[-1] = 0, n
     for iteration in range(1, k_max + 1):
-        mids = (c[:-1] + c[1:]) / 2.0
-        starts = np.concatenate([[0], np.searchsorted(fs, mids, side="left")])
-        ends = np.concatenate([starts[1:], [n]])
-        counts = ends - starts
-        new_c = c.copy()
+        update_bounds[1:-1] = np.searchsorted(fs, mids, side="left")
+        counts = update_bounds[1:] - update_bounds[:-1]
+        edge_sums = cum[update_bounds]
+        sums = edge_sums[1:] - edge_sums[:-1]
         nonempty = counts > 0
-        sums = cum[ends] - cum[starts]
-        new_c[nonempty] = sums[nonempty] / counts[nonempty]
-        reseeded = False
-        if not nonempty.all():
+        reseeded = not nonempty.all()
+        if reseeded:
+            new_c = c.copy()
+            new_c[nonempty] = sums[nonempty] / counts[nonempty]
             for j in np.flatnonzero(~nonempty):
                 dist = np.abs(fs[:, None] - new_c[None, :]).min(axis=1)
                 new_c[j] = fs[int(np.argmax(dist))]
-                reseeded = True
-        new_c = np.sort(new_c)
-        labels = np.searchsorted((new_c[:-1] + new_c[1:]) / 2.0, fs)
-        converged = not reseeded and np.array_equal(new_c, c)
-        yield iteration, new_c, labels, converged
+        else:
+            new_c = sums / counts
+        new_c.sort()
+        mids = (new_c[:-1] + new_c[1:]) / 2.0
+        bounds = np.empty(m + 1, dtype=np.intp)
+        bounds[0], bounds[-1] = 0, n
+        bounds[1:-1] = np.searchsorted(fs, mids, side="right")
+        converged = not reseeded and bool((new_c == c).all())
+        yield iteration, new_c, bounds, converged
         if converged:
             return
         c = new_c
@@ -252,7 +386,10 @@ def _kmeans_iterations(fs: np.ndarray, init: np.ndarray, k_max: int):
 def _run_kmeans(
     freqs, config: SelectionConfig, site_refs=None
 ) -> tuple[SelectionResult, SelectionResult]:
-    """Shared EM loop; returns (global-best result, final-iteration result)."""
+    """Shared EM loop; returns (global-best result, final-iteration result).
+
+    Both results share one pending MICD trace (see ``micd_traces``).
+    """
     f = _require_candidates(freqs)
     m = config.m
     if f.size < m:
@@ -261,7 +398,7 @@ def _run_kmeans(
     order = np.argsort(f, kind="stable")
     fs, refs_sorted = f[order], refs[order]
 
-    def result_from(idx: np.ndarray, best_trace, micd_trace, iters) -> SelectionResult:
+    def result_from(idx: np.ndarray, best_trace, micd, iters) -> SelectionResult:
         idx = np.sort(idx)
         chosen = [(int(refs_sorted[i]), float(fs[i])) for i in idx]
         return SelectionResult(
@@ -269,8 +406,8 @@ def _run_kmeans(
             centroids=fs[idx].copy(),
             min_diff=min_pairwise_diff(fs[idx]) if len(idx) >= 2 else 0.0,
             min_diff_trace=best_trace,
-            micd_trace=micd_trace,
             iterations=iters,
+            _micd=micd,
         )
 
     if f.size == m:
@@ -287,20 +424,24 @@ def _run_kmeans(
     best_idx = _snap_distinct(fs, init)
     beta_p = min_pairwise_diff(fs[best_idx])
     chi_trace = [beta_p]
-    micd_trace: list[float] = []
+    bounds_log: list[np.ndarray] = []
+    cents_log: list[np.ndarray] = []
     final_idx = best_idx
     iterations = 0
-    for iteration, c, labels, _ in _kmeans_iterations(fs, init, config.k_max):
+    for iteration, c, bounds, _ in _kmeans_iterations(fs, init, config.k_max):
         iterations = iteration
-        snapped = _snap_distinct(fs, c)
-        beta_c = min_pairwise_diff(fs[snapped])
+        snapped = np.sort(_snap_distinct(fs, c))
+        chosen = fs[snapped]
+        beta_c = float((chosen[1:] - chosen[:-1]).min())
         chi_trace.append(beta_c)
-        micd_trace.append(mean_intracluster_distance(fs, labels, c)["mean"])
+        bounds_log.append(bounds)
+        cents_log.append(c)
         if beta_c > beta_p:
             beta_p, best_idx = beta_c, snapped
         final_idx = snapped
-    improved = result_from(best_idx, chi_trace, micd_trace, iterations)
-    plain = result_from(final_idx, chi_trace, micd_trace, iterations)
+    micd = _micd_record(fs, bounds_log, cents_log)
+    improved = result_from(best_idx, chi_trace, micd, iterations)
+    plain = result_from(final_idx, chi_trace, micd, iterations)
     return improved, plain
 
 

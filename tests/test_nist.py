@@ -268,6 +268,22 @@ class TestSuite:
         spread = np.linspace(0.01, 0.99, 54)
         assert uniformity_p_value(spread) > 1e-4
 
+    def test_uniformity_bins_match_histogram(self):
+        # p-values on the bin edges and their float neighbours, where a bin
+        # rule that differs from np.histogram's would move a count
+        from ropufsim.special import reg_gamma_upper
+
+        edges = np.linspace(0.0, 1.0, 11)
+        near = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+        near = near[(near >= 0.0) & (near <= 1.0)]
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            p = rng.choice(near, size=int(rng.integers(1, 60)))
+            counts, _ = np.histogram(p, bins=edges)
+            expected = counts.sum() / 10.0
+            chi2 = float(((counts - expected) ** 2 / expected).sum())
+            assert uniformity_p_value(p) == reg_gamma_upper(4.5, chi2 / 2.0)
+
     def test_report_serialization(self):
         seqs = [random_bits(255, i) for i in range(12)]
         report = run_suite(seqs)

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import ropufsim.pipeline as pipeline
+import ropufsim.select as select
+from ropufsim.chipmodel import ConfigError
 from ropufsim.cli import main
 from ropufsim.pipeline import (
     BenchReport,
@@ -47,6 +50,35 @@ def tree_sha256(root: Path) -> str:
 TINY_RUN_SHA256 = "280b8e80b730a8445622e8d68056c538e1cc455f45169da80a503b97e0ae6c07"
 
 
+@pytest.fixture
+def synth_calls(monkeypatch):
+    """Records every synth_chip call the pipeline makes."""
+    calls = []
+    synth = pipeline.synth_chip
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return synth(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "synth_chip", spy)
+    return calls
+
+
+@pytest.fixture
+def micd_calls(monkeypatch):
+    """Counts micd_traces calls, including fills on first use of a trace."""
+    calls = []
+    batch = select.micd_traces
+
+    def spy(results):
+        calls.append(len(results))
+        return batch(results)
+
+    monkeypatch.setattr(select, "micd_traces", spy)
+    monkeypatch.setattr(pipeline, "micd_traces", spy)
+    return calls
+
+
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -62,6 +94,38 @@ class TestConfig:
     def test_cross_grid(self, tmp_path):
         config = tiny_config(tmp_path, env_mode="cross")
         assert len(config.env_grid()) == 9
+
+    @pytest.mark.parametrize("field,value", [
+        ("devices", 0),
+        ("ro_count", 12),
+        ("ro_count", 2),
+        ("kappa", 0.3),
+        ("samples", 1),
+        ("t_on_us", 0.0),
+        ("env_mode", "diagonal"),
+        ("reject_mode", "median"),
+        ("lfsr_seed_policy", "random"),
+        ("seeding", "spectral"),
+        ("k_max", 0),
+        ("workers", 0),
+    ])
+    def test_bad_field_rejected_before_device_work(self, tmp_path, synth_calls,
+                                                   field, value):
+        config = tiny_config(tmp_path, **{field: value})
+        with pytest.raises(ConfigError, match=rf"^{field} must .*got {re.escape(repr(value))}$"):
+            run_pipeline(config)
+        assert synth_calls == []
+
+    def test_every_verb_validates_first(self, tmp_path, synth_calls, capsys):
+        config = tiny_config(tmp_path, kappa=0.3)
+        for verb in (sweep_kappa, bench):
+            with pytest.raises(ConfigError, match="^kappa must"):
+                verb(config)
+        rc = main(["run", "--preset", "zybo", "--devices", "0", "--out", str(tmp_path / "cli")])
+        assert rc == 2
+        assert "devices must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert synth_calls == []
+        assert not (tmp_path / "cli").exists()
 
     def test_seed_derivation_stable(self):
         assert device_seeds(5, 0) == device_seeds(5, 0)
@@ -116,6 +180,23 @@ class TestRunPipeline:
             "randomize_placement": config.devices,
         }
         assert tree_sha256(Path("run")) == TINY_RUN_SHA256
+
+    def test_micd_computed_once_per_written_population(self, tmp_path, micd_calls):
+        config = tiny_config(tmp_path)
+        _, _, runs = run_pipeline(config)
+        assert micd_calls == [config.devices]
+        selection = json.loads(
+            (Path(config.out_dir) / "device_000" / "selection.json").read_text()
+        )
+        assert selection["kmeans"]["micd_trace"] == runs[0].kmeans.micd_trace
+        assert len(selection["kmeans"]["micd_trace"]) == runs[0].kmeans.iterations
+        assert micd_calls == [config.devices]
+
+    def test_micd_never_computed_without_files(self, tmp_path, micd_calls):
+        run_pipeline(tiny_config(tmp_path), write=False)
+        sweep_kappa(tiny_config(tmp_path))
+        sweep_kappa(tiny_config(tmp_path), write=False)
+        assert micd_calls == []
 
     def test_reference_only_run_is_trivially_reliable(self, tmp_path):
         config = tiny_config(tmp_path, env_mode="reference", devices=1)
@@ -219,6 +300,15 @@ class TestBench:
         # the median ratio as threshold keeps about half the pool; the fixed
         # default keeps all but the erroneous few percent
         assert kept["quantile"] < 0.6 * kept["fixed"]
+
+    def test_bench_times_device_zero_chain_with_its_micd(self, tmp_path, synth_calls,
+                                                         micd_calls):
+        config = tiny_config(tmp_path, ro_count=16)
+        report = bench(config)
+        assert len(synth_calls) == 1 and micd_calls == [1]
+        sel = pipeline._select_device(config, 0, pipeline._device_spec(config))
+        assert report.kmeans_iterations == sel.kmeans.iterations
+        assert report.relocation_iterations == sel.relocated.iterations
 
     def test_single_site_model_minimal(self, tmp_path):
         # characterization model scales down to a single site

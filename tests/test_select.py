@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ropufsim.select as select
 from ropufsim.select import (
     SelectionConfig,
+    _kmeans_iterations,
+    _slice_means,
     _snap_distinct,
     baseline_select,
     improved_kmeans,
     mean_intracluster_distance,
+    micd_traces,
     min_pairwise_diff,
     plain_kmeans,
     relocate_centroids,
@@ -66,6 +70,36 @@ def snap_reference(fs, centroids):
         taken.add(best)
         out[rank] = best
     return out
+
+
+def micd_trace_reference(f, cfg):
+    """Per-iteration MICD of one K-means run from n-long label vectors, plus
+    which hard cases the run met: duplicate frequencies, a candidate exactly
+    on a midpoint, an empty cluster re-seeded, a snap collision."""
+    fs = np.sort(np.asarray(f, dtype=float), kind="stable")
+    met = {"duplicates": bool(np.any(np.diff(fs) == 0))}
+    if fs.size == cfg.m:
+        return [0.0], met
+    init = seed_centroids(fs, cfg.m, cfg.seeding, np.random.default_rng(cfg.rng_seed))
+    prev = np.sort(init)
+    trace = []
+    for _, c, bounds, _ in _kmeans_iterations(fs, init, cfg.k_max):
+        mids = (c[:-1] + c[1:]) / 2.0
+        labels = np.searchsorted(mids, fs)  # a candidate on a midpoint joins the lower cluster
+        sizes = np.bincount(labels, minlength=cfg.m)
+        assert bounds.tolist() == [0, *np.cumsum(sizes).tolist()]
+        per_cluster, mean, _ = micd_reference(fs, labels, c)
+        assert mean_intracluster_distance(fs, labels, c)["mean"] == mean
+        trace.append(mean)
+        update = np.searchsorted(fs, (prev[:-1] + prev[1:]) / 2.0)
+        met["reseed"] = met.get("reseed", False) or bool(np.any(np.diff(update) == 0)
+                                                         or update[0] == 0
+                                                         or update[-1] == fs.size)
+        met["on_midpoint"] = met.get("on_midpoint", False) or bool(np.isin(mids, fs).any())
+        nearest = np.abs(fs[None, :] - c[:, None]).argmin(axis=1)
+        met["collision"] = met.get("collision", False) or np.unique(nearest).size < cfg.m
+        prev = c
+    return trace, met
 
 
 def config(m, **kw):
@@ -151,6 +185,77 @@ class TestMicd:
         assert out["per_cluster"].tolist() == per_cluster.tolist()
         assert out["mean"] == mean
         assert out["empty_clusters"] == empty
+
+
+class TestMicdTraces:
+    @staticmethod
+    def case(kind, seed):
+        """A candidate pool and a K-means config.  A half-unit grid gives
+        duplicates, values on midpoints, empty clusters and snap collisions."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        if kind == "grid":
+            f = rng.integers(0, int(rng.integers(1, 30)), n) / 2.0
+        else:
+            f = rng.uniform(380.0, 450.0, n)
+        seeding = ["linear", "uniform_density", "kmeanspp", "random"][seed % 4]
+        return f, config(int(rng.integers(2, min(n, 12) + 1)), seeding=seeding,
+                         k_max=int(rng.integers(1, 30)), rng_seed=seed)
+
+    @staticmethod
+    def check(cases, block_values):
+        """Batch the traces of all cases; each must equal its reference."""
+        references = [micd_trace_reference(f, cfg) for f, cfg in cases]
+        results = [improved_kmeans(f, cfg) for f, cfg in cases]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(select, "_BLOCK_VALUES", block_values)
+            micd_traces(results)
+            for (f, cfg), (trace, _), res in zip(cases, references, results):
+                assert res.micd_trace == trace
+                # the final-iteration result fills its own trace on first use
+                assert plain_kmeans(f, cfg).micd_trace == trace
+        return [met for _, met in references]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["grid", "uniform"]), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        block_values=st.sampled_from([1, 7, 64, 1 << 17]),
+    )
+    def test_equals_per_iteration_reference(self, kinds, seed, block_values):
+        self.check([self.case(k, seed + i) for i, k in enumerate(kinds)], block_values)
+
+    def test_hard_cases_met_in_one_batch(self):
+        cases = [self.case("grid" if s % 3 else "uniform", s) for s in range(40)]
+        cases.append((np.array([3.0, 1.0, 2.0, 2.0]), config(4)))  # f.size == m
+        met = self.check(cases, 64)
+        for hard in ("duplicates", "on_midpoint", "reseed", "collision"):
+            assert any(m.get(hard) for m in met), hard
+
+    def test_row_reduce_matches_one_dimensional_reduce(self):
+        # the batch relies on numpy summing each row of a C-contiguous matrix
+        # with the same pairwise order as a 1-D reduce of that row
+        rng = np.random.default_rng(11)
+        values = rng.uniform(380.0, 450.0, 2048)
+        for length in range(1, 1025):
+            rows = rng.uniform(380.0, 450.0, (3, length))
+            assert np.add.reduce(rows, axis=1).tolist() == [np.add.reduce(r) for r in rows]
+            starts = rng.integers(0, values.size - length + 1, 3)
+            cents = rng.uniform(380.0, 450.0, 3)
+            got = _slice_means(values, starts, starts + length, cents)
+            want = [np.add.reduce(np.abs(values[s:s + length] - c)) / length
+                    for s, c in zip(starts, cents)]
+            assert got.tolist() == want
+
+    def test_slice_means_blocks_and_empty_slices(self):
+        rng = np.random.default_rng(12)
+        values = rng.uniform(0.0, 1.0, 5000)
+        starts = np.concatenate([rng.integers(0, 4000, 300), [10, 20]])
+        ends = np.concatenate([starts[:300] + 1000, [10, 20]])
+        cents = rng.uniform(0.0, 1.0, starts.size)
+        want = [np.add.reduce(np.abs(values[s:e] - c)) / (e - s) if e > s else 0.0
+                for s, e, c in zip(starts, ends, cents)]
+        assert _slice_means(values, starts, ends, cents).tolist() == want
 
 
 class TestSnapDistinct:
