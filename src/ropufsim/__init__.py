@@ -16,15 +16,12 @@ from .chipmodel import (
     EnvCondition,
     FabricSite,
     SliceClass,
-    env_frequency,
     get_preset,
     ingest_csv,
     load_device_spec,
-    measure_count,
     synth_chip,
 )
 from .metrics import (
-    BitMatrix,
     EvalReport,
     hamming,
     min_entropy,
@@ -42,14 +39,7 @@ from .placement import (
     valid_kappas,
 )
 from .pipeline import PipelineConfig, bench, run_pipeline, sweep_kappa
-from .puf import (
-    Challenge,
-    Lfsr,
-    ResponseSet,
-    generate_response,
-    lfsr_sequence,
-    respond_bit,
-)
+from .puf import ResponseSet, generate_response, lfsr_sequence
 from .select import (
     SelectionConfig,
     SelectionResult,

@@ -14,7 +14,9 @@ from .chipmodel import (
     REFERENCE_ENV,
     ChipProfile,
     EnvCondition,
+    FabricLayout,
     env_frequency_all,
+    measure_counts,
 )
 
 DEFAULT_THRESHOLD = 0.002
@@ -30,9 +32,8 @@ class FrequencyProfile:
     """Per-site sample statistics from one characterization pass.
 
     ``site_refs`` are indices into the originating chip's site list; ``mean``
-    and ``sigma`` are in MHz.  Raw samples are discarded unless the
-    characterization was run with its debug flag; only summary statistics
-    persist downstream.
+    and ``sigma`` are in MHz; only these summary statistics persist
+    downstream.
     """
 
     site_refs: np.ndarray
@@ -40,7 +41,6 @@ class FrequencyProfile:
     sigma: np.ndarray
     m: int
     t_on_us: float
-    samples: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not (len(self.site_refs) == len(self.mean) == len(self.sigma)):
@@ -81,36 +81,26 @@ def characterize(
     t_on_us: float = DEFAULT_T_ON_US,
     env: EnvCondition = REFERENCE_ENV,
     rng: np.random.Generator | None = None,
-    keep_samples: bool = False,
 ) -> FrequencyProfile:
     """Collect m count samples per non-excluded site and summarize.
 
-    Each sample is an independently noisy count; means and standard
-    deviations (n-1 denominator) are stored in MHz.  ``keep_samples`` retains
-    the raw per-sample frequencies for debugging only.
+    Each sample is an independently noisy count from ``measure_counts``;
+    means and standard deviations (n-1 denominator) are stored in MHz and the
+    raw samples are discarded.
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples per site for sigma, got {m}")
-    if t_on_us <= 0:
-        raise ValueError(f"enable duration must be positive, got {t_on_us}")
     idx = chip.active_indices()
-    freqs = env_frequency_all(chip, env)[idx]
-    sigma = chip.meas_sigma_site[idx]
-    if np.any(sigma > 0):
-        if rng is None:
-            raise ValueError("rng required when measurement noise is enabled")
-        samples = freqs[:, None] + rng.standard_normal((len(idx), m)) * sigma[:, None]
-    else:
-        samples = np.broadcast_to(freqs[:, None], (len(idx), m)).copy()
-    counts = np.maximum(np.rint(samples * t_on_us), 0.0)
-    mhz = counts / t_on_us
+    shape = (len(idx), m)
+    freqs = np.broadcast_to(env_frequency_all(chip, env)[idx, None], shape)
+    sigma = np.broadcast_to(chip.meas_sigma_site[idx, None], shape)
+    mhz = measure_counts(freqs, t_on_us, rng, sigma) / t_on_us
     return FrequencyProfile(
         site_refs=idx,
         mean=mhz.mean(axis=1),
         sigma=mhz.std(axis=1, ddof=1),
         m=m,
         t_on_us=t_on_us,
-        samples=mhz if keep_samples else None,
     )
 
 
@@ -162,16 +152,16 @@ def profile_stats(prof: FrequencyProfile) -> dict[str, float]:
     }
 
 
-def export_profile_csv(chip: ChipProfile, prof: FrequencyProfile, path: str) -> None:
+def export_profile_csv(layout: FabricLayout, prof: FrequencyProfile, path: str) -> None:
     """Write a profile in the same CSV schema ``ingest_csv`` reads.
 
     The per-site mean is emitted as a single mhz sample, so re-ingesting
     reproduces site identities and means.  Each row joins the site's label
-    from the chip's layout, formatted once per site list, with the ``repr`` of
-    its mean: the bytes ``csv.writer`` would write, since no field needs
-    quoting, with its CRLF line ends.
+    from the chip's layout (``ChipProfile.layout``), formatted once per site
+    list, with the ``repr`` of its mean: the bytes ``csv.writer`` would write,
+    since no field needs quoting, with its CRLF line ends.
     """
-    labels = chip.layout.csv_labels
+    labels = layout.csv_labels
     rows = ["clb_x,clb_y,corner,class,mhz_1"]
     rows += [
         f"{labels[ref]},{mean!r}"

@@ -382,46 +382,14 @@ def _env_scale(chip: ChipProfile, env: EnvCondition) -> np.ndarray | float:
     return 1.0 + chip.temp_coeff * dt + chip.volt_coeff * dv
 
 
-def env_frequency(chip: ChipProfile, site_index: int, env: EnvCondition) -> float:
-    """Frequency of one site at the given condition, MHz.
-
-    f = f_nom * (1 + k_T*(T - Tref) + k_V*(V - Vref)/Vref); returns the
-    nominal frequency exactly at the reference condition.
-    """
-    if not 0 <= site_index < chip.site_count:
-        raise IndexError(f"site index {site_index} out of range [0, {chip.site_count})")
-    scale = _env_scale(chip, env)
-    if isinstance(scale, float):
-        return float(chip.nominal_freq[site_index]) * scale
-    return float(chip.nominal_freq[site_index] * scale[site_index])
-
-
 def env_frequency_all(chip: ChipProfile, env: EnvCondition) -> np.ndarray:
-    """Vector of all site frequencies at the given condition, MHz."""
-    return chip.nominal_freq * _env_scale(chip, env)
+    """Vector of all site frequencies at the given condition, MHz.
 
-
-def measure_count(
-    freq_mhz: float,
-    t_on_us: float = DEFAULT_T_ON_US,
-    rng: np.random.Generator | None = None,
-    meas_sigma_mhz: float = 0.0,
-) -> int:
-    """One noisy pulse count over the enable window: round((f + eps) * t_on).
-
-    Noise is injected in the frequency domain before quantization; the count
-    saturates at zero.
+    f = f_nom * (1 + k_T*(T - Tref) + k_V*(V - Vref)/Vref); exactly the
+    nominal frequencies at the reference condition, which is the only
+    condition a chip without environmental coefficients accepts.
     """
-    if freq_mhz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_mhz}")
-    if t_on_us <= 0:
-        raise ValueError(f"enable duration must be positive, got {t_on_us}")
-    f = freq_mhz
-    if meas_sigma_mhz > 0:
-        if rng is None:
-            raise ValueError("rng required when measurement noise is enabled")
-        f = f + rng.normal(0.0, meas_sigma_mhz)
-    return max(0, int(round(f * t_on_us)))
+    return chip.nominal_freq * _env_scale(chip, env)
 
 
 def measure_counts(
@@ -430,8 +398,18 @@ def measure_counts(
     rng: np.random.Generator | None,
     meas_sigma_mhz: np.ndarray | float,
 ) -> np.ndarray:
-    """Vectorized ``measure_count`` with independent noise per entry."""
+    """Noisy pulse counts over the enable window, one per frequency entry.
+
+    Each count is round((f + eps) * t_on_us) with independent Gaussian noise
+    eps of the entry's standard deviation, added in the frequency domain
+    before quantization; a count saturates at zero.  Frequencies and the
+    enable duration must be positive.
+    """
     f = np.asarray(freqs_mhz, dtype=float)
+    if np.any(f <= 0):
+        raise ValueError("frequencies must be positive")
+    if t_on_us <= 0:
+        raise ValueError(f"enable duration must be positive, got {t_on_us}")
     sigma = np.broadcast_to(np.asarray(meas_sigma_mhz, dtype=float), f.shape)
     if np.any(sigma > 0):
         if rng is None:

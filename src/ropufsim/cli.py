@@ -7,6 +7,7 @@ CSV), nist (standalone suite on a response dump).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,16 +27,18 @@ from .puf import load_responses
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", default="basys3", choices=sorted(PRESETS))
-    p.add_argument("--devices", type=int, default=54)
-    p.add_argument("--ro-count", type=int, default=32, dest="ro_count")
-    p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--seeding", default="linear")
-    p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--seed", type=int, default=2026, dest="global_seed")
-    p.add_argument("--env-mode", default="axes", choices=["axes", "cross", "reference"])
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default="runs/out", dest="out_dir")
+    # No defaults here: a flag left out keeps the --config file's value, or
+    # PipelineConfig's default without one.
+    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--devices", type=int)
+    p.add_argument("--ro-count", type=int, dest="ro_count")
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--seeding")
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int, dest="global_seed")
+    p.add_argument("--env-mode", choices=["axes", "cross", "reference"])
+    p.add_argument("--workers", type=int)
+    p.add_argument("--out", dest="out_dir")
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--device-spec", dest="device_spec_file",
                    help="JSON device spec file; overrides --preset")
@@ -43,7 +46,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     if args.config:
-        config = PipelineConfig.from_json(Path(args.config).read_text())
+        try:
+            config = PipelineConfig.from_json(Path(args.config).read_text())
+        except (OSError, ConfigError) as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
     else:
         config = PipelineConfig()
     overrides = {
@@ -88,8 +94,7 @@ def cmd_sweep_m(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     rows = []
     for m in (8, 16, 32, 64):
-        cfg = PipelineConfig(**{**json.loads(config.to_json()), "ro_count": m})
-        cfg.temps, cfg.volts = tuple(cfg.temps), tuple(cfg.volts)
+        cfg = dataclasses.replace(config, ro_count=m)
         report, nist_report, runs = run_pipeline(cfg, write=False)
         k = runs[0].golden.k
         md = float(np.median([r.relocated_min_diff for r in runs]))

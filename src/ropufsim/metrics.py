@@ -1,5 +1,10 @@
 """Response-quality metrics: Hamming distance, reliability, uniqueness and
-per-bit minimum entropy over a device population."""
+per-bit minimum entropy over a device population.
+
+Every input is coerced by ``nist``'s checked bit-matrix reader, so a value
+other than 0 or 1 raises ``ValueError`` naming its sequence rather than being
+wrapped or counted as a one.
+"""
 
 from __future__ import annotations
 
@@ -7,43 +12,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _as_bits(x) -> np.ndarray:
-    if isinstance(x, str):
-        if set(x) - {"0", "1"}:
-            raise ValueError("bit strings may only contain 0 and 1")
-        return np.frombuffer(x.encode("ascii"), dtype=np.uint8) - ord("0")
-    arr = np.asarray(x)
-    return arr.astype(np.uint8)
+from .nist import _as_matrix, _as_row
 
 
-def _as_matrix(rows) -> np.ndarray:
-    mat = np.stack([_as_bits(r) for r in rows]) if not isinstance(rows, np.ndarray) else rows
-    return np.asarray(mat, dtype=np.uint8)
-
-
-@dataclass(eq=False)
-class BitMatrix:
-    """Row-per-device (or per-condition) bit storage with equal-length rows."""
-
-    bits: np.ndarray
-    row_labels: list[str]
-
-    def __post_init__(self) -> None:
-        self.bits = _as_matrix(self.bits)
-        if self.bits.ndim != 2:
-            raise ValueError("bit matrix must be two-dimensional")
-        if len(self.row_labels) != self.bits.shape[0]:
-            raise ValueError("one label per row required")
-
-    @property
-    def k(self) -> int:
-        return self.bits.shape[1]
+def _rows(rows) -> np.ndarray:
+    """Checked (rows, k) bit matrix.  A bit string, or a 1-D array or list of
+    0/1 numbers, is one row; anything else is a sequence of rows."""
+    one = isinstance(rows, str) or (
+        len(rows) > 0 and not isinstance(rows[0], str) and np.ndim(rows[0]) == 0
+    )
+    return _as_matrix([rows] if one else rows)
 
 
 def hamming(a, b) -> int:
     """Number of differing positions between two equal-length bit sequences."""
-    av, bv = _as_bits(a), _as_bits(b)
+    av, bv = _rows(a), _rows(b)
     if av.shape != bv.shape:
         raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
     return int(np.count_nonzero(av != bv))
@@ -51,13 +34,9 @@ def hamming(a, b) -> int:
 
 def reliability(golden, responses) -> float:
     """1 - mean fractional flip rate of e responses against the golden one."""
-    g = _as_bits(golden)
-    mat = _as_matrix(responses)
-    if mat.ndim == 1:
-        mat = mat[None, :]
+    g = _as_row(golden)[0]
+    mat = _rows(responses)
     e = mat.shape[0]
-    if e == 0:
-        raise ValueError("need at least one response")
     if mat.shape[1] != g.size:
         raise ValueError(f"length mismatch: golden {g.size} vs responses {mat.shape[1]}")
     hd_intra = float(np.count_nonzero(mat != g[None, :], axis=1).sum()) / g.size
@@ -66,7 +45,7 @@ def reliability(golden, responses) -> float:
 
 def uniqueness(responses) -> dict:
     """Mean pairwise fractional Hamming distance over q >= 2 devices."""
-    mat = _as_matrix(responses)
+    mat = _rows(responses)
     q, k = mat.shape
     if q < 2:
         raise ValueError(f"need at least 2 devices, got {q}")
@@ -77,12 +56,8 @@ def uniqueness(responses) -> dict:
 
 def min_entropy(responses) -> dict:
     """Per-bit lower-bound entropy -log2(max(p1, p0)) and its average."""
-    mat = _as_matrix(responses)
-    if mat.ndim == 1:
-        mat = mat[None, :]
+    mat = _rows(responses)
     q = mat.shape[0]
-    if q < 1:
-        raise ValueError("need at least one device")
     p1 = mat.sum(axis=0) / q
     p_max = np.maximum(p1, 1.0 - p1)
     per_bit = -np.log2(p_max)
@@ -129,7 +104,7 @@ def evaluate_population(golden_rows, sweep_rows_per_device, device_ids) -> EvalR
     golden row as the flip baseline; uniqueness and entropy use the golden
     rows across devices.
     """
-    golden = _as_matrix(golden_rows)
+    golden = _rows(golden_rows)
     rels: dict[str, float] = {}
     for i, dev in enumerate(device_ids):
         sweeps = sweep_rows_per_device[i]

@@ -9,9 +9,11 @@ reproducible from its manifest alone.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import Sequence, get_args
 
@@ -34,6 +36,7 @@ from .chipmodel import (
     ConfigError,
     DeviceSpec,
     EnvCondition,
+    FabricLayout,
     get_preset,
 )
 from .chipmodel import synth_chip
@@ -98,6 +101,9 @@ class PipelineConfig:
         def is_int(value) -> bool:
             return isinstance(value, int) and not isinstance(value, bool)
 
+        def is_real(value) -> bool:
+            return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
         if not (is_int(self.devices) and self.devices >= 1):
             raise bad("devices", "an integer >= 1")
         m = self.ro_count
@@ -109,7 +115,7 @@ class PipelineConfig:
             raise bad("kappa", f"one of {valid_kappas(m)}") from None
         if not (is_int(self.samples) and self.samples >= 2):
             raise bad("samples", "an integer >= 2")
-        if not self.t_on_us > 0:
+        if not (is_real(self.t_on_us) and self.t_on_us > 0):
             raise bad("t_on_us", "positive")
         for name, known in (
             ("env_mode", ("axes", "cross", "reference")),
@@ -123,20 +129,38 @@ class PipelineConfig:
             raise bad("k_max", "an integer >= 1")
         if not (is_int(self.workers) and self.workers >= 1):
             raise bad("workers", "an integer >= 1")
+        if not (is_real(self.reject_threshold) and self.reject_threshold > 0):
+            raise bad("reject_threshold", "positive")
+        if not (is_real(self.reject_quantile) and 0 < self.reject_quantile < 1):
+            raise bad("reject_quantile", "in (0, 1)")
+        for name in ("relocation_max_iter", "global_seed"):
+            if not (is_int(getattr(self, name)) and getattr(self, name) >= 0):
+                raise bad(name, "an integer >= 0")
+        for name in ("temps", "volts"):
+            values = getattr(self, name)
+            if not (isinstance(values, (list, tuple))
+                    and all(is_real(v) and math.isfinite(v) for v in values)):
+                raise bad(name, "a sequence of finite numbers")
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["temps"] = list(self.temps)
-        d["volts"] = list(self.volts)
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
-        d = json.loads(text)
-        if "temps" in d:
-            d["temps"] = tuple(d["temps"])
-        if "volts" in d:
-            d["volts"] = tuple(d["volts"])
+        """Parse ``to_json`` output; JSON arrays become the tuple fields."""
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON ({exc})") from None
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        for key in d:
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r}")
+        for name in ("temps", "volts"):
+            if isinstance(d.get(name), list):
+                d[name] = tuple(d[name])
         return cls(**d)
 
     def env_grid(self) -> list[EnvCondition]:
@@ -191,14 +215,15 @@ class DeviceRun:
 
     ``profile`` is the characterization before rejection and ``plan`` the
     placement the responses came from; the artifact writer emits both as
-    they are, so no stage runs again to write a run.  ``kmeans`` and
-    ``relocated`` are the two selection results; ``selection_json`` is their
-    file form, built on each access.
+    they are, with the site labels of the shared ``layout``, so no stage runs
+    again to write a run and no per-site chip array outlives the chain.
+    ``kmeans`` and ``relocated`` are the two selection results;
+    ``selection_json`` is their file form, built on each access.
     """
 
     device_id: str
     seeds: dict[str, int]
-    chip: ChipProfile
+    layout: FabricLayout
     profile: FrequencyProfile
     plan: PlacementPlan
     kept_sites: int
@@ -311,39 +336,38 @@ def _respond(
     sel: _Selection, plan: PlacementPlan, lfsr_seed: int, env: EnvCondition,
     kappa_tag: int, slot: int,
 ) -> ResponseSet:
-    """One response; slot 0 is the golden one, slot 1 + j the j-th condition."""
+    """One response; slot 0 is the golden one, slot 1 + j the j-th condition.
+
+    It counts over the characterization's enable window.
+    """
+    pool = sel.pool
     return generate_response(
-        plan, sel.pool.chip, lfsr_seed, env,
-        rng=np.random.default_rng(derive_seed(sel.pool.seeds["response"], kappa_tag, slot)),
+        plan, pool.chip, lfsr_seed, env,
+        rng=np.random.default_rng(derive_seed(pool.seeds["response"], kappa_tag, slot)),
+        t_on_us=pool.profile.t_on_us,
     )
 
 
 def run_device(
     config: PipelineConfig,
     index: int,
+    lfsr_seed: int,
     spec: DeviceSpec | None = None,
-    kappa: float | None = None,
-    lfsr_seed: int | None = None,
-    env_grid: Sequence[EnvCondition] | None = None,
-    kappa_tag: int = 0,
+    env_grid: Sequence[EnvCondition] = (),
 ) -> DeviceRun:
-    """Execute the full per-device chain."""
+    """Execute the full per-device chain at ``config.kappa``."""
     spec = spec or _device_spec(config)
-    kappa = config.kappa if kappa is None else kappa
-    if lfsr_seed is None:
-        lfsr_seed = 1
     sel = _select_device(config, index, spec)
-    plan = _place(sel, kappa, kappa_tag)
-    golden = _respond(sel, plan, lfsr_seed, REFERENCE_ENV, kappa_tag, 0)
+    plan = _place(sel, config.kappa, 0)
+    golden = _respond(sel, plan, lfsr_seed, REFERENCE_ENV, 0, 0)
     sweep = [
-        _respond(sel, plan, lfsr_seed, env, kappa_tag, 1 + j)
-        for j, env in enumerate(env_grid if env_grid is not None else [])
+        _respond(sel, plan, lfsr_seed, env, 0, 1 + j) for j, env in enumerate(env_grid)
     ]
     pool = sel.pool
     return DeviceRun(
         device_id=pool.chip.device_id,
         seeds=pool.seeds,
-        chip=pool.chip,
+        layout=pool.chip.layout,
         profile=pool.profile,
         plan=plan,
         kept_sites=pool.clean.z_bar,
@@ -384,7 +408,7 @@ def run_pipeline(
     spec = _device_spec(config)
     env_grid = config.env_grid()
     args = [
-        (config, i, spec, None, _shared_lfsr_seed(config, i), env_grid)
+        (config, i, _shared_lfsr_seed(config, i), spec, env_grid)
         for i in range(config.devices)
     ]
     if config.workers > 1:
@@ -432,7 +456,7 @@ def _write_run(
     for i, r in enumerate(runs):
         dev_dir = root / f"device_{i:03d}"
         dev_dir.mkdir(exist_ok=True)
-        export_profile_csv(r.chip, r.profile, str(dev_dir / "profile.csv"))
+        export_profile_csv(r.layout, r.profile, str(dev_dir / "profile.csv"))
         (dev_dir / "selection.json").write_text(
             json.dumps(r.selection_json, indent=2, sort_keys=True)
         )

@@ -1,9 +1,11 @@
-"""Challenge-response generation.
+"""LFSR challenges, comparator response bits and response dumps.
 
 A maximal-length Galois LFSR enumerates all nonzero challenge words; the
 high half of each word selects a lower-group oscillator, the low half an
-upper-group one.  The response bit is the sign of the count difference
-between the two selected oscillators, measured fresh per challenge.
+upper-group one.  ``generate_response`` decodes the whole traversal at once
+and measures every selected pair with fresh noise: bit i is 1 when the
+lower-group count of challenge i is below the upper-group one, so an exact
+tie reads 0.
 """
 
 from __future__ import annotations
@@ -48,38 +50,6 @@ def challenge_width(m: int) -> int:
     return 2 * (half.bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class Lfsr:
-    """Galois-form linear feedback shift register."""
-
-    width: int
-    taps: tuple[int, ...]
-    state: int
-
-    def __post_init__(self) -> None:
-        if self.state == 0:
-            raise ValueError("LFSR state must be nonzero")
-        if self.state >= 1 << self.width:
-            raise ValueError(f"state {self.state:#x} does not fit in {self.width} bits")
-        if max(self.taps) != self.width:
-            raise ValueError("highest tap must equal the register width")
-
-    @property
-    def mask(self) -> int:
-        poly = 1  # x^0
-        for e in self.taps:
-            poly |= 1 << e
-        return poly >> 1
-
-    def step(self) -> "Lfsr":
-        s = self.state
-        out = s & 1
-        s >>= 1
-        if out:
-            s ^= self.mask
-        return Lfsr(self.width, self.taps, s)
-
-
 def lfsr_sequence(
     width: int,
     taps: tuple[int, ...] | None = None,
@@ -117,16 +87,21 @@ def _lfsr_table(
     period = (1 << width) - 1
     if not 0 < seed_state <= period:
         raise ValueError(f"seed {seed_state:#x} does not fit in {width} bits")
+    if max(taps) != width:
+        raise ValueError("highest tap must equal the register width")
     if math.gcd(clocks_per_word, period) != 1:
         raise ValueError(
             f"clocks_per_word {clocks_per_word} shares a factor with period {period}"
         )
+    # Galois form: shift right, and fold the polynomial (x^0 term dropped)
+    # back in whenever a one falls out
+    mask = sum(1 << e for e in set(taps)) >> 1
     single = np.empty(period, dtype=np.int64)
-    s = Lfsr(width, taps, seed_state)
+    s = seed_state
     for i in range(period):
-        single[i] = s.state
-        s = s.step()
-    if s.state != seed_state or len(np.unique(single)) != period:
+        single[i] = s
+        s = (s >> 1) ^ (mask if s & 1 else 0)
+    if s != seed_state or len(np.unique(single)) != period:
         raise ValueError(
             f"taps {taps} are not maximal-length for width {width} "
             f"(period check failed)"
@@ -134,21 +109,6 @@ def _lfsr_table(
     table = single[(np.arange(period) * clocks_per_word) % period]
     table.setflags(write=False)
     return table
-
-
-@dataclass(frozen=True)
-class Challenge:
-    """Selects one oscillator per group."""
-
-    lg_index: int
-    ug_index: int
-
-
-def challenge_from_state(state: int, m: int) -> Challenge:
-    """Decode an LFSR word: high half -> lower group, low half -> upper group."""
-    w = challenge_width(m)
-    half = w // 2
-    return Challenge(lg_index=state >> half, ug_index=state & ((1 << half) - 1))
 
 
 @dataclass(eq=False)
@@ -164,9 +124,6 @@ class ResponseSet:
     def __post_init__(self) -> None:
         if len(self.bits) != self.k:
             raise ValueError(f"bit count {len(self.bits)} != k {self.k}")
-
-    def as_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
 
     def to_hex(self) -> str:
         """Pack bits little-endian (bit 0 = first challenge) into hex."""
@@ -192,39 +149,6 @@ def bits_from_hex(hexbits: str, k: int | None = None) -> np.ndarray:
     return np.unpackbits(packed, count=k, bitorder="little")
 
 
-def _plan_frequencies(
-    plan: PlacementPlan, chip: ChipProfile, env: EnvCondition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    refs_l = np.array([r for r, _ in plan.lower_order], dtype=np.intp)
-    refs_u = np.array([r for r, _ in plan.upper_order], dtype=np.intp)
-    if refs_l.max(initial=0) >= chip.site_count or refs_u.max(initial=0) >= chip.site_count:
-        raise ValueError("plan references sites beyond this chip; wrong device?")
-    freqs = env_frequency_all(chip, env)
-    return freqs[refs_l], freqs[refs_u], chip.meas_sigma_site[refs_l], chip.meas_sigma_site[refs_u]
-
-
-def respond_bit(
-    plan: PlacementPlan,
-    chip: ChipProfile,
-    challenge: Challenge,
-    env: EnvCondition = REFERENCE_ENV,
-    t_on_us: float = DEFAULT_T_ON_US,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """One comparator bit: 0 when the lower-group count is >= the upper's."""
-    half = plan.group_size
-    if not (0 <= challenge.lg_index < half and 0 <= challenge.ug_index < half):
-        raise ValueError(f"challenge {challenge} out of range for group size {half}")
-    f_l, f_u, s_l, s_u = _plan_frequencies(plan, chip, env)
-    counts = measure_counts(
-        np.array([f_l[challenge.lg_index], f_u[challenge.ug_index]]),
-        t_on_us,
-        rng,
-        np.array([s_l[challenge.lg_index], s_u[challenge.ug_index]]),
-    )
-    return 0 if counts[0] - counts[1] >= 0 else 1
-
-
 def generate_response(
     plan: PlacementPlan,
     chip: ChipProfile,
@@ -240,9 +164,15 @@ def generate_response(
     half_bits = w // 2
     lg = states >> half_bits
     ug = states & ((1 << half_bits) - 1)
-    f_l, f_u, s_l, s_u = _plan_frequencies(plan, chip, env)
-    counts_l = measure_counts(f_l[lg], t_on_us, rng, s_l[lg])
-    counts_u = measure_counts(f_u[ug], t_on_us, rng, s_u[ug])
+    refs_l = np.array([r for r, _ in plan.lower_order], dtype=np.intp)
+    refs_u = np.array([r for r, _ in plan.upper_order], dtype=np.intp)
+    if max(refs_l.max(initial=0), refs_u.max(initial=0)) >= chip.site_count:
+        raise ValueError("plan references sites beyond this chip; wrong device?")
+    freqs = env_frequency_all(chip, env)
+    sigma = chip.meas_sigma_site
+    site_l, site_u = refs_l[lg], refs_u[ug]
+    counts_l = measure_counts(freqs[site_l], t_on_us, rng, sigma[site_l])
+    counts_u = measure_counts(freqs[site_u], t_on_us, rng, sigma[site_u])
     bits = (counts_l - counts_u < 0).astype(np.uint8)
     return ResponseSet(
         device_id=chip.device_id,

@@ -71,19 +71,6 @@ def reg_gamma_upper(a: float, x: float) -> float:
     return _gamma_cf(a, x)
 
 
-def reg_gamma_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x)."""
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
-
-
 def erfc(x: float) -> float:
     """Complementary error function via erfc(x) = Q(1/2, x^2) for x >= 0."""
     if x == 0.0:
@@ -93,10 +80,6 @@ def erfc(x: float) -> float:
             return 0.0  # below double underflow of exp(-x^2)
         return reg_gamma_upper(0.5, x * x)
     return 2.0 - erfc(-x)
-
-
-def erf(x: float) -> float:
-    return 1.0 - erfc(x)
 
 
 def normal_cdf(x: float) -> float:

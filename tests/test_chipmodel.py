@@ -12,11 +12,11 @@ from ropufsim.chipmodel import (
     SliceClass,
     build_fabric,
     classify_corner,
-    env_frequency,
+    env_frequency_all,
     get_preset,
     ingest_csv,
     load_device_spec,
-    measure_count,
+    measure_counts,
     synth_chip,
 )
 
@@ -104,61 +104,67 @@ class TestSynth:
 
 class TestEnvFrequency:
     def test_reference_returns_nominal_exactly(self):
-        chip = manual_chip([400.0], temp_coeff=-1e-4, volt_coeff=0.5)
-        assert env_frequency(chip, 0, EnvCondition(35.0, 1000.0)) == 400.0
+        chip = manual_chip([400.0, 410.0], temp_coeff=-1e-4, volt_coeff=0.5)
+        assert env_frequency_all(chip, EnvCondition(35.0, 1000.0)).tolist() == [400.0, 410.0]
 
     def test_hand_computed_temperature_point(self):
         chip = manual_chip([400.0], temp_coeff=-1e-4, volt_coeff=0.5)
         # 400 * (1 - 1e-4 * 40) = 398.4
-        assert env_frequency(chip, 0, EnvCondition(75.0, 1000.0)) == pytest.approx(398.4, abs=1e-9)
+        f = env_frequency_all(chip, EnvCondition(75.0, 1000.0))
+        assert f[0] == pytest.approx(398.4, abs=1e-9)
 
     def test_hand_computed_voltage_point(self):
         chip = manual_chip([400.0], temp_coeff=-1e-4, volt_coeff=0.5)
         # 400 * (1 + 0.5 * 0.1) = 420
-        assert env_frequency(chip, 0, EnvCondition(35.0, 1100.0)) == pytest.approx(420.0, abs=1e-9)
+        f = env_frequency_all(chip, EnvCondition(35.0, 1100.0))
+        assert f[0] == pytest.approx(420.0, abs=1e-9)
 
     def test_monotonic_in_temperature_and_voltage(self):
-        chip = manual_chip([400.0], temp_coeff=-1e-4, volt_coeff=0.5)
-        temps = [env_frequency(chip, 0, EnvCondition(t, 1000.0)) for t in range(-5, 76, 10)]
-        assert all(a > b for a, b in zip(temps, temps[1:]))
-        volts = [env_frequency(chip, 0, EnvCondition(35.0, v)) for v in range(900, 1101, 20)]
-        assert all(a < b for a, b in zip(volts, volts[1:]))
-
-    def test_out_of_range_site(self):
-        chip = manual_chip([400.0], temp_coeff=-1e-4, volt_coeff=0.5)
-        with pytest.raises(IndexError):
-            env_frequency(chip, 5, REFERENCE_ENV)
+        chip = manual_chip([400.0, 380.0], temp_coeff=-1e-4, volt_coeff=0.5)
+        temps = np.array([env_frequency_all(chip, EnvCondition(t, 1000.0))
+                          for t in range(-5, 76, 10)])
+        assert np.all(np.diff(temps, axis=0) < 0)
+        volts = np.array([env_frequency_all(chip, EnvCondition(35.0, v))
+                          for v in range(900, 1101, 20)])
+        assert np.all(np.diff(volts, axis=0) > 0)
 
     def test_ingested_chip_rejects_env_sweep(self):
         chip = manual_chip([400.0])
-        assert env_frequency(chip, 0, REFERENCE_ENV) == 400.0
+        assert env_frequency_all(chip, REFERENCE_ENV).tolist() == [400.0]
         with pytest.raises(ValueError):
-            env_frequency(chip, 0, EnvCondition(45.0, 1000.0))
+            env_frequency_all(chip, EnvCondition(45.0, 1000.0))
 
 
 class TestMeasureCount:
     def test_exact_noise_free_count(self):
-        assert measure_count(400.0, 122.87) == 49148
+        counts = measure_counts(np.array([400.0, 410.0]), 122.87, None, 0.0)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [49148, 50377]
 
     def test_tiny_frequency_rounds_to_zero(self):
-        assert measure_count(0.001, 122.87) == 0
+        assert measure_counts(np.array([0.001]), 122.87, None, 0.0).tolist() == [0]
 
     def test_inverse_recovers_within_quantization(self):
-        alpha = measure_count(400.0, 122.87)
+        alpha = measure_counts(np.array([400.0]), 122.87, None, 0.0)[0]
         assert abs(alpha / 122.87 - 400.0) <= 1.0 / 122.87  # ~8.14 kHz
 
     def test_noise_requires_rng(self):
+        freqs = np.full(50, 400.0)
         with pytest.raises(ValueError):
-            measure_count(400.0, 122.87, rng=None, meas_sigma_mhz=0.1)
-        rng = np.random.default_rng(0)
-        counts = {measure_count(400.0, 122.87, rng, 0.5) for _ in range(50)}
-        assert len(counts) > 1
+            measure_counts(freqs, 122.87, None, 0.1)
+        sigma = np.zeros(50)
+        sigma[::2] = 0.5
+        counts = measure_counts(freqs, 122.87, np.random.default_rng(0), sigma)
+        assert len(set(counts[::2].tolist())) > 1
+        assert counts[1::2].tolist() == [49148] * 25  # noise-free entries stay exact
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            measure_count(-1.0, 122.87)
+            measure_counts(np.array([400.0, -1.0]), 122.87, None, 0.0)
         with pytest.raises(ValueError):
-            measure_count(400.0, 0.0)
+            measure_counts(np.array([0.0]), 122.87, None, 0.0)
+        with pytest.raises(ValueError):
+            measure_counts(np.array([400.0]), 0.0, None, 0.0)
 
 
 class TestIngest:

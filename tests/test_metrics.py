@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ropufsim.metrics import (
-    BitMatrix,
     evaluate_population,
     hamming,
     min_entropy,
@@ -113,14 +112,47 @@ class TestMinEntropy:
                 assert np.all(mat.sum(axis=0) == 4)
 
 
-class TestBitMatrix:
-    def test_ragged_rejded(self):
-        with pytest.raises(ValueError):
-            BitMatrix(np.zeros((2, 3)), ["a"])
+def golden_and_sweeps(bad):
+    golden = np.zeros((2, 4), dtype=int)
+    golden[1, 2] = bad
+    return golden, [np.zeros((1, 4), dtype=np.uint8)] * 2, ["a", "b"]
 
-    def test_shape(self):
-        bm = BitMatrix(np.zeros((2, 3), dtype=np.uint8), ["a", "b"])
-        assert bm.k == 3
+
+# each metric with one value other than 0 and 1 in its input
+METRIC_CALLS = {
+    "hamming": lambda bad: hamming([0, 1, bad], [0, 1, 1]),
+    "hamming_second": lambda bad: hamming("011", np.array([0, 1, bad])),
+    "reliability_golden": lambda bad: reliability([bad, 0], [[0, 0]]),
+    "reliability_responses": lambda bad: reliability([1, 0], [[1, 0], [1, bad]]),
+    "reliability_one_response": lambda bad: reliability([1, 0], np.array([1, bad])),
+    "uniqueness": lambda bad: uniqueness(np.array([[0, 1], [bad, 0]])),
+    "min_entropy": lambda bad: min_entropy([[bad, 0], [0, 0]]),
+    "min_entropy_one_row": lambda bad: min_entropy([0, bad]),
+    "evaluate_population": lambda bad: evaluate_population(*golden_and_sweeps(bad)),
+}
+
+
+class TestBitInputs:
+    @pytest.mark.parametrize("bad", [2, 256, -1])
+    @pytest.mark.parametrize("metric", sorted(METRIC_CALLS))
+    def test_non_bit_value_rejected(self, metric, bad):
+        with pytest.raises(ValueError, match="other than 0 and 1"):
+            METRIC_CALLS[metric](bad)
+
+    def test_ragged_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            uniqueness([[0, 1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="same length"):
+            min_entropy(["011", "01"])
+
+    def test_one_dimensional_responses_are_one_row(self):
+        golden = np.array([1, 0, 1, 1], dtype=np.uint8)
+        flipped = np.array([1, 0, 0, 1], dtype=np.uint8)
+        assert reliability(golden, flipped) == reliability(golden, [flipped]) == 0.75
+        assert reliability(golden, flipped.tolist()) == 0.75
+        assert reliability("1011", "1001") == 0.75
+        assert min_entropy(flipped)["per_bit"].tolist() == [0.0] * 4
+        assert hamming(np.array([[0, 1], [1, 1]]), np.array([[0, 0], [1, 0]])) == 2
 
 
 class TestEvaluatePopulation:

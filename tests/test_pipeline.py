@@ -3,11 +3,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ropufsim.pipeline as pipeline
 import ropufsim.select as select
-from ropufsim.chipmodel import ConfigError
+from ropufsim.chipmodel import REFERENCE_ENV, ConfigError, get_preset, synth_chip
 from ropufsim.cli import main
 from ropufsim.pipeline import (
     BenchReport,
@@ -18,6 +19,7 @@ from ropufsim.pipeline import (
     run_pipeline,
     sweep_kappa,
 )
+from ropufsim.puf import generate_response
 
 
 def tiny_config(tmp_path, **overrides) -> PipelineConfig:
@@ -108,6 +110,18 @@ class TestConfig:
         ("seeding", "spectral"),
         ("k_max", 0),
         ("workers", 0),
+        ("reject_threshold", 0.0),
+        ("reject_threshold", "0.002"),
+        ("reject_quantile", 1.0),
+        ("reject_quantile", 0.0),
+        ("relocation_max_iter", -1),
+        ("relocation_max_iter", 2.5),
+        ("global_seed", -1),
+        ("global_seed", "2026"),
+        ("temps", (25.0, float("nan"))),
+        ("temps", 35.0),
+        ("volts", (980.0, "1000")),
+        ("volts", (1000.0, float("inf"))),
     ])
     def test_bad_field_rejected_before_device_work(self, tmp_path, synth_calls,
                                                    field, value):
@@ -126,6 +140,15 @@ class TestConfig:
         assert "devices must be an integer >= 1, got 0" in capsys.readouterr().err
         assert synth_calls == []
         assert not (tmp_path / "cli").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"devices": 3, "ro_cont": 8}', "unknown config key 'ro_cont'"),
+        ('[3, 8]', "must be a JSON object"),
+        ('{"devices": 3,', "not valid JSON"),
+    ])
+    def test_from_json_rejects_what_is_no_config(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            PipelineConfig.from_json(text)
 
     def test_seed_derivation_stable(self):
         assert device_seeds(5, 0) == device_seeds(5, 0)
@@ -198,6 +221,24 @@ class TestRunPipeline:
         sweep_kappa(tiny_config(tmp_path), write=False)
         assert micd_calls == []
 
+    def test_responses_count_over_configured_window(self, tmp_path):
+        # a 0.1 us window quantizes counts to 10 MHz, so it flips bits that
+        # the default 122.87 us window resolves
+        config = tiny_config(tmp_path, devices=1, ro_count=16, t_on_us=0.1)
+        _, _, (run,) = run_pipeline(config, write=False)
+        chip = synth_chip(get_preset("zybo"), run.seeds["synth"], device_id=run.device_id)
+        assert run.layout is chip.layout  # the family's shared layout, not the chip
+
+        def golden(**window):
+            rng = np.random.default_rng(pipeline.derive_seed(run.seeds["response"], 0, 0))
+            return generate_response(
+                run.plan, chip, pipeline._shared_lfsr_seed(config, 0), REFERENCE_ENV,
+                rng=rng, **window,
+            ).bits
+
+        assert np.array_equal(run.golden.bits, golden(t_on_us=config.t_on_us))
+        assert not np.array_equal(run.golden.bits, golden())
+
     def test_reference_only_run_is_trivially_reliable(self, tmp_path):
         config = tiny_config(tmp_path, env_mode="reference", devices=1)
         report, _, _ = run_pipeline(config, write=False)
@@ -264,12 +305,12 @@ class TestSweeps:
     def test_kappa_zero_identical_ones_count(self, tmp_path):
         # ordered-only assignment leaves the multiset of compared rank pairs
         # fixed, so every device's golden response has the same weight +-1
-        config = tiny_config(tmp_path, devices=4, ro_count=16)
+        config = tiny_config(tmp_path, devices=4, ro_count=16, kappa=0.0)
         from ropufsim.pipeline import run_device, _shared_lfsr_seed
 
         weights = []
         for i in range(4):
-            run = run_device(config, i, kappa=0.0, lfsr_seed=_shared_lfsr_seed(config, i))
+            run = run_device(config, i, _shared_lfsr_seed(config, i))
             weights.append(int(run.golden.bits.sum()))
         assert max(weights) - min(weights) <= 1
 
@@ -413,3 +454,30 @@ class TestCli:
             "--out", str(tmp_path / "cfg_run"),
         ])
         assert rc == 0
+
+    def test_config_file_alone_then_flag_override(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "preset": "zybo", "devices": 3, "ro_count": 8, "global_seed": 5,
+            "out_dir": str(tmp_path / "from_file"),
+        }))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "from_file" / "manifest.json").read_text())
+        assert manifest["config"] == json.loads(PipelineConfig.from_json(
+            cfg_path.read_text()).to_json())
+        assert len(manifest["devices"]) == 3
+
+        out = tmp_path / "flagged"
+        assert main(["run", "--config", str(cfg_path), "--devices", "2",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["devices"], config["ro_count"], config["preset"]) == (2, 8, "zybo")
+
+    def test_bad_config_file_exits_2_naming_file_and_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"devices": 3, "ro_cont": 8}')
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert f"{cfg_path}: unknown config key 'ro_cont'" in capsys.readouterr().err
+        missing = tmp_path / "missing.json"
+        assert main(["run", "--config", str(missing)]) == 2
+        assert f"{missing}: " in capsys.readouterr().err

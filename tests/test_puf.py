@@ -9,16 +9,12 @@ from ropufsim.placement import assign_groups, randomize_placement
 from ropufsim.puf import (
     TAPS,
     WORD_CLOCKS,
-    Challenge,
-    Lfsr,
     ResponseSet,
     bits_from_hex,
-    challenge_from_state,
     challenge_width,
     generate_response,
     lfsr_sequence,
     load_responses,
-    respond_bit,
     save_responses,
 )
 
@@ -89,12 +85,12 @@ class TestLfsr:
         assert lfsr_sequence(8, seed_state=3).tolist() == lfsr_reference(8, 3)
 
     def test_lfsr_state_validation(self):
-        with pytest.raises(ValueError):
-            Lfsr(4, (4, 3), 0)
-        with pytest.raises(ValueError):
-            Lfsr(4, (4, 3), 16)
-        with pytest.raises(ValueError):
-            Lfsr(4, (3, 2), 1)
+        with pytest.raises(ValueError, match="nonzero"):
+            lfsr_sequence(4, (4, 3), seed_state=0)
+        with pytest.raises(ValueError, match="does not fit"):
+            lfsr_sequence(4, (4, 3), seed_state=16)
+        with pytest.raises(ValueError, match="highest tap"):
+            lfsr_sequence(4, (3, 2), seed_state=1)
 
 
 class TestChallengeDecoding:
@@ -105,9 +101,15 @@ class TestChallengeDecoding:
         assert challenge_width(64) == 10
 
     def test_half_split(self):
-        c = challenge_from_state(0b10110100, 32)
-        assert c.lg_index == 0b1011
-        assert c.ug_index == 0b0100
+        # the high half of a word indexes the lower group, the low half the upper
+        rng = np.random.default_rng(8)
+        plan, chip = make_plan(np.sort(rng.uniform(380.0, 450.0, 32)))
+        bits = generate_response(plan, chip, lfsr_seed=1).bits
+        states = lfsr_sequence(challenge_width(32))
+        f_l = np.array([f for _, f in plan.lower_order])
+        f_u = np.array([f for _, f in plan.upper_order])
+        assert np.array_equal(bits, f_l[states >> 4] < f_u[states & 15])
+        assert not np.array_equal(bits, f_l[states & 15] < f_u[states >> 4])
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -115,29 +117,32 @@ class TestChallengeDecoding:
 
 
 class TestRespondBit:
+    """The comparator bit of one challenge, read from ``generate_response``."""
+
+    @staticmethod
+    def bit_of(plan, chip, lg, ug):
+        half = plan.group_size.bit_length() - 1
+        j = lfsr_sequence(2 * half).tolist().index((lg << half) | ug)
+        return generate_response(plan, chip, lfsr_seed=1).bits[j]
+
     def test_sign_conventions(self):
-        plan, chip = make_plan([400.0, 380.0, 410.0, 390.0])
-        # lower group holds sorted ranks {0, 2}: sites 1 (380) and 0 (400)
-        for lg in range(2):
-            for ug in range(2):
-                bit = respond_bit(plan, chip, Challenge(lg, ug))
+        plan, chip = make_plan([400.0, 380.0, 410.0, 390.0, 420.0, 370.0, 430.0, 360.0])
+        for lg in range(4):
+            for ug in range(4):
+                if lg == ug == 0:
+                    continue  # the all-zero word is no LFSR state
                 f_l = plan.lower_order[lg][1]
                 f_u = plan.upper_order[ug][1]
-                assert bit == (0 if f_l >= f_u else 1)
+                assert self.bit_of(plan, chip, lg, ug) == (0 if f_l >= f_u else 1)
 
     def test_exact_tie_gives_zero(self):
-        plan, chip = make_plan([400.0, 400.0, 399.0, 401.0])
-        for lg in range(2):
-            for ug in range(2):
-                f_l = plan.lower_order[lg][1]
-                f_u = plan.upper_order[ug][1]
-                if f_l == f_u:
-                    assert respond_bit(plan, chip, Challenge(lg, ug)) == 0
-
-    def test_out_of_range_challenge(self):
-        plan, chip = make_plan([400.0, 380.0, 410.0, 390.0])
-        with pytest.raises(ValueError):
-            respond_bit(plan, chip, Challenge(5, 0))
+        # sorted ranks 3 and 4 tie at 400 MHz and land in different groups
+        plan, chip = make_plan([400.0, 400.0, 390.0, 395.0, 405.0, 410.0, 385.0, 415.0])
+        ties = [(lg, ug) for lg in range(4) for ug in range(4)
+                if plan.lower_order[lg][1] == plan.upper_order[ug][1]]
+        assert ties
+        for lg, ug in ties:
+            assert self.bit_of(plan, chip, lg, ug) == 0
 
 
 class TestGenerateResponse:
@@ -189,9 +194,10 @@ class TestGenerateResponse:
         freqs = np.sort(rng.uniform(380.0, 450.0, 8))
         plan, chip = make_plan(freqs)
         resp = generate_response(plan, chip, lfsr_seed=1)
-        states = lfsr_sequence(4)
-        b0 = respond_bit(plan, chip, challenge_from_state(int(states[0]), 8))
-        assert resp.bits[0] == b0
+        first = int(lfsr_sequence(4)[0])
+        f_l = plan.lower_order[first >> 2][1]
+        f_u = plan.upper_order[first & 3][1]
+        assert resp.bits[0] == (0 if f_l >= f_u else 1)
 
     def test_wrong_chip_rejected(self):
         rng = np.random.default_rng(5)
