@@ -39,11 +39,12 @@ from .placement import (
     valid_kappas,
 )
 from .pipeline import PipelineConfig, bench, run_pipeline, sweep_kappa
-from .puf import ResponseSet, generate_response, lfsr_sequence
+from .puf import ResponseSet, generate_response, generate_responses, lfsr_sequence
 from .select import (
     SelectionConfig,
     SelectionResult,
     baseline_select,
+    batched_kmeans,
     improved_kmeans,
     min_pairwise_diff,
     plain_kmeans,

@@ -15,7 +15,7 @@ from .chipmodel import (
     ChipProfile,
     EnvCondition,
     FabricLayout,
-    env_frequency_all,
+    env_frequencies,
     measure_counts,
 )
 
@@ -92,7 +92,7 @@ def characterize(
         raise ValueError(f"need at least 2 samples per site for sigma, got {m}")
     idx = chip.active_indices()
     shape = (len(idx), m)
-    freqs = np.broadcast_to(env_frequency_all(chip, env)[idx, None], shape)
+    freqs = np.broadcast_to(env_frequencies(chip, [env], idx)[0][:, None], shape)
     sigma = np.broadcast_to(chip.meas_sigma_site[idx, None], shape)
     mhz = measure_counts(freqs, t_on_us, rng, sigma) / t_on_us
     return FrequencyProfile(

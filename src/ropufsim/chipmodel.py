@@ -171,12 +171,18 @@ def load_device_spec(path: str) -> DeviceSpec:
     """Load a DeviceSpec from a JSON config file.
 
     The file may set ``"preset"`` to start from a built-in spec; any other
-    keys override individual fields.
+    keys override individual fields.  A file that cannot be read or is not
+    a JSON object raises ``ConfigError`` naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read device spec ({exc.strerror or exc})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: device spec is not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
-        raise ConfigError("device spec file must hold a JSON object")
+        raise ConfigError(f"{path}: device spec file must hold a JSON object")
     preset = raw.pop("preset", None)
     base = asdict(get_preset(preset)) if preset else {}
     base.update(raw)
@@ -369,27 +375,49 @@ def synth_chip(spec: DeviceSpec, device_seed: int, device_id: str | None = None)
     return chip
 
 
-def _env_scale(chip: ChipProfile, env: EnvCondition) -> np.ndarray | float:
-    if env.is_reference():
-        return 1.0
-    if not chip.has_env_model:
-        raise ValueError(
-            f"chip {chip.device_id} has no environmental coefficients "
-            "(ingested data); only the reference condition is available"
-        )
-    dt = env.temp_c - REFERENCE_TEMP_C
-    dv = (env.vcc_mv - REFERENCE_VCC_MV) / REFERENCE_VCC_MV
-    return 1.0 + chip.temp_coeff * dt + chip.volt_coeff * dv
-
-
-def env_frequency_all(chip: ChipProfile, env: EnvCondition) -> np.ndarray:
-    """Vector of all site frequencies at the given condition, MHz.
+def env_frequencies(
+    chip: ChipProfile, envs: Sequence[EnvCondition], sites: np.ndarray | None = None
+) -> np.ndarray:
+    """Site frequencies under each condition, MHz: one row per condition,
+    one column per entry of ``sites`` (every site when None).
 
     f = f_nom * (1 + k_T*(T - Tref) + k_V*(V - Vref)/Vref); exactly the
     nominal frequencies at the reference condition, which is the only
     condition a chip without environmental coefficients accepts.
     """
-    return chip.nominal_freq * _env_scale(chip, env)
+    pick = slice(None) if sites is None else sites
+    nominal = chip.nominal_freq[pick]
+    if all(env.is_reference() for env in envs):
+        return np.repeat(nominal[None, :], len(envs), axis=0)
+    if not chip.has_env_model:
+        raise ValueError(
+            f"chip {chip.device_id} has no environmental coefficients "
+            "(ingested data); only the reference condition is available"
+        )
+    dt = np.array([env.temp_c - REFERENCE_TEMP_C for env in envs])[:, None]
+    dv = np.array([(env.vcc_mv - REFERENCE_VCC_MV) / REFERENCE_VCC_MV for env in envs])[:, None]
+    return nominal * (1.0 + chip.temp_coeff[pick] * dt + chip.volt_coeff[pick] * dv)
+
+
+def noisy_counts(
+    freqs_mhz: np.ndarray, t_on_us: float, noise: np.ndarray, meas_sigma_mhz: np.ndarray | float
+) -> np.ndarray:
+    """Pulse counts round((f + noise * sigma) * t_on_us), saturating at zero,
+    for standard-normal ``noise`` already drawn; ``noise`` is overwritten.
+
+    Frequencies and the enable duration must be positive.
+    """
+    f = np.asarray(freqs_mhz, dtype=float)
+    if np.any(f <= 0):
+        raise ValueError("frequencies must be positive")
+    if t_on_us <= 0:
+        raise ValueError(f"enable duration must be positive, got {t_on_us}")
+    noise *= meas_sigma_mhz
+    noise += f
+    noise *= t_on_us
+    np.rint(noise, out=noise)
+    np.maximum(noise, 0.0, out=noise)
+    return noise.astype(np.int64)
 
 
 def measure_counts(
@@ -403,20 +431,18 @@ def measure_counts(
     Each count is round((f + eps) * t_on_us) with independent Gaussian noise
     eps of the entry's standard deviation, added in the frequency domain
     before quantization; a count saturates at zero.  Frequencies and the
-    enable duration must be positive.
+    enable duration must be positive.  Noise is drawn only when some
+    standard deviation is positive.
     """
     f = np.asarray(freqs_mhz, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError("frequencies must be positive")
-    if t_on_us <= 0:
-        raise ValueError(f"enable duration must be positive, got {t_on_us}")
-    sigma = np.broadcast_to(np.asarray(meas_sigma_mhz, dtype=float), f.shape)
+    sigma = np.asarray(meas_sigma_mhz, dtype=float)
     if np.any(sigma > 0):
         if rng is None:
             raise ValueError("rng required when measurement noise is enabled")
-        f = f + rng.standard_normal(f.shape) * sigma
-    counts = np.rint(f * t_on_us)
-    return np.maximum(counts, 0.0).astype(np.int64)
+        noise = rng.standard_normal(np.broadcast_shapes(f.shape, sigma.shape))
+    else:
+        noise = np.zeros(np.broadcast_shapes(f.shape, sigma.shape))
+    return noisy_counts(f, t_on_us, noise, sigma)
 
 
 def _parse_header(fields: list[str]) -> tuple[list[str], bool, int]:

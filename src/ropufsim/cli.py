@@ -37,7 +37,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, dest="global_seed")
     p.add_argument("--env-mode", choices=["axes", "cross", "reference"])
-    p.add_argument("--workers", type=int)
     p.add_argument("--out", dest="out_dir")
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--device-spec", dest="device_spec_file",
@@ -56,7 +55,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         k: getattr(args, k)
         for k in (
             "preset", "devices", "ro_count", "kappa", "seeding", "samples",
-            "global_seed", "env_mode", "workers", "out_dir", "device_spec_file",
+            "global_seed", "env_mode", "out_dir", "device_spec_file",
         )
         if getattr(args, k, None) is not None
     }

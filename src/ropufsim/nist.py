@@ -305,7 +305,8 @@ def _phi(counts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _approximate_entropy(
-    mat: np.ndarray, m: int | None = None, check_n: bool = True
+    mat: np.ndarray, m: int | None = None, check_n: bool = True,
+    count_patterns=_pattern_counts,
 ) -> np.ndarray:
     s, n = mat.shape
     _check_n(n, 128, check_n, "approximate entropy test")
@@ -313,7 +314,7 @@ def _approximate_entropy(
         m = NistParams().entropy_block_len(n)
     if m < 1:
         raise ValueError("block length must be >= 1")
-    tables = _pattern_counts(mat, m + 1)
+    tables = count_patterns(mat, m + 1)
     apen = _phi(tables[m], n) - _phi(tables[m + 1], n)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     return _gamma_p_values(float(1 << (m - 1)), chi2 / 2.0)
@@ -325,7 +326,8 @@ def approximate_entropy_test(bits, m: int | None = None, check_n: bool = True) -
 
 
 def _serial(
-    mat: np.ndarray, m: int | None = None, check_n: bool = True
+    mat: np.ndarray, m: int | None = None, check_n: bool = True,
+    count_patterns=_pattern_counts,
 ) -> tuple[np.ndarray, np.ndarray]:
     s, n = mat.shape
     _check_n(n, 100, check_n, "serial test")
@@ -333,7 +335,7 @@ def _serial(
         m = NistParams().serial_block_len(n)
     if m < 2:
         raise ValueError("serial block length must be >= 2")
-    tables = _pattern_counts(mat, m)
+    tables = count_patterns(mat, m)
 
     def psi_sq(block: int) -> np.ndarray:
         if block == 0:
@@ -488,19 +490,37 @@ _SUITE_ORDER = (
 )
 
 
+def _pattern_top(params: NistParams, n: int) -> int:
+    """Longest pattern the approximate-entropy and serial tests count at
+    length n (m + 1 and m bits), so one table serves both."""
+    top = 0
+    for m, given, extra in (
+        (params.entropy_block_len, params.m_entropy, 1),
+        (params.serial_block_len, params.m_serial, 0),
+    ):
+        try:
+            top = max(top, (given if given is not None else m(n)) + extra)
+        except NotApplicableError:
+            pass
+    return top
+
+
 def _suite_tests(params: NistParams):
     """(result names, batched test) in run order; serial runs last, so when
-    it does not apply its names follow dft's in the NA list."""
+    it does not apply its names follow dft's in the NA list.  Each test
+    takes a row block and the block's ``_pattern_counts``, which the
+    approximate-entropy and serial tests share."""
     return (
-        (("frequency",), lambda b: (_frequency(b),)),
-        (("block_frequency",), lambda b: (_block_frequency(b, params.block_len),)),
-        (("cumsum_forward",), lambda b: (_cumulative_sums(b, reverse=False),)),
-        (("cumsum_reverse",), lambda b: (_cumulative_sums(b, reverse=True),)),
-        (("runs",), lambda b: (_runs(b),)),
-        (("longest_run",), lambda b: (_longest_run(b),)),
-        (("approximate_entropy",), lambda b: (_approximate_entropy(b, params.m_entropy),)),
-        (("dft",), lambda b: (_dft(b, params.dft_min_n),)),
-        (("serial_1", "serial_2"), lambda b: _serial(b, params.m_serial)),
+        (("frequency",), lambda b, t: (_frequency(b),)),
+        (("block_frequency",), lambda b, t: (_block_frequency(b, params.block_len),)),
+        (("cumsum_forward",), lambda b, t: (_cumulative_sums(b, reverse=False),)),
+        (("cumsum_reverse",), lambda b, t: (_cumulative_sums(b, reverse=True),)),
+        (("runs",), lambda b, t: (_runs(b),)),
+        (("longest_run",), lambda b, t: (_longest_run(b),)),
+        (("approximate_entropy",),
+         lambda b, t: (_approximate_entropy(b, params.m_entropy, count_patterns=t),)),
+        (("dft",), lambda b, t: (_dft(b, params.dft_min_n),)),
+        (("serial_1", "serial_2"), lambda b, t: _serial(b, params.m_serial, count_patterns=t)),
     )
 
 
@@ -552,9 +572,22 @@ def run_suite(sequences, params: NistParams | None = None) -> NistReport:
 
     rows = max(1, _BLOCK_BITS // max(n, 1))
     blocks = [mat[i : i + rows] for i in range(0, s_count, rows)]
+    # each block's pattern tables, counted once at the longest length any
+    # test needs, on first use
+    longest = _pattern_top(params, n)
+    tables: dict[int, list[np.ndarray]] = {}
+
+    def block_counts(i: int):
+        def count(block: np.ndarray, top: int) -> list[np.ndarray]:
+            if len(tables.get(i, ())) <= top:
+                tables[i] = _pattern_counts(block, max(top, longest))
+            return tables[i]
+        return count
+
     for names, test in _suite_tests(params):
         try:
-            p_sets = [np.concatenate(ps) for ps in zip(*(test(b) for b in blocks))]
+            p_sets = [np.concatenate(ps)
+                      for ps in zip(*(test(b, block_counts(i)) for i, b in enumerate(blocks)))]
         except NotApplicableError:
             not_applicable.extend(names)
             continue

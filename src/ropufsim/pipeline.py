@@ -1,6 +1,7 @@
 """End-to-end orchestration: synth -> characterize -> reject -> select ->
 relocate -> group -> place -> respond -> evaluate, plus sweeps and a
-computation-time model.
+computation-time model.  Devices run through the chain in blocks, one
+process, with one K-means run per block.
 
 Every stage's randomness derives from the declared global seed, so a run is
 reproducible from its manifest alone.
@@ -12,17 +13,15 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
-from typing import Sequence, get_args
+from typing import Callable, Sequence, TypeVar, get_args
 
 import numpy as np
 
 from .characterize import (
     DEFAULT_QUANTILE,
     DEFAULT_THRESHOLD,
-    CleanProfile,
     FrequencyProfile,
     characterize,
     export_profile_csv,
@@ -50,11 +49,19 @@ from .placement import (
     randomize_placement,
     valid_kappas,
 )
-from .puf import ResponseSet, generate_response, save_responses
+from .puf import (
+    TAPS,
+    ResponseSet,
+    challenge_width,
+    generate_response,  # noqa: F401  (perfbench/spans.py traces it by this name)
+    generate_responses,
+    save_responses,
+)
 from .select import (
     SeedStrategy,
     SelectionConfig,
     SelectionResult,
+    batched_kmeans,
     improved_kmeans,
     micd_traces,
     relocate_centroids,
@@ -64,6 +71,9 @@ DEFAULT_TEMPS = tuple(float(t) for t in range(-5, 76, 10))
 DEFAULT_VOLTS = tuple(float(v) for v in range(900, 1101, 20))
 
 SAMPLE_COST_SEC = 0.003  # modeled per-sample measurement cost
+
+# RO counts whose challenge width has a primitive LFSR polynomial.
+RO_COUNTS = tuple(2 << (w // 2) for w in sorted(TAPS))
 
 
 @dataclass
@@ -87,7 +97,7 @@ class PipelineConfig:
     global_seed: int = 2026
     k_max: int = 100
     relocation_max_iter: int = 200
-    workers: int = 1
+    workers: int = 1                    # recorded in manifest.json; must be 1
     out_dir: str = "runs/out"
     device_spec_file: str | None = None  # overrides preset when set
 
@@ -107,8 +117,9 @@ class PipelineConfig:
         if not (is_int(self.devices) and self.devices >= 1):
             raise bad("devices", "an integer >= 1")
         m = self.ro_count
-        if not (is_int(m) and m >= 4 and m & (m - 1) == 0):
-            raise bad("ro_count", "a power of two >= 4")
+        # the LFSR needs a primitive polynomial of the challenge width
+        if not (is_int(m) and m in RO_COUNTS):
+            raise bad("ro_count", f"one of {list(RO_COUNTS)}")
         try:
             _kappa_counts(m, self.kappa)
         except (TypeError, ValueError):
@@ -127,8 +138,8 @@ class PipelineConfig:
                 raise bad(name, f"one of {list(known)}")
         if not (is_int(self.k_max) and self.k_max >= 1):
             raise bad("k_max", "an integer >= 1")
-        if not (is_int(self.workers) and self.workers >= 1):
-            raise bad("workers", "an integer >= 1")
+        if not (is_int(self.workers) and self.workers == 1):
+            raise bad("workers", "1, as devices run in blocks in one process")
         if not (is_real(self.reject_threshold) and self.reject_threshold > 0):
             raise bad("reject_threshold", "positive")
         if not (is_real(self.reject_quantile) and 0 < self.reject_quantile < 1):
@@ -272,7 +283,8 @@ class _Pool:
     seeds: dict[str, int]
     chip: ChipProfile
     profile: FrequencyProfile
-    clean: CleanProfile
+    kept_sites: int
+    rejected: int
     nu: np.ndarray
     nu_refs: np.ndarray
 
@@ -291,7 +303,8 @@ def _candidate_pool(config: PipelineConfig, index: int, spec: DeviceSpec) -> _Po
     )
     kept = clean.kept
     order = np.argsort(kept.mean, kind="stable")
-    return _Pool(seeds, chip, prof, clean, kept.mean[order], kept.site_refs[order])
+    return _Pool(seeds, chip, prof, clean.z_bar, clean.rejected_count,
+                 kept.mean[order], kept.site_refs[order])
 
 
 def _selection_config(config: PipelineConfig, pool: _Pool) -> SelectionConfig:
@@ -299,6 +312,21 @@ def _selection_config(config: PipelineConfig, pool: _Pool) -> SelectionConfig:
         m=config.ro_count, seeding=config.seeding,
         k_max=config.k_max, relocation_max_iter=config.relocation_max_iter,
         rng_seed=pool.seeds["select"],
+    )
+
+
+def _kmeans(config: PipelineConfig, pools: Sequence[_Pool]) -> list[SelectionResult]:
+    """The improved K-means result of every pool, from one batched run."""
+    pairs = batched_kmeans(
+        [p.nu for p in pools], [_selection_config(config, p) for p in pools],
+        [p.nu_refs for p in pools],
+    )
+    return [improved for improved, _ in pairs]
+
+
+def _relocate(config: PipelineConfig, pool: _Pool, km: SelectionResult) -> SelectionResult:
+    return relocate_centroids(
+        pool.nu, km.centroids, max_iter=config.relocation_max_iter, site_refs=pool.nu_refs
     )
 
 
@@ -312,13 +340,39 @@ class _Selection:
     relocated: SelectionResult
 
 
-def _select_device(config: PipelineConfig, index: int, spec: DeviceSpec) -> _Selection:
-    pool = _candidate_pool(config, index, spec)
-    km = improved_kmeans(pool.nu, _selection_config(config, pool), site_refs=pool.nu_refs)
-    rel = relocate_centroids(
-        pool.nu, km.centroids, max_iter=config.relocation_max_iter, site_refs=pool.nu_refs
-    )
-    return _Selection(pool, km, rel)
+# Devices per block of the stage chain.  A block's chips and candidate pools
+# live until its last device is finished, so the block size trades the
+# batched K-means' per-iteration overhead against peak memory; this size was
+# measured on the reference run (54 basys3 devices, M = 32).
+_BLOCK_DEVICES = 9
+
+_T = TypeVar("_T")
+
+
+def _chain(
+    config: PipelineConfig, spec: DeviceSpec, indices: Sequence[int],
+    finish: Callable[[int, _Selection], _T],
+) -> list[_T]:
+    """``finish(index, selection)`` of every device, in index order.
+
+    Devices run in blocks of ``_BLOCK_DEVICES``: each device's candidate
+    pool, then one K-means run for the whole block, then each device's
+    relocation and ``finish``.  What ``finish`` returns must not hold the
+    chip, so a block's chips are freed before the next block is synthesized.
+    """
+    out: list[_T] = []
+    for start in range(0, len(indices), _BLOCK_DEVICES):
+        out += _chain_block(config, spec, indices[start : start + _BLOCK_DEVICES], finish)
+    return out
+
+
+def _chain_block(config, spec, indices, finish) -> list:
+    pools = [_candidate_pool(config, i, spec) for i in indices]
+    kms = _kmeans(config, pools)
+    return [
+        finish(i, _Selection(pool, km, _relocate(config, pool, km)))
+        for i, pool, km in zip(indices, pools, kms)
+    ]
 
 
 def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
@@ -333,18 +387,42 @@ def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
 
 
 def _respond(
-    sel: _Selection, plan: PlacementPlan, lfsr_seed: int, env: EnvCondition,
-    kappa_tag: int, slot: int,
-) -> ResponseSet:
-    """One response; slot 0 is the golden one, slot 1 + j the j-th condition.
-
-    It counts over the characterization's enable window.
+    sel: _Selection, plan: PlacementPlan, lfsr_seed: int, envs: Sequence[EnvCondition],
+    kappa_tag: int,
+) -> list[ResponseSet]:
+    """The responses of one placement, one per condition: slot 0 is the
+    golden one and slot 1 + j the j-th swept condition, each with its own
+    generator.  They count over the characterization's enable window.
     """
     pool = sel.pool
-    return generate_response(
-        plan, pool.chip, lfsr_seed, env,
-        rng=np.random.default_rng(derive_seed(pool.seeds["response"], kappa_tag, slot)),
-        t_on_us=pool.profile.t_on_us,
+    rngs = [np.random.default_rng(derive_seed(pool.seeds["response"], kappa_tag, slot))
+            for slot in range(len(envs))]
+    bits = generate_responses(plan, pool.chip, lfsr_seed, envs, rngs,
+                              t_on_us=pool.profile.t_on_us)
+    return [ResponseSet(pool.chip.device_id, env, row, bits.shape[1], lfsr_seed)
+            for env, row in zip(envs, bits)]
+
+
+def _device_run(
+    config: PipelineConfig, sel: _Selection, lfsr_seed: int, env_grid: Sequence[EnvCondition]
+) -> DeviceRun:
+    """Placement at ``config.kappa``, the golden and swept responses, and
+    what the writer needs of the chain."""
+    plan = _place(sel, config.kappa, 0)
+    golden, *sweep = _respond(sel, plan, lfsr_seed, [REFERENCE_ENV, *env_grid], 0)
+    pool = sel.pool
+    return DeviceRun(
+        device_id=pool.chip.device_id,
+        seeds=pool.seeds,
+        layout=pool.chip.layout,
+        profile=pool.profile,
+        plan=plan,
+        kept_sites=pool.kept_sites,
+        rejected=pool.rejected,
+        kmeans=sel.kmeans,
+        relocated=sel.relocated,
+        golden=golden,
+        sweep_responses=sweep,
     )
 
 
@@ -357,30 +435,8 @@ def run_device(
 ) -> DeviceRun:
     """Execute the full per-device chain at ``config.kappa``."""
     spec = spec or _device_spec(config)
-    sel = _select_device(config, index, spec)
-    plan = _place(sel, config.kappa, 0)
-    golden = _respond(sel, plan, lfsr_seed, REFERENCE_ENV, 0, 0)
-    sweep = [
-        _respond(sel, plan, lfsr_seed, env, 0, 1 + j) for j, env in enumerate(env_grid)
-    ]
-    pool = sel.pool
-    return DeviceRun(
-        device_id=pool.chip.device_id,
-        seeds=pool.seeds,
-        layout=pool.chip.layout,
-        profile=pool.profile,
-        plan=plan,
-        kept_sites=pool.clean.z_bar,
-        rejected=pool.clean.rejected_count,
-        kmeans=sel.kmeans,
-        relocated=sel.relocated,
-        golden=golden,
-        sweep_responses=sweep,
-    )
-
-
-def _run_device_args(args) -> DeviceRun:
-    return run_device(*args)
+    return _chain(config, spec, [index],
+                  lambda _, sel: _device_run(config, sel, lfsr_seed, env_grid))[0]
 
 
 def _shared_lfsr_seed(config: PipelineConfig, index: int) -> int:
@@ -390,8 +446,6 @@ def _shared_lfsr_seed(config: PipelineConfig, index: int) -> int:
         base = derive_seed(config.global_seed, index, STAGE_LFSR)
     else:
         raise ValueError(f"unknown lfsr_seed_policy {config.lfsr_seed_policy!r}")
-    from .puf import challenge_width
-
     period = (1 << challenge_width(config.ro_count)) - 1
     return base % period + 1
 
@@ -407,15 +461,10 @@ def run_pipeline(
     config.validate()
     spec = _device_spec(config)
     env_grid = config.env_grid()
-    args = [
-        (config, i, _shared_lfsr_seed(config, i), spec, env_grid)
-        for i in range(config.devices)
-    ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            runs = list(pool.map(_run_device_args, args))
-    else:
-        runs = [_run_device_args(a) for a in args]
+    runs = _chain(
+        config, spec, range(config.devices),
+        lambda i, sel: _device_run(config, sel, _shared_lfsr_seed(config, i), env_grid),
+    )
 
     golden_rows = np.stack([r.golden.bits for r in runs])
     sweeps = [np.stack([s.bits for s in r.sweep_responses]) if r.sweep_responses
@@ -501,15 +550,18 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
     config.validate()
     spec = _device_spec(config)
     kappas = valid_kappas(config.ro_count)
-    selections = [_select_device(config, i, spec) for i in range(config.devices)]
-    lfsr_seeds = [_shared_lfsr_seed(config, i) for i in range(config.devices)]
+
+    def goldens(i: int, sel: _Selection) -> np.ndarray:
+        lfsr_seed = _shared_lfsr_seed(config, i)
+        return np.stack([
+            _respond(sel, _place(sel, kappa, k_idx), lfsr_seed, [REFERENCE_ENV], k_idx)[0].bits
+            for k_idx, kappa in enumerate(kappas)
+        ])
+
+    # (ratios, devices, k) golden bits
+    per_ratio = np.stack(_chain(config, spec, range(config.devices), goldens), axis=1)
     points: list[KappaSweepPoint] = []
-    for k_idx, kappa in enumerate(kappas):
-        rows = []
-        for sel, lfsr_seed in zip(selections, lfsr_seeds):
-            plan = _place(sel, kappa, k_idx)
-            rows.append(_respond(sel, plan, lfsr_seed, REFERENCE_ENV, k_idx, 0).bits)
-        golden = np.stack(rows)
+    for kappa, golden in zip(kappas, per_ratio):
         nist_report = run_suite(golden)
         points.append(
             KappaSweepPoint(
@@ -559,14 +611,11 @@ def bench(config: PipelineConfig) -> BenchReport:
     pool = _candidate_pool(config, 0, spec)
     t_p1 = spec.site_count * config.samples * SAMPLE_COST_SEC
 
-    sel_config = _selection_config(config, pool)
     t0 = time.perf_counter()
-    km = improved_kmeans(pool.nu, sel_config, site_refs=pool.nu_refs)
+    (km,) = _kmeans(config, [pool])
     micd_traces([km])
     t1 = time.perf_counter()
-    rel = relocate_centroids(
-        pool.nu, km.centroids, max_iter=config.relocation_max_iter, site_refs=pool.nu_refs
-    )
+    rel = _relocate(config, pool, km)
     t2 = time.perf_counter()
     t_p2 = t2 - t0
     return BenchReport(

@@ -2,10 +2,10 @@
 
 A maximal-length Galois LFSR enumerates all nonzero challenge words; the
 high half of each word selects a lower-group oscillator, the low half an
-upper-group one.  ``generate_response`` decodes the whole traversal at once
-and measures every selected pair with fresh noise: bit i is 1 when the
-lower-group count of challenge i is below the upper-group one, so an exact
-tie reads 0.
+upper-group one.  ``generate_responses`` decodes the whole traversal at once
+and measures every selected pair with fresh noise under each condition: bit
+i is 1 when the lower-group count of challenge i is below the upper-group
+one, so an exact tie reads 0.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .chipmodel import (
     REFERENCE_ENV,
     ChipProfile,
     EnvCondition,
-    env_frequency_all,
-    measure_counts,
+    env_frequencies,
+    noisy_counts,
 )
 from .placement import PlacementPlan
 
@@ -149,6 +150,50 @@ def bits_from_hex(hexbits: str, k: int | None = None) -> np.ndarray:
     return np.unpackbits(packed, count=k, bitorder="little")
 
 
+def generate_responses(
+    plan: PlacementPlan,
+    chip: ChipProfile,
+    lfsr_seed: int,
+    envs: Sequence[EnvCondition],
+    rngs: Sequence[np.random.Generator | None],
+    t_on_us: float = DEFAULT_T_ON_US,
+) -> np.ndarray:
+    """Full k-bit responses of one placement, k = (M/2)^2 - 1, as a
+    (conditions, k) bit matrix: row j is measured under ``envs[j]`` with
+    fresh noise from ``rngs[j]``.
+
+    Frequencies are scaled to each condition at the M placed sites only.
+    Each row draws its lower-group noise, then its upper-group noise, k
+    normals each, and only for a group with some positive measurement
+    sigma, so it equals a response measured alone.
+    """
+    m = plan.m
+    w = challenge_width(m)
+    states = lfsr_sequence(w, TAPS[w], lfsr_seed)
+    half_bits = w // 2
+    k = len(states)
+    refs_l = np.array([r for r, _ in plan.lower_order], dtype=np.intp)
+    refs_u = np.array([r for r, _ in plan.upper_order], dtype=np.intp)
+    if max(refs_l.max(initial=0), refs_u.max(initial=0)) >= chip.site_count:
+        raise ValueError("plan references sites beyond this chip; wrong device?")
+    # columns of the placed sites compared by each challenge: the lower-group
+    # oscillator of every challenge, then the upper-group one
+    pick = np.concatenate([states >> half_bits, refs_l.size + (states & ((1 << half_bits) - 1))])
+    sites = np.concatenate([refs_l, refs_u])
+    freqs = env_frequencies(chip, envs, sites)[:, pick]
+    sigma = chip.meas_sigma_site[sites][pick]
+    noise = np.zeros(freqs.shape)
+    groups = [g for g in (slice(0, k), slice(k, 2 * k)) if np.any(sigma[g] > 0)]
+    if groups:
+        if any(rng is None for rng in rngs):
+            raise ValueError("rng required when measurement noise is enabled")
+        draw = slice(groups[0].start, groups[-1].stop)
+        for row, rng in zip(noise, rngs):
+            rng.standard_normal(out=row[draw])
+    counts = noisy_counts(freqs, t_on_us, noise, sigma)
+    return (counts[:, :k] < counts[:, k:]).astype(np.uint8)
+
+
 def generate_response(
     plan: PlacementPlan,
     chip: ChipProfile,
@@ -157,28 +202,14 @@ def generate_response(
     rng: np.random.Generator | None = None,
     t_on_us: float = DEFAULT_T_ON_US,
 ) -> ResponseSet:
-    """Full k-bit response, k = (M/2)^2 - 1, fresh noise per challenge."""
-    m = plan.m
-    w = challenge_width(m)
-    states = lfsr_sequence(w, TAPS[w], lfsr_seed)
-    half_bits = w // 2
-    lg = states >> half_bits
-    ug = states & ((1 << half_bits) - 1)
-    refs_l = np.array([r for r, _ in plan.lower_order], dtype=np.intp)
-    refs_u = np.array([r for r, _ in plan.upper_order], dtype=np.intp)
-    if max(refs_l.max(initial=0), refs_u.max(initial=0)) >= chip.site_count:
-        raise ValueError("plan references sites beyond this chip; wrong device?")
-    freqs = env_frequency_all(chip, env)
-    sigma = chip.meas_sigma_site
-    site_l, site_u = refs_l[lg], refs_u[ug]
-    counts_l = measure_counts(freqs[site_l], t_on_us, rng, sigma[site_l])
-    counts_u = measure_counts(freqs[site_u], t_on_us, rng, sigma[site_u])
-    bits = (counts_l - counts_u < 0).astype(np.uint8)
+    """Full k-bit response under one condition; a one-condition call of
+    ``generate_responses``."""
+    bits = generate_responses(plan, chip, lfsr_seed, [env], [rng], t_on_us)[0]
     return ResponseSet(
         device_id=chip.device_id,
         env=env,
         bits=bits,
-        k=len(states),
+        k=bits.size,
         challenge_seed=lfsr_seed,
     )
 

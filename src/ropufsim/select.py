@@ -8,7 +8,8 @@ pass that widens the currently smallest gap.  Baseline selectors are provided
 for comparison.
 
 Each K-means iteration works on the sorted candidates, where every cluster is
-one contiguous slice, so it needs no label vector and no sort.  The mean
+one contiguous slice, so it needs no label vector and no sort, and one
+iteration serves many pools at once (``batched_kmeans``).  The mean
 intra-cluster distance (MICD) trace is a diagnostic that only the written
 ``selection.json`` shows: a run records the cluster slices that changed in
 each iteration, and ``micd_traces`` computes the traces of many runs (all
@@ -181,12 +182,11 @@ def mean_intracluster_distance(
     }
 
 
-def _micd_record(fs: np.ndarray, bounds: list, cents: list) -> _MicdRecord | list[float]:
+def _micd_record(fs: np.ndarray, b: np.ndarray, c: np.ndarray) -> _MicdRecord | list[float]:
     """The slices a K-means run must reduce for its MICD trace, from the
-    (M + 1) bounds and M centroids of each iteration."""
-    if not cents:
+    (iterations, M + 1) bounds and (iterations, M) centroids."""
+    if not len(c):
         return []
-    b, c = np.array(bounds), np.array(cents)
     starts, ends = b[:, :-1], b[:, 1:]
     changed = np.ones(c.shape, dtype=bool)
     changed[1:] = (starts[1:] != starts[:-1]) | (ends[1:] != ends[:-1]) | (c[1:] != c[:-1])
@@ -339,110 +339,204 @@ def _snap_distinct(fs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kmeans_iterations(fs: np.ndarray, init: np.ndarray, k_max: int):
-    """Standard 1-D expectation-maximization, yielding per-iteration state.
+class _SortedRows:
+    """The sorted candidate arrays of several pools, searched and gathered
+    together.
 
-    Candidates must be sorted, so every cluster is a contiguous slice.  Each
-    iteration yields its sorted centroids and the M + 1 bounds of their
-    clusters, cluster j being ``fs[bounds[j]:bounds[j + 1]]``; a candidate on
-    a midpoint belongs to the lower cluster.  Empty clusters are re-seeded to
-    the candidate farthest from all current centroids.
+    ``padded`` lays the arrays end to end, each between -inf and +inf, with
+    array r's first candidate at ``starts[r]``.  ``search`` equals
+    ``np.searchsorted`` on each row's own array.  When no candidate is
+    negative, -0.0 or non-finite, the arrays are also laid end to end as
+    int64 keys (the bit pattern of a non-negative double orders like its
+    value; keys are clipped to the candidates' range and offset by row), so
+    one ``searchsorted`` serves all rows.  The searched values must then be
+    non-negative and not -0.0 too, as means and midpoints of such
+    candidates are.  Other candidates are searched row by row.
     """
-    n = fs.size
-    cum = np.concatenate([[0.0], np.cumsum(fs)])
-    c = np.sort(np.asarray(init, dtype=float))
-    m = c.size
-    mids = (c[:-1] + c[1:]) / 2.0
-    # the update step assigns a candidate on a midpoint to the upper cluster
-    update_bounds = np.empty(m + 1, dtype=np.intp)
-    update_bounds[0], update_bounds[-1] = 0, n
-    for iteration in range(1, k_max + 1):
-        update_bounds[1:-1] = np.searchsorted(fs, mids, side="left")
-        counts = update_bounds[1:] - update_bounds[:-1]
-        edge_sums = cum[update_bounds]
-        sums = edge_sums[1:] - edge_sums[:-1]
-        nonempty = counts > 0
-        reseeded = not nonempty.all()
-        if reseeded:
-            new_c = c.copy()
-            new_c[nonempty] = sums[nonempty] / counts[nonempty]
-            for j in np.flatnonzero(~nonempty):
-                dist = np.abs(fs[:, None] - new_c[None, :]).min(axis=1)
-                new_c[j] = fs[int(np.argmax(dist))]
-        else:
-            new_c = sums / counts
-        new_c.sort()
-        mids = (new_c[:-1] + new_c[1:]) / 2.0
-        bounds = np.empty(m + 1, dtype=np.intp)
-        bounds[0], bounds[-1] = 0, n
-        bounds[1:-1] = np.searchsorted(fs, mids, side="right")
-        converged = not reseeded and bool((new_c == c).all())
-        yield iteration, new_c, bounds, converged
-        if converged:
-            return
-        c = new_c
+
+    def __init__(self, arrays: Sequence[np.ndarray]) -> None:
+        self.arrays = list(arrays)
+        self.sizes = np.array([a.size for a in self.arrays], dtype=np.intp)
+        self.starts = 1 + np.concatenate([[0], np.cumsum(self.sizes + 2)[:-1]])
+        edge = [np.array([-np.inf]), np.array([np.inf])]
+        self.padded = np.concatenate([x for a in self.arrays for x in (edge[0], a, edge[1])])
+        self.keys = None
+        values = np.concatenate(self.arrays)
+        if np.isfinite(values).all() and not np.signbit(values).any():
+            lo = int(values.min().view(np.int64))
+            self._shift = lo - 1
+            self._top = int(values.max().view(np.int64)) - self._shift + 1
+            self._width = self._top + 1
+            if self._width <= np.iinfo(np.int64).max // (len(self.arrays) + 1):
+                self._key_offsets = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
+                rows = np.repeat(np.arange(len(self.arrays)), self.sizes)
+                self.keys = rows * self._width + self._rank(values)
+
+    def _rank(self, x: np.ndarray) -> np.ndarray:
+        """Key of each value within its row: 1..top-1 over the candidates'
+        range, 0 below it and top above it."""
+        key = np.ascontiguousarray(x).view(np.int64) - self._shift
+        np.minimum(key, self._top, out=key)
+        np.maximum(key, 0, out=key)
+        return key
+
+    def search(self, rows: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+        """Positions of the values ``x[i]`` in array ``rows[i]``."""
+        if rows.size == 1:
+            return np.searchsorted(self.arrays[rows[0]], x, side)
+        if self.keys is None:
+            return np.stack([np.searchsorted(self.arrays[r], xi, side)
+                             for r, xi in zip(rows.tolist(), x)])
+        q = self._rank(x)
+        q += rows[:, None] * self._width
+        pos = np.searchsorted(self.keys, q, side)
+        pos -= self._key_offsets[rows, None]
+        return pos
+
+    def snap(self, rows: np.ndarray, cents: np.ndarray) -> np.ndarray:
+        """``np.sort(_snap_distinct(...))`` of each row of sorted centroids."""
+        pos = self.search(rows, cents, "left")
+        at = self.starts[rows, None] + pos
+        d_lo = cents - self.padded[at - 1]
+        d_hi = self.padded[at] - cents
+        nearest = pos - (d_lo <= d_hi)
+        for i in np.flatnonzero(~(nearest[:, 1:] > nearest[:, :-1]).all(axis=1)):
+            nearest[i] = np.sort(_snap_distinct(self.arrays[rows[i]], cents[i]))
+        return nearest
 
 
-def _run_kmeans(
-    freqs, config: SelectionConfig, site_refs=None
-) -> tuple[SelectionResult, SelectionResult]:
-    """Shared EM loop; returns (global-best result, final-iteration result).
+def batched_kmeans(
+    freqs: Sequence, configs: Sequence[SelectionConfig], site_refs: Sequence | None = None
+) -> list[tuple[SelectionResult, SelectionResult]]:
+    """K-means selection of several candidate pools at once; per pool, the
+    (global-best, final-iteration) results.
 
-    Both results share one pending MICD trace (see ``micd_traces``).
+    Every pool runs its own 1-D expectation-maximization on its sorted
+    candidates, where every cluster is a contiguous slice: an update step
+    (the mean of each cluster; an empty cluster is re-seeded to the
+    candidate farthest from all current centroids), then the M + 1 bounds of
+    the new clusters (a candidate on a midpoint joins the lower cluster) and
+    the snap of the centroids to distinct candidates.  A pool stops when an
+    update without re-seeds leaves its centroids unchanged, or after its
+    ``k_max`` iterations.  Each step runs for all pools still active at once,
+    on a (pools, M) centroid matrix, and gives every pool the results it
+    would get alone.  All configs must share one M.  Both results of a pool
+    share one pending MICD trace (see ``micd_traces``).
     """
-    f = _require_candidates(freqs)
-    m = config.m
-    if f.size < m:
-        raise ValueError(f"cannot select {m} from {f.size} candidates")
-    refs = np.arange(f.size) if site_refs is None else np.asarray(site_refs)
-    order = np.argsort(f, kind="stable")
-    fs, refs_sorted = f[order], refs[order]
+    if len(configs) != len(freqs):
+        raise ValueError("need one config per candidate pool")
+    if site_refs is None:
+        site_refs = [None] * len(freqs)
+    ms = {c.m for c in configs}
+    if len(ms) > 1:
+        raise ValueError(f"pools of one batch must share M, got {sorted(ms)}")
+    out: list = [None] * len(freqs)
+    pools, inits, best, trace0 = [], [], [], []
+    for d, (f, cfg, refs) in enumerate(zip(freqs, configs, site_refs)):
+        f = _require_candidates(f)
+        m = cfg.m
+        if f.size < m:
+            raise ValueError(f"cannot select {m} from {f.size} candidates")
+        refs = np.arange(f.size) if refs is None else np.asarray(refs)
+        order = np.argsort(f, kind="stable")
+        fs, refs_sorted = f[order], refs[order]
+        if f.size == m:
+            idx = np.arange(m)
+            beta = min_pairwise_diff(fs) if m >= 2 else 0.0
+            out[d] = tuple(_result(fs, refs_sorted, idx, [beta], [0.0], 1) for _ in range(2))
+            continue
+        init = seed_centroids(fs, m, cfg.seeding, np.random.default_rng(cfg.rng_seed))
+        # centroids may not exist in the pool at initialization, so the
+        # stored baseline is the snapped seed list
+        snapped = _snap_distinct(fs, init)
+        pools.append((d, fs, refs_sorted, cfg.k_max))
+        inits.append(np.sort(init))
+        best.append(snapped)
+        trace0.append(min_pairwise_diff(fs[snapped]))
+    if pools:
+        _em_batch(pools, np.array(inits), best, trace0, out)
+    return out
 
-    def result_from(idx: np.ndarray, best_trace, micd, iters) -> SelectionResult:
-        idx = np.sort(idx)
-        chosen = [(int(refs_sorted[i]), float(fs[i])) for i in idx]
-        return SelectionResult(
-            chosen=chosen,
-            centroids=fs[idx].copy(),
-            min_diff=min_pairwise_diff(fs[idx]) if len(idx) >= 2 else 0.0,
-            min_diff_trace=best_trace,
-            iterations=iters,
-            _micd=micd,
+
+def _result(fs, refs_sorted, idx, trace, micd, iterations) -> SelectionResult:
+    idx = np.sort(idx)
+    return SelectionResult(
+        chosen=[(int(refs_sorted[i]), float(fs[i])) for i in idx],
+        centroids=fs[idx].copy(),
+        min_diff=min_pairwise_diff(fs[idx]) if len(idx) >= 2 else 0.0,
+        min_diff_trace=trace,
+        iterations=iterations,
+        _micd=micd,
+    )
+
+
+def _em_batch(pools, c: np.ndarray, best, trace0, out) -> None:
+    """The EM iterations of ``batched_kmeans`` for pools with more
+    candidates than centroids, from their sorted initial centroids ``c``;
+    fills their entries of ``out``."""
+    cands = _SortedRows([fs for _, fs, _, _ in pools])
+    n = cands.sizes
+    # each pool's prefix sums, with a leading 0, end to end
+    cums = np.concatenate([np.concatenate([[0.0], np.cumsum(fs)]) for _, fs, _, _ in pools])
+    cum_starts = np.concatenate([[0], np.cumsum(n + 1)[:-1]])
+    k_max = np.array([k for _, _, _, k in pools])
+    m = c.shape[1]
+    ids = np.flatnonzero(k_max >= 1)  # the pools still iterating
+    c = c[ids]
+    mids = (c[:, :-1] + c[:, 1:]) / 2.0
+    log = [(np.empty(0, dtype=np.intp), np.empty((0, m - 1), dtype=np.intp),
+            np.empty((0, m)), np.empty((0, m), dtype=np.intp), np.empty(0))]
+    iteration = 0
+    while ids.size:
+        iteration += 1
+        # the update step assigns a candidate on a midpoint to the upper cluster
+        bounds = np.empty((ids.size, m + 1), dtype=np.intp)
+        bounds[:, 0], bounds[:, -1] = 0, n[ids]
+        bounds[:, 1:-1] = cands.search(ids, mids, "left")
+        counts = bounds[:, 1:] - bounds[:, :-1]
+        edge_sums = cums[cum_starts[ids, None] + bounds]
+        new_c = (edge_sums[:, 1:] - edge_sums[:, :-1]) / np.maximum(counts, 1)
+        reseeded = (counts == 0).any(axis=1)
+        for i in np.flatnonzero(reseeded):
+            row = np.where(counts[i] > 0, new_c[i], c[i])
+            fs = cands.arrays[ids[i]]
+            for j in np.flatnonzero(counts[i] == 0):
+                dist = np.abs(fs[:, None] - row[None, :]).min(axis=1)
+                row[j] = fs[int(np.argmax(dist))]
+            new_c[i] = row
+        new_c.sort(axis=1)
+        new_mids = (new_c[:, :-1] + new_c[:, 1:]) / 2.0
+        snapped = cands.snap(ids, new_c)
+        chosen = cands.padded[cands.starts[ids, None] + snapped]
+        beta = (chosen[:, 1:] - chosen[:, :-1]).min(axis=1)
+        log.append((ids, cands.search(ids, new_mids, "right"), new_c, snapped, beta))
+        done = (new_c == c).all(axis=1) & ~reseeded
+        done |= iteration >= k_max[ids]
+        c, mids = new_c, new_mids
+        if done.any():
+            ids, c, mids = ids[~done], c[~done], mids[~done]
+
+    # every pool's iterations, in order, as one slice of each logged array
+    row_of = np.concatenate([entry[0] for entry in log])
+    order = np.argsort(row_of, kind="stable")
+    splits = np.cumsum(np.bincount(row_of, minlength=len(pools)))[:-1]
+    inner, cents, snaps, betas = (
+        np.split(np.concatenate([entry[k] for entry in log])[order], splits) for k in range(1, 5)
+    )
+    for p, (d, fs, refs, _) in enumerate(pools):
+        iterations = len(cents[p])
+        trace = [trace0[p], *betas[p].tolist()]
+        # the kept list is the first strict maximum over the seed list and
+        # every iteration
+        top = int(np.argmax(trace))
+        b = np.empty((iterations, m + 1), dtype=np.intp)
+        b[:, 0], b[:, -1], b[:, 1:-1] = 0, fs.size, inner[p]
+        micd = _micd_record(fs, b, cents[p])
+        final = snaps[p][-1] if iterations else best[p]
+        out[d] = (
+            _result(fs, refs, best[p] if top == 0 else snaps[p][top - 1], trace, micd, iterations),
+            _result(fs, refs, final, trace, micd, iterations),
         )
-
-    if f.size == m:
-        idx = np.arange(m)
-        beta = min_pairwise_diff(fs) if m >= 2 else 0.0
-        one = result_from(idx, [beta], [0.0], 1)
-        return one, result_from(idx, [beta], [0.0], 1)
-
-    rng = np.random.default_rng(config.rng_seed)
-    init = seed_centroids(fs, m, config.seeding, rng)
-
-    # centroids may not exist in the pool at initialization, so the stored
-    # baseline is the snapped seed list
-    best_idx = _snap_distinct(fs, init)
-    beta_p = min_pairwise_diff(fs[best_idx])
-    chi_trace = [beta_p]
-    bounds_log: list[np.ndarray] = []
-    cents_log: list[np.ndarray] = []
-    final_idx = best_idx
-    iterations = 0
-    for iteration, c, bounds, _ in _kmeans_iterations(fs, init, config.k_max):
-        iterations = iteration
-        snapped = np.sort(_snap_distinct(fs, c))
-        chosen = fs[snapped]
-        beta_c = float((chosen[1:] - chosen[:-1]).min())
-        chi_trace.append(beta_c)
-        bounds_log.append(bounds)
-        cents_log.append(c)
-        if beta_c > beta_p:
-            beta_p, best_idx = beta_c, snapped
-        final_idx = snapped
-    micd = _micd_record(fs, bounds_log, cents_log)
-    improved = result_from(best_idx, chi_trace, micd, iterations)
-    plain = result_from(final_idx, chi_trace, micd, iterations)
-    return improved, plain
 
 
 def improved_kmeans(freqs, config: SelectionConfig, site_refs=None) -> SelectionResult:
@@ -450,16 +544,15 @@ def improved_kmeans(freqs, config: SelectionConfig, site_refs=None) -> Selection
 
     Runs 1-D K-means, snapping centroids to nearest existing frequencies
     every iteration, and returns the snapped list with the largest minimum
-    pairwise difference seen over all iterations, never the final one.
+    pairwise difference seen over all iterations, never the final one.  A
+    one-pool call of ``batched_kmeans``.
     """
-    improved, _ = _run_kmeans(freqs, config, site_refs)
-    return improved
+    return batched_kmeans([freqs], [config], [site_refs])[0][0]
 
 
 def plain_kmeans(freqs, config: SelectionConfig, site_refs=None) -> SelectionResult:
     """Baseline: identical EM loop, but returns the final iteration's snap."""
-    _, plain = _run_kmeans(freqs, config, site_refs)
-    return plain
+    return batched_kmeans([freqs], [config], [site_refs])[0][1]
 
 
 def _map_to_indices(nu: np.ndarray, values: np.ndarray) -> np.ndarray:

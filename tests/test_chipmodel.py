@@ -12,7 +12,7 @@ from ropufsim.chipmodel import (
     SliceClass,
     build_fabric,
     classify_corner,
-    env_frequency_all,
+    env_frequencies,
     get_preset,
     ingest_csv,
     load_device_spec,
@@ -105,34 +105,44 @@ class TestSynth:
 class TestEnvFrequency:
     def test_reference_returns_nominal_exactly(self):
         chip = manual_chip([400.0, 410.0], temp_coeff=-1e-4, volt_coeff=0.5)
-        assert env_frequency_all(chip, EnvCondition(35.0, 1000.0)).tolist() == [400.0, 410.0]
+        f = env_frequencies(chip, [EnvCondition(35.0, 1000.0), EnvCondition(75.0, 1000.0)])
+        assert f[0].tolist() == [400.0, 410.0]
 
     def test_hand_computed_temperature_point(self):
         chip = manual_chip([400.0], temp_coeff=-1e-4, volt_coeff=0.5)
         # 400 * (1 - 1e-4 * 40) = 398.4
-        f = env_frequency_all(chip, EnvCondition(75.0, 1000.0))
-        assert f[0] == pytest.approx(398.4, abs=1e-9)
+        f = env_frequencies(chip, [EnvCondition(75.0, 1000.0)])
+        assert f[0, 0] == pytest.approx(398.4, abs=1e-9)
 
     def test_hand_computed_voltage_point(self):
         chip = manual_chip([400.0], temp_coeff=-1e-4, volt_coeff=0.5)
         # 400 * (1 + 0.5 * 0.1) = 420
-        f = env_frequency_all(chip, EnvCondition(35.0, 1100.0))
-        assert f[0] == pytest.approx(420.0, abs=1e-9)
+        f = env_frequencies(chip, [EnvCondition(35.0, 1100.0)])
+        assert f[0, 0] == pytest.approx(420.0, abs=1e-9)
 
     def test_monotonic_in_temperature_and_voltage(self):
         chip = manual_chip([400.0, 380.0], temp_coeff=-1e-4, volt_coeff=0.5)
-        temps = np.array([env_frequency_all(chip, EnvCondition(t, 1000.0))
-                          for t in range(-5, 76, 10)])
+        temps = env_frequencies(chip, [EnvCondition(t, 1000.0) for t in range(-5, 76, 10)])
         assert np.all(np.diff(temps, axis=0) < 0)
-        volts = np.array([env_frequency_all(chip, EnvCondition(35.0, v))
-                          for v in range(900, 1101, 20)])
+        volts = env_frequencies(chip, [EnvCondition(35.0, v) for v in range(900, 1101, 20)])
         assert np.all(np.diff(volts, axis=0) > 0)
 
     def test_ingested_chip_rejects_env_sweep(self):
         chip = manual_chip([400.0])
-        assert env_frequency_all(chip, REFERENCE_ENV).tolist() == [400.0]
+        assert env_frequencies(chip, [REFERENCE_ENV] * 2).tolist() == [[400.0], [400.0]]
         with pytest.raises(ValueError):
-            env_frequency_all(chip, EnvCondition(45.0, 1000.0))
+            env_frequencies(chip, [REFERENCE_ENV, EnvCondition(45.0, 1000.0)])
+
+    def test_chosen_sites_equal_all_site_columns(self, small_chip):
+        # each entry is computed alone, so scaling only the chosen sites
+        # gives exactly the columns of the all-site matrix
+        envs = [REFERENCE_ENV, EnvCondition(-5.0, 1000.0), EnvCondition(35.0, 920.0),
+                EnvCondition(62.5, 1075.0)]
+        sites = np.array([7, 3, 3, 399, 0])
+        every = env_frequencies(small_chip, envs)
+        assert every.shape == (len(envs), small_chip.site_count)
+        assert np.array_equal(env_frequencies(small_chip, envs, sites), every[:, sites])
+        assert np.array_equal(every[0], small_chip.nominal_freq)
 
 
 class TestMeasureCount:

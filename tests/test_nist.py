@@ -15,6 +15,7 @@ from reference_sp80022 import (
     ref_runs,
     ref_serial,
 )
+import ropufsim.nist as nist
 from ropufsim.nist import (
     NistParams,
     NotApplicableError,
@@ -356,6 +357,27 @@ class TestBatchedSuite:
     ])
     def test_not_applicable_sets(self, n, na):
         assert run_suite([random_bits(n, i) for i in range(3)]).not_applicable == na
+
+    @pytest.mark.parametrize("n,rows,params,tops", [
+        (255, 54, NistParams(), [4]),              # entropy m = 1, serial m = 4
+        (1023, 54, NistParams(), [6] * 4),         # entropy m = 3, serial m = 6
+        (1023, 20, NistParams(m_entropy=5), [6] * 2),
+        (120, 3, NistParams(), [3]),               # approximate entropy is NA
+        (63, 3, NistParams(), []),                 # neither applies
+    ])
+    def test_one_pattern_table_per_block(self, monkeypatch, n, rows, params, tops):
+        # approximate entropy and serial share one table per row block,
+        # counted at the longer of their pattern lengths
+        counted = []
+        count = nist._pattern_counts
+
+        def spy(block, top):
+            counted.append(top)
+            return count(block, top)
+
+        monkeypatch.setattr(nist, "_pattern_counts", spy)
+        run_suite([random_bits(n, i) for i in range(rows)], params)
+        assert counted == tops
 
     def test_p_values_pinned(self):
         # sha256 over each report's NA list and p-values, computed with the

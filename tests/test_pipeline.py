@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -122,6 +124,8 @@ class TestConfig:
         ("temps", 35.0),
         ("volts", (980.0, "1000")),
         ("volts", (1000.0, float("inf"))),
+        ("ro_count", 4),    # no width-2 LFSR polynomial
+        ("ro_count", 128),  # no width-12 LFSR polynomial
     ])
     def test_bad_field_rejected_before_device_work(self, tmp_path, synth_calls,
                                                    field, value):
@@ -204,6 +208,13 @@ class TestRunPipeline:
         }
         assert tree_sha256(Path("run")) == TINY_RUN_SHA256
 
+    @pytest.mark.parametrize("block", [1, 2, 100])
+    def test_block_size_leaves_artifacts_unchanged(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(pipeline, "_BLOCK_DEVICES", block)
+        monkeypatch.chdir(tmp_path)
+        run_pipeline(tiny_config(tmp_path, out_dir="run"))
+        assert tree_sha256(Path("run")) == TINY_RUN_SHA256
+
     def test_micd_computed_once_per_written_population(self, tmp_path, micd_calls):
         config = tiny_config(tmp_path)
         _, _, runs = run_pipeline(config)
@@ -253,12 +264,15 @@ class TestRunPipeline:
         report2, _, _ = run_pipeline(config2, write=False)
         assert report2.to_json_dict() == report.to_json_dict()
 
-    def test_parallel_workers_match_sequential(self, tmp_path):
-        config = tiny_config(tmp_path)
-        seq, _, _ = run_pipeline(config, write=False)
-        config_par = tiny_config(tmp_path, workers=2)
-        par, _, _ = run_pipeline(config_par, write=False)
-        assert seq.to_json_dict() == par.to_json_dict()
+    def test_workers_other_than_one_rejected(self, tmp_path, synth_calls, capsys):
+        # there is no process pool: a run is one process whatever the config
+        with pytest.raises(ConfigError, match=r"^workers must be 1, as devices run in "
+                                              r"blocks in one process, got 2$"):
+            run_pipeline(tiny_config(tmp_path, workers=2))
+        assert synth_calls == []
+        with pytest.raises(SystemExit):
+            main(["run", "--workers", "2", "--out", str(tmp_path / "cli")])
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestSweeps:
@@ -274,7 +288,7 @@ class TestSweeps:
     def test_kappa_sweep_places_each_device_once_per_ratio(self, tmp_path, monkeypatch):
         calls = {}
         for name in ("characterize", "assign_groups", "randomize_placement",
-                     "generate_response"):
+                     "generate_responses"):
             def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
@@ -286,7 +300,7 @@ class TestSweeps:
             "characterize": config.devices,
             "assign_groups": placements,
             "randomize_placement": placements,
-            "generate_response": placements,
+            "generate_responses": placements,
         }
 
     def test_kappa_sweep_output_pinned(self, tmp_path):
@@ -347,9 +361,9 @@ class TestBench:
         config = tiny_config(tmp_path, ro_count=16)
         report = bench(config)
         assert len(synth_calls) == 1 and micd_calls == [1]
-        sel = pipeline._select_device(config, 0, pipeline._device_spec(config))
-        assert report.kmeans_iterations == sel.kmeans.iterations
-        assert report.relocation_iterations == sel.relocated.iterations
+        run = pipeline.run_device(config, 0, pipeline._shared_lfsr_seed(config, 0))
+        assert report.kmeans_iterations == run.kmeans.iterations
+        assert report.relocation_iterations == run.relocated.iterations
 
     def test_single_site_model_minimal(self, tmp_path):
         # characterization model scales down to a single site
@@ -473,6 +487,16 @@ class TestCli:
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["devices"], config["ro_count"], config["preset"]) == (2, 8, "zybo")
 
+    @pytest.mark.parametrize("text", ['{"preset": "zybo",', None, "[1, 2]"])
+    def test_bad_device_spec_exits_2_naming_file(self, tmp_path, capsys, text):
+        spec_file = tmp_path / "device.json"
+        if text is not None:  # None: the file does not exist
+            spec_file.write_text(text)
+        rc = main(["run", "--devices", "1", "--ro-count", "8",
+                   "--device-spec", str(spec_file), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"ropuf run: {spec_file}: " in capsys.readouterr().err
+
     def test_bad_config_file_exits_2_naming_file_and_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text('{"devices": 3, "ro_cont": 8}')
@@ -481,3 +505,40 @@ class TestCli:
         missing = tmp_path / "missing.json"
         assert main(["run", "--config", str(missing)]) == 2
         assert f"{missing}: " in capsys.readouterr().err
+
+
+def load_spans():
+    """perfbench/spans.py, the benchmark's tracer, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+class TestTracerContract:
+    """The benchmark's tracer wraps layer functions by module attribute and
+    reads fields of what they return; a refactor must keep both."""
+
+    def test_every_wrapped_name_resolves(self):
+        for module, attr, _ in load_spans().WRAPPED:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+    def test_traced_tiny_run_summarizes(self, tmp_path, monkeypatch):
+        spans = load_spans()
+        for module, attr, _ in spans.WRAPPED:
+            # registers the original, which monkeypatch restores afterwards
+            monkeypatch.setattr(importlib.import_module(module), attr,
+                                getattr(importlib.import_module(module), attr))
+        tracer = spans.Tracer()
+        tracer.install()
+        config = tiny_config(tmp_path)
+        with tracer.span(spans.ROOT_SPAN):
+            run_pipeline(config)
+        layers, _ = spans.summarize(tracer.spans, tracer.counts)
+        assert layers["characterize.characterize.calls"] == config.devices
+        assert layers["select.relocate_centroids.calls"] == config.devices
+        assert layers["nist.run_suite.calls"] == 1
+        assert 0.0 < layers["characterize.kept_ratio"] <= 1.0
+        assert layers["pipeline.write.calls"] == 3 * config.devices
+        assert layers["trace.wall_s"] > 0.0

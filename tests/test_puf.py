@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from ropufsim.puf import (
     bits_from_hex,
     challenge_width,
     generate_response,
+    generate_responses,
     lfsr_sequence,
     load_responses,
     save_responses,
@@ -206,6 +208,84 @@ class TestGenerateResponse:
         small = manual_chip([400.0, 401.0])
         with pytest.raises(ValueError):
             generate_response(plan, small, 1)
+
+
+def response_reference(plan, chip, lfsr_seed, env, rng, t_on_us):
+    """One condition's bits by the per-condition path the response tensor
+    replaced: every site's frequency at the condition, then the lower and
+    the upper group's counts, each with its own draw when noisy."""
+    w = challenge_width(plan.m)
+    states = lfsr_sequence(w, TAPS[w], lfsr_seed)
+    half = w // 2
+    refs_l = np.array([r for r, _ in plan.lower_order])
+    refs_u = np.array([r for r, _ in plan.upper_order])
+    scale = 1.0
+    if not env.is_reference():
+        dt = env.temp_c - 35.0
+        dv = (env.vcc_mv - 1000.0) / 1000.0
+        scale = 1.0 + chip.temp_coeff * dt + chip.volt_coeff * dv
+    freqs = chip.nominal_freq * scale
+
+    def counts(sites):
+        f, sigma = freqs[sites], chip.meas_sigma_site[sites]
+        if np.any(sigma > 0):
+            f = f + rng.standard_normal(f.shape) * sigma
+        return np.maximum(np.rint(f * t_on_us), 0.0).astype(np.int64)
+
+    lower = counts(refs_l[states >> half])
+    upper = counts(refs_u[states & ((1 << half) - 1)])
+    return (lower - upper < 0).astype(np.uint8)
+
+
+class TestGenerateResponses:
+    ENVS = [REFERENCE_ENV, EnvCondition(-5.0, 1000.0), EnvCondition(75.0, 1000.0),
+            EnvCondition(35.0, 900.0), EnvCondition(35.0, 1100.0), EnvCondition(5.0, 960.0)]
+
+    @staticmethod
+    def placed(chip, m, seed):
+        rng = np.random.default_rng(seed)
+        sites = np.sort(rng.choice(chip.site_count, m, replace=False))
+        chosen = sorted(((int(i), float(chip.nominal_freq[i])) for i in sites),
+                        key=lambda rf: rf[1])
+        assignment = assign_groups(chosen, 0.5, np.random.default_rng(seed))
+        return randomize_placement(assignment, chip.sites, seed)
+
+    @staticmethod
+    def quiet(chip, sites):
+        """The chip with no measurement noise at the given sites."""
+        out = copy.copy(chip)
+        out.meas_sigma_site = chip.meas_sigma_site.copy()
+        out.meas_sigma_site[sites] = 0.0
+        return out
+
+    @pytest.mark.parametrize("m", [8, 16, 32])
+    @pytest.mark.parametrize("noise", ["both", "upper_only", "lower_only", "none"])
+    def test_rows_equal_per_condition_responses(self, small_chip, m, noise):
+        plan = self.placed(small_chip, m, seed=m)
+        lower = [r for r, _ in plan.lower_order]
+        upper = [r for r, _ in plan.upper_order]
+        chip = {"both": small_chip, "upper_only": self.quiet(small_chip, lower),
+                "lower_only": self.quiet(small_chip, upper),
+                "none": self.quiet(small_chip, lower + upper)}[noise]
+        seeds = range(100, 100 + len(self.ENVS))
+        rngs = [np.random.default_rng(s) for s in seeds]
+        bits = generate_responses(plan, chip, 3, self.ENVS, rngs, t_on_us=50.0)
+        k = (m // 2) ** 2 - 1
+        assert bits.shape == (len(self.ENVS), k) and bits.dtype == np.uint8
+        for row, env, s, rng in zip(bits, self.ENVS, seeds, rngs):
+            ref_rng = np.random.default_rng(s)
+            want = response_reference(plan, chip, 3, env, ref_rng, 50.0)
+            assert np.array_equal(row, want)
+            one = generate_response(plan, chip, 3, env, np.random.default_rng(s), 50.0)
+            assert np.array_equal(one.bits, want) and one.k == k
+            # each row drew exactly what the per-condition path drew
+            assert rng.random() == ref_rng.random()
+
+    def test_noise_needs_a_generator(self, small_chip):
+        plan = self.placed(small_chip, 8, seed=1)
+        rngs = [np.random.default_rng(0), None]
+        with pytest.raises(ValueError, match="rng required"):
+            generate_responses(plan, small_chip, 1, [REFERENCE_ENV, REFERENCE_ENV], rngs)
 
 
 def hex_by_bit_loop(bits) -> str:

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 import ropufsim.select as select
 from ropufsim.select import (
+    SeedStrategy,
     SelectionConfig,
-    _kmeans_iterations,
     _slice_means,
     _snap_distinct,
+    _SortedRows,
     baseline_select,
+    batched_kmeans,
     improved_kmeans,
     mean_intracluster_distance,
     micd_traces,
@@ -72,6 +75,84 @@ def snap_reference(fs, centroids):
     return out
 
 
+def kmeans_iterations_reference(fs, init, k_max):
+    """Per-device 1-D EM on sorted candidates, yielding (iteration, sorted
+    centroids, M + 1 cluster bounds, converged): the loop the batched kernel
+    replaced, kept here as its reference."""
+    n = fs.size
+    cum = np.concatenate([[0.0], np.cumsum(fs)])
+    c = np.sort(np.asarray(init, dtype=float))
+    m = c.size
+    mids = (c[:-1] + c[1:]) / 2.0
+    update_bounds = np.empty(m + 1, dtype=np.intp)
+    update_bounds[0], update_bounds[-1] = 0, n
+    for iteration in range(1, k_max + 1):
+        update_bounds[1:-1] = np.searchsorted(fs, mids, side="left")
+        counts = update_bounds[1:] - update_bounds[:-1]
+        edge_sums = cum[update_bounds]
+        sums = edge_sums[1:] - edge_sums[:-1]
+        nonempty = counts > 0
+        reseeded = not nonempty.all()
+        if reseeded:
+            new_c = c.copy()
+            new_c[nonempty] = sums[nonempty] / counts[nonempty]
+            for j in np.flatnonzero(~nonempty):
+                dist = np.abs(fs[:, None] - new_c[None, :]).min(axis=1)
+                new_c[j] = fs[int(np.argmax(dist))]
+        else:
+            new_c = sums / counts
+        new_c.sort()
+        mids = (new_c[:-1] + new_c[1:]) / 2.0
+        bounds = np.empty(m + 1, dtype=np.intp)
+        bounds[0], bounds[-1] = 0, n
+        bounds[1:-1] = np.searchsorted(fs, mids, side="right")
+        converged = not reseeded and bool((new_c == c).all())
+        yield iteration, new_c, bounds, converged
+        if converged:
+            return
+        c = new_c
+
+
+def kmeans_reference(freqs, cfg, site_refs=None):
+    """One pool's (improved, plain) K-means outcome from the per-device loop,
+    each as (chosen, centroids, min_diff, min_diff_trace, iterations), plus
+    whether the run converged before ``k_max``."""
+    f = np.asarray(freqs, dtype=float)
+    m = cfg.m
+    refs = np.arange(f.size) if site_refs is None else np.asarray(site_refs)
+    order = np.argsort(f, kind="stable")
+    fs, refs_sorted = f[order], refs[order]
+
+    def outcome(idx, trace, iterations):
+        idx = np.sort(idx)
+        return ([(int(refs_sorted[i]), float(fs[i])) for i in idx], fs[idx].tolist(),
+                min_pairwise_diff(fs[idx]), trace, iterations)
+
+    if f.size == m:
+        beta = min_pairwise_diff(fs)
+        return outcome(np.arange(m), [beta], 1), outcome(np.arange(m), [beta], 1), True
+    init = seed_centroids(fs, m, cfg.seeding, np.random.default_rng(cfg.rng_seed))
+    best_idx = _snap_distinct(fs, init)
+    beta_p = min_pairwise_diff(fs[best_idx])
+    trace = [beta_p]
+    final_idx, iterations, converged = best_idx, 0, False
+    for iterations, c, _, converged in kmeans_iterations_reference(fs, init, cfg.k_max):
+        snapped = np.sort(_snap_distinct(fs, c))
+        chosen = fs[snapped]
+        beta_c = float((chosen[1:] - chosen[:-1]).min())
+        trace.append(beta_c)
+        if beta_c > beta_p:
+            beta_p, best_idx = beta_c, snapped
+        final_idx = snapped
+    return (outcome(best_idx, trace, iterations), outcome(final_idx, trace, iterations),
+            converged)
+
+
+def as_outcome(res):
+    return (res.chosen, res.centroids.tolist(), res.min_diff, res.min_diff_trace,
+            res.iterations)
+
+
 def micd_trace_reference(f, cfg):
     """Per-iteration MICD of one K-means run from n-long label vectors, plus
     which hard cases the run met: duplicate frequencies, a candidate exactly
@@ -83,7 +164,7 @@ def micd_trace_reference(f, cfg):
     init = seed_centroids(fs, cfg.m, cfg.seeding, np.random.default_rng(cfg.rng_seed))
     prev = np.sort(init)
     trace = []
-    for _, c, bounds, _ in _kmeans_iterations(fs, init, cfg.k_max):
+    for _, c, bounds, _ in kmeans_iterations_reference(fs, init, cfg.k_max):
         mids = (c[:-1] + c[1:]) / 2.0
         labels = np.searchsorted(mids, fs)  # a candidate on a midpoint joins the lower cluster
         sizes = np.bincount(labels, minlength=cfg.m)
@@ -464,3 +545,118 @@ class TestOracleBound:
             km = improved_kmeans(f, config(m, rng_seed=trial))
             rel = relocate_centroids(f, km.centroids)
             assert rel.min_diff <= brute_force_best_min_diff(f, m) + 1e-9
+
+
+class TestBatchedKmeans:
+    """The batched kernel against the per-device reference loop."""
+
+    SEEDINGS = get_args(SeedStrategy)
+
+    @classmethod
+    def pool(cls, kind, m, seed):
+        """A candidate pool of at least m values and its config.  A half-unit
+        grid gives duplicates, values on midpoints, empty clusters and snap
+        collisions; negative values take the row-by-row search."""
+        rng = np.random.default_rng(seed)
+        n = m if kind == "exact" else int(rng.integers(m + 1, 70))
+        if kind in ("grid", "negative"):
+            f = rng.integers(0, int(rng.integers(1, 30)), n) / 2.0
+            if kind == "negative":
+                f -= 20.0
+        else:
+            f = rng.uniform(380.0, 450.0, n)
+        cfg = config(m, seeding=cls.SEEDINGS[seed % len(cls.SEEDINGS)],
+                     k_max=int(rng.choice([1, 2, 3, 7, 30, 100])), rng_seed=seed)
+        return f, cfg, rng.permutation(n) + 1000
+
+    @staticmethod
+    def check(pools, block):
+        """Batch the pools ``block`` at a time; every result must equal its
+        reference, MICD trace included.  Returns the references."""
+        refs = [kmeans_reference(f, cfg, r) for f, cfg, r in pools]
+        got = []
+        for start in range(0, len(pools), block):
+            part = pools[start : start + block]
+            got += batched_kmeans([f for f, _, _ in part], [c for _, c, _ in part],
+                                  [r for _, _, r in part])
+        for (f, cfg, _), (imp, pla, _), (g_imp, g_pla) in zip(pools, refs, got):
+            assert as_outcome(g_imp) == imp
+            assert as_outcome(g_pla) == pla
+            assert g_imp.micd_trace == micd_trace_reference(f, cfg)[0]
+        return refs
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["grid", "uniform", "exact", "negative"]),
+                       min_size=1, max_size=6),
+        m=st.sampled_from([2, 3, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 2, 7]),
+    )
+    def test_equals_per_device_reference(self, kinds, m, seed, block):
+        self.check([self.pool(k, m, seed + i) for i, k in enumerate(kinds)], block)
+
+    @pytest.mark.parametrize("block", [1, 100])
+    def test_hard_cases_met(self, block):
+        pools = [self.pool("grid" if s % 3 else "uniform", 4 + 4 * (s % 2), s)
+                 for s in range(42)]
+        pools = [p for p in pools if p[1].m == 4]
+        pools.append(self.pool("exact", 4, 1))
+        refs = self.check(pools, block)
+        met = [micd_trace_reference(f, cfg)[1] for f, cfg, _ in pools]
+        for hard in ("duplicates", "on_midpoint", "reseed", "collision"):
+            assert any(m.get(hard) for m in met), hard
+        converged_at = {imp[4] for imp, _, converged in refs if converged}
+        assert len(converged_at) >= 3  # pools leave the batch at different iterations
+        assert any(not converged and imp[4] == cfg.k_max
+                   for (_, cfg, _), (imp, _, converged) in zip(pools, refs))
+        assert any(f.size == cfg.m for f, cfg, _ in pools)
+
+    def test_one_pool_calls(self):
+        f, cfg, refs = self.pool("grid", 8, 3)
+        imp, pla, _ = kmeans_reference(f, cfg, refs)
+        assert as_outcome(improved_kmeans(f, cfg, site_refs=refs)) == imp
+        assert as_outcome(plain_kmeans(f, cfg, site_refs=refs)) == pla
+
+    def test_pools_must_share_m(self):
+        f = np.arange(20.0)
+        with pytest.raises(ValueError, match="share M"):
+            batched_kmeans([f, f], [config(4), config(8)])
+
+
+class TestSortedRowsSearch:
+    """The batched search equals np.searchsorted on each row's own array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.one_of(st.sampled_from([1.0, 2.5, 400.0]),
+                               st.floats(1.0, 1e6)), min_size=1, max_size=20),
+            min_size=1, max_size=5),
+        offset=st.sampled_from([0.0, -1.0, -1e7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_searchsorted(self, rows, offset, seed):
+        # offset 0 takes the key path and -1e7 (negative candidates) the
+        # row-by-row search; -1 puts a zero among the candidates, whose key
+        # range fits only when all are near zero
+        arrays = [np.sort(np.array([1.0, *r]) + offset) for r in rows]
+        cands = _SortedRows(arrays)
+        if offset != -1.0:
+            assert (cands.keys is not None) == (offset == 0.0)
+        rng = np.random.default_rng(seed)
+        every = np.concatenate(arrays)
+        picks = rng.integers(0, len(arrays), 6)
+        # members, values between and beyond them, and the candidates' range
+        x = np.stack([
+            np.sort(np.concatenate([
+                rng.choice(every, 3), rng.uniform(every.min() - 1, every.max() + 1, 3),
+                [max(every.max(), 0.0) * 2 + 1, np.abs(every).min() / 2],
+            ])) for _ in picks
+        ])
+        if offset == 0.0:
+            x = np.abs(x)  # the key path searches non-negative values
+        for side in ("left", "right"):
+            want = [np.searchsorted(arrays[r], xi, side).tolist() for r, xi in zip(picks, x)]
+            assert cands.search(picks, x, side).tolist() == want
+            assert cands.search(picks[:1], x[:1], side).tolist() == want[:1]
