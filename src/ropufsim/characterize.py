@@ -11,12 +11,17 @@ import numpy as np
 from .chipmodel import (
     DEFAULT_SAMPLES,
     DEFAULT_T_ON_US,
+    EXACT_MOMENT_LIMIT,
+    MOMENT_COLUMNS,
     REFERENCE_ENV,
     ChipProfile,
     EnvCondition,
     FabricLayout,
+    count_mean,
+    count_noise,
+    count_sigma,
     env_frequencies,
-    measure_counts,
+    noisy_counts,
 )
 
 DEFAULT_THRESHOLD = 0.002
@@ -29,24 +34,58 @@ class NoSurvivorsError(ValueError):
 
 @dataclass(eq=False)
 class FrequencyProfile:
-    """Per-site sample statistics from one characterization pass.
+    """Per-site count moments from one characterization pass.
 
-    ``site_refs`` are indices into the originating chip's site list; ``mean``
-    and ``sigma`` are in MHz; only these summary statistics persist
-    downstream.
+    ``site_refs`` are indices into the originating chip's site list.
+    ``sum_count`` and ``sum_count_sq`` hold each site's sum of its ``m``
+    counts over ``t_on_us`` microseconds and the sum of their squares, as
+    integer-valued floats; below ``EXACT_MOMENT_LIMIT`` they are exact in any
+    summation order.  ``mean`` and ``sigma`` (MHz, n - 1 denominator) are
+    derived from them on each access, by the arithmetic ``ingest_csv`` applies
+    to a written profile, so re-ingesting one reproduces both bit for bit.
     """
 
     site_refs: np.ndarray
-    mean: np.ndarray
-    sigma: np.ndarray
+    sum_count: np.ndarray
+    sum_count_sq: np.ndarray
     m: int
     t_on_us: float
 
     def __post_init__(self) -> None:
-        if not (len(self.site_refs) == len(self.mean) == len(self.sigma)):
-            raise ValueError("site_refs, mean and sigma must have equal lengths")
-        if np.any(self.sigma < 0):
-            raise ValueError("sigma must be non-negative elementwise")
+        if not (len(self.site_refs) == len(self.sum_count) == len(self.sum_count_sq)):
+            raise ValueError("site_refs, sum_count and sum_count_sq must have equal lengths")
+        if np.any(self.m * self.sum_count_sq < self.sum_count * self.sum_count):
+            raise ValueError("count moments need m * sum_count_sq >= sum_count^2 elementwise")
+
+    @classmethod
+    def from_counts(
+        cls, site_refs: np.ndarray, counts: np.ndarray, t_on_us: float
+    ) -> "FrequencyProfile":
+        """The moments of a (sites, m) matrix of non-negative integer counts.
+
+        Raises ``ValueError`` naming ``t_on_us`` and the sample count when
+        m * max(sum_count_sq) reaches 2^53, where the moments stop being
+        exact.
+        """
+        counts = np.asarray(counts, dtype=float)
+        m = counts.shape[1]
+        sum_count_sq = np.einsum("ij,ij->i", counts, counts)
+        top = m * float(sum_count_sq.max(initial=0.0))
+        if top >= EXACT_MOMENT_LIMIT:
+            raise ValueError(
+                f"t_on_us={t_on_us!r} with samples={m} gives samples * sum(count^2) "
+                f"= {top:.4g}, beyond the 2**53 up to which count moments are exact; "
+                "shorten t_on_us or take fewer samples"
+            )
+        return cls(site_refs, np.einsum("ij->i", counts), sum_count_sq, m, t_on_us)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return count_mean(self.sum_count, self.m, self.t_on_us)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return count_sigma(self.sum_count, self.sum_count_sq, self.m, self.t_on_us)
 
     def __len__(self) -> int:
         return len(self.site_refs)
@@ -54,8 +93,8 @@ class FrequencyProfile:
     def subset(self, mask: np.ndarray) -> "FrequencyProfile":
         return FrequencyProfile(
             site_refs=self.site_refs[mask],
-            mean=self.mean[mask],
-            sigma=self.sigma[mask],
+            sum_count=self.sum_count[mask],
+            sum_count_sq=self.sum_count_sq[mask],
             m=self.m,
             t_on_us=self.t_on_us,
         )
@@ -82,26 +121,19 @@ def characterize(
     env: EnvCondition = REFERENCE_ENV,
     rng: np.random.Generator | None = None,
 ) -> FrequencyProfile:
-    """Collect m count samples per non-excluded site and summarize.
+    """Collect m count samples per non-excluded site and keep their moments.
 
-    Each sample is an independently noisy count from ``measure_counts``;
-    means and standard deviations (n-1 denominator) are stored in MHz and the
-    raw samples are discarded.
+    Each sample is an independently noisy count from ``noisy_counts``, with
+    every site's frequency and noise level as a (sites, 1) column; the raw
+    samples are discarded once summed.
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples per site for sigma, got {m}")
     idx = chip.active_indices()
-    shape = (len(idx), m)
-    freqs = np.broadcast_to(env_frequencies(chip, [env], idx)[0][:, None], shape)
-    sigma = np.broadcast_to(chip.meas_sigma_site[idx, None], shape)
-    mhz = measure_counts(freqs, t_on_us, rng, sigma) / t_on_us
-    return FrequencyProfile(
-        site_refs=idx,
-        mean=mhz.mean(axis=1),
-        sigma=mhz.std(axis=1, ddof=1),
-        m=m,
-        t_on_us=t_on_us,
-    )
+    freqs = env_frequencies(chip, [env], idx)[0][:, None]
+    sigma = chip.meas_sigma_site[idx, None]
+    counts = noisy_counts(freqs, t_on_us, count_noise(rng, sigma, (len(idx), m)), sigma)
+    return FrequencyProfile.from_counts(idx, counts, t_on_us)
 
 
 def reject_erroneous(
@@ -152,20 +184,27 @@ def profile_stats(prof: FrequencyProfile) -> dict[str, float]:
     }
 
 
-def export_profile_csv(layout: FabricLayout, prof: FrequencyProfile, path: str) -> None:
-    """Write a profile in the same CSV schema ``ingest_csv`` reads.
+PROFILE_HEADER = ",".join(("clb_x", "clb_y", "corner", "class", *MOMENT_COLUMNS))
 
-    The per-site mean is emitted as a single mhz sample, so re-ingesting
-    reproduces site identities and means.  Each row joins the site's label
-    from the chip's layout (``ChipProfile.layout``), formatted once per site
-    list, with the ``repr`` of its mean: the bytes ``csv.writer`` would write,
-    since no field needs quoting, with its CRLF line ends.
+
+def export_profile_csv(layout: FabricLayout, prof: FrequencyProfile, path: str) -> None:
+    """Write a profile in the moments schema ``ingest_csv`` reads.
+
+    Two header lines record ``# t_on_us=`` (its ``repr``) and ``# samples=``
+    (m); then each site's row joins its label from the chip's layout
+    (``ChipProfile.layout``), formatted once per site list, with its two
+    integer count moments.  Re-ingesting the file gives the profile's means
+    and sigmas bit for bit.
     """
     labels = layout.csv_labels
-    rows = ["clb_x,clb_y,corner,class,mhz_1"]
+    rows = [f"# t_on_us={float(prof.t_on_us)!r}", f"# samples={prof.m}", PROFILE_HEADER]
     rows += [
-        f"{labels[ref]},{mean!r}"
-        for ref, mean in zip(prof.site_refs.tolist(), prof.mean.tolist())
+        f"{labels[ref]},{s1},{s2}"
+        for ref, s1, s2 in zip(
+            prof.site_refs.tolist(),
+            prof.sum_count.astype(np.int64).tolist(),
+            prof.sum_count_sq.astype(np.int64).tolist(),
+        )
     ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+        fh.write("\n".join(rows) + "\n")

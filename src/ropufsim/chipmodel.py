@@ -403,9 +403,12 @@ def noisy_counts(
     freqs_mhz: np.ndarray, t_on_us: float, noise: np.ndarray, meas_sigma_mhz: np.ndarray | float
 ) -> np.ndarray:
     """Pulse counts round((f + noise * sigma) * t_on_us), saturating at zero,
-    for standard-normal ``noise`` already drawn; ``noise`` is overwritten.
+    for standard-normal ``noise`` already drawn.  The counts overwrite
+    ``noise``, which is returned: integer-valued floats.
 
-    Frequencies and the enable duration must be positive.
+    Frequencies and sigmas broadcast against ``noise``, so a (sites, 1)
+    column measures each site along its row; frequencies and the enable
+    duration must be positive.
     """
     f = np.asarray(freqs_mhz, dtype=float)
     if np.any(f <= 0):
@@ -417,7 +420,19 @@ def noisy_counts(
     noise *= t_on_us
     np.rint(noise, out=noise)
     np.maximum(noise, 0.0, out=noise)
-    return noise.astype(np.int64)
+    return noise
+
+
+def count_noise(
+    rng: np.random.Generator | None, meas_sigma_mhz: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Standard-normal noise of ``shape`` for ``noisy_counts``: drawn only
+    when some standard deviation is positive, which then needs ``rng``."""
+    if np.any(meas_sigma_mhz > 0):
+        if rng is None:
+            raise ValueError("rng required when measurement noise is enabled")
+        return rng.standard_normal(shape)
+    return np.zeros(shape)
 
 
 def measure_counts(
@@ -436,60 +451,151 @@ def measure_counts(
     """
     f = np.asarray(freqs_mhz, dtype=float)
     sigma = np.asarray(meas_sigma_mhz, dtype=float)
-    if np.any(sigma > 0):
-        if rng is None:
-            raise ValueError("rng required when measurement noise is enabled")
-        noise = rng.standard_normal(np.broadcast_shapes(f.shape, sigma.shape))
-    else:
-        noise = np.zeros(np.broadcast_shapes(f.shape, sigma.shape))
-    return noisy_counts(f, t_on_us, noise, sigma)
+    noise = count_noise(rng, sigma, np.broadcast_shapes(f.shape, sigma.shape))
+    return noisy_counts(f, t_on_us, noise, sigma).astype(np.int64)
 
 
-def _parse_header(fields: list[str]) -> tuple[list[str], bool, int]:
+# Count moments are exact while samples * sum(c^2) stays below 2^53: then
+# every partial sum, sum(c)^2 <= samples * sum(c^2) and their difference are
+# integers a float64 holds exactly.
+EXACT_MOMENT_LIMIT = 2**53
+
+
+def count_mean(sum_count: np.ndarray, m: int, t_on_us: float) -> np.ndarray:
+    """Per-site mean frequency in MHz from the sum of ``m`` counts of
+    ``t_on_us`` each: sum / (m * t_on_us)."""
+    return sum_count / (m * t_on_us)
+
+
+def count_sigma(
+    sum_count: np.ndarray, sum_count_sq: np.ndarray, m: int, t_on_us: float
+) -> np.ndarray:
+    """Per-site sample standard deviation in MHz (n - 1 denominator) from the
+    sums of ``m`` counts and of their squares:
+    sqrt((m * S2 - S1^2) / (m * (m - 1))) / t_on_us; zero for one sample."""
+    if m < 2:
+        return np.zeros(np.shape(sum_count))
+    var = (m * sum_count_sq - sum_count * sum_count) / (m * (m - 1))
+    return np.sqrt(var) / t_on_us
+
+
+# Value columns of a count-moment profile, as ``export_profile_csv`` writes it.
+MOMENT_COLUMNS = ("sum_count", "sum_count_sq")
+
+
+def _parse_header(fields: list[str]) -> tuple[str, list[str], bool]:
+    """The header's data kind (``mhz``, ``count`` or ``moments``), its value
+    columns and whether it has a class column."""
     required = ["clb_x", "clb_y", "corner"]
     for col in required:
         if col not in fields:
-            raise DataError(f"missing required column {col!r} in CSV header")
+            raise ValueError(f"missing required column {col!r} in CSV header")
     has_class = "class" in fields
     sample_cols = [f for f in fields if f.startswith("mhz_") or f.startswith("count_")]
+    if any(col in fields for col in MOMENT_COLUMNS):
+        for col in MOMENT_COLUMNS:
+            if col not in fields:
+                raise ValueError(f"missing required column {col!r} in CSV header")
+        if sample_cols:
+            raise ValueError("moment columns cannot be mixed with sample columns")
+        return "moments", list(MOMENT_COLUMNS), has_class
     if not sample_cols:
-        raise DataError("no sample columns found (expected mhz_* or count_*)")
+        raise ValueError("no sample columns found (expected mhz_*, count_* or "
+                         "sum_count,sum_count_sq)")
     kinds = {c.split("_")[0] for c in sample_cols}
     if len(kinds) != 1:
-        raise DataError("sample columns must be all mhz_* or all count_*")
-    return sample_cols, has_class, len(sample_cols)
+        raise ValueError("sample columns must be all mhz_* or all count_*")
+    return kinds.pop(), sample_cols, has_class
+
+
+def _header_value(key: str, text: str) -> float | int:
+    """A ``# t_on_us=`` (positive, finite) or ``# samples=`` (integer >= 1)
+    header value."""
+    if key == "samples":
+        value = int(text)
+        if value < 1:
+            raise ValueError(f"samples must be >= 1, got {value}")
+        return value
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"t_on_us must be positive and finite, got {text!r}")
+    return value
+
+
+def _count(text: str, name: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
-    """Build a ChipProfile from measured per-site samples.
+    """Build a ChipProfile from measured per-site data.
 
-    Expected columns: ``clb_x,clb_y,corner[,class],<samples>`` where the
-    sample columns are ``mhz_1..mhz_m`` or ``count_1..count_m``.  Count data
-    is converted with the enable duration declared in a leading
-    ``# t_on_us=<value>`` comment (default 122.87).  Nominal frequencies are
-    the per-site sample means; environmental coefficients stay unset.
+    Expected columns: ``clb_x,clb_y,corner[,class]`` and then one of
+
+    - ``mhz_1..mhz_m``: frequency samples in MHz;
+    - ``count_1..count_m``: integer counts over the enable duration declared
+      in a leading ``# t_on_us=<value>`` line (default 122.87);
+    - ``sum_count,sum_count_sq``: each site's sum of m counts and of their
+      squares (the profile ``export_profile_csv`` writes), with both
+      ``# t_on_us=<value>`` and ``# samples=<m>`` header lines.
+
+    Count and moment rows share one moments -> (mean, sigma) arithmetic
+    (``count_mean``, ``count_sigma``), so a count file and its moments file
+    ingest to identical means and sigmas, and re-ingesting a written profile
+    reproduces its characterization bit for bit.  Nominal frequencies are
+    the per-site means and measurement sigmas the per-site sample deviations;
+    environmental coefficients stay unset.  Malformed input raises
+    ``DataError`` naming the file and line.
     """
-    t_on_us = DEFAULT_T_ON_US
+    declared: dict[str, float | int] = {}
     sites: list[FabricSite] = []
     means: list[float] = []
     sigmas: list[float] = []
+    sums: list[int] = []
+    sq_sums: list[int] = []
     seen: set[tuple[int, int, str]] = set()
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header: list[str] | None = None
-        sample_cols: list[str] = []
+        value_cols: list[str] = []
+        kind = ""
         has_class = False
-        counts_mode = False
+        m = 0
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
-            if not row or (row[0].startswith("#") and header is None):
-                if row and row[0].startswith("#") and "t_on_us=" in row[0]:
-                    t_on_us = float(row[0].split("t_on_us=")[1])
+            if not row:
+                continue
+            if header is None and row[0].startswith("#"):
+                key, eq, text = ",".join(row)[1:].partition("=")
+                key = key.strip()
+                if eq and key in ("t_on_us", "samples"):
+                    try:
+                        declared[key] = _header_value(key, text.strip())
+                    except ValueError as exc:
+                        raise DataError(f"{path}:{lineno}: bad header line ({exc})") from None
                 continue
             if header is None:
                 header = [c.strip() for c in row]
-                sample_cols, has_class, _ = _parse_header(header)
-                counts_mode = sample_cols[0].startswith("count_")
+                try:
+                    kind, value_cols, has_class = _parse_header(header)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                if kind == "moments":
+                    missing = [k for k in ("t_on_us", "samples") if k not in declared]
+                    if missing:
+                        raise DataError(
+                            f"{path}:{lineno}: a sum_count,sum_count_sq profile needs "
+                            + " and ".join(f"a '# {k}=' line" for k in missing)
+                            + " before its header"
+                        )
+                    m = int(declared["samples"])
+                elif kind == "count":
+                    m = len(value_cols)
+                    if declared.get("samples", m) != m:
+                        raise DataError(f"{path}:{lineno}: '# samples={declared['samples']}' "
+                                        f"but {m} count columns")
                 continue
             rec = dict(zip(header, row))
             try:
@@ -497,11 +603,23 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
                 corner = rec["corner"].strip()
                 if corner not in CORNERS:
                     raise ValueError(f"bad corner {corner!r}")
-                samples = np.array([float(rec[c]) for c in sample_cols])
+                if kind == "mhz":
+                    samples = np.array([float(rec[c]) for c in value_cols])
+                else:
+                    if kind == "count":
+                        counts = [_count(rec[c], c) for c in value_cols]
+                        s1, s2 = sum(counts), sum(c * c for c in counts)
+                    else:
+                        s1, s2 = (_count(rec[c], c) for c in value_cols)
+                    if s1 == 0:
+                        raise ValueError("sum_count must be positive")
+                    if m * s2 < s1 * s1:
+                        raise ValueError(f"samples * sum_count_sq = {m * s2} is below "
+                                         f"sum_count^2 = {s1 * s1}")
+                    if m * s2 >= EXACT_MOMENT_LIMIT:
+                        raise ValueError(f"samples * sum_count_sq = {m * s2} reaches 2**53")
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
-            if counts_mode:
-                samples = samples / t_on_us
             key = (x, y, corner)
             if key in seen:
                 raise DataError(f"{path}:{lineno}: duplicate site {key}")
@@ -511,27 +629,38 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
             else:
                 cls = classify_corner(corner, clb_has_m_bottom=(x % 2 == 1))
             sites.append(FabricSite(x, y, corner, cls))
-            means.append(float(samples.mean()))
-            sigmas.append(float(samples.std(ddof=1)) if len(samples) > 1 else 0.0)
+            if kind == "mhz":
+                means.append(float(samples.mean()))
+                sigmas.append(float(samples.std(ddof=1)) if len(samples) > 1 else 0.0)
+            else:
+                sums.append(s1)
+                sq_sums.append(s2)
 
     if header is None:
         raise DataError(f"{path}: empty file")
     if not sites:
         raise DataError(f"{path}: no data rows")
+    if kind == "mhz":
+        mean, sigma = np.array(means), np.array(sigmas)
+    else:
+        t_on_us = declared.get("t_on_us", DEFAULT_T_ON_US)
+        s1_arr = np.array(sums, dtype=float)
+        mean = count_mean(s1_arr, m, t_on_us)
+        sigma = count_sigma(s1_arr, np.array(sq_sums, dtype=float), m, t_on_us)
 
     spec = DeviceSpec(
         kind="custom", site_count=len(sites),
-        mean_freq_base=float(np.mean(means)),
-        mean_span=float(np.max(means) - np.min(means)),
-        sigma_span=float((np.max(sigmas) - np.min(sigmas)) / KHZ_TO_MHZ),
+        mean_freq_base=float(np.mean(mean)),
+        mean_span=float(np.max(mean) - np.min(mean)),
+        sigma_span=float((np.max(sigma) - np.min(sigma)) / KHZ_TO_MHZ),
         meas_sigma=0.0, central_exclusion=0.0, erroneous_fraction=0.0,
     )
     return ChipProfile(
         device_id=device_id or "ingested",
         spec=spec,
         sites=sites,
-        nominal_freq=np.array(means),
+        nominal_freq=mean,
         temp_coeff=None,
         volt_coeff=None,
-        meas_sigma_site=np.array(sigmas),
+        meas_sigma_site=sigma,
     )

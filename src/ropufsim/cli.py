@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chipmodel import PRESETS, ConfigError, ingest_csv
+from .characterize import DEFAULT_THRESHOLD
+from .chipmodel import PRESETS, ConfigError, DataError, ingest_csv
 from .nist import format_rate, run_suite
 from .pipeline import (
     PipelineConfig,
@@ -120,10 +121,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     chip = ingest_csv(args.csv)
-    means = chip.nominal_freq
+    means, sigmas = chip.nominal_freq, chip.meas_sigma_site
+    # reject_erroneous' fixed rule: a site is kept when sigma/mean <= threshold
+    rejected = int(np.count_nonzero(~(sigmas / means <= DEFAULT_THRESHOLD)))
     print(f"ingested {chip.site_count} sites from {args.csv}")
     print(f"mean span {means.max() - means.min():.3f} MHz, "
           f"mean of means {means.mean():.3f} MHz")
+    print(f"sigma span {(sigmas.max() - sigmas.min()) * 1e3:.3f} kHz; "
+          f"sigma/mean > {DEFAULT_THRESHOLD:g} rejects {rejected} of {chip.site_count} sites")
     return 0
 
 
@@ -176,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         print(f"ropuf {args.verb}: {exc}", file=sys.stderr)
         return 2
 

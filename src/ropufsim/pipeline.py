@@ -44,6 +44,7 @@ from .nist import NistReport, format_rate, run_suite
 from .placement import (
     PlacementPlan,
     _kappa_counts,
+    _kappa_index,
     assign_groups,
     emit_constraints,
     randomize_placement,
@@ -71,6 +72,10 @@ DEFAULT_TEMPS = tuple(float(t) for t in range(-5, 76, 10))
 DEFAULT_VOLTS = tuple(float(v) for v in range(900, 1101, 20))
 
 SAMPLE_COST_SEC = 0.003  # modeled per-sample measurement cost
+
+# Version of the artifact tree's file formats, recorded in manifest.json.
+# 2: profile.csv holds integer count moments, responses.csv records k.
+FORMAT_VERSION = 2
 
 # RO counts whose challenge width has a primitive LFSR polynomial.
 RO_COUNTS = tuple(2 << (w // 2) for w in sorted(TAPS))
@@ -230,6 +235,7 @@ class DeviceRun:
     again to write a run and no per-site chip array outlives the chain.
     ``kmeans`` and ``relocated`` are the two selection results;
     ``selection_json`` is their file form, built on each access.
+    ``threshold_used`` is the sigma/mean threshold rejection applied.
     """
 
     device_id: str
@@ -239,10 +245,16 @@ class DeviceRun:
     plan: PlacementPlan
     kept_sites: int
     rejected: int
+    threshold_used: float
     kmeans: SelectionResult
     relocated: SelectionResult
     golden: ResponseSet
     sweep_responses: list[ResponseSet]
+
+    @property
+    def excluded_sites(self) -> int:
+        """Sites of the fabric that were never characterized."""
+        return len(self.layout.sites) - len(self.profile)
 
     @property
     def selection_min_diff(self) -> float:
@@ -285,6 +297,7 @@ class _Pool:
     profile: FrequencyProfile
     kept_sites: int
     rejected: int
+    threshold_used: float
     nu: np.ndarray
     nu_refs: np.ndarray
 
@@ -302,9 +315,10 @@ def _candidate_pool(config: PipelineConfig, index: int, spec: DeviceSpec) -> _Po
         threshold=config.reject_threshold, quantile=config.reject_quantile,
     )
     kept = clean.kept
-    order = np.argsort(kept.mean, kind="stable")
-    return _Pool(seeds, chip, prof, clean.z_bar, clean.rejected_count,
-                 kept.mean[order], kept.site_refs[order])
+    mean = kept.mean
+    order = np.argsort(mean, kind="stable")
+    return _Pool(seeds, chip, prof, clean.z_bar, clean.rejected_count, clean.threshold_used,
+                 mean[order], kept.site_refs[order])
 
 
 def _selection_config(config: PipelineConfig, pool: _Pool) -> SelectionConfig:
@@ -376,7 +390,8 @@ def _chain_block(config, spec, indices, finish) -> list:
 
 
 def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
-    """Group assignment and placement at one ratio."""
+    """Group assignment and placement at one ratio; ``kappa_tag``, the
+    ratio's index in ``valid_kappas``, derives their seeds."""
     pool = sel.pool
     assignment = assign_groups(
         sel.relocated.chosen, kappa, derive_seed(pool.seeds["assign"], kappa_tag)
@@ -407,9 +422,12 @@ def _device_run(
     config: PipelineConfig, sel: _Selection, lfsr_seed: int, env_grid: Sequence[EnvCondition]
 ) -> DeviceRun:
     """Placement at ``config.kappa``, the golden and swept responses, and
-    what the writer needs of the chain."""
-    plan = _place(sel, config.kappa, 0)
-    golden, *sweep = _respond(sel, plan, lfsr_seed, [REFERENCE_ENV, *env_grid], 0)
+    what the writer needs of the chain.  The seeds derive from the ratio's
+    grid index, as in ``sweep_kappa``, so the golden response equals that
+    ratio's in a sweep."""
+    k_idx = _kappa_index(config.ro_count, config.kappa)
+    plan = _place(sel, config.kappa, k_idx)
+    golden, *sweep = _respond(sel, plan, lfsr_seed, [REFERENCE_ENV, *env_grid], k_idx)
     pool = sel.pool
     return DeviceRun(
         device_id=pool.chip.device_id,
@@ -419,6 +437,7 @@ def _device_run(
         plan=plan,
         kept_sites=pool.kept_sites,
         rejected=pool.rejected,
+        threshold_used=pool.threshold_used,
         kmeans=sel.kmeans,
         relocated=sel.relocated,
         golden=golden,
@@ -487,13 +506,18 @@ def _write_run(
     root = Path(config.out_dir)
     root.mkdir(parents=True, exist_ok=True)
     manifest = {
+        "format_version": FORMAT_VERSION,
         "config": json.loads(config.to_json()),
         "devices": [
             {
                 "device_id": r.device_id,
                 "seeds": r.seeds,
-                "kept_sites": r.kept_sites,
+                "threshold_used": r.threshold_used,
+                "excluded_sites": r.excluded_sites,
                 "rejected": r.rejected,
+                "kept_sites": r.kept_sites,
+                "kmeans_iterations": r.kmeans.iterations,
+                "relocation_iterations": r.relocated.iterations,
                 "min_diff_kmeans_mhz": r.selection_min_diff,
                 "min_diff_relocated_mhz": r.relocated_min_diff,
             }

@@ -30,13 +30,18 @@ def valid_kappas(m: int) -> list[float]:
     return [i / denom for i in range(denom + 1)]
 
 
-def _kappa_counts(m: int, kappa: float) -> tuple[int, int]:
+def _kappa_index(m: int, kappa: float) -> int:
+    """Index of ``kappa`` in ``valid_kappas(m)``."""
     grid = valid_kappas(m)
-    for k in grid:
+    for i, k in enumerate(grid):
         if abs(k - kappa) < 1e-12:
-            random_count = round(k * m)
-            return m - random_count, random_count
+            return i
     raise ValueError(f"randomness ratio {kappa} not on the admissible grid {grid}")
+
+
+def _kappa_counts(m: int, kappa: float) -> tuple[int, int]:
+    random_count = round(valid_kappas(m)[_kappa_index(m, kappa)] * m)
+    return m - random_count, random_count
 
 
 @dataclass(eq=False)

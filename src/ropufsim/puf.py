@@ -214,29 +214,46 @@ def generate_response(
     )
 
 
+RESPONSE_COLUMNS = "device_id,temp_c,vcc_mv,hexbits"
+
+
 def save_responses(path: str, responses: list[ResponseSet]) -> None:
-    """Dump responses, one ``device_id,temp,vcc,hexbits`` line each."""
+    """Dump responses of one width k: a ``device_id,temp_c,vcc_mv,hexbits(k=<k>)``
+    header, then one ``device_id,temp,vcc,hexbits`` line each."""
+    widths = {r.k for r in responses}
+    if len(widths) != 1:
+        raise ValueError(f"a dump holds responses of one width, got k in {sorted(widths)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("device_id,temp_c,vcc_mv,hexbits\n")
+        fh.write(f"{RESPONSE_COLUMNS}(k={widths.pop()})\n")
         for r in responses:
             fh.write(f"{r.device_id},{r.env.temp_c:g},{r.env.vcc_mv:g},{r.to_hex()}\n")
 
 
 def load_responses(path: str) -> list[ResponseSet]:
+    """Read a ``save_responses`` dump.  Every response has the header's k
+    bits; a header without k, or a value with a bit set at or above k,
+    raises ``ValueError`` naming the file and line."""
     out: list[ResponseSet] = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("device_id,"):
-            raise ValueError(f"{path}: missing response dump header")
+        header = fh.readline().strip()
+        prefix = f"{RESPONSE_COLUMNS}(k="
+        try:
+            if not (header.startswith(prefix) and header.endswith(")")):
+                raise ValueError(f"expected a {prefix}<k>) header, got {header!r}")
+            k = int(header[len(prefix):-1])
+            if k < 1:
+                raise ValueError(f"k must be >= 1, got {k}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: bad response dump header ({exc})") from None
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
                 device_id, temp, vcc, hexbits = line.split(",")
-                bits = bits_from_hex(hexbits)
+                bits = bits_from_hex(hexbits, k)
                 env = EnvCondition(float(temp), float(vcc))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed response line ({exc})") from None
-            out.append(ResponseSet(device_id, env, bits, len(bits), challenge_seed=-1))
+            out.append(ResponseSet(device_id, env, bits, k, challenge_seed=-1))
     return out

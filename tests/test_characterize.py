@@ -1,10 +1,16 @@
-import csv
+import importlib
+import tempfile
+from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import manual_chip
 from ropufsim.characterize import (
+    DEFAULT_THRESHOLD,
     FrequencyProfile,
     NoSurvivorsError,
     characterize,
@@ -12,30 +18,25 @@ from ropufsim.characterize import (
     profile_stats,
     reject_erroneous,
 )
-from ropufsim.chipmodel import get_preset, ingest_csv, synth_chip
-
-
-def export_reference(chip, prof, path):
-    """The profile CSV as csv.writer writes it, one row per kept site."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clb_x", "clb_y", "corner", "class", "mhz_1"])
-        for ref, mean in zip(prof.site_refs, prof.mean):
-            site = chip.sites[int(ref)]
-            writer.writerow(
-                [site.clb_x, site.clb_y, site.corner, site.slice_class.value, repr(float(mean))]
-            )
+from ropufsim.chipmodel import (
+    REFERENCE_ENV,
+    count_noise,
+    env_frequencies,
+    get_preset,
+    ingest_csv,
+    noisy_counts,
+    synth_chip,
+)
 
 
 def profile_from_ratios(ratios, mean=400.0):
-    n = len(ratios)
-    return FrequencyProfile(
-        site_refs=np.arange(n),
-        mean=np.full(n, mean),
-        sigma=np.asarray(ratios) * mean,
-        m=32,
-        t_on_us=122.87,
-    )
+    """Two-sample sites of the given mean whose sigma/mean is each ratio to
+    within 1e-6 relative: counts a + d and a - d over 2500 us."""
+    t_on_us = 2500.0
+    a = round(mean * t_on_us)
+    d = np.rint(np.asarray(ratios) * a / np.sqrt(2.0))
+    counts = np.stack([a + d, a - d], axis=1)
+    return FrequencyProfile.from_counts(np.arange(len(counts)), counts, t_on_us)
 
 
 class TestCharacterize:
@@ -66,6 +67,88 @@ class TestCharacterize:
     def test_order_stable_by_site_index(self, small_chip):
         prof = characterize(small_chip, rng=np.random.default_rng(0))
         assert np.all(np.diff(prof.site_refs) > 0)
+
+    def test_counts_run_on_site_columns(self, small_chip, monkeypatch):
+        # the count model's checks see one entry per site, not m
+        shapes = []
+
+        def spy(freqs, t_on_us, noise, sigma):
+            shapes.append((np.shape(freqs), np.shape(sigma), noise.shape))
+            return noisy_counts(freqs, t_on_us, noise, sigma)
+
+        # the package exports the function under the module's name
+        module = importlib.import_module("ropufsim.characterize")
+        monkeypatch.setattr(module, "noisy_counts", spy)
+        prof = characterize(small_chip, m=5, rng=np.random.default_rng(0))
+        n = len(prof)
+        assert shapes == [((n, 1), (n, 1), (n, 5))]
+
+    def test_noise_needs_a_generator_unless_noise_free(self, small_chip):
+        with pytest.raises(ValueError, match="rng required"):
+            characterize(small_chip)
+        prof = characterize(manual_chip([400.0, 410.0]), m=3)
+        assert prof.sigma.tolist() == [0.0, 0.0]
+
+    def test_inexact_moments_name_t_on_us_and_samples(self):
+        # 4e9 counts square beyond 2^53
+        with pytest.raises(ValueError, match=r"t_on_us=10000000\.0 with samples=2 "):
+            characterize(manual_chip([400.0]), m=2, t_on_us=1e7)
+        # the largest window below the limit still works
+        prof = characterize(manual_chip([400.0]), m=2, t_on_us=1e5)
+        assert prof.sum_count.tolist() == [8e7]
+
+
+def float_formula(chip, m, t_on_us, seed):
+    """The per-site mean and sigma that characterize computed from its
+    counts before it kept count moments: counts / t_on_us, then mean and
+    std(ddof=1) over the samples."""
+    idx = chip.active_indices()
+    sigma = chip.meas_sigma_site[idx, None]
+    freqs = env_frequencies(chip, [REFERENCE_ENV], idx)[0][:, None]
+    noise = count_noise(np.random.default_rng(seed), sigma, (len(idx), m))
+    mhz = noisy_counts(freqs, t_on_us, noise, sigma).astype(np.int64) / t_on_us
+    return mhz.mean(axis=1), mhz.std(axis=1, ddof=1)
+
+
+def exact_stats(s1, s2, m, t_on_us):
+    """Mean and sigma of one site's count moments in 60-digit decimals."""
+    getcontext().prec = 60
+    t = Decimal(t_on_us)
+    var = Decimal(m * s2 - s1 * s1) / Decimal(m * (m - 1))
+    return Decimal(s1) / (m * t), var.sqrt() / t
+
+
+class TestCountMoments:
+    def test_near_old_float_formula(self):
+        chip = synth_chip(get_preset("basys3"), 0)
+        prof = characterize(chip, rng=np.random.default_rng(0))
+        old_mean, old_sigma = float_formula(chip, 32, 122.87, 0)
+        assert np.all(np.abs(prof.mean - old_mean) <= 4 * np.spacing(old_mean))
+        np.testing.assert_allclose(prof.sigma, old_sigma, rtol=1e-12, atol=0)
+        assert not np.array_equal(prof.mean, old_mean)  # the announced ulp moves
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 64),
+        t_on_us=st.floats(0.05, 2000.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_within_two_ulp_of_exact(self, m, t_on_us, seed):
+        # both quotients and the root round once each
+        chip = manual_chip([400.0, 401.3, 398.7, 455.5], meas_sigma=0.4)
+        chip.meas_sigma_site[1] = 0.0
+        prof = characterize(chip, m=m, t_on_us=t_on_us, rng=np.random.default_rng(seed))
+        for s1, s2, mean, sigma in zip(prof.sum_count.tolist(), prof.sum_count_sq.tolist(),
+                                       prof.mean, prof.sigma):
+            exact_mean, exact_sigma = exact_stats(int(s1), int(s2), m, t_on_us)
+            assert abs(Decimal(float(mean)) - exact_mean) <= 2 * Decimal(np.spacing(mean))
+            assert abs(Decimal(float(sigma)) - exact_sigma) <= 3 * Decimal(np.spacing(sigma))
+
+    def test_profile_rejects_impossible_moments(self):
+        with pytest.raises(ValueError, match="m \\* sum_count_sq >= sum_count"):
+            FrequencyProfile(np.arange(1), np.array([10.0]), np.array([49.0]), 2, 1.0)
+        with pytest.raises(ValueError, match="equal lengths"):
+            FrequencyProfile(np.arange(2), np.array([10.0]), np.array([50.0]), 2, 1.0)
 
 
 class TestRejectErroneous:
@@ -120,15 +203,14 @@ class TestRejectErroneous:
 
 class TestProfileStats:
     def test_single_site_spans_zero(self):
-        prof = FrequencyProfile(np.array([0]), np.array([400.0]), np.array([0.1]), 32, 122.87)
+        prof = FrequencyProfile.from_counts(np.array([0]), np.array([[40000, 40020]]), 100.0)
         stats = profile_stats(prof)
         assert stats["mean_span"] == 0.0
         assert stats["sigma_span"] == 0.0
 
     def test_hand_computed_span(self):
-        prof = FrequencyProfile(
-            np.arange(3), np.array([400.0, 410.0, 432.51]), np.zeros(3), 32, 122.87
-        )
+        counts = np.array([[40000, 40000], [41000, 41000], [43251, 43251]])
+        prof = FrequencyProfile.from_counts(np.arange(3), counts, 100.0)
         assert profile_stats(prof)["mean_span"] == pytest.approx(32.51)
 
     def test_nexys_preset_reproduces_mean_span(self):
@@ -151,14 +233,46 @@ class TestExportRoundTrip:
             assert (site.clb_x, site.clb_y, site.corner) == orig.key
             assert site.slice_class == orig.slice_class
 
-    def test_bytes_equal_csv_writer(self, small_chip, tmp_path):
-        prof = characterize(small_chip, rng=np.random.default_rng(9))
-        kept = reject_erroneous(prof).kept
-        ingested = tmp_path / "ingested.csv"
-        ingested.write_text("clb_x,clb_y,corner,mhz_1\n3,1,BR,401.5\n0,0,TL,1e-05\n")
-        back = ingest_csv(str(ingested))
-        back_prof = characterize(back, rng=np.random.default_rng(1))
-        for chip, p in ((small_chip, prof), (small_chip, kept), (back, back_prof)):
-            export_profile_csv(chip.layout, p, str(tmp_path / "fast.csv"))
-            export_reference(chip, p, str(tmp_path / "ref.csv"))
-            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    def test_schema_header_and_integer_rows(self, small_chip, tmp_path):
+        prof = characterize(small_chip, m=7, t_on_us=0.1 + 0.2, rng=np.random.default_rng(9))
+        path = tmp_path / "profile.csv"
+        export_profile_csv(small_chip.layout, prof, str(path))
+        lines = path.read_text().split("\n")
+        assert lines[:3] == ["# t_on_us=0.30000000000000004", "# samples=7",
+                             "clb_x,clb_y,corner,class,sum_count,sum_count_sq"]
+        site = small_chip.sites[int(prof.site_refs[0])]
+        assert lines[3] == (f"{site.clb_x},{site.clb_y},{site.corner},{site.slice_class.value},"
+                            f"{int(prof.sum_count[0])},{int(prof.sum_count_sq[0])}")
+        assert len(lines) == 3 + len(prof) + 1 and lines[-1] == ""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        freqs=st.lists(st.floats(300.0, 500.0), min_size=1, max_size=10),
+        sigma_khz=st.lists(st.sampled_from([0.0, 0.0, 30.0, 250.0, 2000.0]),
+                           min_size=10, max_size=10),
+        m=st.integers(2, 40),
+        t_on_us=st.one_of(st.just(122.87), st.just(0.3), st.floats(0.05, 2000.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # two samples, zero-sigma and rejected sites, an inexact window
+    @example(freqs=[400.0, 401.0, 402.0], sigma_khz=[0.0, 2000.0, 30.0] + [0.0] * 7,
+             m=2, t_on_us=37.3, seed=1)
+    def test_reingest_is_exact(self, freqs, sigma_khz, m, t_on_us, seed):
+        # characterize -> export_profile_csv -> ingest_csv gives == means and
+        # sigmas, so the default threshold keeps the same sites
+        chip = manual_chip(freqs)
+        chip.meas_sigma_site[:] = np.array(sigma_khz[: len(freqs)]) * 1e-3
+        prof = characterize(chip, m=m, t_on_us=t_on_us, rng=np.random.default_rng(seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "profile.csv")
+            export_profile_csv(chip.layout, prof, path)
+            back = ingest_csv(path)
+        assert np.array_equal(back.nominal_freq, prof.mean)
+        assert np.array_equal(back.meas_sigma_site, prof.sigma)
+        assert [s.key for s in back.sites] == [chip.sites[int(r)].key for r in prof.site_refs]
+        back_kept = prof.site_refs[back.meas_sigma_site / back.nominal_freq <= DEFAULT_THRESHOLD]
+        try:
+            kept = reject_erroneous(prof).kept.site_refs
+        except NoSurvivorsError:
+            kept = prof.site_refs[:0]
+        assert np.array_equal(back_kept, kept)

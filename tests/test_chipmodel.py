@@ -234,6 +234,86 @@ class TestIngest:
         chip = ingest_csv(path)
         assert chip.nominal_freq[0] == pytest.approx(49148 / 122.87, rel=1e-12)
 
+    def test_count_samples_and_their_moments_ingest_identically(self, tmp_path):
+        rng = np.random.default_rng(12)
+        counts = rng.integers(20_000, 60_000, size=(30, 7))
+        counts[3] = counts[3, 0]  # a zero-sigma site
+        keys = [(i // 4, 0, ("TL", "TR", "BL", "BR")[i % 4]) for i in range(len(counts))]
+        count_rows = ["# t_on_us=47.25", "clb_x,clb_y,corner," +
+                      ",".join(f"count_{j + 1}" for j in range(7))]
+        moment_rows = ["# samples=7", "# t_on_us=47.25",
+                       "clb_x,clb_y,corner,sum_count,sum_count_sq"]
+        for (x, y, corner), row in zip(keys, counts.tolist()):
+            count_rows.append(f"{x},{y},{corner}," + ",".join(map(str, row)))
+            moment_rows.append(f"{x},{y},{corner},{sum(row)},{sum(c * c for c in row)}")
+        by_count = ingest_csv(self._write(tmp_path, "\n".join(count_rows) + "\n"))
+        by_moments = ingest_csv(self._write(tmp_path, "\n".join(moment_rows) + "\n"))
+        assert [s.key for s in by_count.sites] == [s.key for s in by_moments.sites] == keys
+        assert np.array_equal(by_count.nominal_freq, by_moments.nominal_freq)
+        assert np.array_equal(by_count.meas_sigma_site, by_moments.meas_sigma_site)
+        assert by_moments.meas_sigma_site[3] == 0.0
+        np.testing.assert_allclose(by_count.nominal_freq, counts.mean(axis=1) / 47.25,
+                                   rtol=1e-15)
+        np.testing.assert_allclose(by_count.meas_sigma_site,
+                                   counts.std(axis=1, ddof=1) / 47.25, rtol=1e-12)
+
+    @pytest.mark.parametrize("row,message", [
+        ("0,0,TL,-5,25", "sum_count must be non-negative, got -5"),
+        ("0,0,TL,0,0", "sum_count must be positive"),
+        ("0,0,TL,10,49", "samples \\* sum_count_sq = 98 is below sum_count\\^2 = 100"),
+        ("0,0,TL,10,-49", "sum_count_sq must be non-negative"),
+        ("0,0,TL,10.5,60", "invalid literal for int"),
+        ("0,0,TL,1e3,600000", "invalid literal for int"),
+        ("0,0,TL,94906265,4503599627370496", "reaches 2\\*\\*53"),
+    ])
+    def test_malformed_moment_row_names_line(self, tmp_path, row, message):
+        path = self._write(tmp_path, "# t_on_us=1.5\n# samples=2\n"
+                           "clb_x,clb_y,corner,sum_count,sum_count_sq\n"
+                           f"1,0,TL,300,45000\n{row}\n")
+        with pytest.raises(DataError, match=rf"chip\.csv:5: malformed row \(.*{message}"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("lines,message", [
+        (["# samples=2"], r":2: a sum_count,sum_count_sq profile needs a '# t_on_us=' line"),
+        (["# t_on_us=1.5"], r":2: a sum_count,sum_count_sq profile needs a '# samples=' line"),
+        ([], r":1: .* needs a '# t_on_us=' line and a '# samples=' line"),
+        (["# t_on_us=0", "# samples=2"], r":1: bad header line \(t_on_us must be positive"),
+        (["# t_on_us=1.5", "# samples=two"], r":2: bad header line \(invalid literal"),
+        (["# t_on_us=1.5", "# samples=0"], r":2: bad header line \(samples must be >= 1"),
+        (["# t_on_us=1.5", "# samples=2"], None),
+    ])
+    def test_moment_header_needs_t_on_us_and_samples(self, tmp_path, lines, message):
+        text = "\n".join([*lines, "clb_x,clb_y,corner,sum_count,sum_count_sq",
+                          "1,0,TL,300,45000"]) + "\n"
+        path = self._write(tmp_path, text)
+        if message is None:
+            chip = ingest_csv(path)
+            assert chip.nominal_freq.tolist() == [300 / (2 * 1.5)]
+            assert chip.meas_sigma_site.tolist() == [0.0]
+        else:
+            with pytest.raises(DataError, match=rf"chip\.csv{message}"):
+                ingest_csv(path)
+
+    @pytest.mark.parametrize("header,message", [
+        ("clb_x,clb_y,corner,sum_count", "missing required column 'sum_count_sq'"),
+        ("clb_x,clb_y,corner,sum_count,sum_count_sq,count_1",
+         "moment columns cannot be mixed"),
+    ])
+    def test_bad_moment_header(self, tmp_path, header, message):
+        path = self._write(tmp_path, f"# t_on_us=1.5\n# samples=2\n{header}\n")
+        with pytest.raises(DataError, match=rf"chip\.csv:3: {message}"):
+            ingest_csv(path)
+
+    def test_count_samples_must_be_non_negative_integers(self, tmp_path):
+        for row, message in (("0,0,TL,5,-1", "count_2 must be non-negative"),
+                             ("0,0,TL,5,4.5", "invalid literal for int")):
+            path = self._write(tmp_path, f"clb_x,clb_y,corner,count_1,count_2\n{row}\n")
+            with pytest.raises(DataError, match=rf"chip\.csv:2: .*{message}"):
+                ingest_csv(path)
+        path = self._write(tmp_path, "# samples=3\nclb_x,clb_y,corner,count_1,count_2\n")
+        with pytest.raises(DataError, match=r"chip\.csv:2: '# samples=3' but 2 count columns"):
+            ingest_csv(path)
+
 
 class TestSpecConfigFile:
     def test_load_preset_with_override(self, tmp_path):

@@ -10,7 +10,8 @@ import pytest
 
 import ropufsim.pipeline as pipeline
 import ropufsim.select as select
-from ropufsim.chipmodel import REFERENCE_ENV, ConfigError, get_preset, synth_chip
+from ropufsim.characterize import DEFAULT_THRESHOLD, reject_erroneous
+from ropufsim.chipmodel import REFERENCE_ENV, ConfigError, get_preset, ingest_csv, synth_chip
 from ropufsim.cli import main
 from ropufsim.pipeline import (
     BenchReport,
@@ -51,7 +52,7 @@ def tree_sha256(root: Path) -> str:
 
 # Artifact tree of tiny_config with out_dir="run".  Only a change that
 # announces a behaviour change may move it.
-TINY_RUN_SHA256 = "280b8e80b730a8445622e8d68056c538e1cc455f45169da80a503b97e0ae6c07"
+TINY_RUN_SHA256 = "d1cbc68c6f0950c8b753d0c2a67c609804ca1811e81dcded365f3790c7bf2fc0"
 
 
 @pytest.fixture
@@ -264,6 +265,53 @@ class TestRunPipeline:
         report2, _, _ = run_pipeline(config2, write=False)
         assert report2.to_json_dict() == report.to_json_dict()
 
+    def test_manifest_health_fields(self, tmp_path):
+        config = tiny_config(tmp_path)
+        _, _, runs = run_pipeline(config)
+        manifest = json.loads((Path(config.out_dir) / "manifest.json").read_text())
+        assert manifest["format_version"] == 2
+        for entry, run in zip(manifest["devices"], runs):
+            assert entry["threshold_used"] == DEFAULT_THRESHOLD
+            assert entry["excluded_sites"] + len(run.profile) == 3520  # zybo sites
+            assert entry["excluded_sites"] == run.excluded_sites > 0
+            assert entry["rejected"] + entry["kept_sites"] == len(run.profile)
+            assert entry["kmeans_iterations"] == run.kmeans.iterations > 0
+            assert entry["relocation_iterations"] == run.relocated.iterations
+
+    def test_profiles_reingest_exactly(self, tmp_path):
+        # each device's profile.csv gives back its characterization's means
+        # and sigmas bit for bit, so the run's threshold keeps the same sites
+        config = tiny_config(tmp_path)
+        _, _, runs = run_pipeline(config)
+        for i, run in enumerate(runs):
+            back = ingest_csv(str(Path(config.out_dir) / f"device_{i:03d}" / "profile.csv"))
+            prof = run.profile
+            assert np.array_equal(back.nominal_freq, prof.mean)
+            assert np.array_equal(back.meas_sigma_site, prof.sigma)
+            kept = prof.site_refs[back.meas_sigma_site / back.nominal_freq <= DEFAULT_THRESHOLD]
+            assert np.array_equal(kept, reject_erroneous(prof).kept.site_refs)
+            assert len(kept) == run.kept_sites
+
+    def test_golden_bits_equal_sweep_row_at_its_kappa(self, tmp_path, monkeypatch):
+        # run and sweep-kappa seed assign, place and respond from the ratio's
+        # grid index, so run's golden responses are its ratio's sweep row
+        suites = []
+
+        def spy(bits, *args, **kwargs):
+            suites.append(np.array(bits))
+            return suite(bits, *args, **kwargs)
+
+        suite = pipeline.run_suite
+        monkeypatch.setattr(pipeline, "run_suite", spy)
+        for kappa in (0.0, 0.5, 1.0):
+            suites.clear()
+            config = tiny_config(tmp_path, kappa=kappa, devices=4)
+            sweep_kappa(config, write=False)
+            _, _, runs = run_pipeline(config, write=False)
+            index = pipeline.valid_kappas(config.ro_count).index(kappa)
+            assert np.array_equal(suites[-1], suites[index])
+            assert np.array_equal(np.stack([r.golden.bits for r in runs]), suites[index])
+
     def test_workers_other_than_one_rejected(self, tmp_path, synth_calls, capsys):
         # there is no process pool: a run is one process whatever the config
         with pytest.raises(ConfigError, match=r"^workers must be 1, as devices run in "
@@ -446,6 +494,24 @@ class TestCli:
         rc = main(["ingest", str(csv)])
         assert rc == 0
         assert "2 sites" in capsys.readouterr().out
+
+    def test_ingest_verb_on_run_profile(self, tmp_path, capsys):
+        config = tiny_config(tmp_path, devices=1)
+        _, _, (run,) = run_pipeline(config)
+        rc = main(["ingest", str(Path(config.out_dir) / "device_000" / "profile.csv")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        sigma = run.profile.sigma
+        assert f"sigma span {(sigma.max() - sigma.min()) * 1e3:.3f} kHz" in out
+        assert (f"sigma/mean > 0.002 rejects {run.rejected} of {len(run.profile)} sites"
+                in out)
+        assert run.rejected > 0
+
+    def test_malformed_ingest_exits_2_naming_line(self, tmp_path, capsys):
+        csv = tmp_path / "chip.csv"
+        csv.write_text("# samples=2\nclb_x,clb_y,corner,sum_count,sum_count_sq\n")
+        assert main(["ingest", str(csv)]) == 2
+        assert f"ropuf ingest: {csv}:2: " in capsys.readouterr().err
 
     def test_nist_verb_on_run_dump(self, tmp_path, capsys):
         out = tmp_path / "cli_run2"

@@ -326,7 +326,7 @@ class TestResponseIo:
 
     def test_dump_with_other_k_reports_line(self, tmp_path):
         path = tmp_path / "mixed.csv"
-        path.write_text("device_id,temp_c,vcc_mv,hexbits\n"
+        path.write_text("device_id,temp_c,vcc_mv,hexbits(k=15)\n"
                         "dev0,35,1000,7fff\n"
                         "dev1,35,1000,ffff\n")
         with pytest.raises(ValueError, match=r"mixed\.csv:3"):
@@ -350,6 +350,39 @@ class TestResponseIo:
 
     def test_malformed_dump_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("device_id,temp_c,vcc_mv,hexbits\ndev,35,notanumber,ff\n")
+        path.write_text("device_id,temp_c,vcc_mv,hexbits(k=8)\ndev,35,notanumber,ff\n")
         with pytest.raises(ValueError, match=":2"):
             load_responses(str(path))
+
+    def test_width_comes_from_header(self, tmp_path):
+        # 13 ones print as 1fff, which the digit count alone reads as 15 bits
+        ones = ResponseSet("dev", REFERENCE_ENV, np.ones(13, np.uint8), 13, 1)
+        path = tmp_path / "responses.csv"
+        save_responses(str(path), [ones])
+        assert path.read_text() == "device_id,temp_c,vcc_mv,hexbits(k=13)\ndev,35,1000,1fff\n"
+        (back,) = load_responses(str(path))
+        assert back.k == 13 and np.array_equal(back.bits, ones.bits)
+
+    @pytest.mark.parametrize("header", [
+        "device_id,temp_c,vcc_mv,hexbits", "device_id,temp_c,vcc_mv,hexbits(k=)",
+        "device_id,temp_c,vcc_mv,hexbits(k=0)", "",
+    ])
+    def test_dump_without_k_names_header_line(self, tmp_path, header):
+        path = tmp_path / "old.csv"
+        path.write_text(f"{header}\ndev,35,1000,7fff\n")
+        with pytest.raises(ValueError, match=r"old\.csv:1: bad response dump header"):
+            load_responses(str(path))
+
+    def test_bit_at_or_above_header_k_names_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("device_id,temp_c,vcc_mv,hexbits(k=13)\ndev,35,1000,1fff\n"
+                        "dev,25,1000,2000\n")
+        with pytest.raises(ValueError, match=r"wide\.csv:3: .*does not fit in k=13 bits"):
+            load_responses(str(path))
+
+    def test_one_width_per_dump(self, tmp_path):
+        rng = np.random.default_rng(8)
+        mixed = [ResponseSet("dev", REFERENCE_ENV, rng.integers(0, 2, k).astype(np.uint8), k, 1)
+                 for k in (15, 63)]
+        with pytest.raises(ValueError, match=r"one width, got k in \[15, 63\]"):
+            save_responses(str(tmp_path / "mixed.csv"), mixed)
