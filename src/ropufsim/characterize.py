@@ -192,19 +192,19 @@ def export_profile_csv(layout: FabricLayout, prof: FrequencyProfile, path: str) 
 
     Two header lines record ``# t_on_us=`` (its ``repr``) and ``# samples=``
     (m); then each site's row joins its label from the chip's layout
-    (``ChipProfile.layout``), formatted once per site list, with its two
-    integer count moments.  Re-ingesting the file gives the profile's means
-    and sigmas bit for bit.
+    (``ChipProfile.layout``) with its two integer count moments.  The rows
+    are one ``%`` format of the layout's row template, which a profile of
+    the layout's ``active`` sites shares with every other chip of that
+    layout.  Re-ingesting the file gives the profile's means and sigmas bit
+    for bit.
     """
-    labels = layout.csv_labels
-    rows = [f"# t_on_us={float(prof.t_on_us)!r}", f"# samples={prof.m}", PROFILE_HEADER]
-    rows += [
-        f"{labels[ref]},{s1},{s2}"
-        for ref, s1, s2 in zip(
-            prof.site_refs.tolist(),
-            prof.sum_count.astype(np.int64).tolist(),
-            prof.sum_count_sq.astype(np.int64).tolist(),
-        )
-    ]
+    refs = prof.site_refs
+    if np.array_equal(refs, layout.active):
+        template = layout.active_csv_row_template
+    else:
+        template = layout.csv_row_template(refs.tolist())
+    moments = np.empty(2 * len(refs), dtype=np.int64)
+    moments[0::2], moments[1::2] = prof.sum_count, prof.sum_count_sq
+    head = f"# t_on_us={float(prof.t_on_us)!r}\n# samples={prof.m}\n{PROFILE_HEADER}\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(head + template % tuple(moments.tolist()))

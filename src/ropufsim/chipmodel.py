@@ -286,6 +286,16 @@ class FabricLayout:
                              for s in sites),
         )
 
+    def csv_row_template(self, site_refs: Sequence[int]) -> str:
+        """``%``-format template of profile CSV rows, one line
+        ``<label>,%d,%d`` per site of ``site_refs``."""
+        return "".join(self.csv_labels[r].replace("%", "%%") + ",%d,%d\n" for r in site_refs)
+
+    @functools.cached_property
+    def active_csv_row_template(self) -> str:
+        """``csv_row_template`` of the ``active`` sites, built on first use."""
+        return self.csv_row_template(self.active.tolist())
+
 
 # build_fabric reads nothing else of the spec, so chips of one family share
 # one layout
@@ -605,6 +615,9 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
                     raise ValueError(f"bad corner {corner!r}")
                 if kind == "mhz":
                     samples = np.array([float(rec[c]) for c in value_cols])
+                    if not (np.isfinite(samples).all() and (samples > 0).all()):
+                        raise ValueError(f"mhz samples must be finite and positive, "
+                                         f"got {samples.tolist()}")
                 else:
                     if kind == "count":
                         counts = [_count(rec[c], c) for c in value_cols]
@@ -618,16 +631,16 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
                                          f"sum_count^2 = {s1 * s1}")
                     if m * s2 >= EXACT_MOMENT_LIMIT:
                         raise ValueError(f"samples * sum_count_sq = {m * s2} reaches 2**53")
+                if has_class:
+                    cls = SliceClass(rec["class"].strip())
+                else:
+                    cls = classify_corner(corner, clb_has_m_bottom=(x % 2 == 1))
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
             key = (x, y, corner)
             if key in seen:
                 raise DataError(f"{path}:{lineno}: duplicate site {key}")
             seen.add(key)
-            if has_class:
-                cls = SliceClass(rec["class"].strip())
-            else:
-                cls = classify_corner(corner, clb_has_m_bottom=(x % 2 == 1))
             sites.append(FabricSite(x, y, corner, cls))
             if kind == "mhz":
                 means.append(float(samples.mean()))

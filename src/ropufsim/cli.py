@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -42,6 +43,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--device-spec", dest="device_spec_file",
                    help="JSON device spec file; overrides --preset")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="log each stage's host seconds to stderr")
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -179,11 +182,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    log = logging.getLogger("ropufsim")
+    handler = logging.StreamHandler(sys.stderr)
+    level = log.level
+    if getattr(args, "verbose", False):
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         return args.fn(args)
     except (ConfigError, DataError) as exc:
         print(f"ropuf {args.verb}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

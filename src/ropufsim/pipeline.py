@@ -4,15 +4,18 @@ computation-time model.  Devices run through the chain in blocks, one
 process, with one K-means run per block.
 
 Every stage's randomness derives from the declared global seed, so a run is
-reproducible from its manifest alone.
+reproducible from its manifest alone.  A run logs its host seconds per stage
+through the ``ropufsim`` logger at DEBUG.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar, get_args
@@ -206,6 +209,29 @@ class PipelineConfig:
         return unique
 
 
+_log = logging.getLogger("ropufsim")
+
+
+class _StageTimes:
+    """Host seconds per stage of one run, summed over its devices."""
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+
+    @contextmanager
+    def stage(self, name: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - t0
+
+    def log(self, what: str) -> None:
+        """One DEBUG record per stage, in the order the stages first ran."""
+        for name, sec in self.seconds.items():
+            _log.debug("%s stage %-12s %8.4f host s", what, name, sec)
+
+
 def derive_seed(*path: int) -> int:
     """Deterministic child seed from a (global_seed, index, stage...) path."""
     return int(np.random.SeedSequence(list(path)).generate_state(1)[0])
@@ -302,21 +328,25 @@ class _Pool:
     nu_refs: np.ndarray
 
 
-def _candidate_pool(config: PipelineConfig, index: int, spec: DeviceSpec) -> _Pool:
+def _candidate_pool(
+    config: PipelineConfig, index: int, spec: DeviceSpec, times: _StageTimes
+) -> _Pool:
     seeds = device_seeds(config.global_seed, index)
-    chip = synth_chip(spec, seeds["synth"], device_id=f"{spec.kind}_{index:03d}")
-
-    prof = characterize(
-        chip, m=config.samples, t_on_us=config.t_on_us,
-        rng=np.random.default_rng(seeds["characterize"]),
-    )
-    clean = reject_erroneous(
-        prof, mode=config.reject_mode,
-        threshold=config.reject_threshold, quantile=config.reject_quantile,
-    )
-    kept = clean.kept
-    mean = kept.mean
-    order = np.argsort(mean, kind="stable")
+    with times.stage("synth"):
+        chip = synth_chip(spec, seeds["synth"], device_id=f"{spec.kind}_{index:03d}")
+    with times.stage("characterize"):
+        prof = characterize(
+            chip, m=config.samples, t_on_us=config.t_on_us,
+            rng=np.random.default_rng(seeds["characterize"]),
+        )
+    with times.stage("reject"):
+        clean = reject_erroneous(
+            prof, mode=config.reject_mode,
+            threshold=config.reject_threshold, quantile=config.reject_quantile,
+        )
+        kept = clean.kept
+        mean = kept.mean
+        order = np.argsort(mean, kind="stable")
     return _Pool(seeds, chip, prof, clean.z_bar, clean.rejected_count, clean.threshold_used,
                  mean[order], kept.site_refs[order])
 
@@ -365,7 +395,7 @@ _T = TypeVar("_T")
 
 def _chain(
     config: PipelineConfig, spec: DeviceSpec, indices: Sequence[int],
-    finish: Callable[[int, _Selection], _T],
+    finish: Callable[[int, _Selection], _T], times: _StageTimes,
 ) -> list[_T]:
     """``finish(index, selection)`` of every device, in index order.
 
@@ -376,17 +406,21 @@ def _chain(
     """
     out: list[_T] = []
     for start in range(0, len(indices), _BLOCK_DEVICES):
-        out += _chain_block(config, spec, indices[start : start + _BLOCK_DEVICES], finish)
+        out += _chain_block(config, spec, indices[start : start + _BLOCK_DEVICES], finish,
+                            times)
     return out
 
 
-def _chain_block(config, spec, indices, finish) -> list:
-    pools = [_candidate_pool(config, i, spec) for i in indices]
-    kms = _kmeans(config, pools)
-    return [
-        finish(i, _Selection(pool, km, _relocate(config, pool, km)))
-        for i, pool, km in zip(indices, pools, kms)
-    ]
+def _chain_block(config, spec, indices, finish, times) -> list:
+    pools = [_candidate_pool(config, i, spec, times) for i in indices]
+    with times.stage("kmeans"):
+        kms = _kmeans(config, pools)
+    out = []
+    for i, pool, km in zip(indices, pools, kms):
+        with times.stage("relocation"):
+            relocated = _relocate(config, pool, km)
+        out.append(finish(i, _Selection(pool, km, relocated)))
+    return out
 
 
 def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
@@ -419,15 +453,18 @@ def _respond(
 
 
 def _device_run(
-    config: PipelineConfig, sel: _Selection, lfsr_seed: int, env_grid: Sequence[EnvCondition]
+    config: PipelineConfig, sel: _Selection, lfsr_seed: int, env_grid: Sequence[EnvCondition],
+    times: _StageTimes,
 ) -> DeviceRun:
     """Placement at ``config.kappa``, the golden and swept responses, and
     what the writer needs of the chain.  The seeds derive from the ratio's
     grid index, as in ``sweep_kappa``, so the golden response equals that
     ratio's in a sweep."""
     k_idx = _kappa_index(config.ro_count, config.kappa)
-    plan = _place(sel, config.kappa, k_idx)
-    golden, *sweep = _respond(sel, plan, lfsr_seed, [REFERENCE_ENV, *env_grid], k_idx)
+    with times.stage("assign/place"):
+        plan = _place(sel, config.kappa, k_idx)
+    with times.stage("respond"):
+        golden, *sweep = _respond(sel, plan, lfsr_seed, [REFERENCE_ENV, *env_grid], k_idx)
     pool = sel.pool
     return DeviceRun(
         device_id=pool.chip.device_id,
@@ -454,8 +491,9 @@ def run_device(
 ) -> DeviceRun:
     """Execute the full per-device chain at ``config.kappa``."""
     spec = spec or _device_spec(config)
+    times = _StageTimes()
     return _chain(config, spec, [index],
-                  lambda _, sel: _device_run(config, sel, lfsr_seed, env_grid))[0]
+                  lambda _, sel: _device_run(config, sel, lfsr_seed, env_grid, times), times)[0]
 
 
 def _shared_lfsr_seed(config: PipelineConfig, index: int) -> int:
@@ -476,24 +514,33 @@ def run_pipeline(
 
     The MICD traces of ``selection.json`` are computed for all devices in
     one batch just before writing; a run without files never computes them.
+    The stage times are logged, not written, so the tree depends on the
+    config alone.
     """
     config.validate()
     spec = _device_spec(config)
     env_grid = config.env_grid()
+    times = _StageTimes()
     runs = _chain(
         config, spec, range(config.devices),
-        lambda i, sel: _device_run(config, sel, _shared_lfsr_seed(config, i), env_grid),
+        lambda i, sel: _device_run(config, sel, _shared_lfsr_seed(config, i), env_grid, times),
+        times,
     )
 
-    golden_rows = np.stack([r.golden.bits for r in runs])
-    sweeps = [np.stack([s.bits for s in r.sweep_responses]) if r.sweep_responses
-              else np.empty((0, r.golden.k), dtype=np.uint8) for r in runs]
-    report = evaluate_population(golden_rows, sweeps, [r.device_id for r in runs])
-    nist_report = run_suite([r.golden.bits for r in runs])
+    with times.stage("evaluate"):
+        golden_rows = np.stack([r.golden.bits for r in runs])
+        sweeps = [np.stack([s.bits for s in r.sweep_responses]) if r.sweep_responses
+                  else np.empty((0, r.golden.k), dtype=np.uint8) for r in runs]
+        report = evaluate_population(golden_rows, sweeps, [r.device_id for r in runs])
+    with times.stage("nist"):
+        nist_report = run_suite([r.golden.bits for r in runs])
 
     if write:
-        micd_traces([r.kmeans for r in runs])
-        _write_run(config, runs, report, nist_report)
+        with times.stage("micd"):
+            micd_traces([r.kmeans for r in runs])
+        with times.stage("write"):
+            _write_run(config, runs, report, nist_report)
+    times.log(f"run of {len(runs)} devices:")
     return report, nist_report, runs
 
 
@@ -575,18 +622,24 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
     spec = _device_spec(config)
     kappas = valid_kappas(config.ro_count)
 
+    times = _StageTimes()
+
     def goldens(i: int, sel: _Selection) -> np.ndarray:
         lfsr_seed = _shared_lfsr_seed(config, i)
-        return np.stack([
-            _respond(sel, _place(sel, kappa, k_idx), lfsr_seed, [REFERENCE_ENV], k_idx)[0].bits
-            for k_idx, kappa in enumerate(kappas)
-        ])
+        rows = []
+        for k_idx, kappa in enumerate(kappas):
+            with times.stage("assign/place"):
+                plan = _place(sel, kappa, k_idx)
+            with times.stage("respond"):
+                rows.append(_respond(sel, plan, lfsr_seed, [REFERENCE_ENV], k_idx)[0].bits)
+        return np.stack(rows)
 
     # (ratios, devices, k) golden bits
-    per_ratio = np.stack(_chain(config, spec, range(config.devices), goldens), axis=1)
+    per_ratio = np.stack(_chain(config, spec, range(config.devices), goldens, times), axis=1)
     points: list[KappaSweepPoint] = []
     for kappa, golden in zip(kappas, per_ratio):
-        nist_report = run_suite(golden)
+        with times.stage("nist"):
+            nist_report = run_suite(golden)
         points.append(
             KappaSweepPoint(
                 kappa=kappa,
@@ -607,6 +660,7 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
                 f"{p.uniqueness:.4f},{p.min_entropy_avg:.4f}"
             )
         (root / "kappa_sweep.csv").write_text("\n".join(rows) + "\n")
+    times.log(f"kappa sweep of {config.devices} devices over {len(kappas)} ratios:")
     return points
 
 
@@ -632,7 +686,9 @@ def bench(config: PipelineConfig) -> BenchReport:
     """
     config.validate()
     spec = _device_spec(config)
-    pool = _candidate_pool(config, 0, spec)
+    times = _StageTimes()
+    pool = _candidate_pool(config, 0, spec, times)
+    times.log("bench of 1 device:")
     t_p1 = spec.site_count * config.samples * SAMPLE_COST_SEC
 
     t0 = time.perf_counter()

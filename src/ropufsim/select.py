@@ -405,6 +405,20 @@ class _SortedRows:
         return nearest
 
 
+def _nearest_centroid_distance(fs: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """Distance of each sorted candidate to its nearest centroid.
+
+    Equals ``np.abs(fs[:, None] - cents).min(axis=1)`` (bit for bit, but
+    for the sign of a zero), so ``argmax`` picks the same candidate: rounded
+    subtraction is monotone and sign-symmetric, so the nearest centroid on
+    each side is the one next to the candidate in sorted order, found by one
+    search of the candidates into the sorted centroids.
+    """
+    edges = np.concatenate([[-np.inf], np.sort(cents), [np.inf]])
+    pos = np.searchsorted(edges, fs, "left")
+    return np.minimum(fs - edges[pos - 1], edges[pos] - fs)
+
+
 def batched_kmeans(
     freqs: Sequence, configs: Sequence[SelectionConfig], site_refs: Sequence | None = None
 ) -> list[tuple[SelectionResult, SelectionResult]]:
@@ -413,15 +427,21 @@ def batched_kmeans(
 
     Every pool runs its own 1-D expectation-maximization on its sorted
     candidates, where every cluster is a contiguous slice: an update step
-    (the mean of each cluster; an empty cluster is re-seeded to the
-    candidate farthest from all current centroids), then the M + 1 bounds of
-    the new clusters (a candidate on a midpoint joins the lower cluster) and
-    the snap of the centroids to distinct candidates.  A pool stops when an
-    update without re-seeds leaves its centroids unchanged, or after its
-    ``k_max`` iterations.  Each step runs for all pools still active at once,
-    on a (pools, M) centroid matrix, and gives every pool the results it
-    would get alone.  All configs must share one M.  Both results of a pool
-    share one pending MICD trace (see ``micd_traces``).
+    (the mean of each cluster; an empty cluster is re-seeded to the first
+    candidate farthest from all current centroids, found from each
+    candidate's neighbours in the sorted centroids, the empty clusters of a
+    pool filled one at a time), then the M + 1 bounds of the new clusters (a
+    candidate on a midpoint joins the lower cluster) and the snap of the
+    centroids to distinct candidates.  Each step searches its midpoints
+    once; the next update step reuses those positions and searches again
+    only the pools where a candidate lies exactly on a midpoint.  A pool
+    stops when an update without re-seeds leaves its centroids unchanged, or
+    after its ``k_max`` iterations.  Each step runs for all pools still
+    active at once, on a (pools, M) centroid matrix, and gives every pool
+    the results it would get alone.  All configs must share one M.  Both results of a pool
+    share one pending MICD trace (see ``micd_traces``).  A pool given in
+    ascending order is used as it is, without a sorted copy, so it must not
+    change while that trace is pending.
     """
     if len(configs) != len(freqs):
         raise ValueError("need one config per candidate pool")
@@ -438,8 +458,11 @@ def batched_kmeans(
         if f.size < m:
             raise ValueError(f"cannot select {m} from {f.size} candidates")
         refs = np.arange(f.size) if refs is None else np.asarray(refs)
-        order = np.argsort(f, kind="stable")
-        fs, refs_sorted = f[order], refs[order]
+        if (f[1:] >= f[:-1]).all():
+            fs, refs_sorted = f, refs
+        else:
+            order = np.argsort(f, kind="stable")
+            fs, refs_sorted = f[order], refs[order]
         if f.size == m:
             idx = np.arange(m)
             beta = min_pairwise_diff(fs) if m >= 2 else 0.0
@@ -484,15 +507,23 @@ def _em_batch(pools, c: np.ndarray, best, trace0, out) -> None:
     ids = np.flatnonzero(k_max >= 1)  # the pools still iterating
     c = c[ids]
     mids = (c[:, :-1] + c[:, 1:]) / 2.0
+    right = cands.search(ids, mids, "right")
     log = [(np.empty(0, dtype=np.intp), np.empty((0, m - 1), dtype=np.intp),
             np.empty((0, m)), np.empty((0, m), dtype=np.intp), np.empty(0))]
     iteration = 0
     while ids.size:
         iteration += 1
-        # the update step assigns a candidate on a midpoint to the upper cluster
+        # the update step assigns a candidate on a midpoint to the upper
+        # cluster; the "right" positions differ from the "left" ones only
+        # where the candidate before them lies on the midpoint
+        left = right
+        on_mid = (cands.padded[cands.starts[ids, None] + right - 1] == mids).any(axis=1)
+        if on_mid.any():
+            left = right.copy()
+            left[on_mid] = cands.search(ids[on_mid], mids[on_mid], "left")
         bounds = np.empty((ids.size, m + 1), dtype=np.intp)
         bounds[:, 0], bounds[:, -1] = 0, n[ids]
-        bounds[:, 1:-1] = cands.search(ids, mids, "left")
+        bounds[:, 1:-1] = left
         counts = bounds[:, 1:] - bounds[:, :-1]
         edge_sums = cums[cum_starts[ids, None] + bounds]
         new_c = (edge_sums[:, 1:] - edge_sums[:, :-1]) / np.maximum(counts, 1)
@@ -501,20 +532,20 @@ def _em_batch(pools, c: np.ndarray, best, trace0, out) -> None:
             row = np.where(counts[i] > 0, new_c[i], c[i])
             fs = cands.arrays[ids[i]]
             for j in np.flatnonzero(counts[i] == 0):
-                dist = np.abs(fs[:, None] - row[None, :]).min(axis=1)
-                row[j] = fs[int(np.argmax(dist))]
+                row[j] = fs[int(np.argmax(_nearest_centroid_distance(fs, row)))]
             new_c[i] = row
         new_c.sort(axis=1)
         new_mids = (new_c[:, :-1] + new_c[:, 1:]) / 2.0
         snapped = cands.snap(ids, new_c)
         chosen = cands.padded[cands.starts[ids, None] + snapped]
         beta = (chosen[:, 1:] - chosen[:, :-1]).min(axis=1)
-        log.append((ids, cands.search(ids, new_mids, "right"), new_c, snapped, beta))
+        right = cands.search(ids, new_mids, "right")
+        log.append((ids, right, new_c, snapped, beta))
         done = (new_c == c).all(axis=1) & ~reseeded
         done |= iteration >= k_max[ids]
         c, mids = new_c, new_mids
         if done.any():
-            ids, c, mids = ids[~done], c[~done], mids[~done]
+            ids, c, mids, right = ids[~done], c[~done], mids[~done], right[~done]
 
     # every pool's iterations, in order, as one slice of each logged array
     row_of = np.concatenate([entry[0] for entry in log])
@@ -593,8 +624,11 @@ def relocate_centroids(
         raise ValueError(f"need at least 2 centroids, got {lp.size}")
     refs = np.arange(nu.size) if site_refs is None else np.asarray(site_refs)
 
+    # pos stays sorted, so each round's adjacent gaps are all the pairwise
+    # ones and their minimum is the trace entry
     pos = np.sort(_map_to_indices(nu, lp))
-    trace: list[float] = [min_pairwise_diff(nu[pos])]
+    gaps = np.diff(nu[pos])
+    trace: list[float] = [float(gaps.min())]
 
     def try_move(direction: str, k_m: int, th: float) -> bool:
         if direction == "L":
@@ -621,7 +655,6 @@ def relocate_centroids(
 
     iterations = 0
     for _ in range(max_iter):
-        gaps = np.diff(nu[pos])
         k_m = int(np.argmin(gaps))
         th = float(gaps[k_m])
         left_gap = float(gaps[k_m - 1]) if k_m >= 1 else np.inf
@@ -631,13 +664,14 @@ def relocate_centroids(
         if not (try_move(prefer, k_m, th) or try_move(other, k_m, th)):
             break
         iterations += 1
-        trace.append(min_pairwise_diff(nu[pos]))
+        gaps = np.diff(nu[pos])
+        trace.append(float(gaps.min()))
 
     chosen = [(int(refs[i]), float(nu[i])) for i in pos]
     return SelectionResult(
         chosen=chosen,
         centroids=nu[pos].copy(),
-        min_diff=min_pairwise_diff(nu[pos]),
+        min_diff=trace[-1],
         min_diff_trace=trace,
         iterations=iterations,
     )

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import manual_chip
+from conftest import manual_chip, toy_spec
 from ropufsim.characterize import (
     DEFAULT_THRESHOLD,
+    PROFILE_HEADER,
     FrequencyProfile,
     NoSurvivorsError,
     characterize,
@@ -20,6 +21,9 @@ from ropufsim.characterize import (
 )
 from ropufsim.chipmodel import (
     REFERENCE_ENV,
+    FabricLayout,
+    FabricSite,
+    SliceClass,
     count_noise,
     env_frequencies,
     get_preset,
@@ -220,7 +224,46 @@ class TestProfileStats:
         assert stats["mean_span"] == pytest.approx(64.78, rel=0.10)
 
 
+def profile_bytes_reference(layout, prof) -> bytes:
+    """The row-by-row f-string writer the row template replaced, kept as
+    its reference."""
+    rows = [f"# t_on_us={float(prof.t_on_us)!r}", f"# samples={prof.m}", PROFILE_HEADER]
+    rows += [
+        f"{layout.csv_labels[ref]},{s1},{s2}"
+        for ref, s1, s2 in zip(
+            prof.site_refs.tolist(),
+            prof.sum_count.astype(np.int64).tolist(),
+            prof.sum_count_sq.astype(np.int64).tolist(),
+        )
+    ]
+    return ("\n".join(rows) + "\n").encode()
+
+
 class TestExportRoundTrip:
+    def test_bytes_equal_row_by_row_writer(self, tmp_path):
+        chip = synth_chip(toy_spec(central_exclusion=0.2), device_seed=11)
+        layout = chip.layout
+        prof = characterize(chip, rng=np.random.default_rng(9))
+        assert np.array_equal(prof.site_refs, layout.active)
+        assert layout.active.size < len(layout.sites)  # the fabric has excluded sites
+        order = np.random.default_rng(4).permutation(len(prof))
+        subset = prof.subset(order[: len(prof) // 3])  # an ingested-style subset
+        path = tmp_path / "profile.csv"
+        for p in (prof, subset, prof, subset):
+            export_profile_csv(layout, p, str(path))
+            assert path.read_bytes() == profile_bytes_reference(layout, p)
+        assert "active_csv_row_template" in vars(layout)  # built once, then reused
+
+    def test_percent_in_labels_is_written_literally(self, tmp_path):
+        layout = FabricLayout.of([FabricSite(0, 0, "T%L", SliceClass.L12),
+                                  FabricSite(1, 0, "%d%%", SliceClass.M)])
+        counts = np.array([[49_000, 49_002], [50_000, 50_000]])
+        path = tmp_path / "profile.csv"
+        for refs in ([0, 1], [1]):
+            prof = FrequencyProfile.from_counts(np.array(refs), counts[refs], 122.87)
+            export_profile_csv(layout, prof, str(path))
+            assert path.read_bytes() == profile_bytes_reference(layout, prof)
+
     def test_export_then_ingest_preserves_sites_and_means(self, small_chip, tmp_path):
         prof = characterize(small_chip, rng=np.random.default_rng(9))
         path = tmp_path / "profile.csv"

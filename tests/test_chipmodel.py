@@ -208,6 +208,26 @@ class TestIngest:
         with pytest.raises(DataError, match=":3"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("row,message", [
+        ("1,0,TL,-3.0,400.0", r"mhz samples must be finite and positive, got \[-3\.0, 400\.0\]"),
+        ("1,0,TL,0.0,400.0", r"mhz samples must be finite and positive"),
+        ("1,0,TL,400.0,nan", r"mhz samples must be finite and positive, got \[400\.0, nan\]"),
+        ("1,0,TL,inf,400.0", r"mhz samples must be finite and positive, got \[inf, 400\.0\]"),
+        ("1,0,TL,1e400,400.0", r"mhz samples must be finite and positive"),
+    ])
+    def test_bad_mhz_sample_names_line(self, tmp_path, row, message):
+        path = self._write(tmp_path,
+                           f"clb_x,clb_y,corner,mhz_1,mhz_2\n0,0,TL,400.0,401.0\n{row}\n")
+        with pytest.raises(DataError, match=rf"chip\.csv:3: malformed row \({message}"):
+            ingest_csv(path)
+
+    def test_unknown_class_names_line(self, tmp_path):
+        path = self._write(tmp_path, "clb_x,clb_y,corner,class,mhz_1\n"
+                                     "0,0,TL,L12,400.0\n1,0,TL,L,410.0\n")
+        with pytest.raises(DataError,
+                           match=r"chip\.csv:3: malformed row \('L' is not a valid SliceClass"):
+            ingest_csv(path)
+
     def test_duplicate_site_rejected(self, tmp_path):
         path = self._write(
             tmp_path,

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -49,6 +50,10 @@ def tree_sha256(root: Path) -> str:
         h.update(b"\0")
     return h.hexdigest()
 
+
+# Stages a written run logs, in order.
+STAGES = ("synth", "characterize", "reject", "kmeans", "relocation", "assign/place",
+          "respond", "evaluate", "nist", "micd", "write")
 
 # Artifact tree of tiny_config with out_dir="run".  Only a change that
 # announces a behaviour change may move it.
@@ -215,6 +220,21 @@ class TestRunPipeline:
         monkeypatch.chdir(tmp_path)
         run_pipeline(tiny_config(tmp_path, out_dir="run"))
         assert tree_sha256(Path("run")) == TINY_RUN_SHA256
+
+    def test_stage_times_logged_at_debug(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="ropufsim")
+        run_pipeline(tiny_config(tmp_path))
+        logged = [re.fullmatch(r"run of 3 devices: stage (\S+) +\d+\.\d{4} host s", m)
+                  for m in caplog.messages]
+        assert [m[1] for m in logged] == list(STAGES)
+        caplog.clear()
+        run_pipeline(tiny_config(tmp_path), write=False)
+        assert len(caplog.messages) == len(STAGES) - 2  # no micd and no write stage
+        caplog.clear()
+        sweep_kappa(tiny_config(tmp_path), write=False)
+        bench(tiny_config(tmp_path))
+        assert [re.search(r"stage (\S+) ", m)[1] for m in caplog.messages] == [
+            *STAGES[:7], "nist", *STAGES[:3]]
 
     def test_micd_computed_once_per_written_population(self, tmp_path, micd_calls):
         config = tiny_config(tmp_path)
@@ -444,6 +464,20 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert "reliability" in capsys.readouterr().out
 
+    def test_run_verbose_logs_stage_times_to_stderr_only(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = ["run", "--preset", "zybo", "--devices", "3", "--ro-count", "8", "--seed", "5",
+                "--out", "run", "--config", "tiny.json"]
+        config = tiny_config(tmp_path, out_dir="run")
+        Path("tiny.json").write_text(config.to_json())
+        assert main([*args, "-v"]) == 0
+        err = capsys.readouterr().err
+        assert re.findall(r"stage (\S+) ", err) == list(STAGES)
+        assert tree_sha256(Path("run")) == TINY_RUN_SHA256
+        assert main(args) == 0  # the logger is quiet again
+        assert capsys.readouterr().err == ""
+        assert not logging.getLogger("ropufsim").handlers
+
     def test_sweep_kappa_verb(self, tmp_path, capsys):
         rc = main([
             "sweep-kappa", "--preset", "zybo", "--devices", "2", "--ro-count", "8",
@@ -512,6 +546,20 @@ class TestCli:
         csv.write_text("# samples=2\nclb_x,clb_y,corner,sum_count,sum_count_sq\n")
         assert main(["ingest", str(csv)]) == 2
         assert f"ropuf ingest: {csv}:2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "clb_x,clb_y,corner,mhz_1\n0,0,TL,400.0\n1,0,TL,-3.0\n",
+        "clb_x,clb_y,corner,mhz_1\n0,0,TL,400.0\n1,0,TL,nan\n",
+        "clb_x,clb_y,corner,mhz_1\n0,0,TL,400.0\n1,0,TL,inf\n",
+        "clb_x,clb_y,corner,class,mhz_1\n0,0,TL,L12,400.0\n1,0,TL,L,410.0\n",
+    ], ids=["negative", "nan", "inf", "class"])
+    def test_bad_mhz_or_class_ingest_exits_2_naming_line(self, tmp_path, capsys, text):
+        csv = tmp_path / "chip.csv"
+        csv.write_text(text)
+        assert main(["ingest", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert f"ropuf ingest: {csv}:3: malformed row (" in err
+        assert "Traceback" not in err
 
     def test_nist_verb_on_run_dump(self, tmp_path, capsys):
         out = tmp_path / "cli_run2"

@@ -4,13 +4,14 @@ from typing import get_args
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ropufsim.select as select
 from ropufsim.select import (
     SeedStrategy,
     SelectionConfig,
+    _nearest_centroid_distance,
     _slice_means,
     _snap_distinct,
     _SortedRows,
@@ -618,10 +619,47 @@ class TestBatchedKmeans:
         assert as_outcome(improved_kmeans(f, cfg, site_refs=refs)) == imp
         assert as_outcome(plain_kmeans(f, cfg, site_refs=refs)) == pla
 
+    def test_sorted_pools_used_without_a_copy(self):
+        pools = [self.pool(kind, 8, seed) for seed, kind in enumerate(["grid", "uniform"] * 3)]
+        order = [np.argsort(f, kind="stable") for f, _, _ in pools]
+        ascending = [(f[o], cfg, r[o]) for (f, cfg, r), o in zip(pools, order)]
+        self.check(ascending, 4)
+        got = batched_kmeans([f for f, _, _ in ascending], [c for _, c, _ in ascending],
+                             [r for _, _, r in ascending])
+        for (f, _, _), (imp, pla) in zip(ascending, got):
+            assert imp._micd is pla._micd and imp._micd.fs is f
+
     def test_pools_must_share_m(self):
         f = np.arange(20.0)
         with pytest.raises(ValueError, match="share M"):
             batched_kmeans([f, f], [config(4), config(8)])
+
+
+class TestNearestCentroidDistance:
+    """The sorted-search re-seed distance against the dense matrix that
+    ``kmeans_iterations_reference`` uses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # a half-unit grid gives duplicate candidates, repeated centroids and
+        # exact ties; centroids reach beyond either end of the candidates
+        cands=st.lists(st.one_of(st.integers(0, 40).map(lambda k: k / 2.0),
+                                 st.floats(-1e6, 1e6)), min_size=1, max_size=40),
+        cents=st.lists(st.one_of(st.integers(-10, 50).map(lambda k: k / 2.0),
+                                 st.floats(-2e6, 2e6)), min_size=1, max_size=12),
+    )
+    @example(cands=[0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 4.0], cents=[2.0, 2.0, -1.0])
+    @example(cands=[1.0, 2.0, 3.0], cents=[5.0, 7.0, 5.0])
+    @example(cands=[0.0, 0.5, 1.0, 1.5, 2.0], cents=[0.0, 2.0])
+    def test_equals_dense_minimum_and_argmax(self, cands, cents):
+        fs = np.sort(np.array(cands))
+        row = np.array(cents)
+        dense = np.abs(fs[:, None] - row[None, :]).min(axis=1)
+        got = _nearest_centroid_distance(fs, row)
+        # equal values: a centroid of -0.0 on a candidate of 0.0 gives -0.0
+        # for the dense 0.0, which argmax treats alike
+        assert np.array_equal(got, dense)
+        assert int(np.argmax(got)) == int(np.argmax(dense))
 
 
 class TestSortedRowsSearch:
