@@ -13,8 +13,9 @@ import csv
 import functools
 import json
 import math
+import numbers
 import statistics
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -90,6 +91,14 @@ class EnvCondition:
 REFERENCE_ENV = EnvCondition(REFERENCE_TEMP_C, REFERENCE_VCC_MV)
 
 
+def _finite_real(value) -> bool:
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and math.isfinite(value)
+    )
+
+
 @dataclass(frozen=True)
 class DeviceSpec:
     """Statistical description of one FPGA family.
@@ -116,6 +125,18 @@ class DeviceSpec:
     erroneous_sigma_mult: float = 30.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str" and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _finite_real(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        if not isinstance(self.class_bias, Mapping):
+            raise ConfigError(f"class_bias must map slice classes to MHz, got {self.class_bias!r}")
         if self.site_count <= 0:
             raise ConfigError(f"site_count must be positive, got {self.site_count}")
         if self.mean_span < 0 or self.sigma_span < 0:
@@ -126,9 +147,11 @@ class DeviceSpec:
             raise ConfigError("central_exclusion must lie in [0, 0.5)")
         if not 0.0 <= self.erroneous_fraction < 1.0:
             raise ConfigError("erroneous_fraction must lie in [0, 1)")
-        for name in self.class_bias:
+        for name, bias in self.class_bias.items():
             if name not in SliceClass.__members__:
                 raise ConfigError(f"unknown slice class {name!r} in class_bias")
+            if not _finite_real(bias):
+                raise ConfigError(f"class_bias[{name!r}] must be a finite number, got {bias!r}")
 
     def bias_for(self, cls: SliceClass) -> float:
         return float(self.class_bias.get(cls.value, 0.0))
@@ -184,13 +207,15 @@ def load_device_spec(path: str) -> DeviceSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: device spec file must hold a JSON object")
     preset = raw.pop("preset", None)
-    base = asdict(get_preset(preset)) if preset else {}
-    base.update(raw)
     try:
+        base = asdict(get_preset(preset)) if preset else {}
+        base.update(raw)
         spec = DeviceSpec(**base)
+        spec.validate()
     except TypeError as exc:
-        raise ConfigError(f"bad device spec file {path}: {exc}") from None
-    spec.validate()
+        raise ConfigError(f"{path}: bad device spec ({exc})") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return spec
 
 

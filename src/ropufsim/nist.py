@@ -7,16 +7,19 @@ p-values and DFT.  Population judgment follows the standard two-pronged
 rule: a minimum proportion of passing sequences and a chi-square uniformity
 check on the p-value distribution.
 
-``run_suite`` takes an (s, n) 0/1 matrix or a list of s equal-length
-sequences.  Each test computes its statistic for many rows at once with
-whole-array operations (row sums, cumulative sums, one offset ``bincount``
-for the pattern counts, a row-wise FFT), then maps each row's statistic to a
-p-value.  The cumulative-sums p-value, a sum over many normal CDFs, is
-memoized on its integer statistic (n, z) in a bounded ``functools.lru_cache``
-that fills as values are first asked for; the other p-values are computed
-directly.  Each public ``*_test`` judges one sequence as a one-row matrix
-through the same code, so a batched p-value equals the one-sequence p-value
-exactly.
+``run_suite`` is the one public way to get p-values: it takes an (s, n) 0/1
+matrix or a list of s equal-length sequences, and ``results[name].p_values``
+holds one p-value per sequence.  ``run_suite`` owns applicability: it keeps
+each test's minimum length, reports a test NA without running it below that
+length, resolves the approximate-entropy and serial block lengths once per n
+and counts each row block's pattern table once for both.  Each private
+kernel computes its statistic for many rows at once with whole-array
+operations (row sums, cumulative sums, one offset ``bincount`` for the
+pattern counts, a row-wise FFT), then maps each row's statistic to a
+p-value, so a row's p-value does not depend on the rows beside it.  The
+cumulative-sums p-value, a sum over many normal CDFs, is memoized on its
+integer statistic (n, z) in a bounded ``functools.lru_cache`` that fills as
+values are first asked for; the other p-values are computed directly.
 """
 
 from __future__ import annotations
@@ -43,46 +46,33 @@ _LONGEST_RUN_TIERS = (
 )
 
 
-class NotApplicableError(ValueError):
-    """Test cannot run at this sequence length."""
-
-
 @dataclass
 class NistParams:
-    """Suite parameters; None selects the length-dependent defaults."""
+    """Suite parameters; None selects the length-dependent block lengths."""
 
     block_len: int = 20
-    m_entropy: int | None = None       # must satisfy m < floor(log2 n) - 5
-    m_serial: int | None = None        # must satisfy m < floor(log2 n) - 2
+    m_entropy: int | None = None       # default: the largest m < floor(log2 n) - 5
+    m_serial: int | None = None        # default: the largest m < floor(log2 n) - 2
     alpha: float = ALPHA_DEFAULT
     dft_min_n: int = 1000
-    min_n_basic: int = 100
     uniformity_alpha: float = UNIFORMITY_ALPHA
     uniformity_min_sequences: int = 10
 
     def entropy_block_len(self, n: int) -> int:
-        bound = int(math.floor(math.log2(n))) - 5
-        if self.m_entropy is not None:
-            if not 1 <= self.m_entropy < bound:
-                raise NotApplicableError(
-                    f"approximate-entropy block length must satisfy 1 <= m < {bound}"
-                )
-            return self.m_entropy
-        if bound <= 1:
-            raise NotApplicableError(f"no admissible approximate-entropy block length at n={n}")
-        return bound - 1
+        """Approximate-entropy block length at n >= 128: ``m_entropy`` as
+        given, else floor(log2 n) - 6."""
+        m = self.m_entropy if self.m_entropy is not None else n.bit_length() - 7
+        if m < 1:
+            raise ValueError(f"approximate-entropy block length must be >= 1, got {m}")
+        return m
 
     def serial_block_len(self, n: int) -> int:
-        bound = int(math.floor(math.log2(n))) - 2
-        if self.m_serial is not None:
-            if not 2 <= self.m_serial < bound:
-                raise NotApplicableError(
-                    f"serial block length must satisfy 2 <= m < {bound}"
-                )
-            return self.m_serial
-        if bound <= 2:
-            raise NotApplicableError(f"no admissible serial block length at n={n}")
-        return bound - 1
+        """Serial block length at n >= 100: ``m_serial`` as given, else
+        floor(log2 n) - 3."""
+        m = self.m_serial if self.m_serial is not None else n.bit_length() - 4
+        if m < 2:
+            raise ValueError(f"serial block length must be >= 2, got {m}")
+        return m
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -129,46 +119,29 @@ def _as_row(bits) -> np.ndarray:
     return _as_matrix(_as_bits(bits)[None])
 
 
-def _check_n(n: int, floor: int, check: bool, name: str) -> None:
-    if check and n < floor:
-        raise NotApplicableError(f"{name} requires n >= {floor}, got {n}")
-
-
 def _gamma_p_values(a: float, xs: np.ndarray) -> np.ndarray:
     return np.array([reg_gamma_upper(a, x) for x in xs.tolist()], dtype=float)
 
 
-def _frequency(mat: np.ndarray, check_n: bool = True) -> np.ndarray:
+def _frequency(mat: np.ndarray) -> np.ndarray:
+    """Monobit: p = erfc(|S| / sqrt(2 n)) with S the +-1 sum."""
     s, n = mat.shape
-    _check_n(n, 100, check_n, "frequency test")
     abs_s = np.abs(2 * mat.sum(axis=1, dtype=np.int64) - n)
     return np.array(
         [erfc(v / math.sqrt(n) / math.sqrt(2.0)) for v in abs_s.tolist()], dtype=float
     )
 
 
-def frequency_test(bits, check_n: bool = True) -> float:
-    """Monobit: p = erfc(|S| / sqrt(2 n)) with S the +-1 sum."""
-    return float(_frequency(_as_row(bits), check_n)[0])
-
-
-def _block_frequency(mat: np.ndarray, block_len: int = 20, check_n: bool = True) -> np.ndarray:
+def _block_frequency(mat: np.ndarray, block_len: int) -> np.ndarray:
+    """Proportion of ones per M-bit block against one half; n >= block_len."""
     s, n = mat.shape
-    _check_n(n, 100, check_n, "block frequency test")
     if block_len < 1:
         raise ValueError("block length must be positive")
     num_blocks = n // block_len
-    if num_blocks < 1:
-        raise NotApplicableError(f"no complete {block_len}-bit block in {n} bits")
     blocks = mat[:, : num_blocks * block_len].reshape(s, num_blocks, block_len)
     pi = blocks.sum(axis=2) / block_len
     chi2 = 4.0 * block_len * ((pi - 0.5) ** 2).sum(axis=1)
     return _gamma_p_values(num_blocks / 2.0, chi2 / 2.0)
-
-
-def block_frequency_test(bits, block_len: int = 20, check_n: bool = True) -> float:
-    """Proportion of ones per M-bit block against one half."""
-    return float(_block_frequency(_as_row(bits), block_len, check_n)[0])
 
 
 # The p-value depends only on the integers (n, z), and a miss costs O(n / z)
@@ -192,20 +165,15 @@ def _cusum_p(n: int, z: int) -> float:
     return min(max(1.0 - sum1 + sum2, 0.0), 1.0)
 
 
-def _cumulative_sums(mat: np.ndarray, reverse: bool = False, check_n: bool = True) -> np.ndarray:
+def _cumulative_sums(mat: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Maximum excursion of the +-1 random walk, forward or reversed."""
     s, n = mat.shape
-    _check_n(n, 100, check_n, "cumulative sums test")
     if reverse:
         mat = mat[:, ::-1]
     # the +-1 walk after k steps is 2 * (ones so far) - k
     walk = 2 * np.cumsum(mat, axis=1, dtype=np.int64) - np.arange(1, n + 1)
     z = np.maximum(walk.max(axis=1), -walk.min(axis=1))
     return np.array([_cusum_p(n, v) for v in z.tolist()], dtype=float)
-
-
-def cumulative_sums_test(bits, reverse: bool = False, check_n: bool = True) -> float:
-    """Maximum excursion of the +-1 random walk, forward or reversed."""
-    return float(_cumulative_sums(_as_row(bits), reverse, check_n)[0])
 
 
 def _runs_p(n: int, ones: int, v: int) -> float:
@@ -219,32 +187,23 @@ def _runs_p(n: int, ones: int, v: int) -> float:
     return erfc(num / den)
 
 
-def _runs(mat: np.ndarray, check_n: bool = True) -> np.ndarray:
+def _runs(mat: np.ndarray) -> np.ndarray:
+    """Total number of runs against its expectation for the observed bias.
+
+    A row whose ones proportion fails the precondition |pi - 1/2| < 2/sqrt(n)
+    gets p = 0, matching the standard's handling.
+    """
     s, n = mat.shape
-    _check_n(n, 100, check_n, "runs test")
     ones = mat.sum(axis=1, dtype=np.int64).tolist()
     runs = (1 + np.count_nonzero(mat[:, 1:] != mat[:, :-1], axis=1)).tolist()
     return np.array([_runs_p(n, o, v) for o, v in zip(ones, runs)], dtype=float)
 
 
-def runs_test(bits, check_n: bool = True) -> float:
-    """Total number of runs against its expectation for the observed bias.
-
-    Returns 0.0 when the ones proportion precondition |pi - 1/2| >= 2/sqrt(n)
-    fails, matching the standard's handling.
-    """
-    return float(_runs(_as_row(bits), check_n)[0])
-
-
-def _longest_run(mat: np.ndarray, check_n: bool = True) -> np.ndarray:
+def _longest_run(mat: np.ndarray) -> np.ndarray:
+    """Longest run of ones per block against the tabulated distribution of
+    the longest tier whose minimum length n reaches."""
     s, n = mat.shape
-    if n < _LONGEST_RUN_TIERS[0][0]:
-        raise NotApplicableError(f"longest-run test requires n >= 128, got {n}")
-    tier = _LONGEST_RUN_TIERS[0]
-    for t in _LONGEST_RUN_TIERS:
-        if n >= t[0]:
-            tier = t
-    _, block_len, v_min, v_max, pi = tier
+    _, block_len, v_min, v_max, pi = [t for t in _LONGEST_RUN_TIERS if n >= t[0]][-1]
     num_blocks = n // block_len
     blocks = mat[:, : num_blocks * block_len].reshape(s, num_blocks, block_len)
     longest = np.zeros((s, num_blocks), dtype=np.int64)
@@ -259,11 +218,6 @@ def _longest_run(mat: np.ndarray, check_n: bool = True) -> np.ndarray:
     expected = num_blocks * np.asarray(pi)
     chi2 = ((counts - expected) ** 2 / expected).sum(axis=1)
     return _gamma_p_values(len(pi) / 2.0 - 0.5, chi2 / 2.0)
-
-
-def longest_run_test(bits, check_n: bool = True) -> float:
-    """Longest run of ones per block against the tabulated distribution."""
-    return float(_longest_run(_as_row(bits), check_n)[0])
 
 
 def _pattern_counts(mat: np.ndarray, top: int) -> list[np.ndarray]:
@@ -304,42 +258,21 @@ def _phi(counts: np.ndarray, n: int) -> np.ndarray:
     return phi
 
 
-def _approximate_entropy(
-    mat: np.ndarray, m: int | None = None, check_n: bool = True,
-    count_patterns=_pattern_counts,
-) -> np.ndarray:
-    s, n = mat.shape
-    _check_n(n, 128, check_n, "approximate entropy test")
-    if m is None:
-        m = NistParams().entropy_block_len(n)
-    if m < 1:
-        raise ValueError("block length must be >= 1")
-    tables = count_patterns(mat, m + 1)
+def _approximate_entropy(tables: list[np.ndarray], m: int, n: int) -> np.ndarray:
+    """phi(m) - phi(m+1) against ln 2, from the pattern ``tables`` of n-bit
+    rows counted up to at least m + 1 bits."""
     apen = _phi(tables[m], n) - _phi(tables[m + 1], n)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     return _gamma_p_values(float(1 << (m - 1)), chi2 / 2.0)
 
 
-def approximate_entropy_test(bits, m: int | None = None, check_n: bool = True) -> float:
-    """phi(m) - phi(m+1) against ln 2 for overlapping pattern frequencies."""
-    return float(_approximate_entropy(_as_row(bits), m, check_n)[0])
-
-
-def _serial(
-    mat: np.ndarray, m: int | None = None, check_n: bool = True,
-    count_patterns=_pattern_counts,
-) -> tuple[np.ndarray, np.ndarray]:
-    s, n = mat.shape
-    _check_n(n, 100, check_n, "serial test")
-    if m is None:
-        m = NistParams().serial_block_len(n)
-    if m < 2:
-        raise ValueError("serial block length must be >= 2")
-    tables = count_patterns(mat, m)
+def _serial(tables: list[np.ndarray], m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both serial p-values, from the pattern ``tables`` of n-bit rows
+    counted up to at least m bits."""
 
     def psi_sq(block: int) -> np.ndarray:
         if block == 0:
-            return np.zeros(s)
+            return np.zeros(len(tables[0]))
         counts = tables[block]
         return (1 << block) / n * (counts * counts).sum(axis=1) - n
 
@@ -353,31 +286,20 @@ def _serial(
     return p1, p2
 
 
-def serial_test(bits, m: int | None = None, check_n: bool = True) -> tuple[float, float]:
-    """Two-level pattern-frequency test; returns both p-values."""
-    p1, p2 = _serial(_as_row(bits), m, check_n)
-    return float(p1[0]), float(p2[0])
-
-
 def _dft_p(n: int, n1: int) -> float:
     n0 = 0.95 * n / 2.0
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return erfc(abs(d) / math.sqrt(2.0))
 
 
-def _dft(mat: np.ndarray, min_n: int = 1000, check_n: bool = True) -> np.ndarray:
+def _dft(mat: np.ndarray) -> np.ndarray:
+    """Spectral test: fraction of low-magnitude DFT peaks vs expectation."""
     s, n = mat.shape
-    _check_n(n, min_n, check_n, "dft test")
     x = 2.0 * mat.astype(float) - 1.0
     moduli = np.abs(np.fft.fft(x, axis=1))[:, : n // 2]
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n1 = np.count_nonzero(moduli < threshold, axis=1)
     return np.array([_dft_p(n, v) for v in n1.tolist()], dtype=float)
-
-
-def dft_test(bits, min_n: int = 1000, check_n: bool = True) -> float:
-    """Spectral test: fraction of low-magnitude DFT peaks vs expectation."""
-    return float(_dft(_as_row(bits), min_n, check_n)[0])
 
 
 @dataclass
@@ -490,37 +412,36 @@ _SUITE_ORDER = (
 )
 
 
-def _pattern_top(params: NistParams, n: int) -> int:
-    """Longest pattern the approximate-entropy and serial tests count at
-    length n (m + 1 and m bits), so one table serves both."""
-    top = 0
-    for m, given, extra in (
-        (params.entropy_block_len, params.m_entropy, 1),
-        (params.serial_block_len, params.m_serial, 0),
-    ):
-        try:
-            top = max(top, (given if given is not None else m(n)) + extra)
-        except NotApplicableError:
-            pass
-    return top
-
-
 def _suite_tests(params: NistParams):
-    """(result names, batched test) in run order; serial runs last, so when
-    it does not apply its names follow dft's in the NA list.  Each test
-    takes a row block and the block's ``_pattern_counts``, which the
-    approximate-entropy and serial tests share."""
+    """(result names, minimum n, kernel maker) per test, in run order;
+    serial runs last, so when it does not apply its names follow dft's in
+    the NA list.  A maker is called only at a length n the test applies at.
+    It returns the longest pattern its kernel reads (0 for none) and the
+    kernel, which maps a row block and the block's pattern tables to one
+    p-value array per result name."""
+
+    def plain(kernel, *args):
+        return lambda n: (0, lambda b, t: (kernel(b, *args),))
+
+    def entropy(n: int):
+        m = params.entropy_block_len(n)
+        return m + 1, lambda b, t: (_approximate_entropy(t, m, n),)
+
+    def serial(n: int):
+        m = params.serial_block_len(n)
+        return m, lambda b, t: _serial(t, m, n)
+
     return (
-        (("frequency",), lambda b, t: (_frequency(b),)),
-        (("block_frequency",), lambda b, t: (_block_frequency(b, params.block_len),)),
-        (("cumsum_forward",), lambda b, t: (_cumulative_sums(b, reverse=False),)),
-        (("cumsum_reverse",), lambda b, t: (_cumulative_sums(b, reverse=True),)),
-        (("runs",), lambda b, t: (_runs(b),)),
-        (("longest_run",), lambda b, t: (_longest_run(b),)),
-        (("approximate_entropy",),
-         lambda b, t: (_approximate_entropy(b, params.m_entropy, count_patterns=t),)),
-        (("dft",), lambda b, t: (_dft(b, params.dft_min_n),)),
-        (("serial_1", "serial_2"), lambda b, t: _serial(b, params.m_serial, count_patterns=t)),
+        (("frequency",), 100, plain(_frequency)),
+        (("block_frequency",), max(100, params.block_len),
+         plain(_block_frequency, params.block_len)),
+        (("cumsum_forward",), 100, plain(_cumulative_sums, False)),
+        (("cumsum_reverse",), 100, plain(_cumulative_sums, True)),
+        (("runs",), 100, plain(_runs)),
+        (("longest_run",), _LONGEST_RUN_TIERS[0][0], plain(_longest_run)),
+        (("approximate_entropy",), 128, entropy),
+        (("dft",), params.dft_min_n, plain(_dft)),
+        (("serial_1", "serial_2"), 100, serial),
     )
 
 
@@ -535,22 +456,41 @@ def run_suite(sequences, params: NistParams | None = None) -> NistReport:
 
     ``sequences`` is an (s, n) 0/1 matrix or a list of s equal-length
     sequences; any other value, or a ragged, empty or higher-dimensional
-    input, raises ``ValueError``.  Each test computes its statistic over
-    blocks of rows at once.
-    Tests that do not apply at this length are reported NA, never failed.  A
-    test's population verdict needs both the passing proportion and, from
+    input, raises ``ValueError``.  A test whose minimum length n does not
+    reach is reported NA, never failed, and its kernel is not run.  The
+    others compute their statistics over blocks of rows at once, and
+    ``results[name].p_values`` holds one p-value per sequence.  A test's
+    population verdict needs both the passing proportion and, from
     ``uniformity_min_sequences`` sequences up, a uniform p-value spread.
     """
     if params is None:
         params = NistParams()
     mat = _as_matrix(sequences)
     s_count, n = mat.shape
-    results: dict[str, TestOutcome] = {}
-    not_applicable: list[str] = []
+    tests, not_applicable = [], []
+    for names, min_n, make in _suite_tests(params):
+        if n < min_n:
+            not_applicable.extend(names)
+        else:
+            tests.append((names, *make(n)))
+    # approximate entropy and serial share one pattern table per row block,
+    # counted at the longer of their pattern lengths
+    top = max((t[1] for t in tests), default=0)
+    rows = max(1, _BLOCK_BITS // max(n, 1))
+    blocks = [mat[i : i + rows] for i in range(0, s_count, rows)]
+    tables = [_pattern_counts(b, top) if top else None for b in blocks]
+    p_values = {}
+    for names, _, kernel in tests:
+        per_block = [kernel(b, t) for b, t in zip(blocks, tables)]
+        p_values.update(zip(names, map(np.concatenate, zip(*per_block))))
 
-    def add(name: str, arr: np.ndarray) -> None:
+    min_pass = min_pass_count(s_count, params.alpha)
+    results: dict[str, TestOutcome] = {}
+    for name in _SUITE_ORDER:
+        arr = p_values.get(name)
+        if arr is None:
+            continue
         passed = arr >= params.alpha
-        min_pass = min_pass_count(s_count, params.alpha)
         prop_ok = int(passed.sum()) >= min_pass
         unif_p = uniformity_p_value(arr)
         unif_ok = (
@@ -569,32 +509,6 @@ def run_suite(sequences, params: NistParams | None = None) -> NistReport:
             uniformity_pass=unif_ok,
             population_pass=prop_ok and unif_ok,
         )
-
-    rows = max(1, _BLOCK_BITS // max(n, 1))
-    blocks = [mat[i : i + rows] for i in range(0, s_count, rows)]
-    # each block's pattern tables, counted once at the longest length any
-    # test needs, on first use
-    longest = _pattern_top(params, n)
-    tables: dict[int, list[np.ndarray]] = {}
-
-    def block_counts(i: int):
-        def count(block: np.ndarray, top: int) -> list[np.ndarray]:
-            if len(tables.get(i, ())) <= top:
-                tables[i] = _pattern_counts(block, max(top, longest))
-            return tables[i]
-        return count
-
-    for names, test in _suite_tests(params):
-        try:
-            p_sets = [np.concatenate(ps)
-                      for ps in zip(*(test(b, block_counts(i)) for i, b in enumerate(blocks)))]
-        except NotApplicableError:
-            not_applicable.extend(names)
-            continue
-        for name, p_values in zip(names, p_sets):
-            add(name, p_values)
-
-    results = {name: results[name] for name in _SUITE_ORDER if name in results}
     return NistReport(
         n=n, sequences=s_count, alpha=params.alpha,
         results=results, not_applicable=not_applicable,

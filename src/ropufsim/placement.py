@@ -10,12 +10,13 @@ vendor-neutral constraint file.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chipmodel import FabricSite, SliceClass, classify_corner
+from .chipmodel import DataError, FabricSite, SliceClass
 
 
 def valid_kappas(m: int) -> list[float]:
@@ -179,29 +180,43 @@ def emit_constraints(plan: PlacementPlan, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# A constraint line's location; nine digits bound the coordinates far above
+# any fabric and keep int() within its digit limit.
+_LOCATION = re.compile(r"SLICE_X([0-9]{1,9})Y([0-9]{1,9})")
+
+
 def parse_constraints(path: str) -> list[tuple[FabricSite, str]]:
-    """Read a constraint file back as (site, group) in logical order."""
+    """Read a constraint file back as (site, group) in logical order.
+
+    Every malformed line, one that is not UTF-8 text included, raises
+    ``DataError`` naming the file and line.
+    """
     out: list[tuple[FabricSite, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) != 5 or parts[0] != "set_loc":
-                raise ValueError(f"{path}:{lineno}: malformed constraint line")
-            loc = parts[2]
-            if not loc.startswith("SLICE_X") or "Y" not in loc:
-                raise ValueError(f"{path}:{lineno}: malformed location {loc!r}")
-            xs, ys = loc[len("SLICE_X"):].split("Y")
-            x, y = int(xs), int(ys)
-            cls = SliceClass(parts[3].split("=", 1)[1])
-            group = parts[4].split("=", 1)[1]
-            clb_x, lr = divmod(x, 2)
-            top = cls is SliceClass.L12
-            corner = ("T" if top else "B") + ("L" if lr == 0 else "R")
-            expected = classify_corner(corner, clb_has_m_bottom=(cls is SliceClass.M))
-            if expected is not cls:
-                raise ValueError(f"{path}:{lineno}: class {cls} inconsistent with corner")
-            out.append((FabricSite(clb_x, y, corner, cls), group))
+                raise DataError(f"{path}:{lineno}: malformed constraint line")
+            loc = _LOCATION.fullmatch(parts[2])
+            if loc is None:
+                raise DataError(f"{path}:{lineno}: malformed location {parts[2]!r}")
+            key, _, cls = parts[3].partition("=")
+            if key != "CLASS" or cls not in SliceClass.__members__:
+                raise DataError(
+                    f"{path}:{lineno}: expected CLASS=L12, L3 or M, got {parts[3]!r}"
+                )
+            key, _, group = parts[4].partition("=")
+            if key != "GROUP" or group not in ("LG", "UG"):
+                raise DataError(f"{path}:{lineno}: expected GROUP=LG or UG, got {parts[4]!r}")
+            # the class gives the corner's row (L12 slices are the top
+            # ones) and the slice column's parity its side
+            clb_x, lr = divmod(int(loc[1]), 2)
+            corner = ("T" if cls == "L12" else "B") + ("L" if lr == 0 else "R")
+            out.append((FabricSite(clb_x, int(loc[2]), corner, SliceClass[cls]), group))
     return out

@@ -102,7 +102,7 @@ def _lfsr_table(
     for i in range(period):
         single[i] = s
         s = (s >> 1) ^ (mask if s & 1 else 0)
-    if s != seed_state or len(np.unique(single)) != period:
+    if s != seed_state or not (np.diff(np.sort(single)) > 0).all():
         raise ValueError(
             f"taps {taps} are not maximal-length for width {width} "
             f"(period check failed)"

@@ -246,9 +246,15 @@ def micd_traces(results: Sequence[SelectionResult]) -> None:
 
 
 def _require_candidates(freqs) -> np.ndarray:
+    """Candidate frequencies as a float array; an empty list or a NaN or
+    infinite value raises ``ValueError``, the latter naming its index."""
     f = np.asarray(freqs, dtype=float)
     if f.size == 0:
         raise ValueError("empty candidate list")
+    finite = np.isfinite(f)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"candidate {bad} is not finite ({f.flat[bad]})")
     return f
 
 
@@ -310,7 +316,7 @@ def _snap_distinct(fs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         d_lo = np.where(pos > 0, centroids - fs[np.maximum(pos - 1, 0)], np.inf)
         d_hi = np.where(pos < n, fs[np.minimum(pos, n - 1)] - centroids, np.inf)
         nearest = np.where(d_lo <= d_hi, pos - 1, pos)
-        if (nearest[1:] > nearest[:-1]).all() or np.unique(nearest).size == nearest.size:
+        if (nearest[1:] > nearest[:-1]).all() or (np.diff(np.sort(nearest)) > 0).all():
             return nearest
     taken: set[int] = set()
     out = np.empty(len(centroids), dtype=np.intp)
@@ -453,7 +459,10 @@ def batched_kmeans(
     out: list = [None] * len(freqs)
     pools, inits, best, trace0 = [], [], [], []
     for d, (f, cfg, refs) in enumerate(zip(freqs, configs, site_refs)):
-        f = _require_candidates(f)
+        try:
+            f = _require_candidates(f)
+        except ValueError as exc:
+            raise ValueError(f"pool {d}: {exc}") from None
         m = cfg.m
         if f.size < m:
             raise ValueError(f"cannot select {m} from {f.size} candidates")

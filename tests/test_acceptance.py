@@ -23,17 +23,7 @@ from reference_sp80022 import (
     ref_runs,
     ref_serial,
 )
-from ropufsim.nist import (
-    NistParams,
-    approximate_entropy_test,
-    block_frequency_test,
-    cumulative_sums_test,
-    dft_test,
-    frequency_test,
-    longest_run_test,
-    runs_test,
-    serial_test,
-)
+from ropufsim.nist import NistParams, run_suite
 from ropufsim.pipeline import PipelineConfig, run_pipeline, sweep_kappa
 from ropufsim.select import (
     SelectionConfig,
@@ -220,29 +210,30 @@ def test_criterion_9_nist_oracle_equivalence():
         return abs(a - b) <= 1e-6
 
     for n in (255, 1023):
-        for i in range(10):
-            bits = np.random.default_rng(7000 + 100 * n + i).integers(0, 2, n).astype(np.uint8)
-            pairs = [
-                ("frequency", frequency_test(bits), ref_frequency(bits)),
-                ("block_frequency", block_frequency_test(bits),
-                 ref_block_frequency(bits, 20)),
-                ("cumsum_forward", cumulative_sums_test(bits),
-                 ref_cumulative_sums(bits)),
-                ("cumsum_reverse", cumulative_sums_test(bits, reverse=True),
-                 ref_cumulative_sums(bits, reverse=True)),
-                ("runs", runs_test(bits), ref_runs(bits)),
-                ("longest_run", longest_run_test(bits), ref_longest_run(bits)),
-                ("approximate_entropy", approximate_entropy_test(bits),
-                 ref_approximate_entropy(bits, params.entropy_block_len(n))),
-            ]
-            s_got = serial_test(bits)
+        mat = np.stack([
+            np.random.default_rng(7000 + 100 * n + i).integers(0, 2, n).astype(np.uint8)
+            for i in range(10)
+        ])
+        got = {name: r.p_values for name, r in run_suite(mat, params).results.items()}
+        for i, bits in enumerate(mat):
             s_ref = ref_serial(bits, params.serial_block_len(n))
-            pairs += [("serial_1", s_got[0], s_ref[0]), ("serial_2", s_got[1], s_ref[1])]
+            pairs = [
+                ("frequency", ref_frequency(bits)),
+                ("block_frequency", ref_block_frequency(bits, 20)),
+                ("cumsum_forward", ref_cumulative_sums(bits)),
+                ("cumsum_reverse", ref_cumulative_sums(bits, reverse=True)),
+                ("runs", ref_runs(bits)),
+                ("longest_run", ref_longest_run(bits)),
+                ("approximate_entropy",
+                 ref_approximate_entropy(bits, params.entropy_block_len(n))),
+                ("serial_1", s_ref[0]),
+                ("serial_2", s_ref[1]),
+            ]
             if n >= 1000:
-                pairs.append(("dft", dft_test(bits), ref_dft(bits)))
-            for name, got, ref in pairs:
-                if not close(got, ref):
-                    mismatches.append((n, i, name, got, ref))
+                pairs.append(("dft", ref_dft(bits)))
+            for name, ref in pairs:
+                if not close(got[name][i], ref):
+                    mismatches.append((n, i, name, got[name][i], ref))
     announce(9, not mismatches,
              f"NIST oracle equivalence at 1e-6 on 10x255 + 10x1023 sequences "
              f"({len(mismatches)} mismatches)")
@@ -303,24 +294,28 @@ def test_criterion_11_metric_properties():
             bounds_ok = False
             break
 
-    # complement / reversal symmetries, exact, 10^4 sequences per test
-    sym_ok = True
-    for i in range(cases):
-        bits = rng.integers(0, 2, 255).astype(np.uint8)
-        comp = (1 - bits).astype(np.uint8)
-        long_bits = rng.integers(0, 2, 1023).astype(np.uint8)
-        if (
-            frequency_test(bits) != frequency_test(comp)
-            or frequency_test(bits) != frequency_test(bits[::-1])
-            or runs_test(bits) != runs_test(comp)
-            or cumulative_sums_test(bits, reverse=True)
-            != cumulative_sums_test(bits[::-1])
-            or serial_test(bits) != serial_test(comp)
-            or approximate_entropy_test(bits) != approximate_entropy_test(comp)
-            or dft_test(long_bits) != dft_test((1 - long_bits).astype(np.uint8))
-        ):
-            sym_ok = False
-            break
+    # complement / reversal symmetries, exact, 10^4 sequences per test,
+    # drawn in the order the per-sequence loop drew them and compared as
+    # whole p-value columns
+    draws = [(rng.integers(0, 2, 255).astype(np.uint8),
+              rng.integers(0, 2, 1023).astype(np.uint8)) for _ in range(cases)]
+    bits = np.stack([draw[0] for draw in draws])
+    long_bits = np.stack([draw[1] for draw in draws])
+
+    def columns(mat):
+        return {name: r.p_values for name, r in run_suite(mat).results.items()}
+
+    got, comp, rev = columns(bits), columns(1 - bits), columns(bits[:, ::-1])
+    sym_ok = (
+        np.array_equal(got["frequency"], comp["frequency"])
+        and np.array_equal(got["frequency"], rev["frequency"])
+        and np.array_equal(got["runs"], comp["runs"])
+        and np.array_equal(got["cumsum_reverse"], rev["cumsum_forward"])
+        and np.array_equal(got["serial_1"], comp["serial_1"])
+        and np.array_equal(got["serial_2"], comp["serial_2"])
+        and np.array_equal(got["approximate_entropy"], comp["approximate_entropy"])
+        and np.array_equal(columns(long_bits)["dft"], columns(1 - long_bits)["dft"])
+    )
 
     ok = axioms and bounds_ok and sym_ok
     announce(11, ok, f"metric properties on {cases} cases each: hamming axioms "

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -347,4 +350,35 @@ class TestSpecConfigFile:
         p = tmp_path / "spec.json"
         p.write_text('{"preset": "nope"}')
         with pytest.raises(ConfigError):
+            load_device_spec(str(p))
+
+    def test_unknown_preset_names_file(self, tmp_path):
+        p = tmp_path / "spec.json"
+        p.write_text('{"preset": "nope"}')
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}: unknown device preset"):
+            load_device_spec(str(p))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("site_count", "10", "site_count must be an integer, got '10'"),
+        ("site_count", 10.5, "site_count must be an integer, got 10.5"),
+        ("site_count", True, "site_count must be an integer, got True"),
+        ("meas_sigma", None, "meas_sigma must be a finite number, got None"),
+        ("mean_span", "5", "mean_span must be a finite number, got '5'"),
+        ("erroneous_fraction", float("nan"), "erroneous_fraction must be a finite number"),
+        ("class_bias", [1, 2], "class_bias must map slice classes to MHz"),
+        ("class_bias", {"M": "1"}, r"class_bias\['M'\] must be a finite number"),
+        ("kind", 5, "kind must be a string"),
+    ])
+    def test_non_numeric_field_names_field_and_file(self, tmp_path, field, value, message):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"preset": "zybo", field: value}))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}: {message}"):
+            load_device_spec(str(p))
+        with pytest.raises(ConfigError, match=rf"^{message}"):
+            toy_spec(**{field: value}).validate()
+
+    def test_missing_field_names_file(self, tmp_path):
+        p = tmp_path / "spec.json"
+        p.write_text('{"kind": "x"}')
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}: bad device spec"):
             load_device_spec(str(p))

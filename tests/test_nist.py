@@ -18,18 +18,9 @@ from reference_sp80022 import (
 import ropufsim.nist as nist
 from ropufsim.nist import (
     NistParams,
-    NotApplicableError,
-    approximate_entropy_test,
-    block_frequency_test,
-    cumulative_sums_test,
-    dft_test,
     format_rate,
-    frequency_test,
-    longest_run_test,
     min_pass_count,
     run_suite,
-    runs_test,
-    serial_test,
     uniformity_p_value,
 )
 
@@ -44,178 +35,198 @@ def random_bits(n, seed):
     return np.random.default_rng(seed).integers(0, 2, n).astype(np.uint8)
 
 
+def row(bits):
+    """One sequence as the (1, n) matrix the kernels take."""
+    return nist._as_matrix([bits])
+
+
+def p_value(bits, name):
+    """One sequence's p-value for one test, from a one-row suite."""
+    return float(run_suite([bits]).results[name].p_values[0])
+
+
+def p_columns(mat):
+    """Every applicable test's p-values over the rows of ``mat``."""
+    return {name: r.p_values for name, r in run_suite(mat).results.items()}
+
+
+# The SP 800-22 worked examples use 10-bit strings, below every minimum
+# length run_suite keeps, so they call the kernels, which do not gate length.
 class TestFrequency:
     def test_published_example(self):
-        # S=2, n=10 -> p ~ 0.527089 (floor disabled to evaluate the tiny case)
-        assert frequency_test("1011010101", check_n=False) == pytest.approx(0.527089, abs=1e-6)
+        # S=2, n=10 -> p ~ 0.527089
+        assert nist._frequency(row("1011010101"))[0] == pytest.approx(0.527089, abs=1e-6)
 
     def test_alternating_is_perfectly_balanced(self):
         bits = "01" * 200
-        assert frequency_test(bits) == 1.0
+        assert p_value(bits, "frequency") == 1.0
 
     def test_all_ones_fails_hard(self):
-        assert frequency_test("1" * 255) < 1e-12
+        assert p_value("1" * 255, "frequency") < 1e-12
 
     def test_short_input_not_applicable(self):
-        with pytest.raises(NotApplicableError):
-            frequency_test("1010")
+        report = run_suite(["1010"] * 3)
+        assert "frequency" in report.not_applicable
+        assert report.results == {}
 
 
 class TestBlockFrequency:
     def test_published_example(self):
-        got = block_frequency_test("0110011010", block_len=3, check_n=False)
+        got = nist._block_frequency(row("0110011010"), 3)[0]
         assert got == pytest.approx(0.801252, abs=1e-6)
 
     def test_balanced_blocks_give_p_one(self):
         bits = ("10" * 10) * 12  # every 20-bit block exactly half ones
-        assert block_frequency_test(bits) == pytest.approx(1.0)
+        assert p_value(bits, "block_frequency") == pytest.approx(1.0)
 
     def test_default_block_len_is_twenty(self):
         bits = random_bits(255, 1)
-        assert block_frequency_test(bits) == pytest.approx(ref_block_frequency(bits, 20), abs=1e-12)
+        assert p_value(bits, "block_frequency") == pytest.approx(
+            ref_block_frequency(bits, 20), abs=1e-12)
+
+    @pytest.mark.parametrize("block_len,na", [(120, False), (121, True)])
+    def test_block_longer_than_sequence_not_applicable(self, block_len, na):
+        report = run_suite([random_bits(120, i) for i in range(3)], NistParams(block_len=block_len))
+        assert ("block_frequency" in report.not_applicable) is na
+        assert ("block_frequency" in report.results) is not na
 
 
 class TestCumulativeSums:
     def test_published_example_forward(self):
-        got = cumulative_sums_test("1011010111", check_n=False)
+        got = nist._cumulative_sums(row("1011010111"))[0]
         assert got == pytest.approx(0.411585, abs=1e-6)
 
     def test_balanced_alternation(self):
-        assert cumulative_sums_test("01" * 100) > 0.99
+        assert p_value("01" * 100, "cumsum_forward") > 0.99
 
     def test_reverse_equals_forward_of_reversed(self):
         bits = random_bits(255, 2)
-        fwd_of_reversed = cumulative_sums_test(bits[::-1])
-        rev = cumulative_sums_test(bits, reverse=True)
-        assert rev == fwd_of_reversed
+        assert p_value(bits, "cumsum_reverse") == p_value(bits[::-1], "cumsum_forward")
 
 
 class TestRuns:
     def test_published_example(self):
-        assert runs_test("1001101011", check_n=False) == pytest.approx(0.147232, abs=1e-6)
+        assert nist._runs(row("1001101011"))[0] == pytest.approx(0.147232, abs=1e-6)
 
     def test_balanced_alternation_fails_runs(self):
         # perfectly alternating: far too many runs
-        assert runs_test("01" * 128) < 1e-12
+        assert p_value("01" * 128, "runs") < 1e-12
 
     def test_biased_precondition_returns_zero(self):
         bits = np.concatenate([np.ones(200, np.uint8), np.zeros(55, np.uint8)])
-        assert runs_test(bits) == 0.0
+        assert p_value(bits, "runs") == 0.0
 
 
 class TestLongestRun:
     def test_published_example(self):
-        assert longest_run_test(LONGEST_RUN_EXAMPLE) == pytest.approx(0.180609, abs=1e-6)
+        assert p_value(LONGEST_RUN_EXAMPLE, "longest_run") == pytest.approx(0.180609, abs=1e-6)
 
     def test_not_applicable_below_128(self):
-        with pytest.raises(NotApplicableError):
-            longest_run_test("10" * 50)
+        report = run_suite(["10" * 50])
+        assert "longest_run" in report.not_applicable
+        assert "longest_run" not in report.results
 
     def test_matches_reference_at_255(self):
         bits = random_bits(255, 3)
-        assert longest_run_test(bits) == pytest.approx(ref_longest_run(bits), abs=1e-12)
+        assert p_value(bits, "longest_run") == pytest.approx(ref_longest_run(bits), abs=1e-12)
 
 
 class TestApproximateEntropy:
     def test_published_example(self):
-        got = approximate_entropy_test("0100110101", m=3, check_n=False)
+        bits = row("0100110101")
+        got = nist._approximate_entropy(nist._pattern_counts(bits, 4), 3, 10)[0]
         assert got == pytest.approx(0.261961, abs=1e-6)
 
     def test_default_block_lengths(self):
         assert NistParams().entropy_block_len(255) == 1
         assert NistParams().entropy_block_len(1023) == 3
+        assert NistParams(m_entropy=2).entropy_block_len(255) == 2  # as given
 
     def test_balanced_random_passes(self):
-        assert approximate_entropy_test(random_bits(255, 4)) > 0.01
+        assert p_value(random_bits(255, 4), "approximate_entropy") > 0.01
 
 
 class TestSerial:
     def test_published_example(self):
-        p1, p2 = serial_test("0011011101", m=3, check_n=False)
-        assert p1 == pytest.approx(0.808792, abs=1e-6)
-        assert p2 == pytest.approx(0.670320, abs=1e-6)
+        bits = row("0011011101")
+        p1, p2 = nist._serial(nist._pattern_counts(bits, 3), 3, 10)
+        assert p1[0] == pytest.approx(0.808792, abs=1e-6)
+        assert p2[0] == pytest.approx(0.670320, abs=1e-6)
 
     def test_default_block_lengths(self):
         assert NistParams().serial_block_len(255) == 4
         assert NistParams().serial_block_len(1023) == 6
+        assert NistParams(m_serial=3).serial_block_len(1023) == 3  # as given
 
     def test_two_p_values_in_range(self):
-        p1, p2 = serial_test(random_bits(255, 5))
+        results = run_suite([random_bits(255, 5)]).results
+        p1, p2 = results["serial_1"].p_values[0], results["serial_2"].p_values[0]
         assert 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0
+
+    @pytest.mark.parametrize("params", [NistParams(m_serial=1), NistParams(m_entropy=0)])
+    def test_block_length_below_minimum_rejected(self, params):
+        with pytest.raises(ValueError, match="block length must be"):
+            run_suite([random_bits(255, i) for i in range(3)], params)
 
 
 class TestDft:
     def test_not_applicable_below_min_n(self):
-        with pytest.raises(NotApplicableError):
-            dft_test(random_bits(255, 6))
+        report = run_suite([random_bits(255, 6)])
+        assert "dft" in report.not_applicable
 
     def test_periodic_input_fails(self):
         bits = np.tile(np.array([0, 1], dtype=np.uint8), 512)[:1023]
-        assert dft_test(bits) < 1e-6
+        assert p_value(bits, "dft") < 1e-6
 
     def test_random_input_matches_reference(self):
         bits = random_bits(1023, 7)
-        assert dft_test(bits) == pytest.approx(ref_dft(bits), abs=1e-9)
+        assert p_value(bits, "dft") == pytest.approx(ref_dft(bits), abs=1e-9)
 
 
 class TestSymmetries:
     def test_complement_invariance_exact(self):
-        for seed in range(5):
-            bits = random_bits(255, 100 + seed)
-            comp = (1 - bits).astype(np.uint8)
-            assert frequency_test(bits) == frequency_test(comp)
-            assert runs_test(bits) == runs_test(comp)
-            assert serial_test(bits) == serial_test(comp)
-            assert approximate_entropy_test(bits) == approximate_entropy_test(comp)
-            long_bits = random_bits(1023, 200 + seed)
-            assert dft_test(long_bits) == dft_test((1 - long_bits).astype(np.uint8))
+        bits = np.stack([random_bits(255, 100 + seed) for seed in range(5)])
+        got, comp = p_columns(bits), p_columns(1 - bits)
+        for name in ("frequency", "runs", "serial_1", "serial_2", "approximate_entropy"):
+            assert got[name].tolist() == comp[name].tolist(), name
+        long_bits = np.stack([random_bits(1023, 200 + seed) for seed in range(5)])
+        assert p_columns(long_bits)["dft"].tolist() == p_columns(1 - long_bits)["dft"].tolist()
 
     def test_reversal_invariance_of_frequency(self):
         bits = random_bits(255, 8)
-        assert frequency_test(bits) == frequency_test(bits[::-1])
+        assert p_value(bits, "frequency") == p_value(bits[::-1], "frequency")
 
 
 class TestAgainstReference:
     @pytest.mark.parametrize("n", [255, 1023])
     def test_every_test_matches_reference(self, n):
         params = NistParams()
-        for seed in range(4):
-            bits = random_bits(n, 300 + seed)
-            assert frequency_test(bits) == pytest.approx(ref_frequency(bits), abs=1e-9)
-            assert block_frequency_test(bits) == pytest.approx(
-                ref_block_frequency(bits, 20), abs=1e-9)
-            assert cumulative_sums_test(bits) == pytest.approx(
-                ref_cumulative_sums(bits), abs=1e-9)
-            assert cumulative_sums_test(bits, reverse=True) == pytest.approx(
-                ref_cumulative_sums(bits, reverse=True), abs=1e-9)
-            assert runs_test(bits) == pytest.approx(ref_runs(bits), abs=1e-9)
-            assert longest_run_test(bits) == pytest.approx(ref_longest_run(bits), abs=1e-9)
-            m_e = params.entropy_block_len(n)
-            assert approximate_entropy_test(bits) == pytest.approx(
-                ref_approximate_entropy(bits, m_e), abs=1e-9)
-            m_s = params.serial_block_len(n)
-            got = serial_test(bits)
-            want = ref_serial(bits, m_s)
-            assert got[0] == pytest.approx(want[0], abs=1e-9)
-            assert got[1] == pytest.approx(want[1], abs=1e-9)
+        mat = np.stack([random_bits(n, 300 + seed) for seed in range(4)])
+        got = p_columns(mat)
+        m_e = params.entropy_block_len(n)
+        m_s = params.serial_block_len(n)
+        for i, bits in enumerate(mat):
+            want = {
+                "frequency": ref_frequency(bits),
+                "block_frequency": ref_block_frequency(bits, 20),
+                "cumsum_forward": ref_cumulative_sums(bits),
+                "cumsum_reverse": ref_cumulative_sums(bits, reverse=True),
+                "runs": ref_runs(bits),
+                "longest_run": ref_longest_run(bits),
+                "approximate_entropy": ref_approximate_entropy(bits, m_e),
+            }
+            want["serial_1"], want["serial_2"] = ref_serial(bits, m_s)
+            for name, value in want.items():
+                assert got[name][i] == pytest.approx(value, abs=1e-9), (i, name)
 
 
 class TestPvalueRange:
     def test_all_p_values_within_unit_interval(self):
-        for seed in range(20):
-            bits = random_bits(1023, 400 + seed)
-            values = [
-                frequency_test(bits),
-                block_frequency_test(bits),
-                cumulative_sums_test(bits),
-                cumulative_sums_test(bits, reverse=True),
-                runs_test(bits),
-                longest_run_test(bits),
-                approximate_entropy_test(bits),
-                *serial_test(bits),
-                dft_test(bits),
-            ]
-            assert all(0.0 <= p <= 1.0 for p in values)
+        mat = np.stack([random_bits(1023, 400 + seed) for seed in range(20)])
+        got = p_columns(mat)
+        assert len(got) == 10
+        for name, values in got.items():
+            assert ((0.0 <= values) & (values <= 1.0)).all(), name
 
 
 class TestSuite:
@@ -295,18 +306,6 @@ class TestSuite:
         assert d["n"] == 255 and d["sequences"] == 12
 
 
-# (names, one-sequence test) in run_suite's run order
-ONE_SEQUENCE_TESTS = (
-    (("frequency",), lambda b: (frequency_test(b),)),
-    (("block_frequency",), lambda b: (block_frequency_test(b),)),
-    (("cumsum_forward",), lambda b: (cumulative_sums_test(b),)),
-    (("cumsum_reverse",), lambda b: (cumulative_sums_test(b, reverse=True),)),
-    (("runs",), lambda b: (runs_test(b),)),
-    (("longest_run",), lambda b: (longest_run_test(b),)),
-    (("approximate_entropy",), lambda b: (approximate_entropy_test(b),)),
-    (("dft",), lambda b: (dft_test(b),)),
-    (("serial_1", "serial_2"), lambda b: serial_test(b)),
-)
 ROW_KINDS = ("random", "biased", "zeros", "ones", "alternating", "alternating_from_one")
 
 
@@ -332,19 +331,15 @@ class TestBatchedSuite:
     @settings(max_examples=60, deadline=None)
     @given(mat=bit_populations())
     def test_rows_equal_one_sequence_tests(self, mat):
+        # every row of a batched report == a one-row suite of that row
         report = run_suite(mat)
-        expected, not_applicable = {}, []
-        for names, test in ONE_SEQUENCE_TESTS:
-            try:
-                columns = list(zip(*(test(row) for row in mat)))
-            except NotApplicableError:
-                not_applicable.extend(names)
-                continue
-            expected.update(zip(names, columns))
-        assert report.not_applicable == not_applicable
-        assert set(report.results) == set(expected)
-        for name, column in expected.items():
-            assert report.results[name].p_values.tolist() == list(column), name
+        singles = [run_suite(r[None]) for r in mat]
+        for single in singles:
+            assert single.not_applicable == report.not_applicable
+            assert list(single.results) == list(report.results)
+        for name, result in report.results.items():
+            column = [s.results[name].p_values[0] for s in singles]
+            assert result.p_values.tolist() == column, name
 
     @pytest.mark.parametrize("n,na", [
         (100, ["longest_run", "approximate_entropy", "dft"]),
@@ -417,8 +412,8 @@ class TestBatchedSuite:
             run_suite(mat)
         with pytest.raises(ValueError, match="sequence 3 "):
             run_suite([row.tolist() for row in mat])
-        with pytest.raises(ValueError):
-            frequency_test(mat[3])
+        with pytest.raises(ValueError, match="sequence 0 "):
+            run_suite([mat[3]])
 
     def test_more_than_two_dimensions_rejected(self):
         with pytest.raises(ValueError, match="two-dimensional"):
@@ -439,6 +434,6 @@ class TestBatchedSuite:
         # which used to raise ValueError out of run_suite
         bits = ("11101010110010001110011100010001110100001111000000011010"
                 "00110000101101001011110100100100011000000101")
-        assert serial_test(bits)[1] == 1.0
+        assert p_value(bits, "serial_2") == 1.0
         report = run_suite([bits] + [random_bits(100, i) for i in range(9)])
         assert report.results["serial_2"].p_values[0] == 1.0

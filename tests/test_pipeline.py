@@ -3,7 +3,10 @@ import importlib
 import importlib.util
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +223,24 @@ class TestRunPipeline:
         monkeypatch.chdir(tmp_path)
         run_pipeline(tiny_config(tmp_path, out_dir="run"))
         assert tree_sha256(Path("run")) == TINY_RUN_SHA256
+
+    def test_written_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy's np.unique without return_index imports numpy.ma; no stage
+        # of a run needs it, so a fresh interpreter never loads it
+        config = tiny_config(tmp_path)
+        script = (
+            "import sys\n"
+            "from ropufsim.pipeline import PipelineConfig, run_pipeline\n"
+            f"run_pipeline(PipelineConfig.from_json({config.to_json()!r}))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(pipeline.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert (Path(config.out_dir) / "manifest.json").exists()
+        assert out.stdout.strip() == "False"
 
     def test_stage_times_logged_at_debug(self, tmp_path, caplog):
         caplog.set_level(logging.DEBUG, logger="ropufsim")
@@ -610,6 +631,21 @@ class TestCli:
                    "--device-spec", str(spec_file), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"ropuf run: {spec_file}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"preset": "zybo", "site_count": "10"}, "site_count must be an integer, got '10'"),
+        ({"preset": "zybo", "meas_sigma": None}, "meas_sigma must be a finite number, got None"),
+        ({"preset": "nope"}, "unknown device preset 'nope'"),
+    ])
+    def test_bad_device_spec_value_exits_2_naming_file_and_field(
+        self, tmp_path, capsys, spec, message
+    ):
+        spec_file = tmp_path / "device.json"
+        spec_file.write_text(json.dumps(spec))
+        rc = main(["run", "--devices", "1", "--ro-count", "8",
+                   "--device-spec", str(spec_file), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"ropuf run: {spec_file}: {message}" in capsys.readouterr().err
 
     def test_bad_config_file_exits_2_naming_file_and_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

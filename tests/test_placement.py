@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import manual_chip
+from ropufsim.chipmodel import DataError
 from ropufsim.placement import (
     assign_groups,
     emit_constraints,
@@ -165,3 +170,53 @@ class TestConstraints:
         path.write_text("set_loc RO0 NOWHERE CLASS=L12 GROUP=LG\n")
         with pytest.raises(ValueError):
             parse_constraints(str(path))
+
+    @pytest.mark.parametrize("line", [
+        "set_loc RO0 SLICE_X3Y7 CLASS=XX GROUP=LG",
+        "set_loc RO0 SLICE_X3Y7 CLASS GROUP=LG",
+        "set_loc RO0 SLICE_X3Y7 CLASS=L12 GROUP",
+        "set_loc RO0 SLICE_XaY2 CLASS=L12 GROUP=LG",
+        "set_loc RO0 SLICE_X1Y2Y3 CLASS=L12 GROUP=LG",
+        "set_loc RO0 SLICE_X3Y7 CLASS=L12 GROUP=ZZ",
+        "set_loc RO0 SLICE_X3Y7 GROUP=LG CLASS=L12",
+        "set_loc RO0 SLICE_X3Y7 CLASS=L12",
+        "place RO0 SLICE_X3Y7 CLASS=L12 GROUP=LG",
+        "set_loc RO0 NOWHERE CLASS=L12 GROUP=LG",
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\nset_loc RO0 SLICE_X3Y7 CLASS=L3 GROUP=UG\n{line}\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:3: "):
+            parse_constraints(str(path))
+
+    def test_non_utf8_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# header\nset_loc RO0 SLICE_X\xff3Y7 CLASS=L3 GROUP=UG\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: not UTF-8"):
+            parse_constraints(str(path))
+
+    def test_well_formed_line_parses(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_text("set_loc RO0 SLICE_X3Y7 CLASS=L3 GROUP=UG\r\n")
+        ((site, group),) = parse_constraints(str(path))
+        assert (site.key, site.slice_class.value, group) == ((1, 7, "BR"), "L3", "UG")
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=st.one_of(
+        st.lists(st.one_of(
+            st.sampled_from(["set_loc", "RO0", "SLICE_X3Y7", "SLICE_X", "Y", "CLASS=L12",
+                             "CLASS=M", "CLASS=", "GROUP=LG", "GROUP=", "=", "#"]),
+            st.text(max_size=8),
+        ), max_size=7).map(lambda parts: " ".join(parts).encode("utf-8", "surrogatepass")),
+        st.binary(max_size=60),
+    ))
+    def test_any_line_parses_or_names_its_line(self, tmp_path_factory, line):
+        path = tmp_path_factory.getbasetemp() / "fuzz_constraints.txt"
+        path.write_bytes(line.replace(b"\n", b" ") + b"\n")
+        try:
+            parsed = parse_constraints(str(path))
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}:1: ")
+        else:
+            assert len(parsed) <= 1
+            assert all(group in ("LG", "UG") for _, group in parsed)

@@ -698,3 +698,31 @@ class TestSortedRowsSearch:
             want = [np.searchsorted(arrays[r], xi, side).tolist() for r, xi in zip(picks, x)]
             assert cands.search(picks, x, side).tolist() == want
             assert cands.search(picks[:1], x[:1], side).tolist() == want[:1]
+
+
+class TestNonFiniteCandidates:
+    """A NaN or infinite candidate is rejected by name and index; it used to
+    end in a bare IndexError deep in the EM loop."""
+
+    BAD = (np.nan, np.inf, -np.inf)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_improved_kmeans(self, bad):
+        with pytest.raises(ValueError, match=rf"candidate 40 is not finite \({bad}\)"):
+            improved_kmeans(np.r_[np.arange(40.0), bad], config(8))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_batched_kmeans_names_pool(self, bad):
+        pools = [np.arange(40.0), np.r_[np.arange(10.0), bad, np.arange(10.0, 40.0)],
+                 np.arange(40.0)]
+        with pytest.raises(ValueError, match=rf"pool 1: candidate 10 is not finite \({bad}\)"):
+            batched_kmeans(pools, [config(8)] * 3)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_seed_centroids_and_baselines(self, bad):
+        f = np.r_[bad, np.arange(40.0)]
+        with pytest.raises(ValueError, match=rf"candidate 0 is not finite \({bad}\)"):
+            seed_centroids(f, 8, "linear")
+        for method in ("mean_based", "median_based", "random_select"):
+            with pytest.raises(ValueError, match=rf"candidate 0 is not finite \({bad}\)"):
+                baseline_select(f, 8, method)
