@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
 import numbers
@@ -36,6 +37,18 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Raised for inconsistent ingested measurement data."""
+
+
+def read_text(path: str) -> str:
+    """A file's UTF-8 text; bytes that are not UTF-8 raise ``DataError``
+    naming the file and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
 class SliceClass(Enum):
@@ -470,26 +483,6 @@ def count_noise(
     return np.zeros(shape)
 
 
-def measure_counts(
-    freqs_mhz: np.ndarray,
-    t_on_us: float,
-    rng: np.random.Generator | None,
-    meas_sigma_mhz: np.ndarray | float,
-) -> np.ndarray:
-    """Noisy pulse counts over the enable window, one per frequency entry.
-
-    Each count is round((f + eps) * t_on_us) with independent Gaussian noise
-    eps of the entry's standard deviation, added in the frequency domain
-    before quantization; a count saturates at zero.  Frequencies and the
-    enable duration must be positive.  Noise is drawn only when some
-    standard deviation is positive.
-    """
-    f = np.asarray(freqs_mhz, dtype=float)
-    sigma = np.asarray(meas_sigma_mhz, dtype=float)
-    noise = count_noise(rng, sigma, np.broadcast_shapes(f.shape, sigma.shape))
-    return noisy_counts(f, t_on_us, noise, sigma).astype(np.int64)
-
-
 # Count moments are exact while samples * sum(c^2) stays below 2^53: then
 # every partial sum, sum(c)^2 <= samples * sum(c^2) and their difference are
 # integers a float64 holds exactly.
@@ -592,7 +585,7 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
     sq_sums: list[int] = []
     seen: set[tuple[int, int, str]] = set()
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         header: list[str] | None = None
         value_cols: list[str] = []
         kind = ""

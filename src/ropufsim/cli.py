@@ -193,6 +193,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DataError) as exc:
         print(f"ropuf {args.verb}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"ropuf {args.verb}: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
     finally:
         log.removeHandler(handler)
         log.setLevel(level)

@@ -68,6 +68,7 @@ from .select import (
     batched_kmeans,
     improved_kmeans,
     micd_traces,
+    pair_rows,
     relocate_centroids,
 )
 
@@ -293,14 +294,15 @@ class DeviceRun:
     @property
     def selection_json(self) -> dict:
         plan = self.plan
+        half = plan.group_size
         return {
             "kmeans": self.kmeans.to_json_dict(),
             "relocated": self.relocated.to_json_dict(),
             "plan": {
                 "kappa": plan.assignment.kappa,
                 "placement_seed": plan.placement_seed,
-                "lower": [[int(r), float(f)] for r, f in plan.lower_order],
-                "upper": [[int(r), float(f)] for r, f in plan.upper_order],
+                "lower": pair_rows(plan.refs[:half], plan.freqs[:half]),
+                "upper": pair_rows(plan.refs[half:], plan.freqs[half:]),
             },
         }
 
@@ -353,8 +355,7 @@ def _candidate_pool(
 
 def _selection_config(config: PipelineConfig, pool: _Pool) -> SelectionConfig:
     return SelectionConfig(
-        m=config.ro_count, seeding=config.seeding,
-        k_max=config.k_max, relocation_max_iter=config.relocation_max_iter,
+        m=config.ro_count, seeding=config.seeding, k_max=config.k_max,
         rng_seed=pool.seeds["select"],
     )
 
@@ -370,7 +371,7 @@ def _kmeans(config: PipelineConfig, pools: Sequence[_Pool]) -> list[SelectionRes
 
 def _relocate(config: PipelineConfig, pool: _Pool, km: SelectionResult) -> SelectionResult:
     return relocate_centroids(
-        pool.nu, km.centroids, max_iter=config.relocation_max_iter, site_refs=pool.nu_refs
+        pool.nu, km.freqs, max_iter=config.relocation_max_iter, site_refs=pool.nu_refs
     )
 
 
@@ -427,8 +428,9 @@ def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
     """Group assignment and placement at one ratio; ``kappa_tag``, the
     ratio's index in ``valid_kappas``, derives their seeds."""
     pool = sel.pool
+    relocated = sel.relocated
     assignment = assign_groups(
-        sel.relocated.chosen, kappa, derive_seed(pool.seeds["assign"], kappa_tag)
+        relocated.refs, relocated.freqs, kappa, derive_seed(pool.seeds["assign"], kappa_tag)
     )
     return randomize_placement(
         assignment, pool.chip.sites, derive_seed(pool.seeds["place"], kappa_tag)

@@ -9,6 +9,7 @@ vendor-neutral constraint file.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chipmodel import DataError, FabricSite, SliceClass
+from .chipmodel import DataError, FabricSite, SliceClass, read_text
 
 
 def valid_kappas(m: int) -> list[float]:
@@ -47,56 +48,65 @@ def _kappa_counts(m: int, kappa: float) -> tuple[int, int]:
 
 @dataclass(eq=False)
 class GroupAssignment:
-    """Disjoint lower/upper halves of the selected (site, frequency) pairs."""
+    """The M selected oscillators split into disjoint lower and upper halves.
+
+    ``refs`` (site references) and ``freqs`` (MHz) hold the lower group in
+    their first half and the upper group in the second, each half sorted by
+    frequency.
+    """
 
     kappa: float
-    lower: list[tuple[int, float]]
-    upper: list[tuple[int, float]]
+    refs: np.ndarray
+    freqs: np.ndarray
     ordered_count: int
     random_count: int
 
     def __post_init__(self) -> None:
-        if len(self.lower) != len(self.upper):
+        if self.refs.size % 2:
             raise ValueError("groups must be balanced")
-        overlap = {r for r, _ in self.lower} & {r for r, _ in self.upper}
-        if overlap:
-            raise ValueError(f"groups share sites {sorted(overlap)}")
+        lower, upper = np.split(self.refs, 2)
+        lower = np.sort(lower)
+        shared = upper[np.searchsorted(lower, upper, "right") > np.searchsorted(lower, upper)]
+        if shared.size:
+            raise ValueError(f"groups share sites {sorted(set(shared.tolist()))}")
 
     @property
     def m(self) -> int:
-        return len(self.lower) + len(self.upper)
+        return self.refs.size
 
 
 def assign_groups(
-    selected: Sequence[tuple[int, float]],
+    refs: Sequence[int] | np.ndarray,
+    freqs: Sequence[float] | np.ndarray,
     kappa: float,
     rng: np.random.Generator | int | None = None,
 ) -> GroupAssignment:
-    """Split M selections into two balanced groups.
+    """Split M selections, given as parallel site-reference and frequency
+    arrays, into two balanced groups.
 
     The (1-kappa)*M lowest frequencies alternate deterministically between
     the groups (even sorted rank -> lower, odd -> upper); the remaining
-    kappa*M are shuffled and split to bring both groups to M/2.
+    kappa*M are shuffled and split to bring both groups to M/2.  Equal
+    frequencies rank by site reference.
     """
-    m = len(selected)
+    refs = np.asarray(refs, dtype=np.intp)
+    freqs = np.asarray(freqs, dtype=float)
+    m = refs.size
     ordered_count, random_count = _kappa_counts(m, kappa)
-    pairs = sorted(selected, key=lambda p: (p[1], p[0]))
-    lower: list[tuple[int, float]] = []
-    upper: list[tuple[int, float]] = []
-    for rank in range(ordered_count):
-        (lower if rank % 2 == 0 else upper).append(pairs[rank])
+    # groups as sorted ranks: sorting a group's ranks sorts it by frequency
+    lower = np.arange(0, ordered_count, 2)
+    upper = np.arange(1, ordered_count, 2)
     if random_count:
         rng = np.random.default_rng(rng)
-        tail = [pairs[ordered_count + int(i)] for i in rng.permutation(random_count)]
-        need_lower = m // 2 - len(lower)
-        lower.extend(tail[:need_lower])
-        upper.extend(tail[need_lower:])
-    lower.sort(key=lambda p: (p[1], p[0]))
-    upper.sort(key=lambda p: (p[1], p[0]))
+        tail = ordered_count + rng.permutation(random_count)
+        need_lower = m // 2 - lower.size
+        lower = np.concatenate([lower, tail[:need_lower]])
+        upper = np.concatenate([upper, tail[need_lower:]])
+    pick = np.lexsort((refs, freqs))[np.concatenate([np.sort(lower), np.sort(upper)])]
     return GroupAssignment(
         kappa=kappa,
-        lower=lower,
-        upper=upper,
+        refs=refs[pick],
+        freqs=freqs[pick],
         ordered_count=ordered_count,
         random_count=random_count,
     )
@@ -107,20 +117,18 @@ class PlacementPlan:
     """Logical oscillator indexing after in-group randomization.
 
     Logical indices 0..M/2-1 address the lower group, M/2..M-1 the upper
-    group.  ``lower_order``/``upper_order`` hold (site_ref, frequency) in
-    logical order; ``site_map`` the corresponding fabric sites.
+    group.  ``refs`` and ``freqs`` hold the site reference and frequency of
+    each logical index; ``site_map`` the corresponding fabric sites.
     """
 
     assignment: GroupAssignment
-    lower_order: list[tuple[int, float]]
-    upper_order: list[tuple[int, float]]
+    refs: np.ndarray
+    freqs: np.ndarray
     site_map: list[FabricSite]
     placement_seed: int
 
     def __post_init__(self) -> None:
-        want = {r for r, _ in self.assignment.lower} | {r for r, _ in self.assignment.upper}
-        got = {r for r, _ in self.lower_order} | {r for r, _ in self.upper_order}
-        if want != got:
+        if not np.array_equal(np.sort(self.refs), np.sort(self.assignment.refs)):
             raise ValueError("placement must be a bijection onto the selected sites")
 
     @property
@@ -139,16 +147,17 @@ def randomize_placement(
 ) -> PlacementPlan:
     """Permute each group's logical index -> site mapping uniformly at random."""
     rng = np.random.default_rng(placement_seed)
-    lower = [assignment.lower[int(i)] for i in rng.permutation(len(assignment.lower))]
-    upper = [assignment.upper[int(i)] for i in rng.permutation(len(assignment.upper))]
-    site_map = [sites[r] for r, _ in lower] + [sites[r] for r, _ in upper]
+    half = assignment.m // 2
+    order = np.concatenate([rng.permutation(half), half + rng.permutation(half)])
+    refs = assignment.refs[order]
+    site_map = [sites[r] for r in refs.tolist()]
     for site in site_map:
         if site.excluded:
             raise ValueError(f"excluded site {site.key} cannot carry an oscillator")
     return PlacementPlan(
         assignment=assignment,
-        lower_order=lower,
-        upper_order=upper,
+        refs=refs,
+        freqs=assignment.freqs[order],
         site_map=site_map,
         placement_seed=placement_seed,
     )
@@ -192,12 +201,9 @@ def parse_constraints(path: str) -> list[tuple[FabricSite, str]]:
     ``DataError`` naming the file and line.
     """
     out: list[tuple[FabricSite, str]] = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
+    with io.StringIO(read_text(path), newline="\n") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()

@@ -11,6 +11,7 @@ one, so an exact tie reads 0.
 from __future__ import annotations
 
 import functools
+import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,9 +22,11 @@ from .chipmodel import (
     DEFAULT_T_ON_US,
     REFERENCE_ENV,
     ChipProfile,
+    DataError,
     EnvCondition,
     env_frequencies,
     noisy_counts,
+    read_text,
 )
 from .placement import PlacementPlan
 
@@ -172,14 +175,12 @@ def generate_responses(
     states = lfsr_sequence(w, TAPS[w], lfsr_seed)
     half_bits = w // 2
     k = len(states)
-    refs_l = np.array([r for r, _ in plan.lower_order], dtype=np.intp)
-    refs_u = np.array([r for r, _ in plan.upper_order], dtype=np.intp)
-    if max(refs_l.max(initial=0), refs_u.max(initial=0)) >= chip.site_count:
+    sites = plan.refs
+    if sites.max(initial=0) >= chip.site_count:
         raise ValueError("plan references sites beyond this chip; wrong device?")
     # columns of the placed sites compared by each challenge: the lower-group
     # oscillator of every challenge, then the upper-group one
-    pick = np.concatenate([states >> half_bits, refs_l.size + (states & ((1 << half_bits) - 1))])
-    sites = np.concatenate([refs_l, refs_u])
+    pick = np.concatenate([states >> half_bits, m // 2 + (states & ((1 << half_bits) - 1))])
     freqs = env_frequencies(chip, envs, sites)[:, pick]
     sigma = chip.meas_sigma_site[sites][pick]
     noise = np.zeros(freqs.shape)
@@ -231,10 +232,10 @@ def save_responses(path: str, responses: list[ResponseSet]) -> None:
 
 def load_responses(path: str) -> list[ResponseSet]:
     """Read a ``save_responses`` dump.  Every response has the header's k
-    bits; a header without k, or a value with a bit set at or above k,
-    raises ``ValueError`` naming the file and line."""
+    bits; a header without k, a line that is not UTF-8 text, or a value with
+    a bit set at or above k raises ``DataError`` naming the file and line."""
     out: list[ResponseSet] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path)) as fh:
         header = fh.readline().strip()
         prefix = f"{RESPONSE_COLUMNS}(k="
         try:
@@ -244,7 +245,7 @@ def load_responses(path: str) -> list[ResponseSet]:
             if k < 1:
                 raise ValueError(f"k must be >= 1, got {k}")
         except ValueError as exc:
-            raise ValueError(f"{path}:1: bad response dump header ({exc})") from None
+            raise DataError(f"{path}:1: bad response dump header ({exc})") from None
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -254,6 +255,6 @@ def load_responses(path: str) -> list[ResponseSet]:
                 bits = bits_from_hex(hexbits, k)
                 env = EnvCondition(float(temp), float(vcc))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed response line ({exc})") from None
+                raise DataError(f"{path}:{lineno}: malformed response line ({exc})") from None
             out.append(ResponseSet(device_id, env, bits, k, challenge_seed=-1))
     return out

@@ -39,7 +39,6 @@ class SelectionConfig:
     m: int
     seeding: SeedStrategy = "linear"
     k_max: int = 100
-    relocation_max_iter: int = 200
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -75,13 +74,13 @@ class _MicdRecord:
 class SelectionResult:
     """Chosen sites/frequencies plus convergence diagnostics.
 
-    ``chosen`` pairs (site_ref, frequency MHz) sorted by frequency;
-    ``min_diff`` is the recomputed minimum over all pairwise differences of
-    the chosen frequencies.
+    ``refs`` (site references) and ``freqs`` (MHz) describe the M chosen
+    oscillators, sorted by frequency; ``min_diff`` is the recomputed minimum
+    over all pairwise differences of the chosen frequencies.
     """
 
-    chosen: list[tuple[int, float]]
-    centroids: np.ndarray
+    refs: np.ndarray
+    freqs: np.ndarray
     min_diff: float
     min_diff_trace: list[float] = field(default_factory=list)
     iterations: int = 0
@@ -95,23 +94,21 @@ class SelectionResult:
             micd_traces([self])
         return self._micd
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.array([f for _, f in self.chosen])
-
-    @property
-    def site_refs(self) -> list[int]:
-        return [r for r, _ in self.chosen]
-
     def to_json_dict(self) -> dict:
         return {
-            "chosen": [[int(r), float(f)] for r, f in self.chosen],
-            "centroids": [float(c) for c in self.centroids],
+            "chosen": pair_rows(self.refs, self.freqs),
+            "centroids": self.freqs.tolist(),
             "min_diff_mhz": float(self.min_diff),
             "min_diff_trace": [float(x) for x in self.min_diff_trace],
             "micd_trace": [float(x) for x in self.micd_trace],
             "iterations": int(self.iterations),
         }
+
+
+def pair_rows(refs: np.ndarray, freqs: np.ndarray) -> list[list]:
+    """[site_ref, MHz] rows of parallel reference and frequency arrays, the
+    file form of chosen oscillators."""
+    return list(map(list, zip(refs.tolist(), freqs.tolist())))
 
 
 def min_pairwise_diff(freqs: Sequence[float] | np.ndarray) -> float:
@@ -466,7 +463,7 @@ def batched_kmeans(
         m = cfg.m
         if f.size < m:
             raise ValueError(f"cannot select {m} from {f.size} candidates")
-        refs = np.arange(f.size) if refs is None else np.asarray(refs)
+        refs = np.arange(f.size) if refs is None else np.asarray(refs, dtype=np.intp)
         if (f[1:] >= f[:-1]).all():
             fs, refs_sorted = f, refs
         else:
@@ -493,8 +490,8 @@ def batched_kmeans(
 def _result(fs, refs_sorted, idx, trace, micd, iterations) -> SelectionResult:
     idx = np.sort(idx)
     return SelectionResult(
-        chosen=[(int(refs_sorted[i]), float(fs[i])) for i in idx],
-        centroids=fs[idx].copy(),
+        refs=refs_sorted[idx],
+        freqs=fs[idx],
         min_diff=min_pairwise_diff(fs[idx]) if len(idx) >= 2 else 0.0,
         min_diff_trace=trace,
         iterations=iterations,
@@ -596,17 +593,15 @@ def plain_kmeans(freqs, config: SelectionConfig, site_refs=None) -> SelectionRes
 
 
 def _map_to_indices(nu: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Indices of the given values in sorted nu; duplicates consume successive slots."""
-    used: dict[int, int] = {}
-    out = np.empty(values.size, dtype=np.intp)
-    for k, v in enumerate(np.sort(values)):
-        i = int(np.searchsorted(nu, v, side="left"))
-        while i < nu.size and nu[i] == v and used.get(i):
-            i += 1
-        if i >= nu.size or nu[i] != v:
-            raise ValueError(f"centroid {v} is not a member of the candidate list")
-        used[i] = 1
-        out[k] = i
+    """Ascending indices of the given values in sorted nu; duplicates
+    consume successive slots."""
+    v = np.sort(values)
+    # each value's first slot plus its rank within its run of equal values
+    out = np.searchsorted(nu, v, side="left") + np.arange(v.size) - np.searchsorted(v, v)
+    found = out < nu.size
+    found[found] = nu[out[found]] == v[found]
+    if not found.all():
+        raise ValueError(f"centroid {v[np.argmin(found)]} is not a member of the candidate list")
     return out
 
 
@@ -631,11 +626,11 @@ def relocate_centroids(
     lp = np.asarray(lp, dtype=float)
     if lp.size < 2:
         raise ValueError(f"need at least 2 centroids, got {lp.size}")
-    refs = np.arange(nu.size) if site_refs is None else np.asarray(site_refs)
+    refs = np.arange(nu.size) if site_refs is None else np.asarray(site_refs, dtype=np.intp)
 
     # pos stays sorted, so each round's adjacent gaps are all the pairwise
     # ones and their minimum is the trace entry
-    pos = np.sort(_map_to_indices(nu, lp))
+    pos = _map_to_indices(nu, lp)
     gaps = np.diff(nu[pos])
     trace: list[float] = [float(gaps.min())]
 
@@ -676,10 +671,9 @@ def relocate_centroids(
         gaps = np.diff(nu[pos])
         trace.append(float(gaps.min()))
 
-    chosen = [(int(refs[i]), float(nu[i])) for i in pos]
     return SelectionResult(
-        chosen=chosen,
-        centroids=nu[pos].copy(),
+        refs=refs[pos],
+        freqs=nu[pos],
         min_diff=trace[-1],
         min_diff_trace=trace,
         iterations=iterations,
@@ -702,7 +696,7 @@ def baseline_select(
     f = _require_candidates(freqs)
     if f.size < m:
         raise ValueError(f"cannot select {m} from {f.size} candidates")
-    refs = np.arange(f.size) if site_refs is None else np.asarray(site_refs)
+    refs = np.arange(f.size) if site_refs is None else np.asarray(site_refs, dtype=np.intp)
     order = np.argsort(f, kind="stable")
     fs, refs_sorted = f[order], refs[order]
     if method == "mean_based":
@@ -716,9 +710,6 @@ def baseline_select(
     else:
         raise ValueError(f"unknown baseline method {method!r}")
     idx = np.sort(idx)
-    chosen = [(int(refs_sorted[i]), float(fs[i])) for i in idx]
     return SelectionResult(
-        chosen=chosen,
-        centroids=fs[idx].copy(),
-        min_diff=min_pairwise_diff(fs[idx]),
+        refs=refs_sorted[idx], freqs=fs[idx], min_diff=min_pairwise_diff(fs[idx])
     )

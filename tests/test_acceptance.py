@@ -76,7 +76,7 @@ def test_criterion_1_selection_oracle_bound():
         m = min(m, n)
         f = np.sort(rng.uniform(0.0, 100.0, n))
         km = improved_kmeans(f, quiet_config(m, rng_seed=trial))
-        rel = relocate_centroids(f, km.centroids)
+        rel = relocate_centroids(f, km.freqs)
         opt = brute_force_best_min_diff(f, m)
         assert rel.min_diff <= opt + 1e-9, "pipeline exceeded the exhaustive optimum"
         if rel.min_diff >= 0.9 * opt - 1e-12:
@@ -139,7 +139,7 @@ def test_criterion_4_relocation_benefit_scales_with_m(nexys_candidates):
     for m in (8, 64):
         for seed, nu in enumerate(nexys_candidates):
             km = improved_kmeans(nu, quiet_config(m, rng_seed=seed))
-            rel = relocate_centroids(nu, km.centroids)
+            rel = relocate_centroids(nu, km.freqs)
             gains[m].append((rel.min_diff - km.min_diff) / km.min_diff)
     med8, med64 = float(np.median(gains[8])), float(np.median(gains[64]))
     announce(4, med64 > med8,
@@ -156,9 +156,8 @@ def test_criterion_5_response_lengths():
     for m, k in want.items():
         freqs = np.sort(rng.uniform(380.0, 450.0, m))
         chip = manual_chip(freqs)
-        sel = [(int(i), float(f)) for i, f in enumerate(freqs)]
         plan = randomize_placement(
-            assign_groups(sel, 0.0, np.random.default_rng(0)), chip.sites, 0
+            assign_groups(np.arange(m), freqs, 0.0, np.random.default_rng(0)), chip.sites, 0
         )
         got[m] = rp.generate_response(plan, chip, 1).k
     announce(5, got == want, f"response lengths {got} == {want} (exact)")

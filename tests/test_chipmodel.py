@@ -15,11 +15,12 @@ from ropufsim.chipmodel import (
     SliceClass,
     build_fabric,
     classify_corner,
+    count_noise,
     env_frequencies,
     get_preset,
     ingest_csv,
     load_device_spec,
-    measure_counts,
+    noisy_counts,
     synth_chip,
 )
 
@@ -149,35 +150,51 @@ class TestEnvFrequency:
 
 
 class TestMeasureCount:
+    """The count model: ``count_noise`` draws, ``noisy_counts`` counts."""
+
     def test_exact_noise_free_count(self):
-        counts = measure_counts(np.array([400.0, 410.0]), 122.87, None, 0.0)
-        assert counts.dtype == np.int64
+        noise = count_noise(None, np.zeros(2), (2,))
+        counts = noisy_counts(np.array([400.0, 410.0]), 122.87, noise, 0.0)
+        assert counts is noise  # computed in place on the drawn noise
         assert counts.tolist() == [49148, 50377]
 
     def test_tiny_frequency_rounds_to_zero(self):
-        assert measure_counts(np.array([0.001]), 122.87, None, 0.0).tolist() == [0]
+        assert noisy_counts(np.array([0.001]), 122.87, np.zeros(1), 0.0).tolist() == [0]
+        # noise below zero saturates rather than counting negative pulses
+        assert noisy_counts(np.array([0.01]), 122.87, np.array([-5.0]), 1.0).tolist() == [0]
 
     def test_inverse_recovers_within_quantization(self):
-        alpha = measure_counts(np.array([400.0]), 122.87, None, 0.0)[0]
+        alpha = noisy_counts(np.array([400.0]), 122.87, np.zeros(1), 0.0)[0]
         assert abs(alpha / 122.87 - 400.0) <= 1.0 / 122.87  # ~8.14 kHz
 
     def test_noise_requires_rng(self):
         freqs = np.full(50, 400.0)
-        with pytest.raises(ValueError):
-            measure_counts(freqs, 122.87, None, 0.1)
+        with pytest.raises(ValueError, match="rng required"):
+            count_noise(None, np.full(50, 0.1), (50,))
+        assert not count_noise(None, np.zeros(50), (50,)).any()
         sigma = np.zeros(50)
         sigma[::2] = 0.5
-        counts = measure_counts(freqs, 122.87, np.random.default_rng(0), sigma)
+        noise = count_noise(np.random.default_rng(0), sigma, (50,))
+        counts = noisy_counts(freqs, 122.87, noise, sigma)
         assert len(set(counts[::2].tolist())) > 1
         assert counts[1::2].tolist() == [49148] * 25  # noise-free entries stay exact
 
+    def test_noise_scale(self):
+        # the noise is added in MHz before counting, so a count's deviation
+        # is sigma * t_on_us pulses
+        sigma = np.array([[0.5], [2.0]])
+        noise = count_noise(np.random.default_rng(1), sigma, (2, 20_000))
+        counts = noisy_counts(np.array([[400.0], [400.0]]), 122.87, noise, sigma)
+        assert counts.std(axis=1, ddof=1) == pytest.approx(sigma[:, 0] * 122.87, rel=0.03)
+        assert counts.mean(axis=1) == pytest.approx([49148, 49148], abs=5)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            measure_counts(np.array([400.0, -1.0]), 122.87, None, 0.0)
+            noisy_counts(np.array([400.0, -1.0]), 122.87, np.zeros(2), 0.0)
         with pytest.raises(ValueError):
-            measure_counts(np.array([0.0]), 122.87, None, 0.0)
+            noisy_counts(np.array([0.0]), 122.87, np.zeros(1), 0.0)
         with pytest.raises(ValueError):
-            measure_counts(np.array([400.0]), 0.0, None, 0.0)
+            noisy_counts(np.array([400.0]), 0.0, np.zeros(1), 0.0)
 
 
 class TestIngest:

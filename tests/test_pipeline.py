@@ -593,6 +593,35 @@ class TestCli:
         assert "pass rate" in captured
         assert rc in (0, 2)  # tiny 15-bit dumps cannot pass the basic floor
 
+    @pytest.mark.parametrize("data,where", [
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,zz\n",
+         ":2: malformed response line"),
+        (b"device_id,temp_c,vcc_mv,hexbits\ndev,35,1000,7fff\n", ":1: bad response dump header"),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev\xff,35,1000,7fff\n", ":2: not UTF-8 text"),
+    ], ids=["hex", "header", "utf8"])
+    def test_malformed_nist_dump_exits_2_naming_line(self, tmp_path, capsys, data, where):
+        dump = tmp_path / "responses.csv"
+        dump.write_bytes(data)
+        assert main(["nist", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"ropuf nist: {dump}{where}")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_non_utf8_ingest_exits_2_naming_line(self, tmp_path, capsys):
+        csv = tmp_path / "chip.csv"
+        csv.write_bytes(b"clb_x,clb_y,corner,mhz_1\n0,0,TL,400.0\n1,0,TL,4\xff0.0\n")
+        assert main(["ingest", str(csv)]) == 2
+        assert capsys.readouterr().err == f"ropuf ingest: {csv}:3: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("verb", ["nist", "ingest"])
+    def test_unreadable_file_exits_2_naming_path(self, tmp_path, capsys, verb):
+        missing = tmp_path / "missing.csv"
+        for path in (missing, tmp_path):  # no such file; a directory
+            assert main([verb, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"ropuf {verb}: {path}: ")
+            assert "Traceback" not in err
+
     def test_config_file_flow(self, tmp_path):
         config = tiny_config(tmp_path, devices=2)
         cfg_path = tmp_path / "config.json"
@@ -657,25 +686,36 @@ class TestCli:
         assert f"{missing}: " in capsys.readouterr().err
 
 
-def load_spans():
-    """perfbench/spans.py, the benchmark's tracer, loaded by path."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def load_perfbench(name):
+    """A module of perfbench/, the benchmark, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestTracerContract:
     """The benchmark's tracer wraps layer functions by module attribute and
-    reads fields of what they return; a refactor must keep both."""
+    reads fields of what they return, and its repetitions build their
+    configs by field name; a refactor must keep all three."""
 
     def test_every_wrapped_name_resolves(self):
-        for module, attr, _ in load_spans().WRAPPED:
+        for module, attr, _ in load_perfbench("spans").WRAPPED:
             assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
+    def test_every_workload_config_validates(self, monkeypatch):
+        rep = load_perfbench("rep")
+        monkeypatch.setattr(sys, "path", list(sys.path))  # setup prepends src/
+        configs = [made["config"] for made in (rep.setup(w, 2026) for w in rep.WORKLOADS)
+                   if "config" in made]
+        assert configs
+        for config in configs:
+            config.validate()
+            assert config.workers == 1
+
     def test_traced_tiny_run_summarizes(self, tmp_path, monkeypatch):
-        spans = load_spans()
+        spans = load_perfbench("spans")
         for module, attr, _ in spans.WRAPPED:
             # registers the original, which monkeypatch restores afterwards
             monkeypatch.setattr(importlib.import_module(module), attr,

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import manual_chip
 from ropufsim.chipmodel import DataError
 from ropufsim.placement import (
+    GroupAssignment,
+    PlacementPlan,
     assign_groups,
     emit_constraints,
     parse_constraints,
@@ -17,8 +19,32 @@ from ropufsim.placement import (
 
 
 def selections(m, start=0):
-    """(site_ref, freq) pairs with freq increasing in ref order."""
-    return [(start + i, 400.0 + i) for i in range(m)]
+    """Site references and frequencies, frequency increasing in ref order."""
+    return start + np.arange(m), 400.0 + np.arange(m)
+
+
+def chip_selections(chip, m):
+    """The chip's first m sites and their nominal frequencies."""
+    return np.arange(m), chip.nominal_freq[:m]
+
+
+def assign_groups_reference(pairs, kappa, rng):
+    """(lower, upper) lists of (site_ref, freq) pairs, split pair by pair
+    after a sort by (frequency, site_ref)."""
+    m = len(pairs)
+    random_count = round(kappa * m)
+    ordered_count = m - random_count
+    pairs = sorted(pairs, key=lambda p: (p[1], p[0]))
+    lower = pairs[0:ordered_count:2]
+    upper = pairs[1:ordered_count:2]
+    if random_count:
+        rng = np.random.default_rng(rng)
+        tail = [pairs[ordered_count + int(i)] for i in rng.permutation(random_count)]
+        need_lower = m // 2 - len(lower)
+        lower += tail[:need_lower]
+        upper += tail[need_lower:]
+    return (sorted(lower, key=lambda p: (p[1], p[0])),
+            sorted(upper, key=lambda p: (p[1], p[0])))
 
 
 class TestValidKappas:
@@ -43,11 +69,11 @@ class TestValidKappas:
 class TestAssignGroups:
     def test_kappa_zero_alternates_and_ignores_rng(self):
         sel = selections(8)
-        a = assign_groups(sel, 0.0, np.random.default_rng(1))
-        b = assign_groups(sel, 0.0, np.random.default_rng(999))
-        assert a.lower == b.lower and a.upper == b.upper
-        assert [r for r, _ in a.lower] == [0, 2, 4, 6]
-        assert [r for r, _ in a.upper] == [1, 3, 5, 7]
+        a = assign_groups(*sel, 0.0, np.random.default_rng(1))
+        b = assign_groups(*sel, 0.0, np.random.default_rng(999))
+        assert np.array_equal(a.refs, b.refs)
+        assert a.refs.tolist() == [0, 2, 4, 6, 1, 3, 5, 7]
+        assert a.freqs.tolist() == [400.0, 402.0, 404.0, 406.0, 401.0, 403.0, 405.0, 407.0]
         assert a.random_count == 0
 
     def test_kappa_one_half_membership_probability(self):
@@ -56,74 +82,88 @@ class TestAssignGroups:
         trials = 10_000
         rng = np.random.default_rng(0)
         for _ in range(trials):
-            a = assign_groups(sel, 1.0, rng)
-            for r, _ in a.lower:
-                in_lower[r] += 1
+            a = assign_groups(*sel, 1.0, rng)
+            in_lower[a.refs[:4]] += 1
         freq = in_lower / trials
         assert np.all(np.abs(freq - 0.5) <= 0.05)
 
     def test_m32_kappa_0375_counts(self):
-        a = assign_groups(selections(32), 0.375, np.random.default_rng(3))
+        a = assign_groups(*selections(32), 0.375, np.random.default_rng(3))
         assert a.ordered_count == 20
         assert a.random_count == 12
 
     @pytest.mark.parametrize("kappa", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_balance_at_every_kappa(self, kappa):
-        a = assign_groups(selections(16), kappa, np.random.default_rng(5))
-        assert len(a.lower) == len(a.upper) == 8
-        refs = {r for r, _ in a.lower} | {r for r, _ in a.upper}
-        assert refs == set(range(16))
+        a = assign_groups(*selections(16), kappa, np.random.default_rng(5))
+        assert a.m == 16 and np.array_equal(np.sort(a.refs), np.arange(16))
+        for group in (slice(0, 8), slice(8, 16)):
+            assert np.all(np.diff(a.freqs[group]) > 0)
 
     def test_off_grid_kappa_rejected(self):
         with pytest.raises(ValueError):
-            assign_groups(selections(16), 0.3, np.random.default_rng(0))
+            assign_groups(*selections(16), 0.3, np.random.default_rng(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(freqs=st.lists(st.integers(0, 5), min_size=16, max_size=16),
+           kappa=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_groups_match_pairwise_split(self, freqs, kappa, seed):
+        # few distinct frequencies, so ties rank by site reference
+        refs = np.random.default_rng(seed).permutation(100)[:16]
+        freqs = 400.0 + np.array(freqs, dtype=float)
+        a = assign_groups(refs, freqs, kappa, seed)
+        lower, upper = assign_groups_reference(
+            list(zip(refs.tolist(), freqs.tolist())), kappa, seed)
+        assert list(zip(a.refs.tolist(), a.freqs.tolist())) == lower + upper
+
+    def test_unbalanced_or_overlapping_groups_rejected(self):
+        with pytest.raises(ValueError, match="groups must be balanced"):
+            GroupAssignment(0.0, np.arange(3), np.arange(3.0), 3, 0)
+        with pytest.raises(ValueError, match=re.escape("groups share sites [2, 5]")):
+            GroupAssignment(0.0, np.array([2, 5, 1, 5, 2, 0]), np.arange(6.0), 6, 0)
 
 
 class TestRandomizePlacement:
     def test_both_orders_observed_for_smallest_group(self):
         sel = selections(4)
-        a = assign_groups(sel, 0.0, np.random.default_rng(0))
+        a = assign_groups(*sel, 0.0, np.random.default_rng(0))
         orders = set()
         for seed in range(16):
             plan = randomize_placement(a, manual_chip(np.linspace(400, 403, 4)).sites, seed)
-            orders.add(tuple(r for r, _ in plan.lower_order))
+            orders.add(tuple(plan.refs[:2].tolist()))
         assert len(orders) == 2  # 2 permutations of a 2-member group
 
     def test_association_preserved(self, small_chip):
-        sel = [(int(i), float(small_chip.nominal_freq[i])) for i in range(32)]
-        a = assign_groups(sel, 0.5, np.random.default_rng(1))
+        a = assign_groups(*chip_selections(small_chip, 32), 0.5, np.random.default_rng(1))
         plan = randomize_placement(a, small_chip.sites, 77)
-        for r, f in plan.lower_order + plan.upper_order:
-            assert f == float(small_chip.nominal_freq[r])
+        assert np.array_equal(plan.freqs, small_chip.nominal_freq[plan.refs])
+        for half in (slice(0, 16), slice(16, 32)):
+            assert np.array_equal(np.sort(plan.refs[half]), np.sort(a.refs[half]))
 
     def test_bijection_onto_selected_sites(self, small_chip):
-        sel = [(int(i), float(small_chip.nominal_freq[i])) for i in range(16)]
-        a = assign_groups(sel, 0.25, np.random.default_rng(2))
+        a = assign_groups(*chip_selections(small_chip, 16), 0.25, np.random.default_rng(2))
         plan = randomize_placement(a, small_chip.sites, 5)
         mapped = {s.key for s in plan.site_map}
         assert mapped == {small_chip.sites[i].key for i in range(16)}
+        with pytest.raises(ValueError, match="bijection"):
+            PlacementPlan(a, plan.refs[::-1] + 1, plan.freqs, plan.site_map, 5)
 
     def test_deterministic_for_fixed_seed(self, small_chip):
-        sel = [(int(i), float(small_chip.nominal_freq[i])) for i in range(16)]
-        a = assign_groups(sel, 0.5, np.random.default_rng(3))
+        a = assign_groups(*chip_selections(small_chip, 16), 0.5, np.random.default_rng(3))
         p1 = randomize_placement(a, small_chip.sites, 123)
         p2 = randomize_placement(a, small_chip.sites, 123)
-        assert p1.lower_order == p2.lower_order
-        assert p1.upper_order == p2.upper_order
+        assert np.array_equal(p1.refs, p2.refs)
+        assert np.array_equal(p1.freqs, p2.freqs)
 
     def test_frozen_fixture_permutation(self, small_chip):
         # pins the documented seed convention; regenerate if the RNG scheme changes
-        sel = [(int(i), float(small_chip.nominal_freq[i])) for i in range(8)]
-        a = assign_groups(sel, 0.0, np.random.default_rng(0))
+        a = assign_groups(*chip_selections(small_chip, 8), 0.0, np.random.default_rng(0))
         plan = randomize_placement(a, small_chip.sites, 12345)
-        assert [r for r, _ in plan.lower_order] == [4, 7, 2, 6]
-        assert [r for r, _ in plan.upper_order] == [0, 3, 1, 5]
+        assert plan.refs.tolist() == [4, 7, 2, 6, 0, 3, 1, 5]
 
     def test_different_seeds_usually_differ(self, small_chip):
-        sel = [(int(i), float(small_chip.nominal_freq[i])) for i in range(32)]
-        a = assign_groups(sel, 0.5, np.random.default_rng(4))
+        a = assign_groups(*chip_selections(small_chip, 32), 0.5, np.random.default_rng(4))
         maps = {
-            tuple(r for r, _ in randomize_placement(a, small_chip.sites, s).lower_order)
+            tuple(randomize_placement(a, small_chip.sites, s).refs[:16].tolist())
             for s in range(20)
         }
         assert len(maps) == 20
@@ -131,8 +171,7 @@ class TestRandomizePlacement:
 
 class TestConstraints:
     def _plan(self, chip, m=4, kappa=0.0, seed=42):
-        sel = [(int(i), float(chip.nominal_freq[i])) for i in range(m)]
-        a = assign_groups(sel, kappa, np.random.default_rng(0))
+        a = assign_groups(*chip_selections(chip, m), kappa, np.random.default_rng(0))
         return randomize_placement(a, chip.sites, seed)
 
     def test_file_shape(self, small_chip, tmp_path):

@@ -1,11 +1,12 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import manual_chip
-from ropufsim.chipmodel import REFERENCE_ENV, EnvCondition
+from ropufsim.chipmodel import REFERENCE_ENV, DataError, EnvCondition
 from ropufsim.placement import assign_groups, randomize_placement
 from ropufsim.puf import (
     TAPS,
@@ -23,8 +24,7 @@ from ropufsim.puf import (
 
 def make_plan(freqs, kappa=0.0, seed=0):
     chip = manual_chip(freqs)
-    sel = [(int(i), float(f)) for i, f in enumerate(freqs)]
-    assignment = assign_groups(sel, kappa, np.random.default_rng(0))
+    assignment = assign_groups(np.arange(len(freqs)), freqs, kappa, np.random.default_rng(0))
     return randomize_placement(assignment, chip.sites, seed), chip
 
 
@@ -108,8 +108,7 @@ class TestChallengeDecoding:
         plan, chip = make_plan(np.sort(rng.uniform(380.0, 450.0, 32)))
         bits = generate_response(plan, chip, lfsr_seed=1).bits
         states = lfsr_sequence(challenge_width(32))
-        f_l = np.array([f for _, f in plan.lower_order])
-        f_u = np.array([f for _, f in plan.upper_order])
+        f_l, f_u = plan.freqs[:16], plan.freqs[16:]
         assert np.array_equal(bits, f_l[states >> 4] < f_u[states & 15])
         assert not np.array_equal(bits, f_l[states & 15] < f_u[states >> 4])
 
@@ -133,15 +132,14 @@ class TestRespondBit:
             for ug in range(4):
                 if lg == ug == 0:
                     continue  # the all-zero word is no LFSR state
-                f_l = plan.lower_order[lg][1]
-                f_u = plan.upper_order[ug][1]
+                f_l, f_u = plan.freqs[lg], plan.freqs[4 + ug]
                 assert self.bit_of(plan, chip, lg, ug) == (0 if f_l >= f_u else 1)
 
     def test_exact_tie_gives_zero(self):
         # sorted ranks 3 and 4 tie at 400 MHz and land in different groups
         plan, chip = make_plan([400.0, 400.0, 390.0, 395.0, 405.0, 410.0, 385.0, 415.0])
         ties = [(lg, ug) for lg in range(4) for ug in range(4)
-                if plan.lower_order[lg][1] == plan.upper_order[ug][1]]
+                if plan.freqs[lg] == plan.freqs[4 + ug]]
         assert ties
         for lg, ug in ties:
             assert self.bit_of(plan, chip, lg, ug) == 0
@@ -172,8 +170,7 @@ class TestGenerateResponse:
         resp = generate_response(plan, chip, lfsr_seed=1)
         w = challenge_width(16)
         states = lfsr_sequence(w)
-        f_l = np.array([f for _, f in plan.lower_order])
-        f_u = np.array([f for _, f in plan.upper_order])
+        f_l, f_u = plan.freqs[:8], plan.freqs[8:]
         expected = (f_l[states >> 3] < f_u[states & 7]).astype(np.uint8)
         assert np.array_equal(resp.bits, expected)
 
@@ -181,8 +178,7 @@ class TestGenerateResponse:
         # every pairwise gap dwarfs the worst environmental + measurement shift
         freqs = np.array([300.0, 340.0, 380.0, 420.0, 460.0, 500.0, 540.0, 580.0])
         chip = manual_chip(freqs, temp_coeff=-1e-4, volt_coeff=0.01, meas_sigma=0.05)
-        sel = [(int(i), float(f)) for i, f in enumerate(freqs)]
-        assignment = assign_groups(sel, 0.0, np.random.default_rng(0))
+        assignment = assign_groups(np.arange(freqs.size), freqs, 0.0, np.random.default_rng(0))
         plan = randomize_placement(assignment, chip.sites, 1)
         rng = np.random.default_rng(5)
         golden = generate_response(plan, chip, 1, REFERENCE_ENV, rng)
@@ -197,8 +193,7 @@ class TestGenerateResponse:
         plan, chip = make_plan(freqs)
         resp = generate_response(plan, chip, lfsr_seed=1)
         first = int(lfsr_sequence(4)[0])
-        f_l = plan.lower_order[first >> 2][1]
-        f_u = plan.upper_order[first & 3][1]
+        f_l, f_u = plan.freqs[first >> 2], plan.freqs[4 + (first & 3)]
         assert resp.bits[0] == (0 if f_l >= f_u else 1)
 
     def test_wrong_chip_rejected(self):
@@ -217,8 +212,7 @@ def response_reference(plan, chip, lfsr_seed, env, rng, t_on_us):
     w = challenge_width(plan.m)
     states = lfsr_sequence(w, TAPS[w], lfsr_seed)
     half = w // 2
-    refs_l = np.array([r for r, _ in plan.lower_order])
-    refs_u = np.array([r for r, _ in plan.upper_order])
+    refs_l, refs_u = plan.refs[: plan.m // 2], plan.refs[plan.m // 2 :]
     scale = 1.0
     if not env.is_reference():
         dt = env.temp_c - 35.0
@@ -245,9 +239,8 @@ class TestGenerateResponses:
     def placed(chip, m, seed):
         rng = np.random.default_rng(seed)
         sites = np.sort(rng.choice(chip.site_count, m, replace=False))
-        chosen = sorted(((int(i), float(chip.nominal_freq[i])) for i in sites),
-                        key=lambda rf: rf[1])
-        assignment = assign_groups(chosen, 0.5, np.random.default_rng(seed))
+        assignment = assign_groups(sites, chip.nominal_freq[sites], 0.5,
+                                   np.random.default_rng(seed))
         return randomize_placement(assignment, chip.sites, seed)
 
     @staticmethod
@@ -262,8 +255,7 @@ class TestGenerateResponses:
     @pytest.mark.parametrize("noise", ["both", "upper_only", "lower_only", "none"])
     def test_rows_equal_per_condition_responses(self, small_chip, m, noise):
         plan = self.placed(small_chip, m, seed=m)
-        lower = [r for r, _ in plan.lower_order]
-        upper = [r for r, _ in plan.upper_order]
+        lower, upper = plan.refs[: m // 2].tolist(), plan.refs[m // 2 :].tolist()
         chip = {"both": small_chip, "upper_only": self.quiet(small_chip, lower),
                 "lower_only": self.quiet(small_chip, upper),
                 "none": self.quiet(small_chip, lower + upper)}[noise]
@@ -378,6 +370,17 @@ class TestResponseIo:
         path.write_text("device_id,temp_c,vcc_mv,hexbits(k=13)\ndev,35,1000,1fff\n"
                         "dev,25,1000,2000\n")
         with pytest.raises(ValueError, match=r"wide\.csv:3: .*does not fit in k=13 bits"):
+            load_responses(str(path))
+
+    @pytest.mark.parametrize("data,lineno", [
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,zz\n", 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,7fff\ndev\xff,35,1000,7fff\n", 3),
+        (b"", 1),
+    ])
+    def test_malformed_dump_raises_data_error_naming_line(self, tmp_path, data, lineno):
+        path = tmp_path / "dump.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:{lineno}: "):
             load_responses(str(path))
 
     def test_one_width_per_dump(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from typing import get_args
 
@@ -11,6 +12,7 @@ import ropufsim.select as select
 from ropufsim.select import (
     SeedStrategy,
     SelectionConfig,
+    _map_to_indices,
     _nearest_centroid_distance,
     _slice_means,
     _snap_distinct,
@@ -114,9 +116,25 @@ def kmeans_iterations_reference(fs, init, k_max):
         c = new_c
 
 
+def map_to_indices_reference(nu, values):
+    """Slots of the values in sorted nu, one value at a time: each takes the
+    first free slot of its run of equal candidates."""
+    used = set()
+    out = []
+    for v in np.sort(values):
+        i = int(np.searchsorted(nu, v, side="left"))
+        while i < nu.size and nu[i] == v and i in used:
+            i += 1
+        if i >= nu.size or nu[i] != v:
+            raise ValueError(f"centroid {v} is not a member of the candidate list")
+        used.add(i)
+        out.append(i)
+    return out
+
+
 def kmeans_reference(freqs, cfg, site_refs=None):
     """One pool's (improved, plain) K-means outcome from the per-device loop,
-    each as (chosen, centroids, min_diff, min_diff_trace, iterations), plus
+    each as (refs, freqs, min_diff, min_diff_trace, iterations), plus
     whether the run converged before ``k_max``."""
     f = np.asarray(freqs, dtype=float)
     m = cfg.m
@@ -126,8 +144,8 @@ def kmeans_reference(freqs, cfg, site_refs=None):
 
     def outcome(idx, trace, iterations):
         idx = np.sort(idx)
-        return ([(int(refs_sorted[i]), float(fs[i])) for i in idx], fs[idx].tolist(),
-                min_pairwise_diff(fs[idx]), trace, iterations)
+        return (refs_sorted[idx].tolist(), fs[idx].tolist(), min_pairwise_diff(fs[idx]),
+                trace, iterations)
 
     if f.size == m:
         beta = min_pairwise_diff(fs)
@@ -150,7 +168,7 @@ def kmeans_reference(freqs, cfg, site_refs=None):
 
 
 def as_outcome(res):
-    return (res.chosen, res.centroids.tolist(), res.min_diff, res.min_diff_trace,
+    return (res.refs.tolist(), res.freqs.tolist(), res.min_diff, res.min_diff_trace,
             res.iterations)
 
 
@@ -417,7 +435,8 @@ class TestImprovedKmeans:
     def test_exactly_m_points_selects_all(self):
         f = np.array([3.0, 1.0, 2.0])
         res = improved_kmeans(f, config(3))
-        assert sorted(res.frequencies.tolist()) == [1.0, 2.0, 3.0]
+        assert res.freqs.tolist() == [1.0, 2.0, 3.0]
+        assert res.refs.tolist() == [1, 2, 0]
         assert res.iterations == 1
 
     def test_global_max_retention_exact(self):
@@ -430,28 +449,27 @@ class TestImprovedKmeans:
         rng = np.random.default_rng(4)
         f = rng.uniform(0, 50, 100)
         res = improved_kmeans(f, config(8, rng_seed=5))
-        assert len(set(res.site_refs)) == 8
-        for _, freq in res.chosen:
-            assert freq in f
+        assert np.unique(res.refs).size == 8
+        assert np.array_equal(f[res.refs], res.freqs)
 
     def test_min_diff_equals_recomputed_pairwise_min(self):
         rng = np.random.default_rng(6)
         f = rng.uniform(0, 50, 60)
         res = improved_kmeans(f, config(4, rng_seed=6))
-        assert res.min_diff == pytest.approx(min_pairwise_diff(res.frequencies))
+        assert res.min_diff == pytest.approx(min_pairwise_diff(res.freqs))
 
     def test_deterministic_under_fixed_seed(self):
         rng = np.random.default_rng(7)
         f = rng.uniform(0, 90, 300)
         a = improved_kmeans(f, config(16, seeding="kmeanspp", rng_seed=11))
         b = improved_kmeans(f, config(16, seeding="kmeanspp", rng_seed=11))
-        assert a.chosen == b.chosen
+        assert np.array_equal(a.refs, b.refs) and np.array_equal(a.freqs, b.freqs)
 
     def test_site_refs_map_back_to_candidates(self):
         f = np.array([5.0, 1.0, 9.0, 3.0])
         refs = np.array([40, 10, 90, 30])
         res = improved_kmeans(f, config(2), site_refs=refs)
-        assert res.chosen == [(10, 1.0), (90, 9.0)]
+        assert res.refs.tolist() == [10, 90] and res.freqs.tolist() == [1.0, 9.0]
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
@@ -463,14 +481,15 @@ class TestRelocation:
         nu = np.array([100.0, 101.0, 102.0, 103.0, 110.0])
         res = relocate_centroids(nu, np.array([100.0, 101.0, 110.0]))
         assert res.min_diff == pytest.approx(3.0)
-        assert sorted(res.frequencies.tolist()) == [100.0, 103.0, 110.0]
+        assert res.freqs.tolist() == [100.0, 103.0, 110.0]
+        assert res.refs.tolist() == [0, 3, 4]
         assert brute_force_best_min_diff(nu, 3) == pytest.approx(3.0)
 
     def test_fixpoint_when_already_spread(self):
         nu = np.array([0.0, 10.0, 20.0])
         res = relocate_centroids(nu, nu.copy())
         assert res.iterations == 0
-        assert res.frequencies.tolist() == [0.0, 10.0, 20.0]
+        assert res.freqs.tolist() == [0.0, 10.0, 20.0]
 
     def test_non_member_centroids_rejected(self):
         with pytest.raises(ValueError):
@@ -496,29 +515,44 @@ class TestRelocation:
         res = relocate_centroids(nu, np.array([1.0, 1.0]))
         assert res.min_diff >= 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(nu=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+           values=st.lists(st.integers(0, 7), min_size=1, max_size=12))
+    def test_centroid_slots_match_the_slot_walk(self, nu, values):
+        # half-unit values: duplicates, runs longer than nu's and non-members
+        nu = np.sort(np.array(nu, dtype=float)) / 2
+        values = np.array(values, dtype=float) / 2
+        try:
+            want = map_to_indices_reference(nu, values)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _map_to_indices(nu, values)
+        else:
+            assert _map_to_indices(nu, values).tolist() == want
+
     def test_two_centroids_slide_to_extremes(self):
         nu = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         res = relocate_centroids(nu, np.array([1.0, 2.0]))
-        assert sorted(res.frequencies.tolist()) == [0.0, 4.0]
+        assert res.freqs.tolist() == [0.0, 4.0]
 
 
 class TestBaselines:
     def test_mean_based_on_uniform_grid(self):
         f = np.arange(100.0, 131.0)
         res = baseline_select(f, 4, "mean_based")
-        assert res.frequencies.tolist() == [100.0, 110.0, 120.0, 130.0]
+        assert res.freqs.tolist() == [100.0, 110.0, 120.0, 130.0]
         assert res.min_diff == 10.0
 
     def test_median_matches_mean_on_uniform_density(self):
         f = np.arange(100.0, 131.0)
         a = baseline_select(f, 4, "mean_based")
         b = baseline_select(f, 4, "median_based")
-        assert a.frequencies.tolist() == b.frequencies.tolist()
+        assert a.freqs.tolist() == b.freqs.tolist()
 
     def test_random_select_distinct_members(self):
         f = np.arange(50.0)
         res = baseline_select(f, 10, "random_select", np.random.default_rng(1))
-        assert len(set(res.site_refs)) == 10
+        assert np.unique(res.refs).size == 10
 
     def test_random_select_below_improved_kmeans_in_distribution(self):
         rng = np.random.default_rng(9)
@@ -544,7 +578,7 @@ class TestOracleBound:
             m = int(rng.integers(2, 5))
             f = np.sort(rng.uniform(0, 100, n))
             km = improved_kmeans(f, config(m, rng_seed=trial))
-            rel = relocate_centroids(f, km.centroids)
+            rel = relocate_centroids(f, km.freqs)
             assert rel.min_diff <= brute_force_best_min_diff(f, m) + 1e-9
 
 
