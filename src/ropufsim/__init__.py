@@ -5,7 +5,6 @@ from .characterize import (
     FrequencyProfile,
     characterize,
     export_profile_csv,
-    profile_stats,
     reject_erroneous,
 )
 from .chipmodel import (
@@ -38,7 +37,7 @@ from .placement import (
     randomize_placement,
     valid_kappas,
 )
-from .pipeline import PipelineConfig, bench, run_pipeline, sweep_kappa
+from .pipeline import PipelineConfig, bench, run_pipeline, sweep_kappa, sweep_m
 from .puf import ResponseSet, generate_response, generate_responses, lfsr_sequence
 from .select import (
     SelectionConfig,

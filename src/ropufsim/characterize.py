@@ -129,7 +129,7 @@ def characterize(
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples per site for sigma, got {m}")
-    idx = chip.active_indices()
+    idx = chip.layout.active
     freqs = env_frequencies(chip, [env], idx)[0][:, None]
     sigma = chip.meas_sigma_site[idx, None]
     counts = noisy_counts(freqs, t_on_us, count_noise(rng, sigma, (len(idx), m)), sigma)
@@ -171,17 +171,6 @@ def reject_erroneous(
         z_bar=len(kept),
         threshold_used=th,
     )
-
-
-def profile_stats(prof: FrequencyProfile) -> dict[str, float]:
-    """Span statistics: mean_span in MHz, sigma_span in kHz."""
-    if len(prof) == 0:
-        raise ValueError("empty profile")
-    return {
-        "mean_span": float(prof.mean.max() - prof.mean.min()),
-        "sigma_span": float((prof.sigma.max() - prof.sigma.min()) * 1e3),
-        "mean_of_means": float(prof.mean.mean()),
-    }
 
 
 PROFILE_HEADER = ",".join(("clb_x", "clb_y", "corner", "class", *MOMENT_COLUMNS))

@@ -280,9 +280,6 @@ class ChipProfile:
             self._layout = FabricLayout.of(self.sites)
         return self._layout
 
-    def active_indices(self) -> np.ndarray:
-        return self.layout.active
-
 
 def _fabric_dims(n_clb: int) -> tuple[int, int]:
     nx = int(math.ceil(math.sqrt(n_clb)))

@@ -1,13 +1,13 @@
 """Command-line entry point.
 
-Verbs: run (full pipeline), sweep-kappa, sweep-m, bench, ingest (measured
-CSV), nist (standalone suite on a response dump).
+Verbs: run (full pipeline), sweep-kappa, sweep-m (every RO count from one
+candidate pool per device; ignores --ro-count), bench (stage times of device
+0's chain), ingest (measured CSV), nist (standalone suite on a response dump).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -24,6 +24,7 @@ from .pipeline import (
     kmeans_scaling,
     run_pipeline,
     sweep_kappa,
+    sweep_m,
 )
 from .puf import load_responses
 
@@ -65,7 +66,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     }
     for k, v in overrides.items():
         setattr(config, k, v)
-    config.validate()
     return config
 
 
@@ -94,21 +94,9 @@ def cmd_sweep_kappa(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_m(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    rows = []
-    for m in (8, 16, 32, 64):
-        cfg = dataclasses.replace(config, ro_count=m)
-        report, nist_report, runs = run_pipeline(cfg, write=False)
-        k = runs[0].golden.k
-        md = float(np.median([r.relocated_min_diff for r in runs]))
-        rows.append((m, k, md, report.r_avg, nist_report.pass_rate))
-        print(f"M={m:<3d} bits={k:<5d} median_min_diff={md:.3f} MHz "
-              f"r_avg={report.r_avg:.4f} nist={format_rate(nist_report.pass_rate, '.0%')}")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["m,bits,median_min_diff_mhz,r_avg,nist_pass_rate"]
-    lines += [f"{m},{k},{md:.6f},{r:.6f},{format_rate(pr, '.4f')}" for m, k, md, r, pr in rows]
-    (out / "m_sweep.csv").write_text("\n".join(lines) + "\n")
+    for p in sweep_m(_config_from_args(args)):
+        print(f"M={p.m:<3d} bits={p.bits:<5d} median_min_diff={p.median_min_diff:.3f} MHz "
+              f"r_avg={p.r_avg:.4f} nist={format_rate(p.nist_pass_rate, '.0%')}")
     return 0
 
 

@@ -1,7 +1,8 @@
 """End-to-end orchestration: synth -> characterize -> reject -> select ->
 relocate -> group -> place -> respond -> evaluate, plus sweeps and a
-computation-time model.  Devices run through the chain in blocks, one
-process, with one K-means run per block.
+computation-time model.  Every verb runs devices through one chain, in
+blocks, in one process: each device's candidate pool is built once, then
+one K-means run per block and design size.
 
 Every stage's randomness derives from the declared global seed, so a run is
 reproducible from its manifest alone.  A run logs its host seconds per stage
@@ -16,7 +17,7 @@ import math
 import numbers
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar, get_args
 
@@ -186,28 +187,17 @@ class PipelineConfig:
     def env_grid(self) -> list[EnvCondition]:
         """Sweep conditions.  axes varies one knob at a time, cross takes the
         full product; the reference condition is kept when it lies on the grid."""
+        ref = REFERENCE_ENV
         if self.env_mode == "reference":
-            return [REFERENCE_ENV]
-        conds: list[EnvCondition] = []
+            return [ref]
         if self.env_mode == "axes":
-            for t in self.temps:
-                conds.append(EnvCondition(t, REFERENCE_ENV.vcc_mv))
-            for v in self.volts:
-                conds.append(EnvCondition(REFERENCE_ENV.temp_c, v))
+            conds = [EnvCondition(t, ref.vcc_mv) for t in self.temps]
+            conds += [EnvCondition(ref.temp_c, v) for v in self.volts]
         elif self.env_mode == "cross":
-            for t in self.temps:
-                for v in self.volts:
-                    conds.append(EnvCondition(t, v))
+            conds = [EnvCondition(t, v) for t in self.temps for v in self.volts]
         else:
             raise ValueError(f"unknown env_mode {self.env_mode!r}")
-        seen: set[tuple[float, float]] = set()
-        unique = []
-        for c in conds:
-            key = (c.temp_c, c.vcc_mv)
-            if key not in seen:
-                seen.add(key)
-                unique.append(c)
-        return unique
+        return list(dict.fromkeys(conds))  # each condition once, in grid order
 
 
 _log = logging.getLogger("ropufsim")
@@ -353,19 +343,11 @@ def _candidate_pool(
                  mean[order], kept.site_refs[order])
 
 
-def _selection_config(config: PipelineConfig, pool: _Pool) -> SelectionConfig:
-    return SelectionConfig(
-        m=config.ro_count, seeding=config.seeding, k_max=config.k_max,
-        rng_seed=pool.seeds["select"],
-    )
-
-
 def _kmeans(config: PipelineConfig, pools: Sequence[_Pool]) -> list[SelectionResult]:
     """The improved K-means result of every pool, from one batched run."""
-    pairs = batched_kmeans(
-        [p.nu for p in pools], [_selection_config(config, p) for p in pools],
-        [p.nu_refs for p in pools],
-    )
+    configs = [SelectionConfig(m=config.ro_count, seeding=config.seeding, k_max=config.k_max,
+                               rng_seed=p.seeds["select"]) for p in pools]
+    pairs = batched_kmeans([p.nu for p in pools], configs, [p.nu_refs for p in pools])
     return [improved for improved, _ in pairs]
 
 
@@ -395,33 +377,36 @@ _T = TypeVar("_T")
 
 
 def _chain(
-    config: PipelineConfig, spec: DeviceSpec, indices: Sequence[int],
-    finish: Callable[[int, _Selection], _T], times: _StageTimes,
-) -> list[_T]:
-    """``finish(index, selection)`` of every device, in index order.
+    configs: Sequence[PipelineConfig], spec: DeviceSpec, indices: Sequence[int],
+    finish: Callable[[PipelineConfig, int, _Selection], _T], times: _StageTimes,
+) -> list[list[_T]]:
+    """``finish(config, index, selection)`` of every device, one list per
+    config in index order.  The configs may differ only in ``ro_count``.
 
-    Devices run in blocks of ``_BLOCK_DEVICES``: each device's candidate
-    pool, then one K-means run for the whole block, then each device's
+    Devices run in blocks of ``_BLOCK_DEVICES``: each device's candidate pool
+    once, then per config one K-means run for the block and each device's
     relocation and ``finish``.  What ``finish`` returns must not hold the
     chip, so a block's chips are freed before the next block is synthesized.
     """
-    out: list[_T] = []
+    base = configs[0]
+    for config in configs:
+        if replace(config, ro_count=base.ro_count) != base:
+            raise ValueError("configs of one chain may differ only in ro_count")
+    out: list[list[_T]] = [[] for _ in configs]
     for start in range(0, len(indices), _BLOCK_DEVICES):
-        out += _chain_block(config, spec, indices[start : start + _BLOCK_DEVICES], finish,
-                            times)
+        _chain_block(configs, spec, indices[start : start + _BLOCK_DEVICES], finish, times, out)
     return out
 
 
-def _chain_block(config, spec, indices, finish, times) -> list:
-    pools = [_candidate_pool(config, i, spec, times) for i in indices]
-    with times.stage("kmeans"):
-        kms = _kmeans(config, pools)
-    out = []
-    for i, pool, km in zip(indices, pools, kms):
-        with times.stage("relocation"):
-            relocated = _relocate(config, pool, km)
-        out.append(finish(i, _Selection(pool, km, relocated)))
-    return out
+def _chain_block(configs, spec, indices, finish, times, out) -> None:
+    pools = [_candidate_pool(configs[0], i, spec, times) for i in indices]
+    for config, results in zip(configs, out):
+        with times.stage("kmeans"):
+            kms = _kmeans(config, pools)
+        for i, pool, km in zip(indices, pools, kms):
+            with times.stage("relocation"):
+                relocated = _relocate(config, pool, km)
+            results.append(finish(config, i, _Selection(pool, km, relocated)))
 
 
 def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
@@ -485,17 +470,12 @@ def _device_run(
 
 
 def run_device(
-    config: PipelineConfig,
-    index: int,
-    lfsr_seed: int,
-    spec: DeviceSpec | None = None,
-    env_grid: Sequence[EnvCondition] = (),
+    config: PipelineConfig, index: int, lfsr_seed: int, env_grid: Sequence[EnvCondition] = (),
 ) -> DeviceRun:
     """Execute the full per-device chain at ``config.kappa``."""
-    spec = spec or _device_spec(config)
     times = _StageTimes()
-    return _chain(config, spec, [index],
-                  lambda _, sel: _device_run(config, sel, lfsr_seed, env_grid, times), times)[0]
+    return _chain([config], _device_spec(config), [index],
+                  lambda c, _, sel: _device_run(c, sel, lfsr_seed, env_grid, times), times)[0][0]
 
 
 def _shared_lfsr_seed(config: PipelineConfig, index: int) -> int:
@@ -509,6 +489,28 @@ def _shared_lfsr_seed(config: PipelineConfig, index: int) -> int:
     return base % period + 1
 
 
+def _device_runs(configs: Sequence[PipelineConfig], times: _StageTimes) -> list[list[DeviceRun]]:
+    """Every device's run at ``config.kappa``, one list per config."""
+    env_grid = configs[0].env_grid()
+    return _chain(
+        configs, _device_spec(configs[0]), range(configs[0].devices),
+        lambda c, i, sel: _device_run(c, sel, _shared_lfsr_seed(c, i), env_grid, times),
+        times,
+    )
+
+
+def _judge(runs: Sequence[DeviceRun], times: _StageTimes) -> tuple[EvalReport, NistReport]:
+    """The population's evaluation report and SP 800-22 verdicts."""
+    with times.stage("evaluate"):
+        golden_rows = np.stack([r.golden.bits for r in runs])
+        sweeps = [np.stack([s.bits for s in r.sweep_responses]) if r.sweep_responses
+                  else np.empty((0, r.golden.k), dtype=np.uint8) for r in runs]
+        report = evaluate_population(golden_rows, sweeps, [r.device_id for r in runs])
+    with times.stage("nist"):
+        nist_report = run_suite([r.golden.bits for r in runs])
+    return report, nist_report
+
+
 def run_pipeline(
     config: PipelineConfig, write: bool = True
 ) -> tuple[EvalReport, NistReport, list[DeviceRun]]:
@@ -520,23 +522,9 @@ def run_pipeline(
     config alone.
     """
     config.validate()
-    spec = _device_spec(config)
-    env_grid = config.env_grid()
     times = _StageTimes()
-    runs = _chain(
-        config, spec, range(config.devices),
-        lambda i, sel: _device_run(config, sel, _shared_lfsr_seed(config, i), env_grid, times),
-        times,
-    )
-
-    with times.stage("evaluate"):
-        golden_rows = np.stack([r.golden.bits for r in runs])
-        sweeps = [np.stack([s.bits for s in r.sweep_responses]) if r.sweep_responses
-                  else np.empty((0, r.golden.k), dtype=np.uint8) for r in runs]
-        report = evaluate_population(golden_rows, sweeps, [r.device_id for r in runs])
-    with times.stage("nist"):
-        nist_report = run_suite([r.golden.bits for r in runs])
-
+    (runs,) = _device_runs([config], times)
+    report, nist_report = _judge(runs, times)
     if write:
         with times.stage("micd"):
             micd_traces([r.kmeans for r in runs])
@@ -626,7 +614,7 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
 
     times = _StageTimes()
 
-    def goldens(i: int, sel: _Selection) -> np.ndarray:
+    def goldens(_: PipelineConfig, i: int, sel: _Selection) -> np.ndarray:
         lfsr_seed = _shared_lfsr_seed(config, i)
         rows = []
         for k_idx, kappa in enumerate(kappas):
@@ -637,7 +625,7 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
         return np.stack(rows)
 
     # (ratios, devices, k) golden bits
-    per_ratio = np.stack(_chain(config, spec, range(config.devices), goldens, times), axis=1)
+    per_ratio = np.stack(_chain([config], spec, range(config.devices), goldens, times)[0], axis=1)
     points: list[KappaSweepPoint] = []
     for kappa, golden in zip(kappas, per_ratio):
         with times.stage("nist"):
@@ -667,6 +655,44 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
 
 
 @dataclass
+class MSweepPoint:
+    m: int
+    bits: int
+    median_min_diff: float
+    r_avg: float
+    nist_pass_rate: float | None
+
+
+def sweep_m(config: PipelineConfig, write: bool = True) -> list[MSweepPoint]:
+    """``run_pipeline``'s evaluation at every M of ``RO_COUNTS``, ignoring
+    ``config.ro_count``, from one candidate pool per device.  Every M's
+    config is validated before any device work; an error names the M.
+    """
+    configs = [replace(config, ro_count=m) for m in RO_COUNTS]
+    for c in configs:
+        try:
+            c.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"ro_count {c.ro_count}: {exc}") from None
+    times = _StageTimes()
+    points = []
+    for c, runs in zip(configs, _device_runs(configs, times)):
+        report, nist_report = _judge(runs, times)
+        median_min_diff = float(np.median([r.relocated_min_diff for r in runs]))
+        points.append(MSweepPoint(c.ro_count, runs[0].golden.k, median_min_diff, report.r_avg,
+                                  nist_report.pass_rate))
+    if write:
+        root = Path(config.out_dir)
+        root.mkdir(parents=True, exist_ok=True)
+        rows = ["m,bits,median_min_diff_mhz,r_avg,nist_pass_rate"]
+        rows += [f"{p.m},{p.bits},{p.median_min_diff:.6f},{p.r_avg:.6f},"
+                 f"{format_rate(p.nist_pass_rate, '.4f')}" for p in points]
+        (root / "m_sweep.csv").write_text("\n".join(rows) + "\n")
+    times.log(f"M sweep of {config.devices} devices over {len(configs)} sizes:")
+    return points
+
+
+@dataclass
 class BenchReport:
     characterization_model_sec: float
     selection_wall_sec: float
@@ -680,33 +706,33 @@ class BenchReport:
 
 
 def bench(config: PipelineConfig) -> BenchReport:
-    """Computation-time accounting for one device.
+    """Computation-time accounting for device 0.
 
     Characterization time uses the per-sample cost model (the hardware-bound
-    part); selection, including its MICD trace, and relocation are
-    wall-clock measured.
+    part); selection and relocation are the chain's host seconds of its
+    kmeans and micd stages and of its relocation stage.
     """
     config.validate()
     spec = _device_spec(config)
     times = _StageTimes()
-    pool = _candidate_pool(config, 0, spec, times)
+
+    def selections(_: PipelineConfig, __: int, sel: _Selection):
+        with times.stage("micd"):
+            micd_traces([sel.kmeans])
+        return sel.kmeans, sel.relocated
+
+    [[(km, rel)]] = _chain([config], spec, [0], selections, times)
     times.log("bench of 1 device:")
     t_p1 = spec.site_count * config.samples * SAMPLE_COST_SEC
-
-    t0 = time.perf_counter()
-    (km,) = _kmeans(config, [pool])
-    micd_traces([km])
-    t1 = time.perf_counter()
-    rel = _relocate(config, pool, km)
-    t2 = time.perf_counter()
-    t_p2 = t2 - t0
+    sec = times.seconds
+    t_select = sec["kmeans"] + sec["micd"]
     return BenchReport(
         characterization_model_sec=t_p1,
-        selection_wall_sec=t1 - t0,
-        relocation_wall_sec=t2 - t1,
+        selection_wall_sec=t_select,
+        relocation_wall_sec=sec["relocation"],
         relocation_iterations=rel.iterations,
         kmeans_iterations=km.iterations,
-        p2_much_less_than_p1=t_p2 < 0.1 * t_p1,
+        p2_much_less_than_p1=t_select + sec["relocation"] < 0.1 * t_p1,
     )
 
 

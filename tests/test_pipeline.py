@@ -25,6 +25,7 @@ from ropufsim.pipeline import (
     kmeans_scaling,
     run_pipeline,
     sweep_kappa,
+    sweep_m,
 )
 from ropufsim.puf import generate_response
 
@@ -224,10 +225,14 @@ class TestRunPipeline:
         run_pipeline(tiny_config(tmp_path, out_dir="run"))
         assert tree_sha256(Path("run")) == TINY_RUN_SHA256
 
-    def test_written_run_leaves_numpy_ma_unimported(self, tmp_path):
+    @pytest.mark.parametrize("size", ["tiny", "default"])
+    def test_written_run_leaves_numpy_ma_unimported(self, tmp_path, size):
         # numpy's np.unique without return_index imports numpy.ma; no stage
-        # of a run needs it, so a fresh interpreter never loads it
-        config = tiny_config(tmp_path)
+        # of a run needs it, so a fresh interpreter never loads it.  Some
+        # numpy paths depend on the input size, so the default basys3 M = 32
+        # run is checked as well as the tiny one.
+        config = (tiny_config(tmp_path) if size == "tiny"
+                  else PipelineConfig(out_dir=str(tmp_path / "run")))
         script = (
             "import sys\n"
             "from ropufsim.pipeline import PipelineConfig, run_pipeline\n"
@@ -253,9 +258,11 @@ class TestRunPipeline:
         assert len(caplog.messages) == len(STAGES) - 2  # no micd and no write stage
         caplog.clear()
         sweep_kappa(tiny_config(tmp_path), write=False)
+        sweep_m(tiny_config(tmp_path), write=False)
         bench(tiny_config(tmp_path))
+        # bench times device 0's chain: its pool, kmeans, relocation and micd
         assert [re.search(r"stage (\S+) ", m)[1] for m in caplog.messages] == [
-            *STAGES[:7], "nist", *STAGES[:3]]
+            *STAGES[:7], "nist", *STAGES[:9], *STAGES[:5], "micd"]
 
     def test_micd_computed_once_per_written_population(self, tmp_path, micd_calls):
         config = tiny_config(tmp_path)
@@ -405,6 +412,24 @@ class TestSweeps:
         )
         assert [p.pass_rate for p in points][2:6] == [1.0] * 4
 
+    def test_m_sweep_pinned_with_one_pool_per_device(self, tmp_path, synth_calls):
+        # m_sweep.csv of a 6-device zybo sweep; the sha256 was computed when
+        # each M still ran the whole pipeline, synthesizing every device 4 times
+        out = tmp_path / "m"
+        assert main(["sweep-m", "--preset", "zybo", "--devices", "6", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "m_sweep.csv").read_bytes()).hexdigest() == (
+            "d54367717b4eb836d2436c9c0bc1bc6db91d6cfeb056f111a71a2a2f370d8d3c"
+        )
+        assert len(synth_calls) == 6
+
+    def test_chain_configs_may_differ_only_in_ro_count(self, tmp_path, synth_calls):
+        configs = [tiny_config(tmp_path), tiny_config(tmp_path, ro_count=16, kappa=0.25)]
+        with pytest.raises(ValueError, match="may differ only in ro_count"):
+            pipeline._chain(configs, get_preset("zybo"), [0], lambda *_: None,
+                            pipeline._StageTimes())
+        assert synth_calls == []
+
     def test_kappa_zero_identical_ones_count(self, tmp_path):
         # ordered-only assignment leaves the multiset of compared rank pairs
         # fixed, so every device's golden response has the same weight +-1
@@ -528,6 +553,18 @@ class TestCli:
         assert out.count("nist=NA") == 2
         rows = (tmp_path / "cli_sweep_m" / "m_sweep.csv").read_text().splitlines()
         assert [r.split(",")[-1] for r in rows[1:3]] == ["NA", "NA"]
+
+    @pytest.mark.parametrize("ro_count", [[], ["--ro-count", "64"], ["--ro-count", "12"]])
+    def test_sweep_m_config_error_names_its_m(self, tmp_path, synth_calls, capsys, ro_count):
+        # every M's config is checked before any device work; --ro-count is
+        # ignored, and the ratio 0.375 is off the M = 8 grid
+        out = tmp_path / "cli_sweep_m"
+        assert main(["sweep-m", "--kappa", "0.375", *ro_count, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "ropuf sweep-m: ro_count 8: kappa must be one of [0.0, 0.5, 1.0], got 0.375\n"
+        )
+        assert synth_calls == []
+        assert not out.exists()
 
     def test_device_spec_file_flag(self, tmp_path):
         spec_file = tmp_path / "device.json"
