@@ -19,7 +19,10 @@ pattern counts, a row-wise FFT), then maps each row's statistic to a
 p-value, so a row's p-value does not depend on the rows beside it.  The
 cumulative-sums p-value, a sum over many normal CDFs, is memoized on its
 integer statistic (n, z) in a bounded ``functools.lru_cache`` that fills as
-values are first asked for; the other p-values are computed directly.
+values are first asked for.  Every other p-value, and the uniformity check,
+is an erfc or an incomplete gamma Q(a, x), which ``special.reg_gamma_upper``
+memoizes on its exact arguments; so across populations a p-value whose
+statistic has come up before is looked up, bit for bit the value it had.
 """
 
 from __future__ import annotations

@@ -1,7 +1,22 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+from ropufsim import special
 from ropufsim.chipmodel import ChipProfile, DeviceSpec, build_fabric, synth_chip
+
+
+@contextlib.contextmanager
+def empty_gamma_memo():
+    """Run the block with an empty incomplete-gamma memo, then put the
+    process's memo back as it was."""
+    saved = special._memo, special._memo_size
+    special._memo, special._memo_size = {}, 0
+    try:
+        yield special
+    finally:
+        special._memo, special._memo_size = saved
 
 
 def toy_spec(**overrides) -> DeviceSpec:

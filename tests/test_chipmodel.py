@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import manual_chip, toy_spec
 from ropufsim.chipmodel import (
@@ -273,6 +275,39 @@ class TestIngest:
         )
         chip = ingest_csv(path)
         assert chip.nominal_freq[0] == pytest.approx(49148 / 122.87, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.sampled_from([
+            b"clb_x,clb_y,corner,mhz_1,mhz_2\n",
+            b"clb_x,clb_y,corner,class,mhz_1\n",
+            b"# t_on_us=122.87\nclb_x,clb_y,corner,count_1,count_2\n",
+            b"# t_on_us=122.87\n# samples=4\nclb_x,clb_y,corner,sum_count,sum_count_sq\n",
+        ]),
+        body=st.one_of(
+            st.lists(st.one_of(
+                st.sampled_from(["0", "1", "-3", "400.0", "49148", "1e400", "nan", "inf",
+                                 "TL", "BR", "QQ", "L12", "M", "", " ", '"', "#"]),
+                st.text(max_size=6),
+            ), min_size=1, max_size=7).map(
+                lambda parts: ",".join(parts).encode("utf-8", "surrogatepass")),
+            st.binary(min_size=1, max_size=60),
+        ),
+    )
+    def test_any_row_parses_or_names_its_line(self, tmp_path_factory, head, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz_ingest.csv"
+        body = body.replace(b"\n", b" ").replace(b"\r", b" ")
+        path.write_bytes(head + body + b"\n")
+        # an empty line is no row, so the file has no data rows at all
+        lineno = head.count(b"\n") + 1
+        where = f"{path}:{lineno}: " if body else f"{path}: no data rows"
+        try:
+            chip = ingest_csv(str(path))
+        except DataError as exc:
+            assert str(exc).startswith(where)
+        else:
+            assert chip.site_count == 1
+            assert np.isfinite(chip.nominal_freq).all() and (chip.nominal_freq > 0).all()
 
     def test_count_samples_and_their_moments_ingest_identically(self, tmp_path):
         rng = np.random.default_rng(12)

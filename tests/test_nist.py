@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import empty_gamma_memo
 from reference_sp80022 import (
     ref_approximate_entropy,
     ref_block_frequency,
@@ -33,6 +34,21 @@ LONGEST_RUN_EXAMPLE = (
 
 def random_bits(n, seed):
     return np.random.default_rng(seed).integers(0, 2, n).astype(np.uint8)
+
+
+def pinned_populations():
+    """(matrix, params) pairs whose p-values ``test_p_values_pinned`` pins."""
+    rng = np.random.default_rng(1)
+    pops = []
+    for n in (100, 127, 128, 255, 999, 1000, 1023):
+        mat = rng.integers(0, 2, (16, n), dtype=np.uint8)
+        mat[0] = 0
+        mat[1] = 1
+        mat[2] = np.arange(n) % 2
+        mat[3] = rng.random(n) < 0.4
+        pops.append(mat)
+    custom = NistParams(block_len=10, m_entropy=2, m_serial=3)
+    return [(m, None) for m in pops] + [(pops[3], custom), (pops[6], custom)]
 
 
 def row(bits):
@@ -377,23 +393,27 @@ class TestBatchedSuite:
     def test_p_values_pinned(self):
         # sha256 over each report's NA list and p-values, computed with the
         # one-sequence-at-a-time suite this batched one replaced
-        rng = np.random.default_rng(1)
-        pops = []
-        for n in (100, 127, 128, 255, 999, 1000, 1023):
-            mat = rng.integers(0, 2, (16, n), dtype=np.uint8)
-            mat[0] = 0
-            mat[1] = 1
-            mat[2] = np.arange(n) % 2
-            mat[3] = rng.random(n) < 0.4
-            pops.append(mat)
-        custom = NistParams(block_len=10, m_entropy=2, m_serial=3)
         h = hashlib.sha256()
-        for mat, params in [(m, None) for m in pops] + [(pops[3], custom), (pops[6], custom)]:
+        for mat, params in pinned_populations():
             report = run_suite(mat, params)
             h.update(",".join(report.not_applicable).encode() + b";")
             for name, r in report.results.items():
                 h.update(name.encode() + r.p_values.astype(np.float64).tobytes())
         assert h.hexdigest() == "4a892a696200aa2449bb5dbadb351f59ff516d905ed8422dad58aa9ab61fa764"
+
+    def test_p_values_equal_with_empty_and_warm_gamma_memo(self):
+        pops = pinned_populations()
+        with empty_gamma_memo() as memo:
+            nist._cusum_p.cache_clear()
+            cold = [run_suite(mat, params) for mat, params in pops]
+            assert memo._memo_size > 0
+            warm = [run_suite(mat, params) for mat, params in pops]
+        for a, b in zip(cold, warm):
+            assert a.not_applicable == b.not_applicable
+            assert list(a.results) == list(b.results)
+            for name in a.results:
+                assert np.array_equal(a.results[name].p_values, b.results[name].p_values)
+                assert a.results[name].uniformity_p == b.results[name].uniformity_p
 
     def test_matrix_and_list_inputs_agree(self):
         mat = np.stack([random_bits(255, i) for i in range(20)])

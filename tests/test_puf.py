@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import manual_chip
 from ropufsim.chipmodel import REFERENCE_ENV, DataError, EnvCondition
@@ -382,6 +384,28 @@ class TestResponseIo:
         path.write_bytes(data)
         with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:{lineno}: "):
             load_responses(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.one_of(
+        st.lists(st.one_of(
+            st.sampled_from(["dev", "35", "1000", "-0", "nan", "7fff", "ffff", "1_f", "0x7f",
+                             "", " ", "zz"]),
+            st.text(max_size=6),
+        ), min_size=1, max_size=6).map(
+            lambda parts: ",".join(parts).encode("utf-8", "surrogatepass")),
+        st.binary(min_size=1, max_size=40),
+    ))
+    def test_any_line_parses_or_names_its_line(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz_responses.csv"
+        path.write_bytes(b"device_id,temp_c,vcc_mv,hexbits(k=15)\n"
+                         + body.replace(b"\n", b" ").replace(b"\r", b" ") + b"\n")
+        try:
+            loaded = load_responses(str(path))
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}:2: ")
+        else:
+            assert len(loaded) <= 1
+            assert all(r.k == 15 and r.bits.shape == (15,) for r in loaded)
 
     def test_one_width_per_dump(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
+from conftest import empty_gamma_memo
+from ropufsim import special
 from ropufsim.special import erfc, normal_cdf, reg_gamma_upper
 
 
@@ -41,3 +45,63 @@ def test_normal_cdf_symmetry():
     assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
     for x in (0.5, 1.0, 1.96, 3.0):
         assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((math.nan, 1.0), "shape parameter a must not be NaN"),
+    ((math.inf, 1.0), "shape parameter a must be finite"),
+    ((-math.inf, 1.0), "shape parameter a must be positive"),
+    ((1.0, math.nan), "argument x must not be NaN"),
+    ((1.0, -math.inf), "argument x must be non-negative"),
+])
+def test_reg_gamma_rejects_bad_arguments_by_name(args, match):
+    with empty_gamma_memo() as memo:
+        with pytest.raises(ValueError, match=match):
+            reg_gamma_upper(*args)
+        assert memo._memo == {} and memo._memo_size == 0
+
+
+def test_reg_gamma_at_infinity_is_zero():
+    with empty_gamma_memo() as memo:
+        assert reg_gamma_upper(1.0, math.inf) == 0.0
+        assert reg_gamma_upper(0.5, math.inf) == 0.0
+        assert memo._memo_size == 0
+
+
+@pytest.mark.parametrize("fn, name", [(erfc, "erfc"), (normal_cdf, "normal_cdf")])
+def test_nan_rejected_by_name(fn, name):
+    with pytest.raises(ValueError, match=f"{name} argument x must not be NaN"):
+        fn(math.nan)
+
+
+def test_erfc_and_normal_cdf_limits():
+    assert erfc(math.inf) == 0.0 and erfc(-math.inf) == 2.0
+    assert normal_cdf(math.inf) == 1.0 and normal_cdf(-math.inf) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(min_value=1e-6, max_value=500.0),
+    x=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=0.0, max_value=2000.0)),
+)
+def test_memoized_value_is_the_uncached_evaluation(a, x):
+    fresh = special._reg_gamma_upper(a, x) if x > 0.0 else 1.0
+    with empty_gamma_memo():
+        miss = reg_gamma_upper(a, x)
+        hit = reg_gamma_upper(a, x)
+    assert miss.hex() == fresh.hex() and hit.hex() == fresh.hex()
+
+
+def test_memo_stops_growing_at_its_cap():
+    cap = special._MEMO_CAP
+    xs = [0.5 + i / 64.0 for i in range(cap + 64)]
+    with empty_gamma_memo() as memo:
+        first = [reg_gamma_upper(1.5, x) for x in xs]
+        assert memo._memo_size == cap
+        assert sum(len(by_x) for by_x in memo._memo.values()) == cap
+        assert xs[cap] not in memo._memo[1.5]
+        again = [reg_gamma_upper(1.5, x) for x in xs]
+        assert memo._memo_size == cap
+    fresh = [special._reg_gamma_upper(1.5, x) for x in xs]
+    assert [q.hex() for q in first] == [q.hex() for q in fresh]
+    assert [q.hex() for q in again] == [q.hex() for q in fresh]
