@@ -13,7 +13,7 @@ from .chipmodel import (
     ChipProfile,
     DeviceSpec,
     EnvCondition,
-    FabricSite,
+    FabricLayout,
     SliceClass,
     get_preset,
     ingest_csv,

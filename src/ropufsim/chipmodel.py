@@ -60,34 +60,18 @@ class SliceClass(Enum):
 
 
 CORNERS = ("TL", "TR", "BL", "BR")
+CLASS_NAMES = tuple(c.value for c in SliceClass)
 
 
-def classify_corner(corner: str, clb_has_m_bottom: bool) -> SliceClass:
-    """Map a CLB corner position to its routing class.
+def corner_classes(corner: np.ndarray, clb_x: np.ndarray) -> np.ndarray:
+    """Routing-class codes (indices into ``CLASS_NAMES``) of sites given by
+    corner code (index into ``CORNERS``) and CLB column.
 
-    Top corners always route as L12; bottom corners route as M when the CLB
-    carries M-type bottom slices, L3 otherwise.
+    Top corners always route as L12; bottom corners route as M in odd CLB
+    columns, which carry M-type bottom slices, and as L3 otherwise.
     """
-    if corner not in CORNERS:
-        raise ValueError(f"unknown corner {corner!r}, expected one of {CORNERS}")
-    if corner in ("TL", "TR"):
-        return SliceClass.L12
-    return SliceClass.M if clb_has_m_bottom else SliceClass.L3
-
-
-@dataclass(frozen=True)
-class FabricSite:
-    """One slice position on the fabric, identified by CLB coords and corner."""
-
-    clb_x: int
-    clb_y: int
-    corner: str
-    slice_class: SliceClass
-    excluded: bool = False
-
-    @property
-    def key(self) -> tuple[int, int, str]:
-        return (self.clb_x, self.clb_y, self.corner)
+    # codes: L12 0, L3 1, M 2
+    return np.where(corner < 2, 0, 1 + clb_x % 2)
 
 
 @dataclass(frozen=True)
@@ -166,9 +150,6 @@ class DeviceSpec:
             if not _finite_real(bias):
                 raise ConfigError(f"class_bias[{name!r}] must be a finite number, got {bias!r}")
 
-    def bias_for(self, cls: SliceClass) -> float:
-        return float(self.class_bias.get(cls.value, 0.0))
-
 
 # Presets matching the measured population statistics of the three boards:
 # site counts, mean-frequency spans (MHz) and sigma spans (kHz).  Class
@@ -232,9 +213,75 @@ def load_device_spec(path: str) -> DeviceSpec:
     return spec
 
 
+@dataclass(frozen=True, eq=False)
+class FabricLayout:
+    """Per-site arrays of one fabric, built once and shared read-only.
+
+    Site i sits at CLB (``clb_x[i]``, ``clb_y[i]``) in corner
+    ``CORNERS[corner[i]]`` and routes as ``CLASS_NAMES[class_codes[i]]``;
+    ``excluded`` flags the sites never characterized.  Derived from those:
+    ``active`` lists the non-excluded site indices and ``diag`` is
+    clb_x + clb_y.  ``class_codes`` follow ``corner_classes`` when not given
+    and ``excluded`` is all False when not given.
+    """
+
+    clb_x: np.ndarray
+    clb_y: np.ndarray
+    corner: np.ndarray
+    class_codes: Optional[np.ndarray] = None
+    excluded: Optional[np.ndarray] = None
+    active: np.ndarray = field(init=False)
+    diag: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        x, y = np.array(self.clb_x, dtype=np.int64), np.array(self.clb_y, dtype=np.int64)
+        corner = np.array(self.corner, dtype=np.intp)
+        codes = (corner_classes(corner, x) if self.class_codes is None
+                 else np.array(self.class_codes, dtype=np.intp))
+        excluded = (np.zeros(x.size, bool) if self.excluded is None
+                    else np.array(self.excluded, bool))
+        if not x.size == y.size == corner.size == codes.size == excluded.size:
+            raise ValueError("fabric arrays differ in length")
+        for name, a, names in (("corner", corner, CORNERS), ("class", codes, CLASS_NAMES)):
+            if np.any((a < 0) | (a >= len(names))):
+                raise ValueError(f"{name} codes must index {names}")
+        arrays = dict(clb_x=x, clb_y=y, corner=corner, class_codes=codes, excluded=excluded,
+                      active=np.flatnonzero(~excluded), diag=x.astype(float) + y)
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return self.clb_x.size
+
+    def key(self, ref: int) -> tuple[int, int, str]:
+        """Site ``ref`` as (clb_x, clb_y, corner)."""
+        return int(self.clb_x[ref]), int(self.clb_y[ref]), CORNERS[self.corner[ref]]
+
+    @functools.cached_property
+    def csv_labels(self) -> tuple[str, ...]:
+        """Each site's ``clb_x,clb_y,corner,class`` profile CSV fields."""
+        return tuple(
+            f"{x},{y},{CORNERS[c]},{CLASS_NAMES[k]}"
+            for x, y, c, k in zip(self.clb_x.tolist(), self.clb_y.tolist(),
+                                  self.corner.tolist(), self.class_codes.tolist())
+        )
+
+    def csv_row_template(self, site_refs: Sequence[int]) -> str:
+        """``%``-format template of profile CSV rows, one line
+        ``<label>,%d,%d`` per site of ``site_refs``; no label holds a ``%``."""
+        labels = self.csv_labels
+        return "".join(labels[r] + ",%d,%d\n" for r in site_refs)
+
+    @functools.cached_property
+    def active_csv_row_template(self) -> str:
+        """``csv_row_template`` of the ``active`` sites, built on first use."""
+        return self.csv_row_template(self.active.tolist())
+
+
 @dataclass(eq=False)
 class ChipProfile:
-    """Per-site frequency model for one device.
+    """Per-site frequency model for one device on its fabric ``layout``.
 
     ``nominal_freq`` holds the noise-free reference-condition frequency in
     MHz.  ``temp_coeff``/``volt_coeff`` are per-site environmental response
@@ -245,15 +292,14 @@ class ChipProfile:
 
     device_id: str
     spec: DeviceSpec
-    sites: Sequence[FabricSite]
+    layout: FabricLayout
     nominal_freq: np.ndarray
     temp_coeff: Optional[np.ndarray]
     volt_coeff: Optional[np.ndarray]
     meas_sigma_site: np.ndarray
-    _layout: Optional[FabricLayout] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.sites)
+        n = len(self.layout)
         for name in ("nominal_freq", "meas_sigma_site"):
             arr = getattr(self, name)
             if len(arr) != n:
@@ -267,69 +313,11 @@ class ChipProfile:
 
     @property
     def site_count(self) -> int:
-        return len(self.sites)
+        return len(self.layout)
 
     @property
     def has_env_model(self) -> bool:
         return self.temp_coeff is not None and self.volt_coeff is not None
-
-    @property
-    def layout(self) -> FabricLayout:
-        """Per-site arrays of ``sites``; synthesized chips share their family's."""
-        if self._layout is None:
-            self._layout = FabricLayout.of(self.sites)
-        return self._layout
-
-
-def _fabric_dims(n_clb: int) -> tuple[int, int]:
-    nx = int(math.ceil(math.sqrt(n_clb)))
-    ny = int(math.ceil(n_clb / nx))
-    return nx, ny
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True, eq=False)
-class FabricLayout:
-    """Per-site arrays of one site list, built once and shared read-only.
-
-    ``class_codes`` index ``tuple(SliceClass)``; ``diag`` is clb_x + clb_y;
-    ``active`` lists the non-excluded site indices; ``csv_labels`` holds each
-    site's ``clb_x,clb_y,corner,class`` profile CSV fields.
-    """
-
-    sites: tuple[FabricSite, ...]
-    class_codes: np.ndarray
-    diag: np.ndarray
-    active: np.ndarray
-    csv_labels: tuple[str, ...]
-
-    @classmethod
-    def of(cls, sites: Sequence[FabricSite]) -> FabricLayout:
-        codes = {c: i for i, c in enumerate(SliceClass)}
-        return cls(
-            sites=tuple(sites),
-            class_codes=_readonly(np.array([codes[s.slice_class] for s in sites],
-                                           dtype=np.intp)),
-            diag=_readonly(np.array([s.clb_x + s.clb_y for s in sites], dtype=float)),
-            active=_readonly(np.array([i for i, s in enumerate(sites) if not s.excluded],
-                                      dtype=np.intp)),
-            csv_labels=tuple(f"{s.clb_x},{s.clb_y},{s.corner},{s.slice_class.value}"
-                             for s in sites),
-        )
-
-    def csv_row_template(self, site_refs: Sequence[int]) -> str:
-        """``%``-format template of profile CSV rows, one line
-        ``<label>,%d,%d`` per site of ``site_refs``."""
-        return "".join(self.csv_labels[r].replace("%", "%%") + ",%d,%d\n" for r in site_refs)
-
-    @functools.cached_property
-    def active_csv_row_template(self) -> str:
-        """``csv_row_template`` of the ``active`` sites, built on first use."""
-        return self.csv_row_template(self.active.tolist())
 
 
 # build_fabric reads nothing else of the spec, so chips of one family share
@@ -337,31 +325,25 @@ class FabricLayout:
 @functools.lru_cache(maxsize=16)
 def _fabric_layout(site_count: int, central_exclusion: float) -> FabricLayout:
     n_clb = (site_count + 3) // 4
-    nx, ny = _fabric_dims(n_clb)
+    nx = math.ceil(math.sqrt(n_clb))
+    ny = math.ceil(n_clb / nx)
     cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
-    half_w, half_h = central_exclusion * nx, central_exclusion * ny
-    sites: list[FabricSite] = []
-    for y in range(ny):
-        for x in range(nx):
-            if len(sites) >= site_count:
-                break
-            has_m = x % 2 == 1
-            excluded = abs(x - cx) < half_w and abs(y - cy) < half_h
-            for corner in CORNERS:
-                if len(sites) >= site_count:
-                    break
-                sites.append(FabricSite(x, y, corner, classify_corner(corner, has_m), excluded))
-    return FabricLayout.of(sites)
+    site = np.arange(site_count)
+    y, x = np.divmod(site // 4, nx)
+    excluded = ((np.abs(x - cx) < central_exclusion * nx)
+                & (np.abs(y - cy) < central_exclusion * ny))
+    return FabricLayout(x, y, site % 4, excluded=excluded)
 
 
-def build_fabric(spec: DeviceSpec) -> list[FabricSite]:
+def build_fabric(spec: DeviceSpec) -> FabricLayout:
     """Lay out ``site_count`` slice sites over a near-square CLB grid.
 
+    CLBs fill the grid row by row, four sites each in ``CORNERS`` order.
     Odd CLB columns carry M-type bottom slices (the L/M column interleave of
     the real fabric).  Sites inside the central exclusion box are flagged and
     never characterized or used for oscillators.
     """
-    return list(_fabric_layout(spec.site_count, spec.central_exclusion).sites)
+    return _fabric_layout(spec.site_count, spec.central_exclusion)
 
 
 def _expected_range_factor(n: int) -> float:
@@ -384,9 +366,9 @@ def synth_chip(spec: DeviceSpec, device_seed: int, device_id: str | None = None)
     spec.validate()
     rng = np.random.default_rng(device_seed)
     layout = _fabric_layout(spec.site_count, spec.central_exclusion)
-    n = len(layout.sites)
+    n = len(layout)
 
-    bias_values = [spec.bias_for(c) for c in SliceClass]
+    bias_values = [float(spec.class_bias.get(name, 0.0)) for name in CLASS_NAMES]
     class_off = np.array(bias_values)[layout.class_codes]
     diag = layout.diag
     sys_off = spec.systematic_gradient * (diag - diag.mean())
@@ -407,17 +389,15 @@ def synth_chip(spec: DeviceSpec, device_seed: int, device_id: str | None = None)
         bad = rng.random(n) < spec.erroneous_fraction
         meas_sigma = np.where(bad, meas_sigma * spec.erroneous_sigma_mult, meas_sigma)
 
-    chip = ChipProfile(
+    return ChipProfile(
         device_id=device_id or f"{spec.kind}_{device_seed}",
         spec=spec,
-        sites=layout.sites,
+        layout=layout,
         nominal_freq=nominal,
         temp_coeff=temp_coeff,
         volt_coeff=volt_coeff,
         meas_sigma_site=meas_sigma,
     )
-    chip._layout = layout
-    return chip
 
 
 def env_frequencies(
@@ -575,12 +555,12 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
     ``DataError`` naming the file and line.
     """
     declared: dict[str, float | int] = {}
-    sites: list[FabricSite] = []
+    # (clb_x, clb_y, corner) -> class name or None, in row order
+    sites: dict[tuple[int, int, str], str | None] = {}
     means: list[float] = []
     sigmas: list[float] = []
     sums: list[int] = []
     sq_sums: list[int] = []
-    seen: set[tuple[int, int, str]] = set()
 
     with io.StringIO(read_text(path), newline="") as fh:
         header: list[str] | None = None
@@ -625,6 +605,9 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
             rec = dict(zip(header, row))
             try:
                 x, y = int(rec["clb_x"]), int(rec["clb_y"])
+                if max(abs(x), abs(y)) >= 2**63:
+                    raise ValueError(f"CLB coordinates must lie within +-(2**63 - 1), "
+                                     f"got ({x}, {y})")
                 corner = rec["corner"].strip()
                 if corner not in CORNERS:
                     raise ValueError(f"bad corner {corner!r}")
@@ -646,17 +629,13 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
                                          f"sum_count^2 = {s1 * s1}")
                     if m * s2 >= EXACT_MOMENT_LIMIT:
                         raise ValueError(f"samples * sum_count_sq = {m * s2} reaches 2**53")
-                if has_class:
-                    cls = SliceClass(rec["class"].strip())
-                else:
-                    cls = classify_corner(corner, clb_has_m_bottom=(x % 2 == 1))
+                cls = SliceClass(rec["class"].strip()).value if has_class else None
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
             key = (x, y, corner)
-            if key in seen:
+            if key in sites:
                 raise DataError(f"{path}:{lineno}: duplicate site {key}")
-            seen.add(key)
-            sites.append(FabricSite(x, y, corner, cls))
+            sites[key] = cls
             if kind == "mhz":
                 means.append(float(samples.mean()))
                 sigmas.append(float(samples.std(ddof=1)) if len(samples) > 1 else 0.0)
@@ -676,6 +655,7 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
         mean = count_mean(s1_arr, m, t_on_us)
         sigma = count_sigma(s1_arr, np.array(sq_sums, dtype=float), m, t_on_us)
 
+    xs, ys, corners = zip(*sites)
     spec = DeviceSpec(
         kind="custom", site_count=len(sites),
         mean_freq_base=float(np.mean(mean)),
@@ -686,7 +666,8 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
     return ChipProfile(
         device_id=device_id or "ingested",
         spec=spec,
-        sites=sites,
+        layout=FabricLayout(xs, ys, [CORNERS.index(c) for c in corners],
+                            [CLASS_NAMES.index(c) for c in sites.values()] if has_class else None),
         nominal_freq=mean,
         temp_coeff=None,
         volt_coeff=None,

@@ -2,7 +2,9 @@
 
 Verbs: run (full pipeline), sweep-kappa, sweep-m (every RO count from one
 candidate pool per device; ignores --ro-count), bench (stage times of device
-0's chain), ingest (measured CSV), nist (standalone suite on a response dump).
+0's chain), ingest (measured CSV), nist (standalone suite on a response dump:
+exit status 0 when the suite passes, 1 when it fails and 2 for a malformed,
+unreadable or empty dump).
 """
 
 from __future__ import annotations
@@ -126,12 +128,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_nist(args: argparse.Namespace) -> int:
     responses = load_responses(args.responses)
     if not responses:
-        print("no responses in dump", file=sys.stderr)
-        return 1
+        raise DataError(f"{args.responses}: no responses in dump")
     report = run_suite([r.bits for r in responses])
     sys.stdout.write(report.to_csv())
     print(f"pass rate {format_rate(report.pass_rate, '.1%')} over {report.sequences} sequences")
-    return 0 if report.all_pass() else 2
+    return 0 if report.all_pass() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -39,7 +39,6 @@ from .chipmodel import (
     ConfigError,
     DeviceSpec,
     EnvCondition,
-    FabricLayout,
     get_preset,
 )
 from .chipmodel import synth_chip
@@ -248,8 +247,9 @@ class DeviceRun:
 
     ``profile`` is the characterization before rejection and ``plan`` the
     placement the responses came from; the artifact writer emits both as
-    they are, with the site labels of the shared ``layout``, so no stage runs
-    again to write a run and no per-site chip array outlives the chain.
+    they are, with the site labels of the plan's shared ``layout``, so no
+    stage runs again to write a run and no per-site chip array outlives the
+    chain.
     ``kmeans`` and ``relocated`` are the two selection results;
     ``selection_json`` is their file form, built on each access.
     ``threshold_used`` is the sigma/mean threshold rejection applied.
@@ -257,7 +257,6 @@ class DeviceRun:
 
     device_id: str
     seeds: dict[str, int]
-    layout: FabricLayout
     profile: FrequencyProfile
     plan: PlacementPlan
     kept_sites: int
@@ -271,7 +270,7 @@ class DeviceRun:
     @property
     def excluded_sites(self) -> int:
         """Sites of the fabric that were never characterized."""
-        return len(self.layout.sites) - len(self.profile)
+        return len(self.plan.layout) - len(self.profile)
 
     @property
     def selection_min_diff(self) -> float:
@@ -418,7 +417,7 @@ def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
         relocated.refs, relocated.freqs, kappa, derive_seed(pool.seeds["assign"], kappa_tag)
     )
     return randomize_placement(
-        assignment, pool.chip.sites, derive_seed(pool.seeds["place"], kappa_tag)
+        assignment, pool.chip.layout, derive_seed(pool.seeds["place"], kappa_tag)
     )
 
 
@@ -456,7 +455,6 @@ def _device_run(
     return DeviceRun(
         device_id=pool.chip.device_id,
         seeds=pool.seeds,
-        layout=pool.chip.layout,
         profile=pool.profile,
         plan=plan,
         kept_sites=pool.kept_sites,
@@ -566,7 +564,7 @@ def _write_run(
     for i, r in enumerate(runs):
         dev_dir = root / f"device_{i:03d}"
         dev_dir.mkdir(exist_ok=True)
-        export_profile_csv(r.layout, r.profile, str(dev_dir / "profile.csv"))
+        export_profile_csv(r.plan.layout, r.profile, str(dev_dir / "profile.csv"))
         (dev_dir / "selection.json").write_text(
             json.dumps(r.selection_json, indent=2, sort_keys=True)
         )

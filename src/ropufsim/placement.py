@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chipmodel import DataError, FabricSite, SliceClass, read_text
+from .chipmodel import CLASS_NAMES, DataError, FabricLayout, read_text
 
 
 def valid_kappas(m: int) -> list[float]:
@@ -117,14 +117,14 @@ class PlacementPlan:
     """Logical oscillator indexing after in-group randomization.
 
     Logical indices 0..M/2-1 address the lower group, M/2..M-1 the upper
-    group.  ``refs`` and ``freqs`` hold the site reference and frequency of
-    each logical index; ``site_map`` the corresponding fabric sites.
+    group.  ``refs`` and ``freqs`` hold the site reference into ``layout``
+    and the frequency of each logical index.
     """
 
     assignment: GroupAssignment
     refs: np.ndarray
     freqs: np.ndarray
-    site_map: list[FabricSite]
+    layout: FabricLayout
     placement_seed: int
 
     def __post_init__(self) -> None:
@@ -142,30 +142,25 @@ class PlacementPlan:
 
 def randomize_placement(
     assignment: GroupAssignment,
-    sites: Sequence[FabricSite],
+    layout: FabricLayout,
     placement_seed: int,
 ) -> PlacementPlan:
-    """Permute each group's logical index -> site mapping uniformly at random."""
+    """Permute each group's logical index -> site mapping uniformly at
+    random; the sites are ``layout``'s and none may be excluded."""
     rng = np.random.default_rng(placement_seed)
     half = assignment.m // 2
     order = np.concatenate([rng.permutation(half), half + rng.permutation(half)])
     refs = assignment.refs[order]
-    site_map = [sites[r] for r in refs.tolist()]
-    for site in site_map:
-        if site.excluded:
-            raise ValueError(f"excluded site {site.key} cannot carry an oscillator")
+    excluded = refs[layout.excluded[refs]]
+    if excluded.size:
+        raise ValueError(f"excluded site {layout.key(excluded[0])} cannot carry an oscillator")
     return PlacementPlan(
         assignment=assignment,
         refs=refs,
         freqs=assignment.freqs[order],
-        site_map=site_map,
+        layout=layout,
         placement_seed=placement_seed,
     )
-
-
-def _slice_coords(site: FabricSite) -> tuple[int, int]:
-    lr = 0 if site.corner in ("TL", "BL") else 1
-    return 2 * site.clb_x + lr, site.clb_y
 
 
 def emit_constraints(plan: PlacementPlan, path: str) -> None:
@@ -178,13 +173,13 @@ def emit_constraints(plan: PlacementPlan, path: str) -> None:
         "# ropuf placement constraints",
         f"# placement_seed={plan.placement_seed} m={plan.m} kappa={plan.assignment.kappa}",
     ]
-    half = plan.group_size
-    for logical, site in enumerate(plan.site_map):
-        x, y = _slice_coords(site)
-        group = "LG" if logical < half else "UG"
-        lines.append(
-            f"set_loc RO{logical} SLICE_X{x}Y{y} CLASS={site.slice_class.value} GROUP={group}"
-        )
+    layout, refs = plan.layout, plan.refs
+    # two slice columns per CLB column, the left one holding TL and BL
+    xs = (2 * layout.clb_x[refs] + layout.corner[refs] % 2).tolist()
+    ys, codes = layout.clb_y[refs].tolist(), layout.class_codes[refs].tolist()
+    for logical, (x, y, code) in enumerate(zip(xs, ys, codes)):
+        group = "LG" if logical < plan.group_size else "UG"
+        lines.append(f"set_loc RO{logical} SLICE_X{x}Y{y} CLASS={CLASS_NAMES[code]} GROUP={group}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -194,13 +189,16 @@ def emit_constraints(plan: PlacementPlan, path: str) -> None:
 _LOCATION = re.compile(r"SLICE_X([0-9]{1,9})Y([0-9]{1,9})")
 
 
-def parse_constraints(path: str) -> list[tuple[FabricSite, str]]:
-    """Read a constraint file back as (site, group) in logical order.
+def parse_constraints(path: str) -> tuple[FabricLayout, np.ndarray]:
+    """Read a constraint file back as its sites, a ``FabricLayout`` in
+    logical order with the file's classes, and each site's group (``LG`` or
+    ``UG``).
 
     Every malformed line, one that is not UTF-8 text included, raises
     ``DataError`` naming the file and line.
     """
-    out: list[tuple[FabricSite, str]] = []
+    sites: list[tuple[int, int, int, int]] = []  # clb_x, clb_y, corner, class
+    groups: list[str] = []
     with io.StringIO(read_text(path), newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -213,7 +211,7 @@ def parse_constraints(path: str) -> list[tuple[FabricSite, str]]:
             if loc is None:
                 raise DataError(f"{path}:{lineno}: malformed location {parts[2]!r}")
             key, _, cls = parts[3].partition("=")
-            if key != "CLASS" or cls not in SliceClass.__members__:
+            if key != "CLASS" or cls not in CLASS_NAMES:
                 raise DataError(
                     f"{path}:{lineno}: expected CLASS=L12, L3 or M, got {parts[3]!r}"
                 )
@@ -223,6 +221,8 @@ def parse_constraints(path: str) -> list[tuple[FabricSite, str]]:
             # the class gives the corner's row (L12 slices are the top
             # ones) and the slice column's parity its side
             clb_x, lr = divmod(int(loc[1]), 2)
-            corner = ("T" if cls == "L12" else "B") + ("L" if lr == 0 else "R")
-            out.append((FabricSite(clb_x, int(loc[2]), corner, SliceClass[cls]), group))
-    return out
+            sites.append((clb_x, int(loc[2]), lr + (0 if cls == "L12" else 2),
+                          CLASS_NAMES.index(cls)))
+            groups.append(group)
+    x, y, corner, codes = np.array(sites, dtype=np.int64).reshape(-1, 4).T
+    return FabricLayout(x, y, corner, codes), np.array(groups, dtype="<U2")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -136,14 +137,20 @@ class ResponseSet:
         return format(int.from_bytes(packed, "little"), f"0{digits}x")
 
 
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
+
+
 def bits_from_hex(hexbits: str, k: int | None = None) -> np.ndarray:
     """Inverse of ``ResponseSet.to_hex``.
 
     For the supported designs k = (M/2)^2 - 1 is one less than a multiple of
-    four, so it can be inferred from the digit count when not given.  A value
-    with a bit set at or above k comes from a dump with another k and is
-    rejected rather than truncated.
+    four, so it can be inferred from the digit count when not given.  Only
+    ASCII hex digits are accepted: no prefix, sign, space or underscore.  A
+    value with a bit set at or above k comes from a dump with another k and
+    is rejected rather than truncated.
     """
+    if _HEX_DIGITS.fullmatch(hexbits) is None:
+        raise ValueError(f"hex value {hexbits!r} is not ASCII hex digits")
     if k is None:
         k = 4 * len(hexbits) - 1
     value = int(hexbits, 16)
@@ -232,8 +239,10 @@ def save_responses(path: str, responses: list[ResponseSet]) -> None:
 
 def load_responses(path: str) -> list[ResponseSet]:
     """Read a ``save_responses`` dump.  Every response has the header's k
-    bits; a header without k, a line that is not UTF-8 text, or a value with
-    a bit set at or above k raises ``DataError`` naming the file and line."""
+    bits; a header without k, a line that is not UTF-8 text, a value that is
+    not ASCII hex digits or has a bit set at or above k, or a temperature or
+    voltage that is not a finite number raises ``DataError`` naming the file
+    and line."""
     out: list[ResponseSet] = []
     with io.StringIO(read_text(path)) as fh:
         header = fh.readline().strip()
@@ -254,6 +263,8 @@ def load_responses(path: str) -> list[ResponseSet]:
                 device_id, temp, vcc, hexbits = line.split(",")
                 bits = bits_from_hex(hexbits, k)
                 env = EnvCondition(float(temp), float(vcc))
+                if not (math.isfinite(env.temp_c) and math.isfinite(env.vcc_mv)):
+                    raise ValueError(f"temperature and voltage must be finite, got {temp}, {vcc}")
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed response line ({exc})") from None
             out.append(ResponseSet(device_id, env, bits, k, challenge_seed=-1))

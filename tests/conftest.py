@@ -51,11 +51,10 @@ def manual_chip(freqs, temp_coeff=None, volt_coeff=None, meas_sigma=0.0) -> Chip
     spec = toy_spec(site_count=n, mean_span=0.0, sigma_span=0.0,
                     class_bias={}, systematic_gradient=0.0,
                     meas_sigma=0.0, erroneous_fraction=0.0, central_exclusion=0.0)
-    sites = build_fabric(spec)
     return ChipProfile(
         device_id="manual",
         spec=spec,
-        sites=sites,
+        layout=build_fabric(spec),
         nominal_freq=np.asarray(freqs, dtype=float),
         temp_coeff=None if temp_coeff is None else np.full(n, temp_coeff, dtype=float),
         volt_coeff=None if volt_coeff is None else np.full(n, volt_coeff, dtype=float),

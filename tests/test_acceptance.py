@@ -157,7 +157,7 @@ def test_criterion_5_response_lengths():
         freqs = np.sort(rng.uniform(380.0, 450.0, m))
         chip = manual_chip(freqs)
         plan = randomize_placement(
-            assign_groups(np.arange(m), freqs, 0.0, np.random.default_rng(0)), chip.sites, 0
+            assign_groups(np.arange(m), freqs, 0.0, np.random.default_rng(0)), chip.layout, 0
         )
         got[m] = rp.generate_response(plan, chip, 1).k
     announce(5, got == want, f"response lengths {got} == {want} (exact)")

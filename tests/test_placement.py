@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import manual_chip
-from ropufsim.chipmodel import DataError
+from conftest import manual_chip, toy_spec
+from ropufsim.chipmodel import CLASS_NAMES, DataError, synth_chip
 from ropufsim.placement import (
     GroupAssignment,
     PlacementPlan,
@@ -128,42 +128,52 @@ class TestRandomizePlacement:
         a = assign_groups(*sel, 0.0, np.random.default_rng(0))
         orders = set()
         for seed in range(16):
-            plan = randomize_placement(a, manual_chip(np.linspace(400, 403, 4)).sites, seed)
+            plan = randomize_placement(a, manual_chip(np.linspace(400, 403, 4)).layout, seed)
             orders.add(tuple(plan.refs[:2].tolist()))
         assert len(orders) == 2  # 2 permutations of a 2-member group
 
     def test_association_preserved(self, small_chip):
         a = assign_groups(*chip_selections(small_chip, 32), 0.5, np.random.default_rng(1))
-        plan = randomize_placement(a, small_chip.sites, 77)
+        plan = randomize_placement(a, small_chip.layout, 77)
         assert np.array_equal(plan.freqs, small_chip.nominal_freq[plan.refs])
         for half in (slice(0, 16), slice(16, 32)):
             assert np.array_equal(np.sort(plan.refs[half]), np.sort(a.refs[half]))
 
     def test_bijection_onto_selected_sites(self, small_chip):
         a = assign_groups(*chip_selections(small_chip, 16), 0.25, np.random.default_rng(2))
-        plan = randomize_placement(a, small_chip.sites, 5)
-        mapped = {s.key for s in plan.site_map}
-        assert mapped == {small_chip.sites[i].key for i in range(16)}
+        plan = randomize_placement(a, small_chip.layout, 5)
+        mapped = {plan.layout.key(r) for r in plan.refs.tolist()}
+        assert mapped == {small_chip.layout.key(i) for i in range(16)}
         with pytest.raises(ValueError, match="bijection"):
-            PlacementPlan(a, plan.refs[::-1] + 1, plan.freqs, plan.site_map, 5)
+            PlacementPlan(a, plan.refs[::-1] + 1, plan.freqs, plan.layout, 5)
+
+    def test_excluded_site_rejected(self):
+        chip = synth_chip(toy_spec(central_exclusion=0.2), 11)
+        layout = chip.layout
+        ref = int(np.flatnonzero(layout.excluded)[0])
+        refs = np.array([0, 1, ref, 2])
+        a = assign_groups(refs, chip.nominal_freq[refs], 0.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=re.escape(
+                f"excluded site {layout.key(ref)} cannot carry an oscillator")):
+            randomize_placement(a, layout, 3)
 
     def test_deterministic_for_fixed_seed(self, small_chip):
         a = assign_groups(*chip_selections(small_chip, 16), 0.5, np.random.default_rng(3))
-        p1 = randomize_placement(a, small_chip.sites, 123)
-        p2 = randomize_placement(a, small_chip.sites, 123)
+        p1 = randomize_placement(a, small_chip.layout, 123)
+        p2 = randomize_placement(a, small_chip.layout, 123)
         assert np.array_equal(p1.refs, p2.refs)
         assert np.array_equal(p1.freqs, p2.freqs)
 
     def test_frozen_fixture_permutation(self, small_chip):
         # pins the documented seed convention; regenerate if the RNG scheme changes
         a = assign_groups(*chip_selections(small_chip, 8), 0.0, np.random.default_rng(0))
-        plan = randomize_placement(a, small_chip.sites, 12345)
+        plan = randomize_placement(a, small_chip.layout, 12345)
         assert plan.refs.tolist() == [4, 7, 2, 6, 0, 3, 1, 5]
 
     def test_different_seeds_usually_differ(self, small_chip):
         a = assign_groups(*chip_selections(small_chip, 32), 0.5, np.random.default_rng(4))
         maps = {
-            tuple(randomize_placement(a, small_chip.sites, s).refs[:16].tolist())
+            tuple(randomize_placement(a, small_chip.layout, s).refs[:16].tolist())
             for s in range(20)
         }
         assert len(maps) == 20
@@ -172,7 +182,7 @@ class TestRandomizePlacement:
 class TestConstraints:
     def _plan(self, chip, m=4, kappa=0.0, seed=42):
         a = assign_groups(*chip_selections(chip, m), kappa, np.random.default_rng(0))
-        return randomize_placement(a, chip.sites, seed)
+        return randomize_placement(a, chip.layout, seed)
 
     def test_file_shape(self, small_chip, tmp_path):
         plan = self._plan(small_chip)
@@ -196,13 +206,12 @@ class TestConstraints:
         plan = self._plan(small_chip, m=8, kappa=0.5, seed=9)
         path = tmp_path / "c.txt"
         emit_constraints(plan, str(path))
-        parsed = parse_constraints(str(path))
-        assert len(parsed) == 8
-        for logical, (site, group) in enumerate(parsed):
-            want = plan.site_map[logical]
-            assert site.key == want.key
-            assert site.slice_class == want.slice_class
-            assert group == ("LG" if logical < 4 else "UG")
+        layout, groups = parse_constraints(str(path))
+        assert len(layout) == len(groups) == 8
+        for logical, ref in enumerate(plan.refs.tolist()):
+            assert layout.key(logical) == plan.layout.key(ref)
+            assert layout.class_codes[logical] == plan.layout.class_codes[ref]
+            assert groups[logical] == ("LG" if logical < 4 else "UG")
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -237,8 +246,10 @@ class TestConstraints:
     def test_well_formed_line_parses(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_text("set_loc RO0 SLICE_X3Y7 CLASS=L3 GROUP=UG\r\n")
-        ((site, group),) = parse_constraints(str(path))
-        assert (site.key, site.slice_class.value, group) == ((1, 7, "BR"), "L3", "UG")
+        layout, (group,) = parse_constraints(str(path))
+        assert len(layout) == 1
+        assert (layout.key(0), CLASS_NAMES[layout.class_codes[0]], group) == (
+            (1, 7, "BR"), "L3", "UG")
 
     @settings(max_examples=200, deadline=None)
     @given(line=st.one_of(
@@ -253,9 +264,9 @@ class TestConstraints:
         path = tmp_path_factory.getbasetemp() / "fuzz_constraints.txt"
         path.write_bytes(line.replace(b"\n", b" ") + b"\n")
         try:
-            parsed = parse_constraints(str(path))
+            layout, groups = parse_constraints(str(path))
         except DataError as exc:
             assert str(exc).startswith(f"{path}:1: ")
         else:
-            assert len(parsed) <= 1
-            assert all(group in ("LG", "UG") for _, group in parsed)
+            assert len(layout) == len(groups) <= 1
+            assert all(group in ("LG", "UG") for group in groups.tolist())

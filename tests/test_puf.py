@@ -27,7 +27,7 @@ from ropufsim.puf import (
 def make_plan(freqs, kappa=0.0, seed=0):
     chip = manual_chip(freqs)
     assignment = assign_groups(np.arange(len(freqs)), freqs, kappa, np.random.default_rng(0))
-    return randomize_placement(assignment, chip.sites, seed), chip
+    return randomize_placement(assignment, chip.layout, seed), chip
 
 
 def lfsr_reference(width, seed_state):
@@ -181,7 +181,7 @@ class TestGenerateResponse:
         freqs = np.array([300.0, 340.0, 380.0, 420.0, 460.0, 500.0, 540.0, 580.0])
         chip = manual_chip(freqs, temp_coeff=-1e-4, volt_coeff=0.01, meas_sigma=0.05)
         assignment = assign_groups(np.arange(freqs.size), freqs, 0.0, np.random.default_rng(0))
-        plan = randomize_placement(assignment, chip.sites, 1)
+        plan = randomize_placement(assignment, chip.layout, 1)
         rng = np.random.default_rng(5)
         golden = generate_response(plan, chip, 1, REFERENCE_ENV, rng)
         for t in (-5.0, 35.0, 75.0):
@@ -243,7 +243,7 @@ class TestGenerateResponses:
         sites = np.sort(rng.choice(chip.site_count, m, replace=False))
         assignment = assign_groups(sites, chip.nominal_freq[sites], 0.5,
                                    np.random.default_rng(seed))
-        return randomize_placement(assignment, chip.sites, seed)
+        return randomize_placement(assignment, chip.layout, seed)
 
     @staticmethod
     def quiet(chip, sites):
@@ -378,6 +378,18 @@ class TestResponseIo:
         (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,zz\n", 2),
         (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,7fff\ndev\xff,35,1000,7fff\n", 3),
         (b"", 1),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,nan,1000,0x7f\n", 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,nan,1000,7f\n", 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,inf,7f\n", 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,-inf,1000,7f\n", 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,7f\ndev,35,1000,0x7f\n", 3),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,1_f\n", 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,-0\n", 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,+7f\n", 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000, 7f\n", 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,\n", 2),
+        ("device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,\u0667f\n".encode(), 2),
+        ("device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,\uff17\uff46\n".encode(), 2),
     ])
     def test_malformed_dump_raises_data_error_naming_line(self, tmp_path, data, lineno):
         path = tmp_path / "dump.csv"
