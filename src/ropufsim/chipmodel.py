@@ -51,6 +51,25 @@ def read_text(path: str) -> str:
         raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
+# A data file's numbers must be ASCII: int() and float() alone would also
+# take underscores between digits, non-ASCII digits and Unicode spaces.
+def ascii_int(text: str) -> int:
+    """``int(text)`` of ASCII decimal digits with an optional sign, between
+    optional ASCII whitespace; any other text raises ``ValueError``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int, not ASCII decimal digits: {text!r}")
+    return int(text)
+
+
+def ascii_float(text: str) -> float:
+    """``float(text)`` of an ASCII decimal number (digits with an optional
+    sign, point and exponent, or inf/nan), between optional ASCII whitespace;
+    any other text raises ``ValueError``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert to float, not an ASCII decimal number: {text!r}")
+    return float(text)
+
+
 class SliceClass(Enum):
     """Routing-delay class of a slice position within its CLB."""
 
@@ -517,18 +536,18 @@ def _header_value(key: str, text: str) -> float | int:
     """A ``# t_on_us=`` (positive, finite) or ``# samples=`` (integer >= 1)
     header value."""
     if key == "samples":
-        value = int(text)
+        value = ascii_int(text)
         if value < 1:
             raise ValueError(f"samples must be >= 1, got {value}")
         return value
-    value = float(text)
+    value = ascii_float(text)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"t_on_us must be positive and finite, got {text!r}")
     return value
 
 
 def _count(text: str, name: str) -> int:
-    value = int(text)
+    value = ascii_int(text)
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
@@ -551,8 +570,9 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
     ingest to identical means and sigmas, and re-ingesting a written profile
     reproduces its characterization bit for bit.  Nominal frequencies are
     the per-site means and measurement sigmas the per-site sample deviations;
-    environmental coefficients stay unset.  Malformed input raises
-    ``DataError`` naming the file and line.
+    environmental coefficients stay unset.  Every number, header values
+    included, must be in ASCII decimal form (``ascii_int``, ``ascii_float``).
+    Malformed input raises ``DataError`` naming the file and line.
     """
     declared: dict[str, float | int] = {}
     # (clb_x, clb_y, corner) -> class name or None, in row order
@@ -577,7 +597,7 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
                 key = key.strip()
                 if eq and key in ("t_on_us", "samples"):
                     try:
-                        declared[key] = _header_value(key, text.strip())
+                        declared[key] = _header_value(key, text)
                     except ValueError as exc:
                         raise DataError(f"{path}:{lineno}: bad header line ({exc})") from None
                 continue
@@ -604,7 +624,7 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
                 continue
             rec = dict(zip(header, row))
             try:
-                x, y = int(rec["clb_x"]), int(rec["clb_y"])
+                x, y = ascii_int(rec["clb_x"]), ascii_int(rec["clb_y"])
                 if max(abs(x), abs(y)) >= 2**63:
                     raise ValueError(f"CLB coordinates must lie within +-(2**63 - 1), "
                                      f"got ({x}, {y})")
@@ -612,7 +632,7 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
                 if corner not in CORNERS:
                     raise ValueError(f"bad corner {corner!r}")
                 if kind == "mhz":
-                    samples = np.array([float(rec[c]) for c in value_cols])
+                    samples = np.array([ascii_float(rec[c]) for c in value_cols])
                     if not (np.isfinite(samples).all() and (samples > 0).all()):
                         raise ValueError(f"mhz samples must be finite and positive, "
                                          f"got {samples.tolist()}")

@@ -25,6 +25,8 @@ from .chipmodel import (
     ChipProfile,
     DataError,
     EnvCondition,
+    ascii_float,
+    ascii_int,
     env_frequencies,
     noisy_counts,
     read_text,
@@ -240,9 +242,9 @@ def save_responses(path: str, responses: list[ResponseSet]) -> None:
 def load_responses(path: str) -> list[ResponseSet]:
     """Read a ``save_responses`` dump.  Every response has the header's k
     bits; a header without k, a line that is not UTF-8 text, a value that is
-    not ASCII hex digits or has a bit set at or above k, or a temperature or
-    voltage that is not a finite number raises ``DataError`` naming the file
-    and line."""
+    not ASCII hex digits or has a bit set at or above k, or a k, temperature or
+    voltage that is not a finite number in ASCII decimal form raises
+    ``DataError`` naming the file and line."""
     out: list[ResponseSet] = []
     with io.StringIO(read_text(path)) as fh:
         header = fh.readline().strip()
@@ -250,7 +252,7 @@ def load_responses(path: str) -> list[ResponseSet]:
         try:
             if not (header.startswith(prefix) and header.endswith(")")):
                 raise ValueError(f"expected a {prefix}<k>) header, got {header!r}")
-            k = int(header[len(prefix):-1])
+            k = ascii_int(header[len(prefix):-1])
             if k < 1:
                 raise ValueError(f"k must be >= 1, got {k}")
         except ValueError as exc:
@@ -262,7 +264,7 @@ def load_responses(path: str) -> list[ResponseSet]:
             try:
                 device_id, temp, vcc, hexbits = line.split(",")
                 bits = bits_from_hex(hexbits, k)
-                env = EnvCondition(float(temp), float(vcc))
+                env = EnvCondition(ascii_float(temp), ascii_float(vcc))
                 if not (math.isfinite(env.temp_c) and math.isfinite(env.vcc_mv)):
                     raise ValueError(f"temperature and voltage must be finite, got {temp}, {vcc}")
             except ValueError as exc:

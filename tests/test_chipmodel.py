@@ -257,6 +257,12 @@ class TestMeasureCount:
             noisy_counts(np.array([400.0]), 0.0, np.zeros(1), 0.0)
 
 
+MHZ_HEAD = "clb_x,clb_y,corner,mhz_1\n0,0,TL,400.0"
+COUNT_HEAD = "clb_x,clb_y,corner,count_1,count_2\n0,0,TL,49148,49148"
+MOMENT_HEAD = ("# samples=2\n# t_on_us=1.5\n"
+               "clb_x,clb_y,corner,sum_count,sum_count_sq\n0,0,TL,300,45000")
+
+
 class TestIngest:
     def _write(self, tmp_path, text):
         p = tmp_path / "chip.csv"
@@ -456,6 +462,45 @@ class TestIngest:
         path = self._write(tmp_path, "# samples=3\nclb_x,clb_y,corner,count_1,count_2\n")
         with pytest.raises(DataError, match=r"chip\.csv:2: '# samples=3' but 2 count columns"):
             ingest_csv(path)
+
+    @pytest.mark.parametrize("head,row", [
+        (MHZ_HEAD, "1_0,\u0661,TL,4_00.0"),          # underscore, Arabic-Indic digit
+        (MHZ_HEAD, "10,1,TL,4_00.0"),
+        (MHZ_HEAD, "\uff11\uff10,1,TL,400.0"),       # fullwidth digits
+        (MHZ_HEAD, "10,1,TL,\uff14\uff10\uff10.0"),
+        (MHZ_HEAD, "10,1,TL,\u3000400.0"),            # ideographic space
+        (COUNT_HEAD, "10,1,TL,49_148,49148"),
+        (COUNT_HEAD, "10,1,TL,49148,\uff14\uff19148"),
+        (MOMENT_HEAD, "10,1,TL,3_00,45000"),
+        (MOMENT_HEAD, "10,1,TL,300,\u0664\u0665000"),
+    ])
+    def test_non_ascii_decimal_number_names_line(self, tmp_path, head, row):
+        path = self._write(tmp_path, f"{head}\n{row}\n")
+        lineno = head.count("\n") + 2
+        with pytest.raises(DataError, match=rf"chip\.csv:{lineno}: malformed row "
+                                            r"\(.*not (an )?ASCII decimal"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("header", ["# t_on_us=1_5", "# t_on_us=\uff11.5",
+                                        "# samples=\uff12", "# samples=2_0"])
+    def test_non_ascii_decimal_header_value_names_line(self, tmp_path, header):
+        other = "# samples=2" if "t_on_us" in header else "# t_on_us=1.5"
+        path = self._write(tmp_path, f"{other}\n{header}\n"
+                           "clb_x,clb_y,corner,sum_count,sum_count_sq\n1,0,TL,300,45000\n")
+        with pytest.raises(DataError,
+                           match=r"chip\.csv:2: bad header line \(.*not (an )?ASCII decimal"):
+            ingest_csv(path)
+
+    def test_ascii_decimal_forms_accepted(self, tmp_path):
+        path = self._write(tmp_path, "# t_on_us= 1.5e0\n# samples=\t2\n"
+                           "clb_x,clb_y,corner,sum_count,sum_count_sq\n"
+                           "+1, -0,TL, 300 ,45000\n")
+        chip = ingest_csv(path)
+        assert chip.layout.key(0) == (1, 0, "TL")
+        assert chip.nominal_freq.tolist() == [300 / (2 * 1.5)]
+        path = self._write(tmp_path, "clb_x,clb_y,corner,mhz_1,mhz_2,mhz_3\n"
+                           "0,0,TL,.4e3,400.,+4E2\n")
+        assert ingest_csv(path).nominal_freq.tolist() == [400.0]
 
 
 class TestSpecConfigFile:

@@ -109,8 +109,30 @@ class TestBlockFrequency:
 
 class TestCumulativeSums:
     def test_published_example_forward(self):
-        got = nist._cumulative_sums(row("1011010111"))[0]
-        assert got == pytest.approx(0.411585, abs=1e-6)
+        forward, reverse = nist._cumulative_sums(row("1011010111"))
+        assert forward[0] == pytest.approx(0.411585, abs=1e-6)
+        assert reverse[0] == nist._cumulative_sums(row("1110101101"))[0][0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 300).flatmap(lambda n: st.lists(
+        st.one_of(
+            st.just([0] * n), st.just([1] * n),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        ),
+        min_size=1, max_size=6,
+    )))
+    def test_one_walk_equals_two_walks(self, rows):
+        # both excursions come from one forward walk; the reference walks
+        # the reversed row again
+        mat = np.array(rows, dtype=np.uint8)
+        forward, reverse = nist._cusum_excursions(mat)
+        steps = 2 * mat.astype(np.int64) - 1
+        assert forward.tolist() == np.abs(np.cumsum(steps, axis=1)).max(axis=1).tolist()
+        assert reverse.tolist() == np.abs(np.cumsum(steps[:, ::-1], axis=1)).max(axis=1).tolist()
+        p_forward, p_reverse = nist._cumulative_sums(mat)
+        for bits, pf, pr in zip(mat, p_forward, p_reverse):
+            assert pf == pytest.approx(ref_cumulative_sums(bits), abs=1e-9)
+            assert pr == pytest.approx(ref_cumulative_sums(bits, reverse=True), abs=1e-9)
 
     def test_balanced_alternation(self):
         assert p_value("01" * 100, "cumsum_forward") > 0.99
@@ -197,6 +219,33 @@ class TestDft:
     def test_random_input_matches_reference(self):
         bits = random_bits(1023, 7)
         assert p_value(bits, "dft") == pytest.approx(ref_dft(bits), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1000, 1001, 1023, 1024, 4096])
+    def test_half_spectrum_count_equals_full_spectrum_count(self, n):
+        # 2,000 random rows, 250 at a time to keep the spectra small
+        rng = np.random.default_rng(n)
+        threshold = np.sqrt(np.log(1.0 / 0.05) * n)
+        for _ in range(8):
+            x = 2.0 * rng.integers(0, 2, (250, n), dtype=np.uint8) - 1.0
+            full = np.abs(np.fft.fft(x, axis=1))[:, : n // 2]
+            assert nist._dft_n1(x, threshold).tolist() == np.count_nonzero(
+                full < threshold, axis=1).tolist()
+
+    def test_modulus_at_threshold_is_recounted_on_full_spectrum(self, monkeypatch):
+        x = 2.0 * np.stack([random_bits(1023, 20 + i) for i in range(4)]) - 1.0
+        full = np.abs(np.fft.fft(x, axis=1))[:, :511]
+        threshold = float(full[2, 100])  # a modulus of row 2, exactly
+        fft, recounted = np.fft.fft, []
+
+        def spy(a, *args, **kwargs):
+            recounted.append(np.asarray(a).copy())
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", spy)
+        n1 = nist._dft_n1(x, threshold)
+        assert len(recounted) == 1
+        assert any(np.array_equal(r, x[2]) for r in recounted[0])
+        assert n1.tolist() == np.count_nonzero(full < threshold, axis=1).tolist()
 
 
 class TestSymmetries:
@@ -371,8 +420,9 @@ class TestBatchedSuite:
 
     @pytest.mark.parametrize("n,rows,params,tops", [
         (255, 54, NistParams(), [4]),              # entropy m = 1, serial m = 4
-        (1023, 54, NistParams(), [6] * 4),         # entropy m = 3, serial m = 6
-        (1023, 20, NistParams(m_entropy=5), [6] * 2),
+        (1023, 54, NistParams(), [6]),             # entropy m = 3, serial m = 6
+        (1023, 100, NistParams(), [6] * 2),        # 64 rows, then 36
+        (1023, 20, NistParams(m_entropy=5), [6]),
         (120, 3, NistParams(), [3]),               # approximate entropy is NA
         (63, 3, NistParams(), []),                 # neither applies
     ])
@@ -389,6 +439,17 @@ class TestBatchedSuite:
         monkeypatch.setattr(nist, "_pattern_counts", spy)
         run_suite([random_bits(n, i) for i in range(rows)], params)
         assert counted == tops
+
+    def test_population_above_block_budget_equals_rows_alone(self):
+        # 100 rows of 1023 bits span two row blocks
+        mat = np.stack([random_bits(1023, 500 + i) for i in range(100)])
+        assert 100 * 1023 > nist._BLOCK_BITS
+        report = run_suite(mat)
+        singles = [run_suite(r[None]) for r in mat]
+        assert len(report.results) == 10
+        for name, result in report.results.items():
+            alone = np.concatenate([s.results[name].p_values for s in singles])
+            assert np.array_equal(result.p_values, alone), name
 
     def test_p_values_pinned(self):
         # sha256 over each report's NA list and p-values, computed with the

@@ -390,6 +390,13 @@ class TestResponseIo:
         (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,\n", 2),
         ("device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,\u0667f\n".encode(), 2),
         ("device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1000,\uff17\uff46\n".encode(), 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,3_5,1_000,7fff\n", 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,1_000,7fff\n", 2),
+        ("device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,\u0663\u0665,1000,7fff\n".encode(), 2),
+        ("device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,35,\uff11000,7fff\n".encode(), 2),
+        ("device_id,temp_c,vcc_mv,hexbits(k=15)\ndev,\u200935,1000,7fff\n".encode(), 2),
+        (b"device_id,temp_c,vcc_mv,hexbits(k=1_5)\ndev,35,1000,7fff\n", 1),
+        ("device_id,temp_c,vcc_mv,hexbits(k=\uff11\uff15)\ndev,35,1000,7fff\n".encode(), 1),
     ])
     def test_malformed_dump_raises_data_error_naming_line(self, tmp_path, data, lineno):
         path = tmp_path / "dump.csv"
