@@ -42,7 +42,6 @@ from .puf import ResponseSet, generate_response, generate_responses, lfsr_sequen
 from .select import (
     SelectionConfig,
     SelectionResult,
-    baseline_select,
     batched_kmeans,
     improved_kmeans,
     min_pairwise_diff,

@@ -15,7 +15,6 @@ from .chipmodel import (
     MOMENT_COLUMNS,
     REFERENCE_ENV,
     ChipProfile,
-    EnvCondition,
     FabricLayout,
     count_mean,
     count_noise,
@@ -106,22 +105,22 @@ class CleanProfile:
 
     kept: FrequencyProfile
     rejected_count: int
-    z_bar: int
     threshold_used: float
 
-    def __post_init__(self) -> None:
-        if self.z_bar != len(self.kept):
-            raise ValueError("z_bar must equal the kept-site count")
+    @property
+    def z_bar(self) -> int:
+        """The kept-site count."""
+        return len(self.kept)
 
 
 def characterize(
     chip: ChipProfile,
     m: int = DEFAULT_SAMPLES,
     t_on_us: float = DEFAULT_T_ON_US,
-    env: EnvCondition = REFERENCE_ENV,
     rng: np.random.Generator | None = None,
 ) -> FrequencyProfile:
-    """Collect m count samples per non-excluded site and keep their moments.
+    """Collect m count samples per non-excluded site under the reference
+    condition and keep their moments.
 
     Each sample is an independently noisy count from ``noisy_counts``, with
     every site's frequency and noise level as a (sites, 1) column; the raw
@@ -130,7 +129,7 @@ def characterize(
     if m < 2:
         raise ValueError(f"need at least 2 samples per site for sigma, got {m}")
     idx = chip.layout.active
-    freqs = env_frequencies(chip, [env], idx)[0][:, None]
+    freqs = env_frequencies(chip, [REFERENCE_ENV], idx)[0][:, None]
     sigma = chip.meas_sigma_site[idx, None]
     counts = noisy_counts(freqs, t_on_us, count_noise(rng, sigma, (len(idx), m)), sigma)
     return FrequencyProfile.from_counts(idx, counts, t_on_us)
@@ -164,12 +163,8 @@ def reject_erroneous(
     mask = ratio <= th
     if not mask.any():
         raise NoSurvivorsError(f"threshold {th} rejects every site")
-    kept = prof.subset(mask)
     return CleanProfile(
-        kept=kept,
-        rejected_count=int((~mask).sum()),
-        z_bar=len(kept),
-        threshold_used=th,
+        kept=prof.subset(mask), rejected_count=int((~mask).sum()), threshold_used=th
     )
 
 

@@ -510,6 +510,9 @@ MOMENT_COLUMNS = ("sum_count", "sum_count_sq")
 def _parse_header(fields: list[str]) -> tuple[str, list[str], bool]:
     """The header's data kind (``mhz``, ``count`` or ``moments``), its value
     columns and whether it has a class column."""
+    for i, col in enumerate(fields):
+        if col in fields[:i]:
+            raise ValueError(f"repeated column {col!r} in CSV header")
     required = ["clb_x", "clb_y", "corner"]
     for col in required:
         if col not in fields:
@@ -572,7 +575,9 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
     the per-site means and measurement sigmas the per-site sample deviations;
     environmental coefficients stay unset.  Every number, header values
     included, must be in ASCII decimal form (``ascii_int``, ``ascii_float``).
-    Malformed input raises ``DataError`` naming the file and line.
+    Malformed input, a header that repeats a column or a row with more or
+    fewer fields than the header included, raises ``DataError`` naming the
+    file and line.
     """
     declared: dict[str, float | int] = {}
     # (clb_x, clb_y, corner) -> class name or None, in row order
@@ -624,6 +629,8 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
                 continue
             rec = dict(zip(header, row))
             try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields but the header has {len(header)}")
                 x, y = ascii_int(rec["clb_x"]), ascii_int(rec["clb_y"])
                 if max(abs(x), abs(y)) >= 2**63:
                     raise ValueError(f"CLB coordinates must lie within +-(2**63 - 1), "

@@ -37,8 +37,14 @@ import numpy as np
 
 from .special import erfc, normal_cdf, reg_gamma_upper
 
-ALPHA_DEFAULT = 0.01
+# Significance level of each sequence's verdict.
+ALPHA = 0.01
+# The uniformity check's significance level, and the fewest sequences it
+# judges; a smaller population is judged on its passing proportion alone.
 UNIFORMITY_ALPHA = 1e-4
+UNIFORMITY_MIN_SEQUENCES = 10
+# The DFT test's minimum sequence length.
+DFT_MIN_N = 1000
 
 # Longest-run-of-ones tiers from the standard: (min_n, block_len, class
 # boundaries v_min..v_max, reference probabilities).
@@ -58,10 +64,6 @@ class NistParams:
     block_len: int = 20
     m_entropy: int | None = None       # default: the largest m < floor(log2 n) - 5
     m_serial: int | None = None        # default: the largest m < floor(log2 n) - 2
-    alpha: float = ALPHA_DEFAULT
-    dft_min_n: int = 1000
-    uniformity_alpha: float = UNIFORMITY_ALPHA
-    uniformity_min_sequences: int = 10
 
     def entropy_block_len(self, n: int) -> int:
         """Approximate-entropy block length at n >= 128: ``m_entropy`` as
@@ -377,10 +379,6 @@ class NistReport:
     not_applicable: list[str] = field(default_factory=list)
 
     @property
-    def applicable(self) -> list[str]:
-        return list(self.results)
-
-    @property
     def pass_rate(self) -> float | None:
         """Share of applicable tests whose population verdict passes; None
         (NA) when no test applies at this length."""
@@ -426,16 +424,16 @@ def format_rate(rate: float | None, spec: str) -> str:
     return "NA" if rate is None else format(rate, spec)
 
 
-def min_pass_count(sequences: int, alpha: float = ALPHA_DEFAULT) -> int:
+def min_pass_count(sequences: int) -> int:
     """Minimum passing sequences for a population verdict.
 
-    Standard rule: proportion above (1-alpha) - 3*sqrt(alpha(1-alpha)/s).
-    The published acceptance figure of 51-of-54 takes precedence at that
-    population size.
+    Standard rule: proportion above (1-alpha) - 3*sqrt(alpha(1-alpha)/s),
+    at alpha = ``ALPHA``.  The published acceptance figure of 51-of-54
+    takes precedence at that population size.
     """
-    if sequences == 54 and alpha == ALPHA_DEFAULT:
+    if sequences == 54:
         return 51
-    p_hat = 1.0 - alpha
+    p_hat = 1.0 - ALPHA
     threshold = p_hat - 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / sequences)
     return min(sequences, math.ceil(threshold * sequences))
 
@@ -493,7 +491,7 @@ def _suite_tests(params: NistParams):
         (("runs",), 100, plain(_runs)),
         (("longest_run",), _LONGEST_RUN_TIERS[0][0], plain(_longest_run)),
         (("approximate_entropy",), 128, entropy),
-        (("dft",), params.dft_min_n, plain(_dft)),
+        (("dft",), DFT_MIN_N, plain(_dft)),
         (("serial_1", "serial_2"), 100, serial),
     )
 
@@ -519,7 +517,7 @@ def run_suite(sequences, params: NistParams | None = None) -> NistReport:
     others compute their statistics over blocks of rows at once, and
     ``results[name].p_values`` holds one p-value per sequence.  A test's
     population verdict needs both the passing proportion and, from
-    ``uniformity_min_sequences`` sequences up, a uniform p-value spread.
+    ``UNIFORMITY_MIN_SEQUENCES`` sequences up, a uniform p-value spread.
     """
     if params is None:
         params = NistParams()
@@ -542,20 +540,16 @@ def run_suite(sequences, params: NistParams | None = None) -> NistReport:
         per_block = [kernel(b, t) for b, t in zip(blocks, tables)]
         p_values.update(zip(names, map(np.concatenate, zip(*per_block))))
 
-    min_pass = min_pass_count(s_count, params.alpha)
+    min_pass = min_pass_count(s_count)
     results: dict[str, TestOutcome] = {}
     for name in _SUITE_ORDER:
         arr = p_values.get(name)
         if arr is None:
             continue
-        passed = arr >= params.alpha
+        passed = arr >= ALPHA
         prop_ok = int(passed.sum()) >= min_pass
         unif_p = uniformity_p_value(arr)
-        unif_ok = (
-            unif_p >= params.uniformity_alpha
-            if s_count >= params.uniformity_min_sequences
-            else True
-        )
+        unif_ok = unif_p >= UNIFORMITY_ALPHA or s_count < UNIFORMITY_MIN_SEQUENCES
         results[name] = TestOutcome(
             name=name,
             p_values=arr,
@@ -568,6 +562,6 @@ def run_suite(sequences, params: NistParams | None = None) -> NistReport:
             population_pass=prop_ok and unif_ok,
         )
     return NistReport(
-        n=n, sequences=s_count, alpha=params.alpha,
+        n=n, sequences=s_count, alpha=ALPHA,
         results=results, not_applicable=not_applicable,
     )

@@ -194,10 +194,12 @@ def parse_constraints(path: str) -> tuple[FabricLayout, np.ndarray]:
     logical order with the file's classes, and each site's group (``LG`` or
     ``UG``).
 
+    Constraint line i must name ``RO<i>`` and a site no earlier line names.
     Every malformed line, one that is not UTF-8 text included, raises
     ``DataError`` naming the file and line.
     """
     sites: list[tuple[int, int, int, int]] = []  # clb_x, clb_y, corner, class
+    placed: dict[tuple[int, int, int], int] = {}  # site -> its line
     groups: list[str] = []
     with io.StringIO(read_text(path), newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -218,11 +220,17 @@ def parse_constraints(path: str) -> tuple[FabricLayout, np.ndarray]:
             key, _, group = parts[4].partition("=")
             if key != "GROUP" or group not in ("LG", "UG"):
                 raise DataError(f"{path}:{lineno}: expected GROUP=LG or UG, got {parts[4]!r}")
+            if parts[1] != f"RO{len(sites)}":
+                raise DataError(f"{path}:{lineno}: expected RO{len(sites)}, got {parts[1]!r}")
             # the class gives the corner's row (L12 slices are the top
             # ones) and the slice column's parity its side
             clb_x, lr = divmod(int(loc[1]), 2)
-            sites.append((clb_x, int(loc[2]), lr + (0 if cls == "L12" else 2),
-                          CLASS_NAMES.index(cls)))
+            site = (clb_x, int(loc[2]), lr + (0 if cls == "L12" else 2))
+            if site in placed:
+                raise DataError(f"{path}:{lineno}: {parts[1]} repeats the site of line "
+                                f"{placed[site]}")
+            placed[site] = lineno
+            sites.append((*site, CLASS_NAMES.index(cls)))
             groups.append(group)
     x, y, corner, codes = np.array(sites, dtype=np.int64).reshape(-1, 4).T
     return FabricLayout(x, y, corner, codes), np.array(groups, dtype="<U2")

@@ -61,18 +61,17 @@ def lfsr_sequence(
     width: int,
     taps: tuple[int, ...] | None = None,
     seed_state: int = 1,
-    clocks_per_word: int | None = None,
 ) -> np.ndarray:
     """All 2^width - 1 nonzero states in traversal order starting at the seed.
 
-    ``clocks_per_word`` register steps separate successive entries (default
-    per ``WORD_CLOCKS``: a full word, so consecutive challenge words share no
-    register bits).  Because the clock count is coprime to the period, the
-    traversal still visits every nonzero state exactly once.  Raises if the
-    tap polynomial is not maximal-length (the single-step cycle would revisit
-    a state early or fail to close).
+    ``WORD_CLOCKS[width]`` register steps (1 for a width it does not list)
+    separate successive entries: a full word, so consecutive challenge words
+    share no register bits.  Because every clock count there is coprime to
+    its period, the traversal still visits every nonzero state exactly once.
+    Raises if the tap polynomial is not maximal-length (the single-step
+    cycle would revisit a state early or fail to close).
 
-    The validated table is cached per (width, taps, seed, clocks); each call
+    The validated table is cached per (width, taps, seed); each call
     returns its own copy, so a caller that mutates it changes no other result.
     """
     if taps is None:
@@ -80,15 +79,11 @@ def lfsr_sequence(
             taps = TAPS[width]
         except KeyError:
             raise ValueError(f"no default taps for width {width}") from None
-    if clocks_per_word is None:
-        clocks_per_word = WORD_CLOCKS.get(width, 1)
-    return _lfsr_table(width, tuple(taps), seed_state, clocks_per_word).copy()
+    return _lfsr_table(width, tuple(taps), seed_state).copy()
 
 
 @functools.lru_cache(maxsize=256)
-def _lfsr_table(
-    width: int, taps: tuple[int, ...], seed_state: int, clocks_per_word: int
-) -> np.ndarray:
+def _lfsr_table(width: int, taps: tuple[int, ...], seed_state: int) -> np.ndarray:
     if seed_state == 0:
         raise ValueError("LFSR seed state must be nonzero")
     period = (1 << width) - 1
@@ -96,10 +91,6 @@ def _lfsr_table(
         raise ValueError(f"seed {seed_state:#x} does not fit in {width} bits")
     if max(taps) != width:
         raise ValueError("highest tap must equal the register width")
-    if math.gcd(clocks_per_word, period) != 1:
-        raise ValueError(
-            f"clocks_per_word {clocks_per_word} shares a factor with period {period}"
-        )
     # Galois form: shift right, and fold the polynomial (x^0 term dropped)
     # back in whenever a one falls out
     mask = sum(1 << e for e in set(taps)) >> 1
@@ -113,7 +104,7 @@ def _lfsr_table(
             f"taps {taps} are not maximal-length for width {width} "
             f"(period check failed)"
         )
-    table = single[(np.arange(period) * clocks_per_word) % period]
+    table = single[(np.arange(period) * WORD_CLOCKS.get(width, 1)) % period]
     table.setflags(write=False)
     return table
 

@@ -4,8 +4,10 @@ Chooses M oscillator frequencies out of the cleaned candidate pool so that
 the minimum pairwise frequency difference is as large as possible: 1-D
 K-means that snaps centroids to existing frequencies each iteration and keeps
 the globally best snapped list, followed by an iterative centroid-relocation
-pass that widens the currently smallest gap.  Baseline selectors are provided
-for comparison.
+pass that widens the currently smallest gap.  A baseline selector is a
+zero-iteration run (``k_max=0``), which keeps its snapped seed list: the
+``linear`` seeding is the mean-based baseline, ``uniform_density`` the
+median-based one and ``random_select`` the random one.
 
 Each K-means iteration works on the sorted candidates, where every cluster is
 one contiguous slice, so it needs no label vector and no sort, and one
@@ -26,10 +28,7 @@ import numpy as np
 
 EVALUATED_RO_COUNTS = (8, 16, 32, 64)
 
-SeedStrategy = Literal[
-    "linear", "uniform_density", "kmeanspp", "random",
-    "mean_based", "median_based", "random_select",
-]
+SeedStrategy = Literal["linear", "uniform_density", "kmeanspp", "random", "random_select"]
 
 
 @dataclass
@@ -155,30 +154,6 @@ def _slice_means(
     return out
 
 
-def mean_intracluster_distance(
-    values: np.ndarray, labels: np.ndarray, centroids: np.ndarray
-) -> dict:
-    """Per-cluster mean absolute distance to the centroid, plus the average.
-
-    Empty clusters contribute zero and are listed in ``empty_clusters``.
-    A stable sort by label makes every cluster one contiguous slice that
-    keeps its members in index order, so each slice reduces with the same
-    pairwise summation as the cluster's masked members would.
-    """
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels)
-    cents = np.asarray(centroids, dtype=float)
-    m = len(cents)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(m + 1))
-    per_cluster = _slice_means(values[order], bounds[:-1], bounds[1:], cents)
-    return {
-        "per_cluster": per_cluster,
-        "mean": float(per_cluster.mean()),
-        "empty_clusters": np.flatnonzero(bounds[:-1] == bounds[1:]).tolist(),
-    }
-
-
 def _micd_record(fs: np.ndarray, b: np.ndarray, c: np.ndarray) -> _MicdRecord | list[float]:
     """The slices a K-means run must reduce for its MICD trace, from the
     (iterations, M + 1) bounds and (iterations, M) centroids."""
@@ -221,7 +196,7 @@ def micd_traces(results: Sequence[SelectionResult]) -> None:
     together, in blocks of about ``_BLOCK_VALUES`` candidates, so a block
     costs one reduction per distinct slice length instead of one per
     cluster and iteration.  Each trace equals, bit for bit, the mean over
-    clusters of ``mean_intracluster_distance`` at every iteration.
+    clusters of each cluster's masked mean distance at every iteration.
     """
     pending = {
         id(r._micd): r._micd for r in results
@@ -263,18 +238,18 @@ def seed_centroids(
 ) -> np.ndarray:
     """Initial centroid positions for M clusters.
 
-    linear/mean_based: equal spacing over [min, max].  uniform_density/
-    median_based: existing values at equal-count positions.  kmeanspp:
-    squared-distance-proportional sampling.  random: uniform values in range.
-    random_select: M distinct uniform picks from the candidates.
+    linear: equal spacing over [min, max].  uniform_density: existing values
+    at equal-count positions.  kmeanspp: squared-distance-proportional
+    sampling.  random: uniform values in range.  random_select: M distinct
+    uniform picks from the candidates.
     """
     f = _require_candidates(freqs)
     if f.size < m:
         raise ValueError(f"cannot place {m} centroids on {f.size} candidates")
     fs = np.sort(f)
-    if strategy in ("linear", "mean_based"):
+    if strategy == "linear":
         return np.linspace(fs[0], fs[-1], m)
-    if strategy in ("uniform_density", "median_based"):
+    if strategy == "uniform_density":
         idx = np.round(np.linspace(0, fs.size - 1, m)).astype(int)
         return fs[idx]
     if rng is None:
@@ -388,8 +363,10 @@ class _SortedRows:
         if rows.size == 1:
             return np.searchsorted(self.arrays[rows[0]], x, side)
         if self.keys is None:
-            return np.stack([np.searchsorted(self.arrays[r], xi, side)
-                             for r, xi in zip(rows.tolist(), x)])
+            pos = np.empty(x.shape, dtype=np.intp)
+            for i, r in enumerate(rows.tolist()):
+                pos[i] = np.searchsorted(self.arrays[r], x[i], side)
+            return pos
         q = self._rank(x)
         q += rows[:, None] * self._width
         pos = np.searchsorted(self.keys, q, side)
@@ -439,12 +416,14 @@ def batched_kmeans(
     once; the next update step reuses those positions and searches again
     only the pools where a candidate lies exactly on a midpoint.  A pool
     stops when an update without re-seeds leaves its centroids unchanged, or
-    after its ``k_max`` iterations.  Each step runs for all pools still
-    active at once, on a (pools, M) centroid matrix, and gives every pool
-    the results it would get alone.  All configs must share one M.  Both results of a pool
-    share one pending MICD trace (see ``micd_traces``).  A pool given in
-    ascending order is used as it is, without a sorted copy, so it must not
-    change while that trace is pending.
+    after its ``k_max`` iterations; with ``k_max=0`` it runs none, and both
+    results are its snapped seed list (a baseline selector).  Each step runs
+    for all pools still active at once, on a (pools, M) centroid matrix, and
+    gives every pool the results it would get alone.  All configs must share
+    one M.  Both results of a pool share one pending MICD trace (see
+    ``micd_traces``).  A pool given in ascending order is used as it is,
+    without a sorted copy, so it must not change while that trace is
+    pending.
     """
     if len(configs) != len(freqs):
         raise ValueError("need one config per candidate pool")
@@ -677,39 +656,4 @@ def relocate_centroids(
         min_diff=trace[-1],
         min_diff_trace=trace,
         iterations=iterations,
-    )
-
-
-def baseline_select(
-    freqs,
-    m: int,
-    method: Literal["mean_based", "median_based", "random_select"],
-    rng: np.random.Generator | None = None,
-    site_refs=None,
-) -> SelectionResult:
-    """Non-clustering selectors used for comparison.
-
-    mean_based snaps an equal-distance grid to nearest existing frequencies;
-    median_based picks equal-count positions; random_select draws M distinct
-    candidates uniformly.
-    """
-    f = _require_candidates(freqs)
-    if f.size < m:
-        raise ValueError(f"cannot select {m} from {f.size} candidates")
-    refs = np.arange(f.size) if site_refs is None else np.asarray(site_refs, dtype=np.intp)
-    order = np.argsort(f, kind="stable")
-    fs, refs_sorted = f[order], refs[order]
-    if method == "mean_based":
-        idx = _snap_distinct(fs, np.linspace(fs[0], fs[-1], m))
-    elif method == "median_based":
-        idx = np.round(np.linspace(0, fs.size - 1, m)).astype(np.intp)
-    elif method == "random_select":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        idx = rng.choice(fs.size, size=m, replace=False)
-    else:
-        raise ValueError(f"unknown baseline method {method!r}")
-    idx = np.sort(idx)
-    return SelectionResult(
-        refs=refs_sorted[idx], freqs=fs[idx], min_diff=min_pairwise_diff(fs[idx])
     )

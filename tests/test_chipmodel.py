@@ -309,6 +309,8 @@ class TestIngest:
         ("1,0,TL,400.0,nan", r"mhz samples must be finite and positive, got \[400\.0, nan\]"),
         ("1,0,TL,inf,400.0", r"mhz samples must be finite and positive, got \[inf, 400\.0\]"),
         ("1,0,TL,1e400,400.0", r"mhz samples must be finite and positive"),
+        ("1,0,TL,400.0,401.0,999", r"6 fields but the header has 5"),
+        ("1,0,TL,400.0", r"4 fields but the header has 5"),
     ])
     def test_bad_mhz_sample_names_line(self, tmp_path, row, message):
         path = self._write(tmp_path,
@@ -447,6 +449,9 @@ class TestIngest:
         ("clb_x,clb_y,corner,sum_count", "missing required column 'sum_count_sq'"),
         ("clb_x,clb_y,corner,sum_count,sum_count_sq,count_1",
          "moment columns cannot be mixed"),
+        ("clb_x,clb_y,corner,mhz_1,mhz_1", "repeated column 'mhz_1' in CSV header"),
+        ("clb_x,clb_y,corner,sum_count,sum_count_sq,clb_x",
+         "repeated column 'clb_x' in CSV header"),
     ])
     def test_bad_moment_header(self, tmp_path, header, message):
         path = self._write(tmp_path, f"# t_on_us=1.5\n# samples=2\n{header}\n")

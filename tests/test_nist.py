@@ -335,9 +335,9 @@ class TestSuite:
             run_suite([random_bits(255, 0), random_bits(63, 1)])
 
     def test_min_pass_rule(self):
-        assert min_pass_count(54, 0.01) == 51  # published acceptance figure
-        assert min_pass_count(100, 0.01) == 97
-        assert min_pass_count(1, 0.01) == 1
+        assert min_pass_count(54) == 51  # published acceptance figure
+        assert min_pass_count(100) == 97
+        assert min_pass_count(1) == 1
 
     def test_uniformity_flags_concentrated_p_values(self):
         concentrated = np.full(54, 0.3)

@@ -237,6 +237,27 @@ class TestConstraints:
         with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:3: "):
             parse_constraints(str(path))
 
+    @pytest.mark.parametrize("lines,message", [
+        (["RO1 SLICE_X3Y7", "RO0 SLICE_X4Y7"], ":2: expected RO0, got 'RO1'"),
+        (["RO0 SLICE_X3Y7", "RO0 SLICE_X4Y7"], ":3: expected RO1, got 'RO0'"),
+        (["RO0 SLICE_X3Y7", "RO1 SLICE_X4Y7", "RO2 SLICE_X3Y7"],
+         ":4: RO2 repeats the site of line 2"),
+        (["RO0 SLICE_X3Y7", "foo SLICE_X4Y7"], ":3: expected RO1, got 'foo'"),
+    ])
+    def test_out_of_order_or_repeated_line_names_file_and_line(self, tmp_path, lines, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\n" + "".join(
+            f"set_loc {line} CLASS=L3 GROUP=UG\n" for line in lines))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}{message}$"):
+            parse_constraints(str(path))
+
+    def test_same_slice_other_row_is_another_site(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_text("set_loc RO0 SLICE_X3Y7 CLASS=L12 GROUP=LG\n"
+                        "set_loc RO1 SLICE_X3Y7 CLASS=M GROUP=UG\n")
+        layout, _ = parse_constraints(str(path))
+        assert [layout.key(i) for i in range(2)] == [(1, 7, "TR"), (1, 7, "BR")]
+
     def test_non_utf8_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"# header\nset_loc RO0 SLICE_X\xff3Y7 CLASS=L3 GROUP=UG\n")

@@ -17,10 +17,8 @@ from ropufsim.select import (
     _slice_means,
     _snap_distinct,
     _SortedRows,
-    baseline_select,
     batched_kmeans,
     improved_kmeans,
-    mean_intracluster_distance,
     micd_traces,
     min_pairwise_diff,
     plain_kmeans,
@@ -189,7 +187,7 @@ def micd_trace_reference(f, cfg):
         sizes = np.bincount(labels, minlength=cfg.m)
         assert bounds.tolist() == [0, *np.cumsum(sizes).tolist()]
         per_cluster, mean, _ = micd_reference(fs, labels, c)
-        assert mean_intracluster_distance(fs, labels, c)["mean"] == mean
+        assert _slice_means(fs, bounds[:-1], bounds[1:], c).tolist() == per_cluster.tolist()
         trace.append(mean)
         update = np.searchsorted(fs, (prev[:-1] + prev[1:]) / 2.0)
         met["reseed"] = met.get("reseed", False) or bool(np.any(np.diff(update) == 0)
@@ -236,32 +234,28 @@ class TestMinPairwiseDiff:
 
 
 class TestMicd:
+    """Per-cluster mean distances of contiguous clusters (``_slice_means``)."""
+
     def test_points_at_centroids(self):
-        out = mean_intracluster_distance(
-            np.array([1.0, 2.0]), np.array([0, 1]), np.array([1.0, 2.0])
-        )
-        assert out["mean"] == 0.0
+        out = _slice_means(np.array([1.0, 2.0]), np.array([0, 1]), np.array([1, 2]),
+                           np.array([1.0, 2.0]))
+        assert out.tolist() == [0.0, 0.0]
 
     def test_hand_average(self):
-        out = mean_intracluster_distance(
-            np.array([99.0, 101.0]), np.array([0, 0]), np.array([100.0])
-        )
-        assert out["per_cluster"][0] == pytest.approx(1.0)
+        out = _slice_means(np.array([99.0, 101.0]), np.array([0]), np.array([2]),
+                           np.array([100.0]))
+        assert out[0] == pytest.approx(1.0)
 
     def test_mean_of_cluster_means(self):
         values = np.array([99.0, 101.0, 7.0, 13.0])
-        labels = np.array([0, 0, 1, 1])
-        out = mean_intracluster_distance(values, labels, np.array([100.0, 10.0]))
-        assert out["per_cluster"].tolist() == [1.0, 3.0]
-        assert out["mean"] == pytest.approx(2.0)
+        out = _slice_means(values, np.array([0, 2]), np.array([2, 4]), np.array([100.0, 10.0]))
+        assert out.tolist() == [1.0, 3.0]
+        assert out.mean() == pytest.approx(2.0)
 
     def test_empty_cluster_flagged(self):
-        out = mean_intracluster_distance(
-            np.array([1.0]), np.array([0]), np.array([1.0, 50.0])
-        )
-        assert out["empty_clusters"] == [1]
-        assert out["per_cluster"][1] == 0.0
-
+        out = _slice_means(np.array([1.0]), np.array([0, 1]), np.array([1, 1]),
+                           np.array([1.0, 50.0]))
+        assert out.tolist() == [0.0, 0.0]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -280,11 +274,13 @@ class TestMicd:
         if sort_labels:
             values, labels = np.sort(values), np.sort(labels)
         centroids = rng.uniform(380.0, 450.0, m)
-        per_cluster, mean, empty = micd_reference(values, labels, centroids)
-        out = mean_intracluster_distance(values, labels, centroids)
-        assert out["per_cluster"].tolist() == per_cluster.tolist()
-        assert out["mean"] == mean
-        assert out["empty_clusters"] == empty
+        per_cluster, _, empty = micd_reference(values, labels, centroids)
+        # a stable sort by label makes each cluster a slice in index order
+        order = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[order], np.arange(m + 1))
+        out = _slice_means(values[order], bounds[:-1], bounds[1:], centroids)
+        assert out.tolist() == per_cluster.tolist()
+        assert np.flatnonzero(bounds[:-1] == bounds[1:]).tolist() == empty
 
 
 class TestMicdTraces:
@@ -537,21 +533,24 @@ class TestRelocation:
 
 
 class TestBaselines:
+    """Baseline selectors: zero-iteration K-means runs, which keep the
+    snapped seed list."""
+
     def test_mean_based_on_uniform_grid(self):
         f = np.arange(100.0, 131.0)
-        res = baseline_select(f, 4, "mean_based")
+        res = improved_kmeans(f, config(4, seeding="linear", k_max=0))
         assert res.freqs.tolist() == [100.0, 110.0, 120.0, 130.0]
         assert res.min_diff == 10.0
 
     def test_median_matches_mean_on_uniform_density(self):
         f = np.arange(100.0, 131.0)
-        a = baseline_select(f, 4, "mean_based")
-        b = baseline_select(f, 4, "median_based")
+        a = improved_kmeans(f, config(4, seeding="linear", k_max=0))
+        b = improved_kmeans(f, config(4, seeding="uniform_density", k_max=0))
         assert a.freqs.tolist() == b.freqs.tolist()
 
     def test_random_select_distinct_members(self):
         f = np.arange(50.0)
-        res = baseline_select(f, 10, "random_select", np.random.default_rng(1))
+        res = improved_kmeans(f, config(10, seeding="random_select", k_max=0, rng_seed=1))
         assert np.unique(res.refs).size == 10
 
     def test_random_select_below_improved_kmeans_in_distribution(self):
@@ -560,14 +559,14 @@ class TestBaselines:
         for seed in range(20):
             f = np.sort(rng.uniform(0, 100, 400))
             km = improved_kmeans(f, config(8, rng_seed=seed))
-            rnd = baseline_select(f, 8, "random_select", np.random.default_rng(seed))
+            rnd = improved_kmeans(f, config(8, seeding="random_select", k_max=0, rng_seed=seed))
             if km.min_diff >= rnd.min_diff:
                 wins += 1
         assert wins >= 18
 
     def test_too_few_candidates(self):
         with pytest.raises(ValueError):
-            baseline_select(np.array([1.0]), 2, "mean_based")
+            improved_kmeans(np.array([1.0]), config(2, seeding="linear", k_max=0))
 
 
 class TestOracleBound:
@@ -646,6 +645,22 @@ class TestBatchedKmeans:
         assert any(not converged and imp[4] == cfg.k_max
                    for (_, cfg, _), (imp, _, converged) in zip(pools, refs))
         assert any(f.size == cfg.m for f, cfg, _ in pools)
+
+    @pytest.mark.parametrize("kind", ["grid", "uniform", "negative"])
+    def test_zero_iteration_pools(self, kind):
+        # baselines: pools that run no iteration, alone and beside iterating
+        # ones; negative candidates take the row-by-row search
+        pools = []
+        for seed in range(12):
+            f, cfg, refs = self.pool(kind, 8, seed)
+            cfg.k_max = 0 if seed % 3 else cfg.k_max
+            pools.append((f, cfg, refs))
+        for block in (1, 12):
+            self.check(pools, block)
+        got = batched_kmeans([f for f, _, _ in pools[1:3]], [c for _, c, _ in pools[1:3]])
+        for imp, pla in got:
+            assert imp.iterations == 0 and len(imp.min_diff_trace) == 1
+            assert imp.micd_trace == [] and imp.freqs.tolist() == pla.freqs.tolist()
 
     def test_one_pool_calls(self):
         f, cfg, refs = self.pool("grid", 8, 3)
@@ -757,6 +772,6 @@ class TestNonFiniteCandidates:
         f = np.r_[bad, np.arange(40.0)]
         with pytest.raises(ValueError, match=rf"candidate 0 is not finite \({bad}\)"):
             seed_centroids(f, 8, "linear")
-        for method in ("mean_based", "median_based", "random_select"):
+        for seeding in ("linear", "uniform_density", "random_select"):
             with pytest.raises(ValueError, match=rf"candidate 0 is not finite \({bad}\)"):
-                baseline_select(f, 8, method)
+                improved_kmeans(f, config(8, seeding=seeding, k_max=0))
