@@ -4,7 +4,6 @@ statistics and reject erroneous (high-deviation) oscillators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .chipmodel import (
 )
 
 DEFAULT_THRESHOLD = 0.002
-DEFAULT_QUANTILE = 0.95
 
 
 class NoSurvivorsError(ValueError):
@@ -105,7 +103,6 @@ class CleanProfile:
 
     kept: FrequencyProfile
     rejected_count: int
-    threshold_used: float
 
     @property
     def z_bar(self) -> int:
@@ -135,37 +132,17 @@ def characterize(
     return FrequencyProfile.from_counts(idx, counts, t_on_us)
 
 
-def reject_erroneous(
-    prof: FrequencyProfile,
-    mode: Literal["fixed", "quantile"] = "fixed",
-    threshold: float = DEFAULT_THRESHOLD,
-    quantile: float = DEFAULT_QUANTILE,
-) -> CleanProfile:
-    """Drop sites whose normalized deviation sigma/mean exceeds the threshold.
-
-    ``fixed`` keeps sites with sigma/mean <= threshold.  ``quantile`` sets
-    the threshold at the given quantile of the observed ratios, discarding a
-    fixed fraction instead.
-    """
+def reject_erroneous(prof: FrequencyProfile, threshold: float = DEFAULT_THRESHOLD) -> CleanProfile:
+    """Drop sites whose normalized deviation sigma/mean exceeds the threshold:
+    a site is kept when sigma/mean <= threshold."""
     if len(prof) == 0:
         raise ValueError("cannot reject from an empty profile")
-    ratio = prof.sigma / prof.mean
-    if mode == "fixed":
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        th = threshold
-    elif mode == "quantile":
-        if not 0.0 < quantile < 1.0:
-            raise ValueError(f"quantile must lie in (0, 1), got {quantile}")
-        th = float(np.quantile(ratio, quantile))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    mask = ratio <= th
+    if threshold <= 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    mask = prof.sigma / prof.mean <= threshold
     if not mask.any():
-        raise NoSurvivorsError(f"threshold {th} rejects every site")
-    return CleanProfile(
-        kept=prof.subset(mask), rejected_count=int((~mask).sum()), threshold_used=th
-    )
+        raise NoSurvivorsError(f"threshold {threshold} rejects every site")
+    return CleanProfile(kept=prof.subset(mask), rejected_count=int((~mask).sum()))
 
 
 PROFILE_HEADER = ",".join(("clb_x", "clb_y", "corner", "class", *MOMENT_COLUMNS))

@@ -115,7 +115,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     chip = ingest_csv(args.csv)
     means, sigmas = chip.nominal_freq, chip.meas_sigma_site
-    # reject_erroneous' fixed rule: a site is kept when sigma/mean <= threshold
+    # reject_erroneous' rule: a site is kept when sigma/mean <= threshold
     rejected = int(np.count_nonzero(~(sigmas / means <= DEFAULT_THRESHOLD)))
     print(f"ingested {chip.site_count} sites from {args.csv}")
     print(f"mean span {means.max() - means.min():.3f} MHz, "

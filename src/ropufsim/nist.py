@@ -374,7 +374,6 @@ class TestOutcome:
 class NistReport:
     n: int
     sequences: int
-    alpha: float
     results: dict[str, TestOutcome]
     not_applicable: list[str] = field(default_factory=list)
 
@@ -393,7 +392,7 @@ class NistReport:
         return {
             "n": self.n,
             "sequences": self.sequences,
-            "alpha": self.alpha,
+            "alpha": ALPHA,
             "not_applicable": self.not_applicable,
             "tests": {
                 name: {
@@ -561,7 +560,4 @@ def run_suite(sequences, params: NistParams | None = None) -> NistReport:
             uniformity_pass=unif_ok,
             population_pass=prop_ok and unif_ok,
         )
-    return NistReport(
-        n=n, sequences=s_count, alpha=ALPHA,
-        results=results, not_applicable=not_applicable,
-    )
+    return NistReport(n=n, sequences=s_count, results=results, not_applicable=not_applicable)

@@ -24,8 +24,6 @@ from typing import Callable, Sequence, TypeVar, get_args
 import numpy as np
 
 from .characterize import (
-    DEFAULT_QUANTILE,
-    DEFAULT_THRESHOLD,
     FrequencyProfile,
     characterize,
     export_profile_csv,
@@ -33,7 +31,6 @@ from .characterize import (
 )
 from .chipmodel import (
     DEFAULT_SAMPLES,
-    DEFAULT_T_ON_US,
     REFERENCE_ENV,
     ChipProfile,
     ConfigError,
@@ -79,7 +76,11 @@ SAMPLE_COST_SEC = 0.003  # modeled per-sample measurement cost
 
 # Version of the artifact tree's file formats, recorded in manifest.json.
 # 2: profile.csv holds integer count moments, responses.csv records k.
-FORMAT_VERSION = 2
+# 3: manifest.json drops the config keys t_on_us, reject_mode,
+#    reject_threshold, reject_quantile, lfsr_seed_policy, k_max and
+#    relocation_max_iter and the per-device threshold_used;
+#    selection.json is written without indentation.
+FORMAT_VERSION = 3
 
 # RO counts whose challenge width has a primitive LFSR polynomial.
 RO_COUNTS = tuple(2 << (w // 2) for w in sorted(TAPS))
@@ -95,17 +96,10 @@ class PipelineConfig:
     kappa: float = 0.5
     seeding: str = "linear"
     samples: int = DEFAULT_SAMPLES
-    t_on_us: float = DEFAULT_T_ON_US
-    reject_mode: str = "fixed"
-    reject_threshold: float = DEFAULT_THRESHOLD
-    reject_quantile: float = DEFAULT_QUANTILE
     temps: tuple[float, ...] = DEFAULT_TEMPS
     volts: tuple[float, ...] = DEFAULT_VOLTS
     env_mode: str = "axes"              # axes | cross | reference
-    lfsr_seed_policy: str = "shared"    # shared | per_device
     global_seed: int = 2026
-    k_max: int = 100
-    relocation_max_iter: int = 200
     workers: int = 1                    # recorded in manifest.json; must be 1
     out_dir: str = "runs/out"
     device_spec_file: str | None = None  # overrides preset when set
@@ -135,27 +129,16 @@ class PipelineConfig:
             raise bad("kappa", f"one of {valid_kappas(m)}") from None
         if not (is_int(self.samples) and self.samples >= 2):
             raise bad("samples", "an integer >= 2")
-        if not (is_real(self.t_on_us) and self.t_on_us > 0):
-            raise bad("t_on_us", "positive")
         for name, known in (
             ("env_mode", ("axes", "cross", "reference")),
-            ("reject_mode", ("fixed", "quantile")),
-            ("lfsr_seed_policy", ("shared", "per_device")),
             ("seeding", get_args(SeedStrategy)),
         ):
             if getattr(self, name) not in known:
                 raise bad(name, f"one of {list(known)}")
-        if not (is_int(self.k_max) and self.k_max >= 1):
-            raise bad("k_max", "an integer >= 1")
         if not (is_int(self.workers) and self.workers == 1):
             raise bad("workers", "1, as devices run in blocks in one process")
-        if not (is_real(self.reject_threshold) and self.reject_threshold > 0):
-            raise bad("reject_threshold", "positive")
-        if not (is_real(self.reject_quantile) and 0 < self.reject_quantile < 1):
-            raise bad("reject_quantile", "in (0, 1)")
-        for name in ("relocation_max_iter", "global_seed"):
-            if not (is_int(getattr(self, name)) and getattr(self, name) >= 0):
-                raise bad(name, "an integer >= 0")
+        if not (is_int(self.global_seed) and self.global_seed >= 0):
+            raise bad("global_seed", "an integer >= 0")
         for name in ("temps", "volts"):
             values = getattr(self, name)
             if not (isinstance(values, (list, tuple))
@@ -252,7 +235,6 @@ class DeviceRun:
     chain.
     ``kmeans`` and ``relocated`` are the two selection results;
     ``selection_json`` is their file form, built on each access.
-    ``threshold_used`` is the sigma/mean threshold rejection applied.
     """
 
     device_id: str
@@ -261,7 +243,6 @@ class DeviceRun:
     plan: PlacementPlan
     kept_sites: int
     rejected: int
-    threshold_used: float
     kmeans: SelectionResult
     relocated: SelectionResult
     golden: ResponseSet
@@ -314,7 +295,6 @@ class _Pool:
     profile: FrequencyProfile
     kept_sites: int
     rejected: int
-    threshold_used: float
     nu: np.ndarray
     nu_refs: np.ndarray
 
@@ -326,34 +306,23 @@ def _candidate_pool(
     with times.stage("synth"):
         chip = synth_chip(spec, seeds["synth"], device_id=f"{spec.kind}_{index:03d}")
     with times.stage("characterize"):
-        prof = characterize(
-            chip, m=config.samples, t_on_us=config.t_on_us,
-            rng=np.random.default_rng(seeds["characterize"]),
-        )
+        prof = characterize(chip, m=config.samples,
+                            rng=np.random.default_rng(seeds["characterize"]))
     with times.stage("reject"):
-        clean = reject_erroneous(
-            prof, mode=config.reject_mode,
-            threshold=config.reject_threshold, quantile=config.reject_quantile,
-        )
+        clean = reject_erroneous(prof)
         kept = clean.kept
         mean = kept.mean
         order = np.argsort(mean, kind="stable")
-    return _Pool(seeds, chip, prof, clean.z_bar, clean.rejected_count, clean.threshold_used,
+    return _Pool(seeds, chip, prof, clean.z_bar, clean.rejected_count,
                  mean[order], kept.site_refs[order])
 
 
 def _kmeans(config: PipelineConfig, pools: Sequence[_Pool]) -> list[SelectionResult]:
     """The improved K-means result of every pool, from one batched run."""
-    configs = [SelectionConfig(m=config.ro_count, seeding=config.seeding, k_max=config.k_max,
+    configs = [SelectionConfig(m=config.ro_count, seeding=config.seeding,
                                rng_seed=p.seeds["select"]) for p in pools]
     pairs = batched_kmeans([p.nu for p in pools], configs, [p.nu_refs for p in pools])
     return [improved for improved, _ in pairs]
-
-
-def _relocate(config: PipelineConfig, pool: _Pool, km: SelectionResult) -> SelectionResult:
-    return relocate_centroids(
-        pool.nu, km.freqs, max_iter=config.relocation_max_iter, site_refs=pool.nu_refs
-    )
 
 
 @dataclass(eq=False)
@@ -404,7 +373,7 @@ def _chain_block(configs, spec, indices, finish, times, out) -> None:
             kms = _kmeans(config, pools)
         for i, pool, km in zip(indices, pools, kms):
             with times.stage("relocation"):
-                relocated = _relocate(config, pool, km)
+                relocated = relocate_centroids(pool.nu, km.freqs, site_refs=pool.nu_refs)
             results.append(finish(config, i, _Selection(pool, km, relocated)))
 
 
@@ -427,13 +396,12 @@ def _respond(
 ) -> list[ResponseSet]:
     """The responses of one placement, one per condition: slot 0 is the
     golden one and slot 1 + j the j-th swept condition, each with its own
-    generator.  They count over the characterization's enable window.
+    generator.
     """
     pool = sel.pool
     rngs = [np.random.default_rng(derive_seed(pool.seeds["response"], kappa_tag, slot))
             for slot in range(len(envs))]
-    bits = generate_responses(plan, pool.chip, lfsr_seed, envs, rngs,
-                              t_on_us=pool.profile.t_on_us)
+    bits = generate_responses(plan, pool.chip, lfsr_seed, envs, rngs)
     return [ResponseSet(pool.chip.device_id, env, row, bits.shape[1], lfsr_seed)
             for env, row in zip(envs, bits)]
 
@@ -459,7 +427,6 @@ def _device_run(
         plan=plan,
         kept_sites=pool.kept_sites,
         rejected=pool.rejected,
-        threshold_used=pool.threshold_used,
         kmeans=sel.kmeans,
         relocated=sel.relocated,
         golden=golden,
@@ -476,15 +443,10 @@ def run_device(
                   lambda c, _, sel: _device_run(c, sel, lfsr_seed, env_grid, times), times)[0][0]
 
 
-def _shared_lfsr_seed(config: PipelineConfig, index: int) -> int:
-    if config.lfsr_seed_policy == "shared":
-        base = derive_seed(config.global_seed, 10_000, STAGE_LFSR)
-    elif config.lfsr_seed_policy == "per_device":
-        base = derive_seed(config.global_seed, index, STAGE_LFSR)
-    else:
-        raise ValueError(f"unknown lfsr_seed_policy {config.lfsr_seed_policy!r}")
+def _shared_lfsr_seed(config: PipelineConfig) -> int:
+    """The LFSR seed every device of a run starts from at ``config.ro_count``."""
     period = (1 << challenge_width(config.ro_count)) - 1
-    return base % period + 1
+    return derive_seed(config.global_seed, 10_000, STAGE_LFSR) % period + 1
 
 
 def _device_runs(configs: Sequence[PipelineConfig], times: _StageTimes) -> list[list[DeviceRun]]:
@@ -492,7 +454,7 @@ def _device_runs(configs: Sequence[PipelineConfig], times: _StageTimes) -> list[
     env_grid = configs[0].env_grid()
     return _chain(
         configs, _device_spec(configs[0]), range(configs[0].devices),
-        lambda c, i, sel: _device_run(c, sel, _shared_lfsr_seed(c, i), env_grid, times),
+        lambda c, _, sel: _device_run(c, sel, _shared_lfsr_seed(c), env_grid, times),
         times,
     )
 
@@ -547,7 +509,6 @@ def _write_run(
             {
                 "device_id": r.device_id,
                 "seeds": r.seeds,
-                "threshold_used": r.threshold_used,
                 "excluded_sites": r.excluded_sites,
                 "rejected": r.rejected,
                 "kept_sites": r.kept_sites,
@@ -565,9 +526,7 @@ def _write_run(
         dev_dir = root / f"device_{i:03d}"
         dev_dir.mkdir(exist_ok=True)
         export_profile_csv(r.plan.layout, r.profile, str(dev_dir / "profile.csv"))
-        (dev_dir / "selection.json").write_text(
-            json.dumps(r.selection_json, indent=2, sort_keys=True)
-        )
+        (dev_dir / "selection.json").write_text(json.dumps(r.selection_json, sort_keys=True))
         emit_constraints(r.plan, str(dev_dir / "constraints.txt"))
         save_responses(str(dev_dir / "responses.csv"), [r.golden, *r.sweep_responses])
 
@@ -611,9 +570,9 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
     kappas = valid_kappas(config.ro_count)
 
     times = _StageTimes()
+    lfsr_seed = _shared_lfsr_seed(config)
 
-    def goldens(_: PipelineConfig, i: int, sel: _Selection) -> np.ndarray:
-        lfsr_seed = _shared_lfsr_seed(config, i)
+    def goldens(_: PipelineConfig, __: int, sel: _Selection) -> np.ndarray:
         rows = []
         for k_idx, kappa in enumerate(kappas):
             with times.stage("assign/place"):

@@ -317,19 +317,24 @@ def _snap_distinct(fs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The complex numbers rows + 1j * values, set part by part: faster than
+    the arithmetic, and an infinite value leaves the real part exact."""
+    keys = np.empty(np.broadcast_shapes(rows.shape, values.shape), dtype=complex)
+    keys.real, keys.imag = rows, values
+    return keys
+
+
 class _SortedRows:
     """The sorted candidate arrays of several pools, searched and gathered
     together.
 
     ``padded`` lays the arrays end to end, each between -inf and +inf, with
-    array r's first candidate at ``starts[r]``.  ``search`` equals
-    ``np.searchsorted`` on each row's own array.  When no candidate is
-    negative, -0.0 or non-finite, the arrays are also laid end to end as
-    int64 keys (the bit pattern of a non-negative double orders like its
-    value; keys are clipped to the candidates' range and offset by row), so
-    one ``searchsorted`` serves all rows.  The searched values must then be
-    non-negative and not -0.0 too, as means and midpoints of such
-    candidates are.  Other candidates are searched row by row.
+    array r's first candidate at ``starts[r]``.  ``keys`` lays them end to
+    end as the complex numbers r + 1j * value.  numpy orders complex numbers
+    by real part, then by imaginary part, so one ``searchsorted`` of the
+    keys r + 1j * x serves all rows, and ``search`` equals
+    ``np.searchsorted`` on each row's own array.
     """
 
     def __init__(self, arrays: Sequence[np.ndarray]) -> None:
@@ -338,38 +343,16 @@ class _SortedRows:
         self.starts = 1 + np.concatenate([[0], np.cumsum(self.sizes + 2)[:-1]])
         edge = [np.array([-np.inf]), np.array([np.inf])]
         self.padded = np.concatenate([x for a in self.arrays for x in (edge[0], a, edge[1])])
-        self.keys = None
-        values = np.concatenate(self.arrays)
-        if np.isfinite(values).all() and not np.signbit(values).any():
-            lo = int(values.min().view(np.int64))
-            self._shift = lo - 1
-            self._top = int(values.max().view(np.int64)) - self._shift + 1
-            self._width = self._top + 1
-            if self._width <= np.iinfo(np.int64).max // (len(self.arrays) + 1):
-                self._key_offsets = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
-                rows = np.repeat(np.arange(len(self.arrays)), self.sizes)
-                self.keys = rows * self._width + self._rank(values)
-
-    def _rank(self, x: np.ndarray) -> np.ndarray:
-        """Key of each value within its row: 1..top-1 over the candidates'
-        range, 0 below it and top above it."""
-        key = np.ascontiguousarray(x).view(np.int64) - self._shift
-        np.minimum(key, self._top, out=key)
-        np.maximum(key, 0, out=key)
-        return key
+        self._key_offsets = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
+        rows = np.repeat(np.arange(len(self.arrays)), self.sizes)
+        self.keys = _row_keys(rows, np.concatenate(self.arrays))
 
     def search(self, rows: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
-        """Positions of the values ``x[i]`` in array ``rows[i]``."""
+        """Positions of the values ``x[i]`` in array ``rows[i]``; one row
+        searches its own array, which is faster for a single pool."""
         if rows.size == 1:
             return np.searchsorted(self.arrays[rows[0]], x, side)
-        if self.keys is None:
-            pos = np.empty(x.shape, dtype=np.intp)
-            for i, r in enumerate(rows.tolist()):
-                pos[i] = np.searchsorted(self.arrays[r], x[i], side)
-            return pos
-        q = self._rank(x)
-        q += rows[:, None] * self._width
-        pos = np.searchsorted(self.keys, q, side)
+        pos = np.searchsorted(self.keys, _row_keys(rows[:, None], x), side)
         pos -= self._key_offsets[rows, None]
         return pos
 
@@ -448,11 +431,6 @@ def batched_kmeans(
         else:
             order = np.argsort(f, kind="stable")
             fs, refs_sorted = f[order], refs[order]
-        if f.size == m:
-            idx = np.arange(m)
-            beta = min_pairwise_diff(fs) if m >= 2 else 0.0
-            out[d] = tuple(_result(fs, refs_sorted, idx, [beta], [0.0], 1) for _ in range(2))
-            continue
         init = seed_centroids(fs, m, cfg.seeding, np.random.default_rng(cfg.rng_seed))
         # centroids may not exist in the pool at initialization, so the
         # stored baseline is the snapped seed list
@@ -479,9 +457,8 @@ def _result(fs, refs_sorted, idx, trace, micd, iterations) -> SelectionResult:
 
 
 def _em_batch(pools, c: np.ndarray, best, trace0, out) -> None:
-    """The EM iterations of ``batched_kmeans`` for pools with more
-    candidates than centroids, from their sorted initial centroids ``c``;
-    fills their entries of ``out``."""
+    """The EM iterations of ``batched_kmeans`` from the pools' sorted initial
+    centroids ``c``; fills their entries of ``out``."""
     cands = _SortedRows([fs for _, fs, _, _ in pools])
     n = cands.sizes
     # each pool's prefix sums, with a leading 0, end to end
@@ -584,9 +561,11 @@ def _map_to_indices(nu: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def relocate_centroids(
-    nu, lp, max_iter: int = 200, site_refs=None
-) -> SelectionResult:
+# Rounds after which centroid relocation stops moving.
+RELOCATION_MAX_ROUNDS = 200
+
+
+def relocate_centroids(nu, lp, site_refs=None) -> SelectionResult:
     """Widen the smallest centroid gap by sliding one of its endpoints.
 
     Per round: find the minimum adjacent gap; compare the two neighboring
@@ -594,8 +573,8 @@ def relocate_centroids(
     that endpoint through the intervening candidates, accepting the farthest
     position whose new gap to the fixed neighbor still exceeds the old
     minimum; try the opposite direction if no such position exists.  Stops
-    when neither direction admits a move or after ``max_iter`` rounds.  The
-    returned minimum difference never falls below the input's.
+    when neither direction admits a move or after ``RELOCATION_MAX_ROUNDS``
+    rounds.  The returned minimum difference never falls below the input's.
     """
     nu = np.asarray(nu, dtype=float)
     if nu.ndim != 1 or nu.size < 2:
@@ -637,7 +616,7 @@ def relocate_centroids(
         return True
 
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(RELOCATION_MAX_ROUNDS):
         k_m = int(np.argmin(gaps))
         th = float(gaps[k_m])
         left_gap = float(gaps[k_m - 1]) if k_m >= 1 else np.inf

@@ -145,9 +145,6 @@ def kmeans_reference(freqs, cfg, site_refs=None):
         return (refs_sorted[idx].tolist(), fs[idx].tolist(), min_pairwise_diff(fs[idx]),
                 trace, iterations)
 
-    if f.size == m:
-        beta = min_pairwise_diff(fs)
-        return outcome(np.arange(m), [beta], 1), outcome(np.arange(m), [beta], 1), True
     init = seed_centroids(fs, m, cfg.seeding, np.random.default_rng(cfg.rng_seed))
     best_idx = _snap_distinct(fs, init)
     beta_p = min_pairwise_diff(fs[best_idx])
@@ -176,8 +173,6 @@ def micd_trace_reference(f, cfg):
     on a midpoint, an empty cluster re-seeded, a snap collision."""
     fs = np.sort(np.asarray(f, dtype=float), kind="stable")
     met = {"duplicates": bool(np.any(np.diff(fs) == 0))}
-    if fs.size == cfg.m:
-        return [0.0], met
     init = seed_centroids(fs, cfg.m, cfg.seeding, np.random.default_rng(cfg.rng_seed))
     prev = np.sort(init)
     trace = []
@@ -434,6 +429,14 @@ class TestImprovedKmeans:
         assert res.freqs.tolist() == [1.0, 2.0, 3.0]
         assert res.refs.tolist() == [1, 2, 0]
         assert res.iterations == 1
+
+    def test_exactly_m_points_with_no_iteration_reports_none(self):
+        f = np.array([1.0, 2.0, 4.0, 8.0, 9.0, 12.0, 20.0, 30.0])
+        res = improved_kmeans(f, config(8, k_max=0))
+        assert res.freqs.tolist() == f.tolist()
+        assert res.iterations == 0
+        assert res.micd_trace == []
+        assert res.min_diff_trace == [1.0]
 
     def test_global_max_retention_exact(self):
         rng = np.random.default_rng(2)
@@ -724,13 +727,10 @@ class TestSortedRowsSearch:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_searchsorted(self, rows, offset, seed):
-        # offset 0 takes the key path and -1e7 (negative candidates) the
-        # row-by-row search; -1 puts a zero among the candidates, whose key
-        # range fits only when all are near zero
+        # offset 0 keeps every candidate positive, -1 puts a zero among them
+        # beside values up to 1e6, and -1e7 makes them all negative
         arrays = [np.sort(np.array([1.0, *r]) + offset) for r in rows]
         cands = _SortedRows(arrays)
-        if offset != -1.0:
-            assert (cands.keys is not None) == (offset == 0.0)
         rng = np.random.default_rng(seed)
         every = np.concatenate(arrays)
         picks = rng.integers(0, len(arrays), 6)
@@ -741,8 +741,6 @@ class TestSortedRowsSearch:
                 [max(every.max(), 0.0) * 2 + 1, np.abs(every).min() / 2],
             ])) for _ in picks
         ])
-        if offset == 0.0:
-            x = np.abs(x)  # the key path searches non-negative values
         for side in ("left", "right"):
             want = [np.searchsorted(arrays[r], xi, side).tolist() for r, xi in zip(picks, x)]
             assert cands.search(picks, x, side).tolist() == want
