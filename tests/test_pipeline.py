@@ -15,7 +15,14 @@ import pytest
 import ropufsim.pipeline as pipeline
 import ropufsim.select as select
 from ropufsim.characterize import DEFAULT_THRESHOLD, reject_erroneous
-from ropufsim.chipmodel import ConfigError, get_preset, ingest_csv, synth_chip
+from ropufsim.chipmodel import (
+    DEFAULT_T_ON_US,
+    REFERENCE_ENV,
+    ConfigError,
+    get_preset,
+    ingest_csv,
+    synth_chip,
+)
 from ropufsim.cli import main
 from ropufsim.pipeline import (
     BenchReport,
@@ -27,6 +34,7 @@ from ropufsim.pipeline import (
     sweep_kappa,
     sweep_m,
 )
+from ropufsim.puf import challenge_width, generate_response
 
 
 def tiny_config(tmp_path, **overrides) -> PipelineConfig:
@@ -168,6 +176,31 @@ class TestConfig:
         assert synth_calls == []
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("t_on_us", 122.87),
+        ("reject_mode", "fixed"),
+        ("reject_threshold", 0.002),
+        ("reject_quantile", 0.95),
+        ("lfsr_seed_policy", "shared"),
+        ("k_max", 100),
+        ("relocation_max_iter", 200),
+    ])
+    def test_format_2_field_refused_before_device_work(self, tmp_path, synth_calls, capsys,
+                                                       key, value):
+        # each field format 3 fixes as a constant is unknown, even at its old default
+        with pytest.raises(TypeError, match=key):
+            tiny_config(tmp_path, **{key: value})
+        v2 = json.loads(tiny_config(tmp_path).to_json())
+        v2[key] = value
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(v2, indent=2, sort_keys=True))
+        with pytest.raises(ConfigError, match=rf"^unknown config key '{key}'$"):
+            PipelineConfig.from_json(path.read_text())
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"v2.json: unknown config key '{key}'" in capsys.readouterr().err
+        assert synth_calls == []
+        assert not (tmp_path / "run").exists()
+
     def test_seed_derivation_stable(self):
         assert device_seeds(5, 0) == device_seeds(5, 0)
         assert device_seeds(5, 0) != device_seeds(5, 1)
@@ -286,6 +319,56 @@ class TestRunPipeline:
         sweep_kappa(tiny_config(tmp_path))
         sweep_kappa(tiny_config(tmp_path), write=False)
         assert micd_calls == []
+
+    def test_responses_count_over_default_window(self, tmp_path):
+        # a 0.1 us window quantizes counts to 10 MHz, so it flips bits that
+        # the default 122.87 us window resolves
+        config = tiny_config(tmp_path, devices=1, ro_count=16)
+        _, _, (run,) = run_pipeline(config, write=False)
+        assert run.profile.t_on_us == DEFAULT_T_ON_US
+        chip = synth_chip(get_preset("zybo"), run.seeds["synth"], device_id=run.device_id)
+
+        def golden(**window):
+            rng = np.random.default_rng(pipeline.derive_seed(run.seeds["response"], 0, 0))
+            return generate_response(
+                run.plan, chip, pipeline._shared_lfsr_seed(config), REFERENCE_ENV,
+                rng=rng, **window,
+            ).bits
+
+        assert np.array_equal(run.golden.bits, golden())
+        assert np.array_equal(run.golden.bits, golden(t_on_us=DEFAULT_T_ON_US))
+        assert not np.array_equal(run.golden.bits, golden(t_on_us=0.1))
+
+    def test_pool_rejects_at_default_threshold(self, tmp_path):
+        _, _, runs = run_pipeline(tiny_config(tmp_path), write=False)
+        for run in runs:
+            clean = reject_erroneous(run.profile, threshold=DEFAULT_THRESHOLD)
+            assert (run.kept_sites, run.rejected) == (clean.z_bar, clean.rejected_count)
+            assert run.rejected > 0
+
+    def test_kmeans_runs_default_iteration_limit(self, tmp_path, monkeypatch):
+        configs = []
+        batched = pipeline.batched_kmeans
+
+        def spy(freqs, cfgs, refs):
+            configs.extend(cfgs)
+            return batched(freqs, cfgs, refs)
+
+        monkeypatch.setattr(pipeline, "batched_kmeans", spy)
+        _, _, runs = run_pipeline(tiny_config(tmp_path), write=False)
+        assert len(configs) == len(runs) == 3
+        assert {c.k_max for c in configs} == {select.SelectionConfig(8).k_max} == {100}
+        assert all(run.kmeans.iterations <= 100 for run in runs)
+
+    def test_every_device_shares_one_lfsr_seed(self, tmp_path):
+        config = tiny_config(tmp_path)
+        _, _, runs = run_pipeline(config, write=False)
+        period = (1 << challenge_width(config.ro_count)) - 1
+        want = pipeline.derive_seed(config.global_seed, 10_000, pipeline.STAGE_LFSR) % period + 1
+        assert {r.challenge_seed for run in runs for r in (run.golden, *run.sweep_responses)} \
+            == {want}
+        other = pipeline._shared_lfsr_seed(tiny_config(tmp_path, global_seed=6))
+        assert 1 <= other <= period
 
     def test_reference_only_run_is_trivially_reliable(self, tmp_path):
         config = tiny_config(tmp_path, env_mode="reference", devices=1)

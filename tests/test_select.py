@@ -529,6 +529,18 @@ class TestRelocation:
         else:
             assert _map_to_indices(nu, values).tolist() == want
 
+    def test_stops_after_max_rounds(self, monkeypatch):
+        # gaps 12, 9, 4 widen over three rounds to 12, 7, 7
+        nu = np.array([0.0, 2.0, 14.0, 18.0, 19.0, 20.0, 21.0, 22.0, 23.0, 26.0, 27.0, 28.0])
+        lp = np.array([2.0, 14.0, 23.0, 27.0])
+        full = relocate_centroids(nu, lp)
+        assert full.iterations == 3
+        assert full.freqs.tolist() == [2.0, 14.0, 21.0, 28.0]
+        monkeypatch.setattr(select, "RELOCATION_MAX_ROUNDS", 1)
+        one = relocate_centroids(nu, lp)
+        assert one.iterations == 1
+        assert 4.0 < one.min_diff < full.min_diff == 7.0
+
     def test_two_centroids_slide_to_extremes(self):
         nu = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         res = relocate_centroids(nu, np.array([1.0, 2.0]))
