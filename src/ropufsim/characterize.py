@@ -1,5 +1,5 @@
-"""Phase-1 virtual characterization: sample counts, estimate per-site
-statistics and reject erroneous (high-deviation) oscillators."""
+"""Phase-1 virtual characterization: draw per-site count moments, estimate
+per-site statistics and reject erroneous (high-deviation) oscillators."""
 
 from __future__ import annotations
 
@@ -16,10 +16,8 @@ from .chipmodel import (
     ChipProfile,
     FabricLayout,
     count_mean,
-    count_noise,
     count_sigma,
     env_frequencies,
-    noisy_counts,
 )
 
 DEFAULT_THRESHOLD = 0.002
@@ -53,28 +51,6 @@ class FrequencyProfile:
             raise ValueError("site_refs, sum_count and sum_count_sq must have equal lengths")
         if np.any(self.m * self.sum_count_sq < self.sum_count * self.sum_count):
             raise ValueError("count moments need m * sum_count_sq >= sum_count^2 elementwise")
-
-    @classmethod
-    def from_counts(
-        cls, site_refs: np.ndarray, counts: np.ndarray, t_on_us: float
-    ) -> "FrequencyProfile":
-        """The moments of a (sites, m) matrix of non-negative integer counts.
-
-        Raises ``ValueError`` naming ``t_on_us`` and the sample count when
-        m * max(sum_count_sq) reaches 2^53, where the moments stop being
-        exact.
-        """
-        counts = np.asarray(counts, dtype=float)
-        m = counts.shape[1]
-        sum_count_sq = np.einsum("ij,ij->i", counts, counts)
-        top = m * float(sum_count_sq.max(initial=0.0))
-        if top >= EXACT_MOMENT_LIMIT:
-            raise ValueError(
-                f"t_on_us={t_on_us!r} with samples={m} gives samples * sum(count^2) "
-                f"= {top:.4g}, beyond the 2**53 up to which count moments are exact; "
-                "shorten t_on_us or take fewer samples"
-            )
-        return cls(site_refs, np.einsum("ij->i", counts), sum_count_sq, m, t_on_us)
 
     @property
     def mean(self) -> np.ndarray:
@@ -116,20 +92,51 @@ def characterize(
     t_on_us: float = DEFAULT_T_ON_US,
     rng: np.random.Generator | None = None,
 ) -> FrequencyProfile:
-    """Collect m count samples per non-excluded site under the reference
-    condition and keep their moments.
+    """The integer moments of m count samples per non-excluded site under the
+    reference condition, drawn as two numbers per site rather than m counts.
 
-    Each sample is an independently noisy count from ``noisy_counts``, with
-    every site's frequency and noise level as a (sites, 1) column; the raw
-    samples are discarded once summed.
+    A site's counts are normal with mean mu = f * t_on_us and deviation
+    sigma_c = sigma * t_on_us, so their sample mean and sample variance s^2
+    are independent, the mean normal and (m - 1) s^2 / sigma_c^2 chi-square
+    with m - 1 degrees of freedom.  Each site draws z ~ N(0, 1), then
+    q ~ chi2(m - 1) (all sites' z first): S1 = max(0, rint(m mu + sqrt(m)
+    sigma_c z)), s^2 = sigma_c^2 q / (m - 1) and S2 = ceil((S1^2 + m (m - 1)
+    s^2) / m), so m * S2 >= S1^2.  The 1/12 count^2 that rounding each count
+    adds to its variance is left out.  A noise-free site counts rint(mu) m
+    times, as a per-sample draw would.
+
+    Raises ``ValueError`` when some site is noisy and ``rng`` is None, and
+    naming ``t_on_us`` and the sample count when m * max(S2) reaches 2^53,
+    where the moments stop being exact.
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples per site for sigma, got {m}")
+    if t_on_us <= 0:
+        raise ValueError(f"enable duration must be positive, got {t_on_us}")
     idx = chip.layout.active
-    freqs = env_frequencies(chip, [REFERENCE_ENV], idx)[0][:, None]
-    sigma = chip.meas_sigma_site[idx, None]
-    counts = noisy_counts(freqs, t_on_us, count_noise(rng, sigma, (len(idx), m)), sigma)
-    return FrequencyProfile.from_counts(idx, counts, t_on_us)
+    mu = env_frequencies(chip, [REFERENCE_ENV], idx)[0] * t_on_us
+    sigma = chip.meas_sigma_site[idx]
+    noisy = sigma > 0
+    z = q = np.zeros(len(idx))
+    if noisy.any():
+        if rng is None:
+            raise ValueError("rng required when measurement noise is enabled")
+        z = rng.standard_normal(len(idx))
+        q = rng.chisquare(m - 1, len(idx))
+    dev = sigma * t_on_us
+    sum_count = np.where(noisy, m * mu + np.sqrt(m) * dev * z, m * np.rint(mu))
+    np.maximum(np.rint(sum_count, out=sum_count), 0.0, out=sum_count)
+    # m (m - 1) s^2 = m sigma_c^2 q; ceil((S1^2 + x) / m) equals
+    # ceil((S1^2 + ceil(x)) / m), an exact division of integer-valued floats
+    sum_count_sq = -(-(sum_count * sum_count + np.ceil(m * dev * dev * q)) // m)
+    top = m * float(sum_count_sq.max(initial=0.0))
+    if top >= EXACT_MOMENT_LIMIT:
+        raise ValueError(
+            f"t_on_us={t_on_us!r} with samples={m} gives samples * sum(count^2) "
+            f"= {top:.4g}, beyond the 2**53 up to which count moments are exact; "
+            "shorten t_on_us or take fewer samples"
+        )
+    return FrequencyProfile(idx, sum_count, sum_count_sq, m, t_on_us)
 
 
 def reject_erroneous(prof: FrequencyProfile, threshold: float = DEFAULT_THRESHOLD) -> CleanProfile:

@@ -467,18 +467,6 @@ def noisy_counts(
     return noise
 
 
-def count_noise(
-    rng: np.random.Generator | None, meas_sigma_mhz: np.ndarray, shape: tuple[int, ...]
-) -> np.ndarray:
-    """Standard-normal noise of ``shape`` for ``noisy_counts``: drawn only
-    when some standard deviation is positive, which then needs ``rng``."""
-    if np.any(meas_sigma_mhz > 0):
-        if rng is None:
-            raise ValueError("rng required when measurement noise is enabled")
-        return rng.standard_normal(shape)
-    return np.zeros(shape)
-
-
 # Count moments are exact while samples * sum(c^2) stays below 2^53: then
 # every partial sum, sum(c)^2 <= samples * sum(c^2) and their difference are
 # integers a float64 holds exactly.

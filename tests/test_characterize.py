@@ -1,4 +1,3 @@
-import importlib
 import tempfile
 from decimal import Decimal, getcontext
 from pathlib import Path
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from conftest import manual_chip, toy_spec
 from ropufsim.characterize import (
@@ -21,7 +21,6 @@ from ropufsim.characterize import (
 from ropufsim.chipmodel import (
     CLASS_NAMES,
     REFERENCE_ENV,
-    count_noise,
     env_frequencies,
     get_preset,
     ingest_csv,
@@ -32,12 +31,12 @@ from ropufsim.chipmodel import (
 
 def profile_from_ratios(ratios, mean=400.0):
     """Two-sample sites of the given mean whose sigma/mean is each ratio to
-    within 1e-6 relative: counts a + d and a - d over 2500 us."""
+    within 1e-6 relative: the moments of counts a + d and a - d over 2500 us."""
     t_on_us = 2500.0
     a = round(mean * t_on_us)
     d = np.rint(np.asarray(ratios) * a / np.sqrt(2.0))
-    counts = np.stack([a + d, a - d], axis=1)
-    return FrequencyProfile.from_counts(np.arange(len(counts)), counts, t_on_us)
+    return FrequencyProfile(np.arange(len(d)), np.full(len(d), 2.0 * a),
+                            2.0 * a * a + 2.0 * d * d, 2, t_on_us)
 
 
 class TestCharacterize:
@@ -60,6 +59,11 @@ class TestCharacterize:
         with pytest.raises(ValueError):
             characterize(small_chip, m=1, rng=np.random.default_rng(0))
 
+    def test_nonpositive_window_rejected(self, small_chip):
+        for t_on_us in (0.0, -122.87):
+            with pytest.raises(ValueError, match="enable duration must be positive"):
+                characterize(small_chip, t_on_us=t_on_us, rng=np.random.default_rng(0))
+
     def test_excluded_sites_not_characterized(self, small_chip):
         prof = characterize(small_chip, rng=np.random.default_rng(0))
         excluded = set(np.flatnonzero(small_chip.layout.excluded).tolist())
@@ -69,20 +73,35 @@ class TestCharacterize:
         prof = characterize(small_chip, rng=np.random.default_rng(0))
         assert np.all(np.diff(prof.site_refs) > 0)
 
-    def test_counts_run_on_site_columns(self, small_chip, monkeypatch):
-        # the count model's checks see one entry per site, not m
-        shapes = []
-
-        def spy(freqs, t_on_us, noise, sigma):
-            shapes.append((np.shape(freqs), np.shape(sigma), noise.shape))
-            return noisy_counts(freqs, t_on_us, noise, sigma)
-
-        # the package exports the function under the module's name
-        module = importlib.import_module("ropufsim.characterize")
-        monkeypatch.setattr(module, "noisy_counts", spy)
-        prof = characterize(small_chip, m=5, rng=np.random.default_rng(0))
+    def test_two_draws_per_site_normals_first(self, small_chip):
+        # z ~ N(0, 1) for every site, then q ~ chi2(m - 1), and nothing else
+        m, rng = 5, np.random.default_rng(3)
+        prof = characterize(small_chip, m=m, rng=rng)
         n = len(prof)
-        assert shapes == [((n, 1), (n, 1), (n, 5))]
+        ref = np.random.default_rng(3)
+        z, q = ref.standard_normal(n), ref.chisquare(m - 1, n)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        mu = small_chip.nominal_freq[prof.site_refs] * prof.t_on_us
+        dev = small_chip.meas_sigma_site[prof.site_refs] * prof.t_on_us
+        assert np.array_equal(prof.sum_count, np.rint(m * mu + np.sqrt(m) * dev * z))
+        # S2 is the least integer with m * S2 >= S1^2 + m (m - 1) s^2
+        excess = m * prof.sum_count_sq - prof.sum_count**2 - m * dev**2 * q
+        assert np.all((excess > -1e-6) & (excess < m))
+
+    def test_noise_free_sites_count_each_sample_alike(self):
+        # S1 = m rint(f t) and S2 = m rint(f t)^2, alone and beside noisy sites
+        freqs = [400.123, 412.77, 403.5, 0.001]
+        for noisy, rng in ((False, None), (True, np.random.default_rng(0))):
+            chip = manual_chip(freqs)
+            if noisy:
+                chip.meas_sigma_site[::2] = 0.3
+            prof = characterize(chip, m=7, rng=rng)
+            quiet = chip.meas_sigma_site == 0
+            count = np.rint(np.array(freqs) * 122.87)[quiet]
+            assert prof.sum_count[quiet].tolist() == (7 * count).tolist()
+            assert prof.sum_count_sq[quiet].tolist() == (7 * count**2).tolist()
+            assert not prof.sigma[quiet].any()
+        assert count.tolist() == [50717.0, 0.0]
 
     def test_noise_needs_a_generator_unless_noise_free(self, small_chip):
         with pytest.raises(ValueError, match="rng required"):
@@ -100,13 +119,12 @@ class TestCharacterize:
 
 
 def float_formula(chip, m, t_on_us, seed):
-    """The per-site mean and sigma that characterize computed from its
-    counts before it kept count moments: counts / t_on_us, then mean and
-    std(ddof=1) over the samples."""
+    """The per-sample reference model: m noisy counts per site, each
+    rounded, then the mean and std(ddof=1) of counts / t_on_us."""
     idx = chip.layout.active
     sigma = chip.meas_sigma_site[idx, None]
     freqs = env_frequencies(chip, [REFERENCE_ENV], idx)[0][:, None]
-    noise = count_noise(np.random.default_rng(seed), sigma, (len(idx), m))
+    noise = np.random.default_rng(seed).standard_normal((len(idx), m))
     mhz = noisy_counts(freqs, t_on_us, noise, sigma).astype(np.int64) / t_on_us
     return mhz.mean(axis=1), mhz.std(axis=1, ddof=1)
 
@@ -119,14 +137,36 @@ def exact_stats(s1, s2, m, t_on_us):
     return Decimal(s1) / (m * t), var.sqrt() / t
 
 
+@pytest.fixture(scope="module")
+def basys3_stats():
+    """Standardized means (mean - f) / (sigma / sqrt(m)) and sigma ratios
+    sigma_hat / sigma of 20 basys3 chips (112,640 sites), from characterize
+    and from the per-sample reference model at other seeds."""
+    m, t_on_us = 32, 122.87
+    drawn, sampled = [], []
+    for seed in range(20):
+        chip = synth_chip(get_preset("basys3"), seed)
+        f = chip.nominal_freq[chip.layout.active]
+        sigma = chip.meas_sigma_site[chip.layout.active]
+        prof = characterize(chip, m=m, t_on_us=t_on_us, rng=np.random.default_rng(seed))
+        for out, (mean, sd) in ((drawn, (prof.mean, prof.sigma)),
+                                (sampled, float_formula(chip, m, t_on_us, 1000 + seed))):
+            out.append(np.stack([(mean - f) / (sigma / np.sqrt(m)), sd / sigma]))
+    return np.concatenate(drawn, axis=1), np.concatenate(sampled, axis=1)
+
+
 class TestCountMoments:
-    def test_near_old_float_formula(self):
-        chip = synth_chip(get_preset("basys3"), 0)
-        prof = characterize(chip, rng=np.random.default_rng(0))
-        old_mean, old_sigma = float_formula(chip, 32, 122.87, 0)
-        assert np.all(np.abs(prof.mean - old_mean) <= 4 * np.spacing(old_mean))
-        np.testing.assert_allclose(prof.sigma, old_sigma, rtol=1e-12, atol=0)
-        assert not np.array_equal(prof.mean, old_mean)  # the announced ulp moves
+    def test_standardized_means_match_per_sample_model(self, basys3_stats):
+        drawn, sampled = basys3_stats
+        assert drawn.shape == (2, 112_640)
+        assert ks_2samp(drawn[0], sampled[0]).pvalue > 0.01
+        assert abs(drawn[0].std() - 1.0) < 0.01
+
+    def test_sigma_ratios_match_per_sample_model(self, basys3_stats):
+        drawn, sampled = basys3_stats
+        assert ks_2samp(drawn[1], sampled[1]).pvalue > 0.01
+        # E[s / sigma] = c4(32) = 0.99197...
+        assert drawn[1].mean() == pytest.approx(0.99197, abs=0.002)
 
     @settings(max_examples=60, deadline=None)
     @given(

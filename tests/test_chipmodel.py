@@ -21,7 +21,6 @@ from ropufsim.chipmodel import (
     SliceClass,
     build_fabric,
     corner_classes,
-    count_noise,
     env_frequencies,
     get_preset,
     ingest_csv,
@@ -210,10 +209,11 @@ class TestEnvFrequency:
 
 
 class TestMeasureCount:
-    """The count model: ``count_noise`` draws, ``noisy_counts`` counts."""
+    """The count model ``noisy_counts``, on standard-normal noise drawn by
+    its caller."""
 
     def test_exact_noise_free_count(self):
-        noise = count_noise(None, np.zeros(2), (2,))
+        noise = np.zeros(2)
         counts = noisy_counts(np.array([400.0, 410.0]), 122.87, noise, 0.0)
         assert counts is noise  # computed in place on the drawn noise
         assert counts.tolist() == [49148, 50377]
@@ -227,14 +227,11 @@ class TestMeasureCount:
         alpha = noisy_counts(np.array([400.0]), 122.87, np.zeros(1), 0.0)[0]
         assert abs(alpha / 122.87 - 400.0) <= 1.0 / 122.87  # ~8.14 kHz
 
-    def test_noise_requires_rng(self):
+    def test_noise_free_entries_stay_exact(self):
         freqs = np.full(50, 400.0)
-        with pytest.raises(ValueError, match="rng required"):
-            count_noise(None, np.full(50, 0.1), (50,))
-        assert not count_noise(None, np.zeros(50), (50,)).any()
         sigma = np.zeros(50)
         sigma[::2] = 0.5
-        noise = count_noise(np.random.default_rng(0), sigma, (50,))
+        noise = np.random.default_rng(0).standard_normal(50)
         counts = noisy_counts(freqs, 122.87, noise, sigma)
         assert len(set(counts[::2].tolist())) > 1
         assert counts[1::2].tolist() == [49148] * 25  # noise-free entries stay exact
@@ -243,7 +240,7 @@ class TestMeasureCount:
         # the noise is added in MHz before counting, so a count's deviation
         # is sigma * t_on_us pulses
         sigma = np.array([[0.5], [2.0]])
-        noise = count_noise(np.random.default_rng(1), sigma, (2, 20_000))
+        noise = np.random.default_rng(1).standard_normal((2, 20_000))
         counts = noisy_counts(np.array([[400.0], [400.0]]), 122.87, noise, sigma)
         assert counts.std(axis=1, ddof=1) == pytest.approx(sigma[:, 0] * 122.87, rel=0.03)
         assert counts.mean(axis=1) == pytest.approx([49148, 49148], abs=5)

@@ -68,7 +68,7 @@ STAGES = ("synth", "characterize", "reject", "kmeans", "relocation", "assign/pla
 
 # Artifact tree of tiny_config with out_dir="run".  Only a change that
 # announces a behaviour change may move it.
-TINY_RUN_SHA256 = "6c9bd3878c6700faf0fe70d9a995d6f78967cd7d29a4411ff95213b42b848b1a"
+TINY_RUN_SHA256 = "1462f67f073aa52514f29fc3a2f33a7018b852945301008355fb0d9b02882b6d"
 
 
 @pytest.fixture
@@ -487,13 +487,13 @@ class TestSweeps:
         assert [p.pass_rate for p in points][2:6] == [1.0] * 4
 
     def test_m_sweep_pinned_with_one_pool_per_device(self, tmp_path, synth_calls):
-        # m_sweep.csv of a 6-device zybo sweep; the sha256 was computed when
-        # each M still ran the whole pipeline, synthesizing every device 4 times
+        # m_sweep.csv of a 6-device zybo sweep, whose min-diff and r_avg
+        # columns follow the characterized means; each device is synthesized once
         out = tmp_path / "m"
         assert main(["sweep-m", "--preset", "zybo", "--devices", "6", "--seed", "3",
                      "--out", str(out)]) == 0
         assert hashlib.sha256((out / "m_sweep.csv").read_bytes()).hexdigest() == (
-            "d54367717b4eb836d2436c9c0bc1bc6db91d6cfeb056f111a71a2a2f370d8d3c"
+            "5805f0c3bd1abf4e3ef40b20c975861ad41304d1a22d1465e86343193aac2498"
         )
         assert len(synth_calls) == 6
 
