@@ -31,6 +31,7 @@ from .characterize import (
 )
 from .chipmodel import (
     DEFAULT_SAMPLES,
+    PRESETS,
     REFERENCE_ENV,
     ChipProfile,
     ConfigError,
@@ -64,7 +65,6 @@ from .select import (
     SelectionResult,
     batched_kmeans,
     improved_kmeans,
-    micd_traces,
     pair_rows,
     relocate_centroids,
 )
@@ -130,6 +130,7 @@ class PipelineConfig:
         if not (is_int(self.samples) and self.samples >= 2):
             raise bad("samples", "an integer >= 2")
         for name, known in (
+            ("preset", tuple(PRESETS)),
             ("env_mode", ("axes", "cross", "reference")),
             ("seeding", get_args(SeedStrategy)),
         ):
@@ -144,6 +145,11 @@ class PipelineConfig:
             if not (isinstance(values, (list, tuple))
                     and all(is_real(v) and math.isfinite(v) for v in values)):
                 raise bad(name, "a sequence of finite numbers")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise bad("out_dir", "a non-empty string")
+        spec_file = self.device_spec_file
+        if not (spec_file is None or isinstance(spec_file, str) and spec_file):
+            raise bad("device_spec_file", "None or a non-empty string")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -476,8 +482,6 @@ def run_pipeline(
 ) -> tuple[EvalReport, NistReport, list[DeviceRun]]:
     """Full multi-device run; optionally writes the artifact tree.
 
-    The MICD traces of ``selection.json`` are computed for all devices in
-    one batch just before writing; a run without files never computes them.
     The stage times are logged, not written, so the tree depends on the
     config alone.
     """
@@ -486,8 +490,6 @@ def run_pipeline(
     (runs,) = _device_runs([config], times)
     report, nist_report = _judge(runs, times)
     if write:
-        with times.stage("micd"):
-            micd_traces([r.kmeans for r in runs])
         with times.stage("write"):
             _write_run(config, runs, report, nist_report)
     times.log(f"run of {len(runs)} devices:")
@@ -667,22 +669,18 @@ def bench(config: PipelineConfig) -> BenchReport:
 
     Characterization time uses the per-sample cost model (the hardware-bound
     part); selection and relocation are the chain's host seconds of its
-    kmeans and micd stages and of its relocation stage.
+    kmeans stage and of its relocation stage.
     """
     config.validate()
     spec = _device_spec(config)
     times = _StageTimes()
 
-    def selections(_: PipelineConfig, __: int, sel: _Selection):
-        with times.stage("micd"):
-            micd_traces([sel.kmeans])
-        return sel.kmeans, sel.relocated
-
-    [[(km, rel)]] = _chain([config], spec, [0], selections, times)
+    [[(km, rel)]] = _chain([config], spec, [0], lambda _, __, sel: (sel.kmeans, sel.relocated),
+                           times)
     times.log("bench of 1 device:")
     t_p1 = spec.site_count * config.samples * SAMPLE_COST_SEC
     sec = times.seconds
-    t_select = sec["kmeans"] + sec["micd"]
+    t_select = sec["kmeans"]
     return BenchReport(
         characterization_model_sec=t_p1,
         selection_wall_sec=t_select,

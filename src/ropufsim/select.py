@@ -12,10 +12,8 @@ median-based one and ``random_select`` the random one.
 Each K-means iteration works on the sorted candidates, where every cluster is
 one contiguous slice, so it needs no label vector and no sort, and one
 iteration serves many pools at once (``batched_kmeans``).  The mean
-intra-cluster distance (MICD) trace is a diagnostic that only the written
-``selection.json`` shows: a run records the cluster slices that changed in
-each iteration, and ``micd_traces`` computes the traces of many runs (all
-devices of a population) in one batch, or a single trace on first use.
+intra-cluster distance (MICD) after each iteration comes from the same
+prefix sums that give the cluster means.
 """
 
 from __future__ import annotations
@@ -51,31 +49,13 @@ class SelectionConfig:
 
 
 @dataclass(eq=False)
-class _MicdRecord:
-    """What one K-means run needs to compute its MICD trace later.
-
-    ``fs`` are the sorted candidates.  ``changed`` marks, per iteration and
-    cluster, a cluster whose slice or centroid differs from the previous
-    iteration's (every cluster of the first); ``starts``, ``ends`` and
-    ``centroids`` describe those slices in row-major order.  An unchanged
-    cluster keeps its previous mean distance.
-    """
-
-    fs: np.ndarray
-    changed: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-    centroids: np.ndarray
-    trace: list[float] | None = None
-
-
-@dataclass(eq=False)
 class SelectionResult:
     """Chosen sites/frequencies plus convergence diagnostics.
 
     ``refs`` (site references) and ``freqs`` (MHz) describe the M chosen
     oscillators, sorted by frequency; ``min_diff`` is the recomputed minimum
-    over all pairwise differences of the chosen frequencies.
+    over all pairwise differences of the chosen frequencies; ``micd_trace``
+    is the mean intra-cluster distance after each K-means iteration.
     """
 
     refs: np.ndarray
@@ -83,15 +63,7 @@ class SelectionResult:
     min_diff: float
     min_diff_trace: list[float] = field(default_factory=list)
     iterations: int = 0
-    _micd: list[float] | _MicdRecord = field(default_factory=list, repr=False)
-
-    @property
-    def micd_trace(self) -> list[float]:
-        """MICD after each K-means iteration; a pending trace is computed on
-        first use (``micd_traces`` fills many at once)."""
-        if isinstance(self._micd, _MicdRecord):
-            micd_traces([self])
-        return self._micd
+    micd_trace: list[float] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,105 +88,6 @@ def min_pairwise_diff(freqs: Sequence[float] | np.ndarray) -> float:
     if a.size < 2:
         raise ValueError(f"need at least 2 frequencies, got {a.size}")
     return float(np.diff(a).min())
-
-
-# Bound on the candidate values the MICD batch concatenates at once, and on
-# the values it stacks for one reduction; it bounds the batch's temporaries.
-_BLOCK_VALUES = 1 << 17
-
-
-def _slice_means(
-    values: np.ndarray, starts: np.ndarray, ends: np.ndarray, cents: np.ndarray
-) -> np.ndarray:
-    """Mean of |values[s:e] - c| for each slice (s, e, c); 0.0 when empty.
-
-    Slices of one length are stacked as the rows of a matrix and reduced
-    along axis 1.  numpy sums each contiguous row with the same pairwise
-    summation as a 1-D reduce of the slice alone, so every mean is
-    bit-identical to reducing its slice by itself.
-    """
-    lengths = ends - starts
-    out = np.zeros(lengths.size)
-    order = np.argsort(lengths, kind="stable")
-    group_lengths, firsts = np.unique(lengths[order], return_index=True)
-    group_ends = [*firsts[1:].tolist(), order.size]
-    for length, g0, g1 in zip(group_lengths.tolist(), firsts.tolist(), group_ends):
-        if length == 0:
-            continue
-        windows = np.lib.stride_tricks.as_strided(
-            values, (values.size - length + 1, length), values.strides * 2, writeable=False
-        )
-        step = max(1, _BLOCK_VALUES // length)
-        for b in range(g0, g1, step):
-            rows = order[b : min(b + step, g1)]
-            dist = windows[starts[rows]]
-            dist -= cents[rows, None]
-            np.abs(dist, out=dist)
-            out[rows] = np.add.reduce(dist, axis=1) / length
-    return out
-
-
-def _micd_record(fs: np.ndarray, b: np.ndarray, c: np.ndarray) -> _MicdRecord | list[float]:
-    """The slices a K-means run must reduce for its MICD trace, from the
-    (iterations, M + 1) bounds and (iterations, M) centroids."""
-    if not len(c):
-        return []
-    starts, ends = b[:, :-1], b[:, 1:]
-    changed = np.ones(c.shape, dtype=bool)
-    changed[1:] = (starts[1:] != starts[:-1]) | (ends[1:] != ends[:-1]) | (c[1:] != c[:-1])
-    return _MicdRecord(
-        fs, changed, starts[changed].astype(np.int32), ends[changed].astype(np.int32),
-        c[changed],
-    )
-
-
-def _fill_block(records: list[_MicdRecord]) -> None:
-    """MICD traces of a few records, their slices reduced together."""
-    offsets = np.cumsum([0] + [r.fs.size for r in records[:-1]])
-    means = _slice_means(
-        np.concatenate([r.fs for r in records]),
-        np.concatenate([r.starts + off for r, off in zip(records, offsets)]),
-        np.concatenate([r.ends + off for r, off in zip(records, offsets)]),
-        np.concatenate([r.centroids for r in records]),
-    )
-    pos = 0
-    for r in records:
-        t, m = r.changed.shape
-        per_cluster = np.zeros((t, m))
-        per_cluster[r.changed] = means[pos : pos + r.starts.size]
-        pos += r.starts.size
-        # each cluster repeats its value from the last iteration it changed in
-        last = np.maximum.accumulate(np.where(r.changed, np.arange(t)[:, None], 0), axis=0)
-        per_cluster = per_cluster[last, np.arange(m)]
-        r.trace = (np.add.reduce(per_cluster, axis=1) / m).tolist()
-
-
-def micd_traces(results: Sequence[SelectionResult]) -> None:
-    """Fill the pending MICD traces of ``results`` in one batch.
-
-    Equal-length slices of every iteration and every result are reduced
-    together, in blocks of about ``_BLOCK_VALUES`` candidates, so a block
-    costs one reduction per distinct slice length instead of one per
-    cluster and iteration.  Each trace equals, bit for bit, the mean over
-    clusters of each cluster's masked mean distance at every iteration.
-    """
-    pending = {
-        id(r._micd): r._micd for r in results
-        if isinstance(r._micd, _MicdRecord) and r._micd.trace is None
-    }
-    block: list[_MicdRecord] = []
-    size = 0
-    for record in pending.values():
-        block.append(record)
-        size += record.fs.size
-        if size >= _BLOCK_VALUES:
-            _fill_block(block)
-            block, size = [], 0
-    if block:
-        _fill_block(block)
-    for r in results:
-        if isinstance(r._micd, _MicdRecord):
-            r._micd = r._micd.trace
 
 
 def _require_candidates(freqs) -> np.ndarray:
@@ -317,24 +190,12 @@ def _snap_distinct(fs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The complex numbers rows + 1j * values, set part by part: faster than
-    the arithmetic, and an infinite value leaves the real part exact."""
-    keys = np.empty(np.broadcast_shapes(rows.shape, values.shape), dtype=complex)
-    keys.real, keys.imag = rows, values
-    return keys
-
-
 class _SortedRows:
-    """The sorted candidate arrays of several pools, searched and gathered
-    together.
+    """The sorted candidate arrays of several pools, searched row by row and
+    gathered together.
 
     ``padded`` lays the arrays end to end, each between -inf and +inf, with
-    array r's first candidate at ``starts[r]``.  ``keys`` lays them end to
-    end as the complex numbers r + 1j * value.  numpy orders complex numbers
-    by real part, then by imaginary part, so one ``searchsorted`` of the
-    keys r + 1j * x serves all rows, and ``search`` equals
-    ``np.searchsorted`` on each row's own array.
+    array r's first candidate at ``starts[r]``.
     """
 
     def __init__(self, arrays: Sequence[np.ndarray]) -> None:
@@ -343,17 +204,12 @@ class _SortedRows:
         self.starts = 1 + np.concatenate([[0], np.cumsum(self.sizes + 2)[:-1]])
         edge = [np.array([-np.inf]), np.array([np.inf])]
         self.padded = np.concatenate([x for a in self.arrays for x in (edge[0], a, edge[1])])
-        self._key_offsets = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
-        rows = np.repeat(np.arange(len(self.arrays)), self.sizes)
-        self.keys = _row_keys(rows, np.concatenate(self.arrays))
 
     def search(self, rows: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
-        """Positions of the values ``x[i]`` in array ``rows[i]``; one row
-        searches its own array, which is faster for a single pool."""
-        if rows.size == 1:
-            return np.searchsorted(self.arrays[rows[0]], x, side)
-        pos = np.searchsorted(self.keys, _row_keys(rows[:, None], x), side)
-        pos -= self._key_offsets[rows, None]
+        """Positions of the values ``x[i]`` in array ``rows[i]``."""
+        pos = np.empty(x.shape, dtype=np.intp)
+        for i, r in enumerate(rows.tolist()):
+            pos[i] = np.searchsorted(self.arrays[r], x[i], side)
         return pos
 
     def snap(self, rows: np.ndarray, cents: np.ndarray) -> np.ndarray:
@@ -382,6 +238,20 @@ def _nearest_centroid_distance(fs: np.ndarray, cents: np.ndarray) -> np.ndarray:
     return np.minimum(fs - edges[pos - 1], edges[pos] - fs)
 
 
+def _mean_distances(
+    fs: np.ndarray, cum: np.ndarray, starts: np.ndarray, ends: np.ndarray, cents: np.ndarray
+) -> np.ndarray:
+    """Mean of |fs[s:e] - c| for each slice (s, e, c) of the sorted
+    candidates ``fs``, from their prefix sums ``cum`` (leading 0); 0.0 when
+    empty.  The candidates before position q = clip(searchsorted(fs, c), s, e)
+    lie at or below c, those from q on at or above it.
+    """
+    q = np.clip(np.searchsorted(fs, cents), starts, ends)
+    total = (cents * (q - starts) - (cum[q] - cum[starts])
+             + (cum[ends] - cum[q]) - cents * (ends - q))
+    return total / np.maximum(ends - starts, 1)
+
+
 def batched_kmeans(
     freqs: Sequence, configs: Sequence[SelectionConfig], site_refs: Sequence | None = None
 ) -> list[tuple[SelectionResult, SelectionResult]]:
@@ -403,10 +273,8 @@ def batched_kmeans(
     results are its snapped seed list (a baseline selector).  Each step runs
     for all pools still active at once, on a (pools, M) centroid matrix, and
     gives every pool the results it would get alone.  All configs must share
-    one M.  Both results of a pool share one pending MICD trace (see
-    ``micd_traces``).  A pool given in ascending order is used as it is,
-    without a sorted copy, so it must not change while that trace is
-    pending.
+    one M.  Both results of a pool share one MICD trace.  A pool given in
+    ascending order is used as it is, without a sorted copy.
     """
     if len(configs) != len(freqs):
         raise ValueError("need one config per candidate pool")
@@ -452,7 +320,7 @@ def _result(fs, refs_sorted, idx, trace, micd, iterations) -> SelectionResult:
         min_diff=min_pairwise_diff(fs[idx]) if len(idx) >= 2 else 0.0,
         min_diff_trace=trace,
         iterations=iterations,
-        _micd=micd,
+        micd_trace=micd,
     )
 
 
@@ -524,7 +392,9 @@ def _em_batch(pools, c: np.ndarray, best, trace0, out) -> None:
         top = int(np.argmax(trace))
         b = np.empty((iterations, m + 1), dtype=np.intp)
         b[:, 0], b[:, -1], b[:, 1:-1] = 0, fs.size, inner[p]
-        micd = _micd_record(fs, b, cents[p])
+        cum = cums[cum_starts[p] : cum_starts[p] + fs.size + 1]
+        means = _mean_distances(fs, cum, b[:, :-1], b[:, 1:], cents[p])
+        micd = (np.add.reduce(means, axis=1) / m).tolist()
         final = snaps[p][-1] if iterations else best[p]
         out[d] = (
             _result(fs, refs, best[p] if top == 0 else snaps[p][top - 1], trace, micd, iterations),

@@ -64,11 +64,12 @@ def tree_sha256(root: Path) -> str:
 
 # Stages a written run logs, in order.
 STAGES = ("synth", "characterize", "reject", "kmeans", "relocation", "assign/place",
-          "respond", "evaluate", "nist", "micd", "write")
+          "respond", "evaluate", "nist", "write")
 
 # Artifact tree of tiny_config with out_dir="run".  Only a change that
-# announces a behaviour change may move it.
-TINY_RUN_SHA256 = "1462f67f073aa52514f29fc3a2f33a7018b852945301008355fb0d9b02882b6d"
+# announces a behaviour change may move it.  Last moved when the MICD trace
+# came from prefix sums: only the last digits of micd_trace changed.
+TINY_RUN_SHA256 = "9d622df496d5cd512c4b50dc2d3c632906b8750cfe24b2a38f32aab3d1f2e70f"
 
 
 @pytest.fixture
@@ -82,21 +83,6 @@ def synth_calls(monkeypatch):
         return synth(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "synth_chip", spy)
-    return calls
-
-
-@pytest.fixture
-def micd_calls(monkeypatch):
-    """Counts micd_traces calls, including fills on first use of a trace."""
-    calls = []
-    batch = select.micd_traces
-
-    def spy(results):
-        calls.append(len(results))
-        return batch(results)
-
-    monkeypatch.setattr(select, "micd_traces", spy)
-    monkeypatch.setattr(pipeline, "micd_traces", spy)
     return calls
 
 
@@ -133,6 +119,13 @@ class TestConfig:
         ("volts", (1000.0, float("inf"))),
         ("ro_count", 4),    # no width-2 LFSR polynomial
         ("ro_count", 128),  # no width-12 LFSR polynomial
+        ("preset", ["basys3"]),
+        ("preset", "artix"),
+        ("out_dir", 5),
+        ("out_dir", ""),
+        ("device_spec_file", ["a"]),
+        ("device_spec_file", 0),
+        ("device_spec_file", ""),
     ])
     def test_bad_field_rejected_before_device_work(self, tmp_path, synth_calls,
                                                    field, value):
@@ -151,6 +144,15 @@ class TestConfig:
         assert "devices must be an integer >= 1, got 0" in capsys.readouterr().err
         assert synth_calls == []
         assert not (tmp_path / "cli").exists()
+
+    def test_bad_config_file_field_exits_two(self, tmp_path, monkeypatch, synth_calls,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text('{"preset": ["basys3"]}')
+        assert main(["run", "--config", "cfg.json"]) == 2
+        assert "preset must be one of" in capsys.readouterr().err
+        assert synth_calls == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     @pytest.mark.parametrize("text,message", [
         ('{"devices": 3, "ro_cont": 8}', "unknown config key 'ro_cont'"),
@@ -294,31 +296,27 @@ class TestRunPipeline:
         assert [m[1] for m in logged] == list(STAGES)
         caplog.clear()
         run_pipeline(tiny_config(tmp_path), write=False)
-        assert len(caplog.messages) == len(STAGES) - 2  # no micd and no write stage
+        assert len(caplog.messages) == len(STAGES) - 1  # no write stage
         caplog.clear()
         sweep_kappa(tiny_config(tmp_path), write=False)
         sweep_m(tiny_config(tmp_path), write=False)
         bench(tiny_config(tmp_path))
-        # bench times device 0's chain: its pool, kmeans, relocation and micd
+        # bench times device 0's chain: its pool, kmeans and relocation
         assert [re.search(r"stage (\S+) ", m)[1] for m in caplog.messages] == [
-            *STAGES[:7], "nist", *STAGES[:9], *STAGES[:5], "micd"]
+            *STAGES[:7], "nist", *STAGES[:9], *STAGES[:5]]
 
-    def test_micd_computed_once_per_written_population(self, tmp_path, micd_calls):
+    def test_micd_trace_same_with_and_without_files(self, tmp_path):
         config = tiny_config(tmp_path)
-        _, _, runs = run_pipeline(config)
-        assert micd_calls == [config.devices]
-        selection = json.loads(
-            (Path(config.out_dir) / "device_000" / "selection.json").read_text()
-        )
-        assert selection["kmeans"]["micd_trace"] == runs[0].kmeans.micd_trace
-        assert len(selection["kmeans"]["micd_trace"]) == runs[0].kmeans.iterations
-        assert micd_calls == [config.devices]
-
-    def test_micd_never_computed_without_files(self, tmp_path, micd_calls):
-        run_pipeline(tiny_config(tmp_path), write=False)
-        sweep_kappa(tiny_config(tmp_path))
-        sweep_kappa(tiny_config(tmp_path), write=False)
-        assert micd_calls == []
+        run_pipeline(config)
+        _, _, runs = run_pipeline(config, write=False)
+        for i, run in enumerate(runs):
+            selection = json.loads(
+                (Path(config.out_dir) / f"device_{i:03d}" / "selection.json").read_text()
+            )
+            trace = selection["kmeans"]["micd_trace"]
+            assert trace == run.kmeans.micd_trace
+            assert len(trace) == run.kmeans.iterations
+            assert all(x >= 0 for x in trace)
 
     def test_responses_count_over_default_window(self, tmp_path):
         # a 0.1 us window quantizes counts to 10 MHz, so it flips bits that
@@ -528,11 +526,10 @@ class TestBench:
         assert report.selection_wall_sec > 0
         assert report.p2_much_less_than_p1
 
-    def test_bench_times_device_zero_chain_with_its_micd(self, tmp_path, synth_calls,
-                                                         micd_calls):
+    def test_bench_times_device_zero_chain(self, tmp_path, synth_calls):
         config = tiny_config(tmp_path, ro_count=16)
         report = bench(config)
-        assert len(synth_calls) == 1 and micd_calls == [1]
+        assert len(synth_calls) == 1
         run = pipeline.run_device(config, 0, pipeline._shared_lfsr_seed(config))
         assert report.kmeans_iterations == run.kmeans.iterations
         assert report.relocation_iterations == run.relocated.iterations

@@ -13,13 +13,12 @@ from ropufsim.select import (
     SeedStrategy,
     SelectionConfig,
     _map_to_indices,
+    _mean_distances,
     _nearest_centroid_distance,
-    _slice_means,
     _snap_distinct,
     _SortedRows,
     batched_kmeans,
     improved_kmeans,
-    micd_traces,
     min_pairwise_diff,
     plain_kmeans,
     relocate_centroids,
@@ -47,6 +46,11 @@ def micd_reference(values, labels, centroids):
         else:
             per_cluster[j] = float(np.abs(members - centroids[j]).mean())
     return per_cluster, float(per_cluster.mean()), empty
+
+
+def mean_distances(fs, starts, ends, cents):
+    """``_mean_distances`` of sorted ``fs`` with its prefix sums."""
+    return _mean_distances(fs, np.concatenate([[0.0], np.cumsum(fs)]), starts, ends, cents)
 
 
 def snap_reference(fs, centroids):
@@ -182,7 +186,8 @@ def micd_trace_reference(f, cfg):
         sizes = np.bincount(labels, minlength=cfg.m)
         assert bounds.tolist() == [0, *np.cumsum(sizes).tolist()]
         per_cluster, mean, _ = micd_reference(fs, labels, c)
-        assert _slice_means(fs, bounds[:-1], bounds[1:], c).tolist() == per_cluster.tolist()
+        np.testing.assert_allclose(mean_distances(fs, bounds[:-1], bounds[1:], c),
+                                   per_cluster, rtol=0, atol=1e-9)
         trace.append(mean)
         update = np.searchsorted(fs, (prev[:-1] + prev[1:]) / 2.0)
         met["reseed"] = met.get("reseed", False) or bool(np.any(np.diff(update) == 0)
@@ -229,27 +234,28 @@ class TestMinPairwiseDiff:
 
 
 class TestMicd:
-    """Per-cluster mean distances of contiguous clusters (``_slice_means``)."""
+    """Per-cluster mean distances of contiguous clusters of sorted
+    candidates, from their prefix sums (``_mean_distances``)."""
 
     def test_points_at_centroids(self):
-        out = _slice_means(np.array([1.0, 2.0]), np.array([0, 1]), np.array([1, 2]),
-                           np.array([1.0, 2.0]))
+        out = mean_distances(np.array([1.0, 2.0]), np.array([0, 1]), np.array([1, 2]),
+                             np.array([1.0, 2.0]))
         assert out.tolist() == [0.0, 0.0]
 
     def test_hand_average(self):
-        out = _slice_means(np.array([99.0, 101.0]), np.array([0]), np.array([2]),
-                           np.array([100.0]))
+        out = mean_distances(np.array([99.0, 101.0]), np.array([0]), np.array([2]),
+                             np.array([100.0]))
         assert out[0] == pytest.approx(1.0)
 
     def test_mean_of_cluster_means(self):
-        values = np.array([99.0, 101.0, 7.0, 13.0])
-        out = _slice_means(values, np.array([0, 2]), np.array([2, 4]), np.array([100.0, 10.0]))
-        assert out.tolist() == [1.0, 3.0]
+        values = np.array([7.0, 13.0, 99.0, 101.0])
+        out = mean_distances(values, np.array([0, 2]), np.array([2, 4]), np.array([10.0, 100.0]))
+        assert out.tolist() == [3.0, 1.0]
         assert out.mean() == pytest.approx(2.0)
 
     def test_empty_cluster_flagged(self):
-        out = _slice_means(np.array([1.0]), np.array([0, 1]), np.array([1, 1]),
-                           np.array([1.0, 50.0]))
+        out = mean_distances(np.array([1.0]), np.array([0, 1]), np.array([1, 1]),
+                             np.array([1.0, 50.0]))
         assert out.tolist() == [0.0, 0.0]
 
     @settings(max_examples=300, deadline=None)
@@ -257,24 +263,20 @@ class TestMicd:
         n=st.integers(0, 400),
         m=st.integers(1, 40),
         used=st.integers(1, 40),
-        sort_labels=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_masked_mean(self, n, m, used, sort_labels, seed):
+    def test_equals_masked_mean(self, n, m, used, seed):
         rng = np.random.default_rng(seed)
-        values = rng.uniform(380.0, 450.0, n)
-        # labels drawn from a random subset of the clusters leave some empty
+        values = np.sort(rng.uniform(380.0, 450.0, n))
+        # sorted labels drawn from a random subset of the clusters make each
+        # cluster a slice of the sorted values and leave some clusters empty
         pool = rng.choice(m, size=min(used, m), replace=False)
-        labels = rng.choice(pool, size=n)
-        if sort_labels:
-            values, labels = np.sort(values), np.sort(labels)
+        labels = np.sort(rng.choice(pool, size=n))
         centroids = rng.uniform(380.0, 450.0, m)
         per_cluster, _, empty = micd_reference(values, labels, centroids)
-        # a stable sort by label makes each cluster a slice in index order
-        order = np.argsort(labels, kind="stable")
-        bounds = np.searchsorted(labels[order], np.arange(m + 1))
-        out = _slice_means(values[order], bounds[:-1], bounds[1:], centroids)
-        assert out.tolist() == per_cluster.tolist()
+        bounds = np.searchsorted(labels, np.arange(m + 1))
+        out = mean_distances(values, bounds[:-1], bounds[1:], centroids)
+        np.testing.assert_allclose(out, per_cluster, rtol=0, atol=1e-9)
         assert np.flatnonzero(bounds[:-1] == bounds[1:]).tolist() == empty
 
 
@@ -294,59 +296,29 @@ class TestMicdTraces:
                          k_max=int(rng.integers(1, 30)), rng_seed=seed)
 
     @staticmethod
-    def check(cases, block_values):
-        """Batch the traces of all cases; each must equal its reference."""
+    def check(cases):
+        """The trace of either result of each case must match its
+        reference."""
         references = [micd_trace_reference(f, cfg) for f, cfg in cases]
-        results = [improved_kmeans(f, cfg) for f, cfg in cases]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(select, "_BLOCK_VALUES", block_values)
-            micd_traces(results)
-            for (f, cfg), (trace, _), res in zip(cases, references, results):
-                assert res.micd_trace == trace
-                # the final-iteration result fills its own trace on first use
-                assert plain_kmeans(f, cfg).micd_trace == trace
+        for (f, cfg), (trace, _) in zip(cases, references):
+            for res in (improved_kmeans(f, cfg), plain_kmeans(f, cfg)):
+                np.testing.assert_allclose(res.micd_trace, trace, rtol=0, atol=1e-9)
         return [met for _, met in references]
 
     @settings(max_examples=150, deadline=None)
     @given(
         kinds=st.lists(st.sampled_from(["grid", "uniform"]), min_size=1, max_size=5),
         seed=st.integers(0, 2**32 - 1),
-        block_values=st.sampled_from([1, 7, 64, 1 << 17]),
     )
-    def test_equals_per_iteration_reference(self, kinds, seed, block_values):
-        self.check([self.case(k, seed + i) for i, k in enumerate(kinds)], block_values)
+    def test_equals_per_iteration_reference(self, kinds, seed):
+        self.check([self.case(k, seed + i) for i, k in enumerate(kinds)])
 
-    def test_hard_cases_met_in_one_batch(self):
+    def test_hard_cases_met(self):
         cases = [self.case("grid" if s % 3 else "uniform", s) for s in range(40)]
         cases.append((np.array([3.0, 1.0, 2.0, 2.0]), config(4)))  # f.size == m
-        met = self.check(cases, 64)
+        met = self.check(cases)
         for hard in ("duplicates", "on_midpoint", "reseed", "collision"):
             assert any(m.get(hard) for m in met), hard
-
-    def test_row_reduce_matches_one_dimensional_reduce(self):
-        # the batch relies on numpy summing each row of a C-contiguous matrix
-        # with the same pairwise order as a 1-D reduce of that row
-        rng = np.random.default_rng(11)
-        values = rng.uniform(380.0, 450.0, 2048)
-        for length in range(1, 1025):
-            rows = rng.uniform(380.0, 450.0, (3, length))
-            assert np.add.reduce(rows, axis=1).tolist() == [np.add.reduce(r) for r in rows]
-            starts = rng.integers(0, values.size - length + 1, 3)
-            cents = rng.uniform(380.0, 450.0, 3)
-            got = _slice_means(values, starts, starts + length, cents)
-            want = [np.add.reduce(np.abs(values[s:s + length] - c)) / length
-                    for s, c in zip(starts, cents)]
-            assert got.tolist() == want
-
-    def test_slice_means_blocks_and_empty_slices(self):
-        rng = np.random.default_rng(12)
-        values = rng.uniform(0.0, 1.0, 5000)
-        starts = np.concatenate([rng.integers(0, 4000, 300), [10, 20]])
-        ends = np.concatenate([starts[:300] + 1000, [10, 20]])
-        cents = rng.uniform(0.0, 1.0, starts.size)
-        want = [np.add.reduce(np.abs(values[s:e] - c)) / (e - s) if e > s else 0.0
-                for s, e, c in zip(starts, ends, cents)]
-        assert _slice_means(values, starts, ends, cents).tolist() == want
 
 
 class TestSnapDistinct:
@@ -605,7 +577,7 @@ class TestBatchedKmeans:
     def pool(cls, kind, m, seed):
         """A candidate pool of at least m values and its config.  A half-unit
         grid gives duplicates, values on midpoints, empty clusters and snap
-        collisions; negative values take the row-by-row search."""
+        collisions; a negative pool lies wholly below zero."""
         rng = np.random.default_rng(seed)
         n = m if kind == "exact" else int(rng.integers(m + 1, 70))
         if kind in ("grid", "negative"):
@@ -631,7 +603,8 @@ class TestBatchedKmeans:
         for (f, cfg, _), (imp, pla, _), (g_imp, g_pla) in zip(pools, refs, got):
             assert as_outcome(g_imp) == imp
             assert as_outcome(g_pla) == pla
-            assert g_imp.micd_trace == micd_trace_reference(f, cfg)[0]
+            np.testing.assert_allclose(g_imp.micd_trace, micd_trace_reference(f, cfg)[0],
+                                       rtol=0, atol=1e-9)
         return refs
 
     @settings(max_examples=120, deadline=None)
@@ -664,7 +637,7 @@ class TestBatchedKmeans:
     @pytest.mark.parametrize("kind", ["grid", "uniform", "negative"])
     def test_zero_iteration_pools(self, kind):
         # baselines: pools that run no iteration, alone and beside iterating
-        # ones; negative candidates take the row-by-row search
+        # ones
         pools = []
         for seed in range(12):
             f, cfg, refs = self.pool(kind, 8, seed)
@@ -690,8 +663,8 @@ class TestBatchedKmeans:
         self.check(ascending, 4)
         got = batched_kmeans([f for f, _, _ in ascending], [c for _, c, _ in ascending],
                              [r for _, _, r in ascending])
-        for (f, _, _), (imp, pla) in zip(ascending, got):
-            assert imp._micd is pla._micd and imp._micd.fs is f
+        for imp, pla in got:
+            assert imp.micd_trace is pla.micd_trace
 
     def test_pools_must_share_m(self):
         f = np.arange(20.0)
