@@ -161,8 +161,8 @@ def export_profile_csv(layout: FabricLayout, prof: FrequencyProfile, path: str) 
     Two header lines record ``# t_on_us=`` (its ``repr``) and ``# samples=``
     (m); then each site's row joins its label from the chip's layout
     (``ChipProfile.layout``) with its two integer count moments.  The rows
-    are one ``%`` format of the layout's row template, which a profile of
-    the layout's ``active`` sites shares with every other chip of that
+    are one bytes ``%`` format of the layout's row template, which a profile
+    of the layout's ``active`` sites shares with every other chip of that
     layout.  Re-ingesting the file gives the profile's means and sigmas bit
     for bit.
     """
@@ -174,5 +174,5 @@ def export_profile_csv(layout: FabricLayout, prof: FrequencyProfile, path: str) 
     moments = np.empty(2 * len(refs), dtype=np.int64)
     moments[0::2], moments[1::2] = prof.sum_count, prof.sum_count_sq
     head = f"# t_on_us={float(prof.t_on_us)!r}\n# samples={prof.m}\n{PROFILE_HEADER}\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(head + template % tuple(moments.tolist()))
+    with open(path, "wb") as fh:
+        fh.write(head.encode() + template % tuple(moments.tolist()))

@@ -286,14 +286,14 @@ class FabricLayout:
                                   self.corner.tolist(), self.class_codes.tolist())
         )
 
-    def csv_row_template(self, site_refs: Sequence[int]) -> str:
-        """``%``-format template of profile CSV rows, one line
+    def csv_row_template(self, site_refs: Sequence[int]) -> bytes:
+        """``%``-format bytes template of profile CSV rows, one line
         ``<label>,%d,%d`` per site of ``site_refs``; no label holds a ``%``."""
         labels = self.csv_labels
-        return "".join(labels[r] + ",%d,%d\n" for r in site_refs)
+        return "".join(labels[r] + ",%d,%d\n" for r in site_refs).encode()
 
     @functools.cached_property
-    def active_csv_row_template(self) -> str:
+    def active_csv_row_template(self) -> bytes:
         """``csv_row_template`` of the ``active`` sites, built on first use."""
         return self.csv_row_template(self.active.tolist())
 

@@ -317,10 +317,13 @@ def _candidate_pool(
     with times.stage("reject"):
         clean = reject_erroneous(prof)
         kept = clean.kept
-        mean = kept.mean
-        order = np.argsort(mean, kind="stable")
+        # the mean S1 / (m t_on) rises strictly with S1 while S1 < 2^26.5,
+        # which the exact-moment limit guarantees, so sorting these unique
+        # keys orders the pool as a stable sort of the means
+        s1 = kept.sum_count.astype(np.int64)
+        order = np.argsort(s1 * s1.size + np.arange(s1.size))
     return _Pool(seeds, chip, prof, clean.z_bar, clean.rejected_count,
-                 mean[order], kept.site_refs[order])
+                 kept.mean[order], kept.site_refs[order])
 
 
 def _kmeans(config: PipelineConfig, pools: Sequence[_Pool]) -> list[SelectionResult]:

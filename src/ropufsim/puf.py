@@ -218,16 +218,24 @@ def generate_response(
 RESPONSE_COLUMNS = "device_id,temp_c,vcc_mv,hexbits"
 
 
+def _condition_text(value: float) -> str:
+    """``value`` in ``:g`` form when that reads back as it, else its ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def save_responses(path: str, responses: list[ResponseSet]) -> None:
     """Dump responses of one width k: a ``device_id,temp_c,vcc_mv,hexbits(k=<k>)``
-    header, then one ``device_id,temp,vcc,hexbits`` line each."""
+    header, then one ``device_id,temp,vcc,hexbits`` line each; a condition
+    is written so that it reads back exactly."""
     widths = {r.k for r in responses}
     if len(widths) != 1:
         raise ValueError(f"a dump holds responses of one width, got k in {sorted(widths)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{RESPONSE_COLUMNS}(k={widths.pop()})\n")
         for r in responses:
-            fh.write(f"{r.device_id},{r.env.temp_c:g},{r.env.vcc_mv:g},{r.to_hex()}\n")
+            fh.write(f"{r.device_id},{_condition_text(r.env.temp_c)},"
+                     f"{_condition_text(r.env.vcc_mv)},{r.to_hex()}\n")
 
 
 def load_responses(path: str) -> list[ResponseSet]:

@@ -205,17 +205,20 @@ class _SortedRows:
         edge = [np.array([-np.inf]), np.array([np.inf])]
         self.padded = np.concatenate([x for a in self.arrays for x in (edge[0], a, edge[1])])
 
-    def search(self, rows: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
-        """Positions of the values ``x[i]`` in array ``rows[i]``."""
+    def search(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``"left"`` positions of the values ``x[i]`` in array ``rows[i]``;
+        those of ``np.nextafter(x, np.inf)`` are the ``"right"`` positions of
+        a finite ``x``."""
         pos = np.empty(x.shape, dtype=np.intp)
         for i, r in enumerate(rows.tolist()):
-            pos[i] = np.searchsorted(self.arrays[r], x[i], side)
+            pos[i] = self.arrays[r].searchsorted(x[i])
         return pos
 
-    def snap(self, rows: np.ndarray, cents: np.ndarray) -> np.ndarray:
-        """``np.sort(_snap_distinct(...))`` of each row of sorted centroids."""
-        pos = self.search(rows, cents, "left")
-        at = self.starts[rows, None] + pos
+    def snap(self, rows: np.ndarray, cents: np.ndarray, pos: np.ndarray,
+             starts: np.ndarray) -> np.ndarray:
+        """``np.sort(_snap_distinct(...))`` of each row of sorted centroids,
+        from their ``search`` positions ``pos`` and the rows' ``starts``."""
+        at = starts + pos
         d_lo = cents - self.padded[at - 1]
         d_hi = self.padded[at] - cents
         nearest = pos - (d_lo <= d_hi)
@@ -265,16 +268,17 @@ def batched_kmeans(
     candidate's neighbours in the sorted centroids, the empty clusters of a
     pool filled one at a time), then the M + 1 bounds of the new clusters (a
     candidate on a midpoint joins the lower cluster) and the snap of the
-    centroids to distinct candidates.  Each step searches its midpoints
-    once; the next update step reuses those positions and searches again
-    only the pools where a candidate lies exactly on a midpoint.  A pool
-    stops when an update without re-seeds leaves its centroids unchanged, or
-    after its ``k_max`` iterations; with ``k_max=0`` it runs none, and both
-    results are its snapped seed list (a baseline selector).  Each step runs
-    for all pools still active at once, on a (pools, M) centroid matrix, and
-    gives every pool the results it would get alone.  All configs must share
-    one M.  Both results of a pool share one MICD trace.  A pool given in
-    ascending order is used as it is, without a sorted copy.
+    centroids to distinct candidates.  Each step makes one search per pool,
+    of its centroids and of the next float above each midpoint, which gives
+    the snap and the next update's bounds; only a pool with a candidate
+    exactly on a midpoint searches again.  A pool stops when an update
+    without re-seeds leaves its centroids unchanged, or after its ``k_max``
+    iterations; with ``k_max=0`` it runs none, and both results are its
+    snapped seed list (a baseline selector).  Each step runs for all pools
+    still active at once, on a (pools, M) centroid matrix, and gives every
+    pool the results it would get alone.  All configs must share one M.  Both
+    results of a pool share one MICD trace.  A pool given in ascending order
+    is used as it is, without a sorted copy.
     """
     if len(configs) != len(freqs):
         raise ValueError("need one config per candidate pool")
@@ -335,9 +339,15 @@ def _em_batch(pools, c: np.ndarray, best, trace0, out) -> None:
     k_max = np.array([k for _, _, _, k in pools])
     m = c.shape[1]
     ids = np.flatnonzero(k_max >= 1)  # the pools still iterating
-    c = c[ids]
+    # the active pools' rows of every per-pool array, compacted as pools finish
+    c, k_act, starts, cum0 = c[ids], k_max[ids], cands.starts[ids, None], cum_starts[ids, None]
+    bounds = np.empty((ids.size, m + 1), dtype=np.intp)
+    bounds[:, 0], bounds[:, -1] = 0, n[ids]
+    # one search per step: the centroids at even columns and, at odd ones,
+    # the next float above each midpoint, whose "left" positions are its "right" ones
+    query = np.empty((ids.size, 2 * m - 1))
     mids = (c[:, :-1] + c[:, 1:]) / 2.0
-    right = cands.search(ids, mids, "right")
+    right = cands.search(ids, np.nextafter(mids, np.inf))
     log = [(np.empty(0, dtype=np.intp), np.empty((0, m - 1), dtype=np.intp),
             np.empty((0, m)), np.empty((0, m), dtype=np.intp), np.empty(0))]
     iteration = 0
@@ -346,16 +356,12 @@ def _em_batch(pools, c: np.ndarray, best, trace0, out) -> None:
         # the update step assigns a candidate on a midpoint to the upper
         # cluster; the "right" positions differ from the "left" ones only
         # where the candidate before them lies on the midpoint
-        left = right
-        on_mid = (cands.padded[cands.starts[ids, None] + right - 1] == mids).any(axis=1)
+        bounds[:, 1:-1] = right
+        on_mid = (cands.padded[starts + right - 1] == mids).any(axis=1)
         if on_mid.any():
-            left = right.copy()
-            left[on_mid] = cands.search(ids[on_mid], mids[on_mid], "left")
-        bounds = np.empty((ids.size, m + 1), dtype=np.intp)
-        bounds[:, 0], bounds[:, -1] = 0, n[ids]
-        bounds[:, 1:-1] = left
+            bounds[on_mid, 1:-1] = cands.search(ids[on_mid], mids[on_mid])
         counts = bounds[:, 1:] - bounds[:, :-1]
-        edge_sums = cums[cum_starts[ids, None] + bounds]
+        edge_sums = cums[cum0 + bounds]
         new_c = (edge_sums[:, 1:] - edge_sums[:, :-1]) / np.maximum(counts, 1)
         reseeded = (counts == 0).any(axis=1)
         for i in np.flatnonzero(reseeded):
@@ -365,17 +371,22 @@ def _em_batch(pools, c: np.ndarray, best, trace0, out) -> None:
                 row[j] = fs[int(np.argmax(_nearest_centroid_distance(fs, row)))]
             new_c[i] = row
         new_c.sort(axis=1)
-        new_mids = (new_c[:, :-1] + new_c[:, 1:]) / 2.0
-        snapped = cands.snap(ids, new_c)
-        chosen = cands.padded[cands.starts[ids, None] + snapped]
+        query[:, 0::2] = new_c
+        mids = (new_c[:, :-1] + new_c[:, 1:]) / 2.0
+        np.nextafter(mids, np.inf, out=query[:, 1::2])
+        pos = cands.search(ids, query)
+        snapped = cands.snap(ids, new_c, pos[:, 0::2], starts)
+        chosen = cands.padded[starts + snapped]
         beta = (chosen[:, 1:] - chosen[:, :-1]).min(axis=1)
-        right = cands.search(ids, new_mids, "right")
+        right = pos[:, 1::2].copy()  # the log keeps it, not all of pos
         log.append((ids, right, new_c, snapped, beta))
         done = (new_c == c).all(axis=1) & ~reseeded
-        done |= iteration >= k_max[ids]
-        c, mids = new_c, new_mids
+        done |= iteration >= k_act
+        c = new_c
         if done.any():
-            ids, c, mids, right = ids[~done], c[~done], mids[~done], right[~done]
+            keep = ~done
+            ids, c, mids, right, k_act = ids[keep], c[keep], mids[keep], right[keep], k_act[keep]
+            starts, cum0, bounds, query = starts[keep], cum0[keep], bounds[keep], query[keep]
 
     # every pool's iterations, in order, as one slice of each logged array
     row_of = np.concatenate([entry[0] for entry in log])
@@ -445,6 +456,8 @@ def relocate_centroids(nu, lp, site_refs=None) -> SelectionResult:
     minimum; try the opposite direction if no such position exists.  Stops
     when neither direction admits a move or after ``RELOCATION_MAX_ROUNDS``
     rounds.  The returned minimum difference never falls below the input's.
+    The M positions, values and gaps are Python lists, and a move
+    recomputes only the two gaps beside the mover.
     """
     nu = np.asarray(nu, dtype=float)
     if nu.ndim != 1 or nu.size < 2:
@@ -457,47 +470,43 @@ def relocate_centroids(nu, lp, site_refs=None) -> SelectionResult:
     refs = np.arange(nu.size) if site_refs is None else np.asarray(site_refs, dtype=np.intp)
 
     # pos stays sorted, so each round's adjacent gaps are all the pairwise
-    # ones and their minimum is the trace entry
-    pos = _map_to_indices(nu, lp)
-    gaps = np.diff(nu[pos])
-    trace: list[float] = [float(gaps.min())]
+    # ones and their minimum (the first one, as argmin) is the trace entry
+    pos = _map_to_indices(nu, lp).tolist()
+    vals = nu[pos].tolist()
+    gaps = [b - a for a, b in zip(vals, vals[1:])]
+    last = len(pos) - 1
+    trace: list[float] = [min(gaps)]
 
     def try_move(direction: str, k_m: int, th: float) -> bool:
         if direction == "L":
             mover = k_m
-            left = pos[k_m - 1] if k_m >= 1 else -1
-            if left < 0:
-                j = 0
-            else:
-                j = int(np.searchsorted(nu, nu[left] + th, side="right"))
-            if j >= pos[mover] or nu[j] >= nu[pos[mover]]:
+            j = 0 if k_m == 0 else int(nu.searchsorted(vals[k_m - 1] + th, "right"))
+            if j >= pos[mover] or nu.item(j) >= vals[mover]:
                 return False
-            pos[mover] = j
-            return True
-        mover = k_m + 1
-        right = pos[k_m + 2] if k_m + 2 < pos.size else nu.size
-        if right >= nu.size:
-            j = nu.size - 1
         else:
-            j = int(np.searchsorted(nu, nu[right] - th, side="left")) - 1
-        if j <= pos[mover] or nu[j] <= nu[pos[mover]]:
-            return False
-        pos[mover] = j
+            mover = k_m + 1
+            j = nu.size - 1 if mover == last else int(nu.searchsorted(vals[mover + 1] - th)) - 1
+            if j <= pos[mover] or nu.item(j) <= vals[mover]:
+                return False
+        pos[mover], vals[mover] = j, nu.item(j)
+        if mover > 0:
+            gaps[mover - 1] = vals[mover] - vals[mover - 1]
+        if mover < last:
+            gaps[mover] = vals[mover + 1] - vals[mover]
         return True
 
     iterations = 0
     for _ in range(RELOCATION_MAX_ROUNDS):
-        k_m = int(np.argmin(gaps))
-        th = float(gaps[k_m])
-        left_gap = float(gaps[k_m - 1]) if k_m >= 1 else np.inf
-        right_gap = float(gaps[k_m + 1]) if k_m + 1 < gaps.size else np.inf
+        th = min(gaps)
+        k_m = gaps.index(th)
+        left_gap = gaps[k_m - 1] if k_m >= 1 else np.inf
+        right_gap = gaps[k_m + 1] if k_m < last - 1 else np.inf
         prefer = "L" if left_gap > right_gap else "R"
         other = "R" if prefer == "L" else "L"
         if not (try_move(prefer, k_m, th) or try_move(other, k_m, th)):
             break
         iterations += 1
-        gaps = np.diff(nu[pos])
-        trace.append(float(gaps.min()))
+        trace.append(min(gaps))
 
     return SelectionResult(
         refs=refs[pos],

@@ -14,7 +14,12 @@ import pytest
 
 import ropufsim.pipeline as pipeline
 import ropufsim.select as select
-from ropufsim.characterize import DEFAULT_THRESHOLD, reject_erroneous
+from ropufsim.characterize import (
+    DEFAULT_THRESHOLD,
+    FrequencyProfile,
+    characterize,
+    reject_erroneous,
+)
 from ropufsim.chipmodel import (
     DEFAULT_T_ON_US,
     REFERENCE_ENV,
@@ -343,6 +348,30 @@ class TestRunPipeline:
             clean = reject_erroneous(run.profile, threshold=DEFAULT_THRESHOLD)
             assert (run.kept_sites, run.rejected) == (clean.z_bar, clean.rejected_count)
             assert run.rejected > 0
+
+    def test_pool_order_is_stable_sort_of_means_with_ties(self, tmp_path, monkeypatch):
+        # S1 rounded to multiples of 4096 counts: long runs of equal means
+        # at sites scattered over the fabric
+        def tied(chip, m, rng):
+            prof = characterize(chip, m=m, rng=rng)
+            s1 = np.rint(prof.sum_count / 4096) * 4096
+            s2 = np.maximum(prof.sum_count_sq, -(-(s1 * s1) // m))
+            return FrequencyProfile(prof.site_refs, s1, s2, m, prof.t_on_us)
+
+        monkeypatch.setattr(pipeline, "characterize", tied)
+        config = tiny_config(tmp_path)
+        pool = pipeline._candidate_pool(config, 0, pipeline._device_spec(config),
+                                        pipeline._StageTimes())
+        kept = reject_erroneous(pool.profile).kept
+        mean = kept.mean
+        _, first, counts = np.unique(mean, return_index=True, return_counts=True)
+        tied_runs = counts > 1
+        assert tied_runs.sum() > 10 and counts.max() > 20
+        # the largest tie holds sites that are not neighbours in site order
+        assert np.any(np.diff(np.flatnonzero(mean == mean[first[np.argmax(counts)]])) > 1)
+        order = np.argsort(mean, kind="stable")
+        assert pool.nu.tobytes() == mean[order].tobytes()
+        assert pool.nu_refs.tolist() == kept.site_refs[order].tolist()
 
     def test_kmeans_runs_default_iteration_limit(self, tmp_path, monkeypatch):
         configs = []

@@ -342,6 +342,18 @@ class TestResponseIo:
             assert got.env == orig.env
             assert np.array_equal(got.bits, orig.bits)
 
+    def test_conditions_beyond_six_digits_round_trip(self, tmp_path):
+        # :g keeps 6 significant digits, so these used to read back as
+        # 25.1235 degC and 1000 mV; values :g writes exactly keep its form
+        grid = [EnvCondition(25.123456789, 1000.0004), EnvCondition(-40.0, 1e-7),
+                EnvCondition(0.1 + 0.2, 950.0), EnvCondition(1e21 + 1e6, 1000.5)]
+        responses = [ResponseSet("dev", env, np.ones(7, np.uint8), 7, 1) for env in grid]
+        path = tmp_path / "responses.csv"
+        save_responses(str(path), responses)
+        assert [r.env for r in load_responses(str(path))] == grid
+        lines = path.read_text().splitlines()
+        assert lines[2:4] == ["dev,-40,1e-07,7f", "dev,0.30000000000000004,950,7f"]
+
     def test_malformed_dump_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("device_id,temp_c,vcc_mv,hexbits(k=8)\ndev,35,notanumber,ff\n")

@@ -134,6 +134,54 @@ def map_to_indices_reference(nu, values):
     return out
 
 
+def relocate_reference(nu, lp, site_refs=None):
+    """Centroid relocation on numpy arrays, recomputing every gap each
+    round: (refs, freqs, min_diff_trace, iterations)."""
+    nu = np.asarray(nu, dtype=float)
+    refs = np.arange(nu.size) if site_refs is None else np.asarray(site_refs, dtype=np.intp)
+    pos = _map_to_indices(nu, np.asarray(lp, dtype=float))
+    gaps = np.diff(nu[pos])
+    trace = [float(gaps.min())]
+
+    def try_move(direction, k_m, th):
+        if direction == "L":
+            mover = k_m
+            left = pos[k_m - 1] if k_m >= 1 else -1
+            if left < 0:
+                j = 0
+            else:
+                j = int(np.searchsorted(nu, nu[left] + th, side="right"))
+            if j >= pos[mover] or nu[j] >= nu[pos[mover]]:
+                return False
+            pos[mover] = j
+            return True
+        mover = k_m + 1
+        right = pos[k_m + 2] if k_m + 2 < pos.size else nu.size
+        if right >= nu.size:
+            j = nu.size - 1
+        else:
+            j = int(np.searchsorted(nu, nu[right] - th, side="left")) - 1
+        if j <= pos[mover] or nu[j] <= nu[pos[mover]]:
+            return False
+        pos[mover] = j
+        return True
+
+    iterations = 0
+    for _ in range(select.RELOCATION_MAX_ROUNDS):
+        k_m = int(np.argmin(gaps))
+        th = float(gaps[k_m])
+        left_gap = float(gaps[k_m - 1]) if k_m >= 1 else np.inf
+        right_gap = float(gaps[k_m + 1]) if k_m + 1 < gaps.size else np.inf
+        prefer = "L" if left_gap > right_gap else "R"
+        other = "R" if prefer == "L" else "L"
+        if not (try_move(prefer, k_m, th) or try_move(other, k_m, th)):
+            break
+        iterations += 1
+        gaps = np.diff(nu[pos])
+        trace.append(float(gaps.min()))
+    return refs[pos].tolist(), nu[pos].tolist(), trace, iterations
+
+
 def kmeans_reference(freqs, cfg, site_refs=None):
     """One pool's (improved, plain) K-means outcome from the per-device loop,
     each as (refs, freqs, min_diff, min_diff_trace, iterations), plus
@@ -513,6 +561,34 @@ class TestRelocation:
         assert one.iterations == 1
         assert 4.0 < one.min_diff < full.min_diff == 7.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nu=st.lists(st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 100.0)),
+                    min_size=2, max_size=40),
+        data=st.data(),
+        spread=st.booleans(),
+        one_round=st.booleans(),
+    )
+    @example(nu=[0.0, 10.0, 20.0], data=None, spread=True, one_round=False)
+    def test_equals_array_reference(self, nu, data, spread, one_round):
+        # duplicate frequencies, M = 2 and already-spread inputs; one round
+        # through RELOCATION_MAX_ROUNDS
+        nu = np.sort(np.array(nu))
+        if spread:
+            lp = nu[np.unique(np.linspace(0, nu.size - 1, min(nu.size, 4)).astype(int))]
+        else:
+            m = data.draw(st.integers(2, nu.size))
+            lp = nu[data.draw(st.permutations(range(nu.size)))[:m]]
+        refs = np.arange(nu.size)[::-1] * 3
+        with pytest.MonkeyPatch.context() as patch:
+            if one_round:
+                patch.setattr(select, "RELOCATION_MAX_ROUNDS", 1)
+            want = relocate_reference(nu, lp, refs)
+            got = relocate_centroids(nu, lp, site_refs=refs)
+        assert (got.refs.tolist(), got.freqs.tolist(), got.min_diff_trace,
+                got.iterations) == want
+        assert got.min_diff == want[2][-1]
+
     def test_two_centroids_slide_to_extremes(self):
         nu = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         res = relocate_centroids(nu, np.array([1.0, 2.0]))
@@ -726,10 +802,41 @@ class TestSortedRowsSearch:
                 [max(every.max(), 0.0) * 2 + 1, np.abs(every).min() / 2],
             ])) for _ in picks
         ])
-        for side in ("left", "right"):
+        # "left" positions of x, and of the next float above x, which are the
+        # "right" positions of x
+        for query, side in ((x, "left"), (np.nextafter(x, np.inf), "right")):
             want = [np.searchsorted(arrays[r], xi, side).tolist() for r, xi in zip(picks, x)]
-            assert cands.search(picks, x, side).tolist() == want
-            assert cands.search(picks[:1], x[:1], side).tolist() == want[:1]
+            assert cands.search(picks, query).tolist() == want
+            assert cands.search(picks[:1], query[:1]).tolist() == want[:1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.sampled_from([-3.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 2.0, 4.0]),
+                     min_size=1, max_size=12),
+            min_size=1, max_size=4),
+        cents=st.lists(
+            st.lists(st.sampled_from([-4.0, -3.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 5.0]),
+                     min_size=3, max_size=3),
+            min_size=1, max_size=6),
+        scale=st.sampled_from([1.0, -1.0, 1e-300, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_merged_midpoint_query(self, rows, cents, scale, seed):
+        # small integers, halves and signed zeros: duplicate candidates,
+        # centroids on candidates and midpoints equal to candidates; the
+        # scales make pools negative or near the ends of the float range
+        arrays = [np.sort(np.array(r) * scale) for r in rows]
+        cands = _SortedRows(arrays)
+        c = np.sort(np.array(cents) * scale, axis=1)
+        picks = np.random.default_rng(seed).integers(0, len(arrays), len(c))
+        mids = (c[:, :-1] + c[:, 1:]) / 2.0
+        query = np.empty((len(c), 2 * c.shape[1] - 1))
+        query[:, 0::2], query[:, 1::2] = c, np.nextafter(mids, np.inf)
+        pos = cands.search(picks, query)
+        for r, row, ci, mi in zip(picks, pos, c, mids):
+            assert row[0::2].tolist() == np.searchsorted(arrays[r], ci, "left").tolist()
+            assert row[1::2].tolist() == np.searchsorted(arrays[r], mi, "right").tolist()
 
 
 class TestNonFiniteCandidates:
