@@ -14,6 +14,7 @@ from .chipmodel import (
     MOMENT_COLUMNS,
     REFERENCE_ENV,
     ChipProfile,
+    ConfigError,
     FabricLayout,
     count_mean,
     count_sigma,
@@ -106,8 +107,8 @@ def characterize(
     times, as a per-sample draw would.
 
     Raises ``ValueError`` when some site is noisy and ``rng`` is None, and
-    naming ``t_on_us`` and the sample count when m * max(S2) reaches 2^53,
-    where the moments stop being exact.
+    ``ConfigError`` naming ``t_on_us`` and the sample count when
+    m * max(S2) reaches 2^53, where the moments stop being exact.
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples per site for sigma, got {m}")
@@ -131,10 +132,10 @@ def characterize(
     sum_count_sq = -(-(sum_count * sum_count + np.ceil(m * dev * dev * q)) // m)
     top = m * float(sum_count_sq.max(initial=0.0))
     if top >= EXACT_MOMENT_LIMIT:
-        raise ValueError(
+        raise ConfigError(
             f"t_on_us={t_on_us!r} with samples={m} gives samples * sum(count^2) "
             f"= {top:.4g}, beyond the 2**53 up to which count moments are exact; "
-            "shorten t_on_us or take fewer samples"
+            "take fewer samples"
         )
     return FrequencyProfile(idx, sum_count, sum_count_sq, m, t_on_us)
 

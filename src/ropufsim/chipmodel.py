@@ -310,7 +310,6 @@ class ChipProfile:
     """
 
     device_id: str
-    spec: DeviceSpec
     layout: FabricLayout
     nominal_freq: np.ndarray
     temp_coeff: Optional[np.ndarray]
@@ -410,7 +409,6 @@ def synth_chip(spec: DeviceSpec, device_seed: int, device_id: str | None = None)
 
     return ChipProfile(
         device_id=device_id or f"{spec.kind}_{device_seed}",
-        spec=spec,
         layout=layout,
         nominal_freq=nominal,
         temp_coeff=temp_coeff,
@@ -671,16 +669,8 @@ def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
         sigma = count_sigma(s1_arr, np.array(sq_sums, dtype=float), m, t_on_us)
 
     xs, ys, corners = zip(*sites)
-    spec = DeviceSpec(
-        kind="custom", site_count=len(sites),
-        mean_freq_base=float(np.mean(mean)),
-        mean_span=float(np.max(mean) - np.min(mean)),
-        sigma_span=float((np.max(sigma) - np.min(sigma)) / KHZ_TO_MHZ),
-        meas_sigma=0.0, central_exclusion=0.0, erroneous_fraction=0.0,
-    )
     return ChipProfile(
         device_id=device_id or "ingested",
-        spec=spec,
         layout=FabricLayout(xs, ys, [CORNERS.index(c) for c in corners],
                             [CLASS_NAMES.index(c) for c in sites.values()] if has_class else None),
         nominal_freq=mean,

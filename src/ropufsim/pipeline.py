@@ -124,6 +124,9 @@ class PipelineConfig:
         if not (is_int(m) and m in RO_COUNTS):
             raise bad("ro_count", f"one of {list(RO_COUNTS)}")
         try:
+            # a bool is on the grid too, as abs(1.0 - True) == 0
+            if not is_real(self.kappa):
+                raise TypeError
             _kappa_counts(m, self.kappa)
         except (TypeError, ValueError):
             raise bad("kappa", f"one of {valid_kappas(m)}") from None

@@ -53,17 +53,21 @@ class SelectionResult:
     """Chosen sites/frequencies plus convergence diagnostics.
 
     ``refs`` (site references) and ``freqs`` (MHz) describe the M chosen
-    oscillators, sorted by frequency; ``min_diff`` is the recomputed minimum
-    over all pairwise differences of the chosen frequencies; ``micd_trace``
-    is the mean intra-cluster distance after each K-means iteration.
+    oscillators, sorted by frequency; ``min_diff`` is the minimum over all
+    pairwise differences of the chosen frequencies; ``micd_trace`` is the
+    mean intra-cluster distance after each K-means iteration.
     """
 
     refs: np.ndarray
     freqs: np.ndarray
     min_diff: float
-    min_diff_trace: list[float] = field(default_factory=list)
-    iterations: int = 0
+    min_diff_trace: list[float]
     micd_trace: list[float] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        """K-means iterations or relocation moves: the trace entries after the start's."""
+        return len(self.min_diff_trace) - 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,19 +154,12 @@ def _snap_distinct(fs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-existing-frequency indices, one distinct candidate per centroid.
 
     ``fs`` must be sorted.  Exact distance ties go to the lower value, which
-    for duplicated frequencies is the lowest index.  When nearest candidates
-    collide, centroids are resolved in ascending order and one whose nearest
-    candidate is taken walks outward to the nearest free one.
+    for duplicated frequencies is the lowest index.  Centroids are resolved
+    in ascending order, and one whose nearest candidate is taken walks
+    outward to the nearest free one: ``_SortedRows.snap``'s collision walk.
     """
     n = fs.size
     centroids = np.asarray(centroids, dtype=float)
-    if centroids.size <= n:
-        pos = np.searchsorted(fs, centroids)
-        d_lo = np.where(pos > 0, centroids - fs[np.maximum(pos - 1, 0)], np.inf)
-        d_hi = np.where(pos < n, fs[np.minimum(pos, n - 1)] - centroids, np.inf)
-        nearest = np.where(d_lo <= d_hi, pos - 1, pos)
-        if (nearest[1:] > nearest[:-1]).all() or (np.diff(np.sort(nearest)) > 0).all():
-            return nearest
     taken: set[int] = set()
     out = np.empty(len(centroids), dtype=np.intp)
     order = np.argsort(centroids, kind="stable")
@@ -271,14 +268,15 @@ def batched_kmeans(
     centroids to distinct candidates.  Each step makes one search per pool,
     of its centroids and of the next float above each midpoint, which gives
     the snap and the next update's bounds; only a pool with a candidate
-    exactly on a midpoint searches again.  A pool stops when an update
-    without re-seeds leaves its centroids unchanged, or after its ``k_max``
-    iterations; with ``k_max=0`` it runs none, and both results are its
-    snapped seed list (a baseline selector).  Each step runs for all pools
-    still active at once, on a (pools, M) centroid matrix, and gives every
-    pool the results it would get alone.  All configs must share one M.  Both
-    results of a pool share one MICD trace.  A pool given in ascending order
-    is used as it is, without a sorted copy.
+    exactly on a midpoint searches again.  Step 0 searches and snaps the
+    sorted seed list the same way.  A pool stops when an update without
+    re-seeds leaves its centroids unchanged, or after its ``k_max``
+    iterations; with ``k_max=0`` it stops after step 0, and both results are
+    its snapped seed list (a baseline selector).  Each step runs for all
+    pools still active at once, on a (pools, M) centroid matrix, and gives
+    every pool the results it would get alone.  All configs must share one
+    M.  Both results of a pool share one MICD trace.  A pool given in
+    ascending order is used as it is, without a sorted copy.
     """
     if len(configs) != len(freqs):
         raise ValueError("need one config per candidate pool")
@@ -288,7 +286,7 @@ def batched_kmeans(
     if len(ms) > 1:
         raise ValueError(f"pools of one batch must share M, got {sorted(ms)}")
     out: list = [None] * len(freqs)
-    pools, inits, best, trace0 = [], [], [], []
+    pools, inits = [], []
     for d, (f, cfg, refs) in enumerate(zip(freqs, configs, site_refs)):
         try:
             f = _require_candidates(f)
@@ -304,55 +302,64 @@ def batched_kmeans(
             order = np.argsort(f, kind="stable")
             fs, refs_sorted = f[order], refs[order]
         init = seed_centroids(fs, m, cfg.seeding, np.random.default_rng(cfg.rng_seed))
-        # centroids may not exist in the pool at initialization, so the
-        # stored baseline is the snapped seed list
-        snapped = _snap_distinct(fs, init)
         pools.append((d, fs, refs_sorted, cfg.k_max))
         inits.append(np.sort(init))
-        best.append(snapped)
-        trace0.append(min_pairwise_diff(fs[snapped]))
     if pools:
-        _em_batch(pools, np.array(inits), best, trace0, out)
+        _em_batch(pools, np.array(inits), out)
     return out
 
 
-def _result(fs, refs_sorted, idx, trace, micd, iterations) -> SelectionResult:
-    idx = np.sort(idx)
+def _result(fs, refs_sorted, snaps, trace, micd, step) -> SelectionResult:
+    """The snapped list of one step of a pool's EM log."""
+    idx = snaps[step]
     return SelectionResult(
         refs=refs_sorted[idx],
         freqs=fs[idx],
-        min_diff=min_pairwise_diff(fs[idx]) if len(idx) >= 2 else 0.0,
+        min_diff=trace[step],
         min_diff_trace=trace,
-        iterations=iterations,
         micd_trace=micd,
     )
 
 
-def _em_batch(pools, c: np.ndarray, best, trace0, out) -> None:
-    """The EM iterations of ``batched_kmeans`` from the pools' sorted initial
-    centroids ``c``; fills their entries of ``out``."""
+def _em_batch(pools, c: np.ndarray, out) -> None:
+    """The EM log of ``batched_kmeans`` from the pools' sorted seed lists
+    ``c``, whose snap is step 0; fills their entries of ``out``."""
     cands = _SortedRows([fs for _, fs, _, _ in pools])
     n = cands.sizes
     # each pool's prefix sums, with a leading 0, end to end
     cums = np.concatenate([np.concatenate([[0.0], np.cumsum(fs)]) for _, fs, _, _ in pools])
     cum_starts = np.concatenate([[0], np.cumsum(n + 1)[:-1]])
-    k_max = np.array([k for _, _, _, k in pools])
+    k_act = np.array([k for _, _, _, k in pools])
     m = c.shape[1]
-    ids = np.flatnonzero(k_max >= 1)  # the pools still iterating
+    ids = np.arange(len(pools))  # the pools still in the log
     # the active pools' rows of every per-pool array, compacted as pools finish
-    c, k_act, starts, cum0 = c[ids], k_max[ids], cands.starts[ids, None], cum_starts[ids, None]
+    starts, cum0 = cands.starts[:, None], cum_starts[:, None]
     bounds = np.empty((ids.size, m + 1), dtype=np.intp)
-    bounds[:, 0], bounds[:, -1] = 0, n[ids]
+    bounds[:, 0], bounds[:, -1] = 0, n
     # one search per step: the centroids at even columns and, at odd ones,
     # the next float above each midpoint, whose "left" positions are its "right" ones
     query = np.empty((ids.size, 2 * m - 1))
-    mids = (c[:, :-1] + c[:, 1:]) / 2.0
-    right = cands.search(ids, np.nextafter(mids, np.inf))
-    log = [(np.empty(0, dtype=np.intp), np.empty((0, m - 1), dtype=np.intp),
-            np.empty((0, m)), np.empty((0, m), dtype=np.intp), np.empty(0))]
-    iteration = 0
-    while ids.size:
-        iteration += 1
+    log = []
+    done = np.zeros(ids.size, dtype=bool)
+    step = 0
+    while True:
+        query[:, 0::2] = c
+        mids = (c[:, :-1] + c[:, 1:]) / 2.0
+        np.nextafter(mids, np.inf, out=query[:, 1::2])
+        pos = cands.search(ids, query)
+        snapped = cands.snap(ids, c, pos[:, 0::2], starts)
+        chosen = cands.padded[starts + snapped]
+        beta = (chosen[:, 1:] - chosen[:, :-1]).min(axis=1)
+        right = pos[:, 1::2].copy()  # the log keeps it, not all of pos
+        log.append((ids, right, c, snapped, beta))
+        done |= step >= k_act
+        if done.any():
+            keep = ~done
+            ids, c, mids, right, k_act = ids[keep], c[keep], mids[keep], right[keep], k_act[keep]
+            starts, cum0, bounds, query = starts[keep], cum0[keep], bounds[keep], query[keep]
+            if not ids.size:
+                break
+        step += 1
         # the update step assigns a candidate on a midpoint to the upper
         # cluster; the "right" positions differ from the "left" ones only
         # where the candidate before them lies on the midpoint
@@ -371,46 +378,29 @@ def _em_batch(pools, c: np.ndarray, best, trace0, out) -> None:
                 row[j] = fs[int(np.argmax(_nearest_centroid_distance(fs, row)))]
             new_c[i] = row
         new_c.sort(axis=1)
-        query[:, 0::2] = new_c
-        mids = (new_c[:, :-1] + new_c[:, 1:]) / 2.0
-        np.nextafter(mids, np.inf, out=query[:, 1::2])
-        pos = cands.search(ids, query)
-        snapped = cands.snap(ids, new_c, pos[:, 0::2], starts)
-        chosen = cands.padded[starts + snapped]
-        beta = (chosen[:, 1:] - chosen[:, :-1]).min(axis=1)
-        right = pos[:, 1::2].copy()  # the log keeps it, not all of pos
-        log.append((ids, right, new_c, snapped, beta))
         done = (new_c == c).all(axis=1) & ~reseeded
-        done |= iteration >= k_act
         c = new_c
-        if done.any():
-            keep = ~done
-            ids, c, mids, right, k_act = ids[keep], c[keep], mids[keep], right[keep], k_act[keep]
-            starts, cum0, bounds, query = starts[keep], cum0[keep], bounds[keep], query[keep]
 
-    # every pool's iterations, in order, as one slice of each logged array
+    # every pool's steps, in order, as one slice of each logged array
     row_of = np.concatenate([entry[0] for entry in log])
     order = np.argsort(row_of, kind="stable")
-    splits = np.cumsum(np.bincount(row_of, minlength=len(pools)))[:-1]
+    splits = np.cumsum(np.bincount(row_of))[:-1]
     inner, cents, snaps, betas = (
         np.split(np.concatenate([entry[k] for entry in log])[order], splits) for k in range(1, 5)
     )
     for p, (d, fs, refs, _) in enumerate(pools):
-        iterations = len(cents[p])
-        trace = [trace0[p], *betas[p].tolist()]
-        # the kept list is the first strict maximum over the seed list and
-        # every iteration
-        top = int(np.argmax(trace))
-        b = np.empty((iterations, m + 1), dtype=np.intp)
-        b[:, 0], b[:, -1], b[:, 1:-1] = 0, fs.size, inner[p]
+        trace = betas[p].tolist()
+        # the MICD of every iteration, the steps after the seed list
+        b = np.empty((len(trace) - 1, m + 1), dtype=np.intp)
+        b[:, 0], b[:, -1], b[:, 1:-1] = 0, fs.size, inner[p][1:]
         cum = cums[cum_starts[p] : cum_starts[p] + fs.size + 1]
-        means = _mean_distances(fs, cum, b[:, :-1], b[:, 1:], cents[p])
+        means = _mean_distances(fs, cum, b[:, :-1], b[:, 1:], cents[p][1:])
         micd = (np.add.reduce(means, axis=1) / m).tolist()
-        final = snaps[p][-1] if iterations else best[p]
-        out[d] = (
-            _result(fs, refs, best[p] if top == 0 else snaps[p][top - 1], trace, micd, iterations),
-            _result(fs, refs, final, trace, micd, iterations),
-        )
+        # improved K-means keeps the first strict maximum, plain K-means the
+        # last step
+        top = int(np.argmax(betas[p]))
+        out[d] = (_result(fs, refs, snaps[p], trace, micd, top),
+                  _result(fs, refs, snaps[p], trace, micd, -1))
 
 
 def improved_kmeans(freqs, config: SelectionConfig, site_refs=None) -> SelectionResult:
@@ -495,7 +485,6 @@ def relocate_centroids(nu, lp, site_refs=None) -> SelectionResult:
             gaps[mover] = vals[mover + 1] - vals[mover]
         return True
 
-    iterations = 0
     for _ in range(RELOCATION_MAX_ROUNDS):
         th = min(gaps)
         k_m = gaps.index(th)
@@ -505,13 +494,6 @@ def relocate_centroids(nu, lp, site_refs=None) -> SelectionResult:
         other = "R" if prefer == "L" else "L"
         if not (try_move(prefer, k_m, th) or try_move(other, k_m, th)):
             break
-        iterations += 1
         trace.append(min(gaps))
 
-    return SelectionResult(
-        refs=refs[pos],
-        freqs=nu[pos],
-        min_diff=trace[-1],
-        min_diff_trace=trace,
-        iterations=iterations,
-    )
+    return SelectionResult(refs=refs[pos], freqs=nu[pos], min_diff=trace[-1], min_diff_trace=trace)

@@ -53,7 +53,6 @@ def manual_chip(freqs, temp_coeff=None, volt_coeff=None, meas_sigma=0.0) -> Chip
                     meas_sigma=0.0, erroneous_fraction=0.0, central_exclusion=0.0)
     return ChipProfile(
         device_id="manual",
-        spec=spec,
         layout=build_fabric(spec),
         nominal_freq=np.asarray(freqs, dtype=float),
         temp_coeff=None if temp_coeff is None else np.full(n, temp_coeff, dtype=float),

@@ -112,6 +112,7 @@ class TestConfig:
         ("ro_count", 12),
         ("ro_count", 2),
         ("kappa", 0.3),
+        ("kappa", True),
         ("samples", 1),
         ("env_mode", "diagonal"),
         ("seeding", "spectral"),
@@ -649,6 +650,15 @@ class TestCli:
         )
         assert synth_calls == []
         assert not out.exists()
+
+    def test_inexact_moments_exit_2_naming_samples(self, tmp_path, capsys):
+        # 3000 samples of a count near 5e4 square beyond 2**53
+        rc = main(["run", "--preset", "zybo", "--devices", "1", "--ro-count", "8",
+                   "--samples", "3000", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"ropuf run: t_on_us=\S+ with samples=3000 .*; take fewer samples\n",
+                            err)
 
     def test_device_spec_file_flag(self, tmp_path):
         spec_file = tmp_path / "device.json"

@@ -222,11 +222,14 @@ def as_outcome(res):
 def micd_trace_reference(f, cfg):
     """Per-iteration MICD of one K-means run from n-long label vectors, plus
     which hard cases the run met: duplicate frequencies, a candidate exactly
-    on a midpoint, an empty cluster re-seeded, a snap collision."""
+    on a midpoint, an empty cluster re-seeded, a snap collision of an
+    iteration or of the seed list."""
     fs = np.sort(np.asarray(f, dtype=float), kind="stable")
     met = {"duplicates": bool(np.any(np.diff(fs) == 0))}
     init = seed_centroids(fs, cfg.m, cfg.seeding, np.random.default_rng(cfg.rng_seed))
     prev = np.sort(init)
+    nearest = np.abs(fs[None, :] - prev[:, None]).argmin(axis=1)
+    met["seed_collision"] = np.unique(nearest).size < cfg.m
     trace = []
     for _, c, bounds, _ in kmeans_iterations_reference(fs, init, cfg.k_max):
         mids = (c[:-1] + c[1:]) / 2.0
@@ -702,7 +705,7 @@ class TestBatchedKmeans:
         pools.append(self.pool("exact", 4, 1))
         refs = self.check(pools, block)
         met = [micd_trace_reference(f, cfg)[1] for f, cfg, _ in pools]
-        for hard in ("duplicates", "on_midpoint", "reseed", "collision"):
+        for hard in ("duplicates", "on_midpoint", "reseed", "collision", "seed_collision"):
             assert any(m.get(hard) for m in met), hard
         converged_at = {imp[4] for imp, _, converged in refs if converged}
         assert len(converged_at) >= 3  # pools leave the batch at different iterations
@@ -721,6 +724,8 @@ class TestBatchedKmeans:
             pools.append((f, cfg, refs))
         for block in (1, 12):
             self.check(pools, block)
+        assert any(micd_trace_reference(f, cfg)[1]["seed_collision"]
+                   for f, cfg, _ in pools if cfg.k_max == 0)
         got = batched_kmeans([f for f, _, _ in pools[1:3]], [c for _, c, _ in pools[1:3]])
         for imp, pla in got:
             assert imp.iterations == 0 and len(imp.min_diff_trace) == 1
