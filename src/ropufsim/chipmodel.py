@@ -157,8 +157,9 @@ class DeviceSpec:
             raise ConfigError(f"site_count must be positive, got {self.site_count}")
         if self.mean_span < 0 or self.sigma_span < 0:
             raise ConfigError("mean_span and sigma_span must be non-negative")
-        if self.meas_sigma < 0:
-            raise ConfigError("meas_sigma must be non-negative")
+        for name in ("meas_sigma", "temp_coeff_sigma", "volt_coeff_sigma", "erroneous_sigma_mult"):
+            if (value := getattr(self, name)) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value!r}")
         if not 0.0 <= self.central_exclusion < 0.5:
             raise ConfigError("central_exclusion must lie in [0, 0.5)")
         if not 0.0 <= self.erroneous_fraction < 1.0:
@@ -398,6 +399,11 @@ def synth_chip(spec: DeviceSpec, device_seed: int, device_id: str | None = None)
     sigma_rand = 1.32 * residual_span / _expected_range_factor(n)
 
     nominal = spec.mean_freq_base + class_off + sys_off + rng.normal(0.0, sigma_rand, n)
+    if nominal.min() <= 0:
+        raise ConfigError(
+            f"device spec {spec.kind!r} drew a nominal frequency of {nominal.min():.3f} MHz "
+            f"at device seed {device_seed}; every site must run above 0 MHz"
+        )
 
     temp_coeff = rng.normal(spec.temp_coeff_mean, spec.temp_coeff_sigma, n)
     volt_coeff = rng.normal(spec.volt_coeff_mean, spec.volt_coeff_sigma, n)

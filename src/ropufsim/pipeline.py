@@ -329,10 +329,10 @@ def _candidate_pool(
                  kept.mean[order], kept.site_refs[order])
 
 
-def _kmeans(config: PipelineConfig, pools: Sequence[_Pool]) -> list[SelectionResult]:
-    """The improved K-means result of every pool, from one batched run."""
-    configs = [SelectionConfig(m=config.ro_count, seeding=config.seeding,
-                               rng_seed=p.seeds["select"]) for p in pools]
+def _kmeans(m: int, seeding: SeedStrategy, pools: Sequence[_Pool]) -> list[SelectionResult]:
+    """The improved K-means result of every pool at ``m``, from one batched run."""
+    configs = [SelectionConfig(m=m, seeding=seeding, rng_seed=p.seeds["select"])
+               for p in pools]
     pairs = batched_kmeans([p.nu for p in pools], configs, [p.nu_refs for p in pools])
     return [improved for improved, _ in pairs]
 
@@ -357,36 +357,34 @@ _T = TypeVar("_T")
 
 
 def _chain(
-    configs: Sequence[PipelineConfig], spec: DeviceSpec, indices: Sequence[int],
-    finish: Callable[[PipelineConfig, int, _Selection], _T], times: _StageTimes,
+    config: PipelineConfig, ms: Sequence[int], indices: Sequence[int],
+    finish: Callable[[int, _Selection], _T], times: _StageTimes,
 ) -> list[list[_T]]:
-    """``finish(config, index, selection)`` of every device, one list per
-    config in index order.  The configs may differ only in ``ro_count``.
+    """``finish(j, selection)`` of the devices ``indices`` of ``config`` at
+    the j-th M of ``ms``, one list per M in index order.
 
     Devices run in blocks of ``_BLOCK_DEVICES``: each device's candidate pool
-    once, then per config one K-means run for the block and each device's
+    once, then per M one K-means run for the block and each device's
     relocation and ``finish``.  What ``finish`` returns must not hold the
     chip, so a block's chips are freed before the next block is synthesized.
     """
-    base = configs[0]
-    for config in configs:
-        if replace(config, ro_count=base.ro_count) != base:
-            raise ValueError("configs of one chain may differ only in ro_count")
-    out: list[list[_T]] = [[] for _ in configs]
+    spec = _device_spec(config)
+    out: list[list[_T]] = [[] for _ in ms]
     for start in range(0, len(indices), _BLOCK_DEVICES):
-        _chain_block(configs, spec, indices[start : start + _BLOCK_DEVICES], finish, times, out)
+        # a block's pools live in _chain_block's frame, so returning frees them
+        _chain_block(config, spec, ms, indices[start : start + _BLOCK_DEVICES], finish, times, out)
     return out
 
 
-def _chain_block(configs, spec, indices, finish, times, out) -> None:
-    pools = [_candidate_pool(configs[0], i, spec, times) for i in indices]
-    for config, results in zip(configs, out):
+def _chain_block(config, spec, ms, indices, finish, times, out) -> None:
+    pools = [_candidate_pool(config, i, spec, times) for i in indices]
+    for j, (m, results) in enumerate(zip(ms, out)):
         with times.stage("kmeans"):
-            kms = _kmeans(config, pools)
-        for i, pool, km in zip(indices, pools, kms):
+            kms = _kmeans(m, config.seeding, pools)
+        for pool, km in zip(pools, kms):
             with times.stage("relocation"):
                 relocated = relocate_centroids(pool.nu, km.freqs, site_refs=pool.nu_refs)
-            results.append(finish(config, i, _Selection(pool, km, relocated)))
+            results.append(finish(j, _Selection(pool, km, relocated)))
 
 
 def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
@@ -419,16 +417,16 @@ def _respond(
 
 
 def _device_run(
-    config: PipelineConfig, sel: _Selection, lfsr_seed: int, env_grid: Sequence[EnvCondition],
+    sel: _Selection, kappa: float, lfsr_seed: int, env_grid: Sequence[EnvCondition],
     times: _StageTimes,
 ) -> DeviceRun:
-    """Placement at ``config.kappa``, the golden and swept responses, and
-    what the writer needs of the chain.  The seeds derive from the ratio's
-    grid index, as in ``sweep_kappa``, so the golden response equals that
-    ratio's in a sweep."""
-    k_idx = _kappa_index(config.ro_count, config.kappa)
+    """Placement at ratio ``kappa``, the golden response and one response per
+    condition of ``env_grid``, and what the writer needs of the chain.  The
+    seeds derive from the ratio's grid index at the selection's M, so run and
+    ``sweep_kappa`` give a device the same golden response at one ratio."""
+    k_idx = _kappa_index(len(sel.relocated.refs), kappa)
     with times.stage("assign/place"):
-        plan = _place(sel, config.kappa, k_idx)
+        plan = _place(sel, kappa, k_idx)
     with times.stage("respond"):
         golden, *sweep = _respond(sel, plan, lfsr_seed, [REFERENCE_ENV, *env_grid], k_idx)
     pool = sel.pool
@@ -446,13 +444,10 @@ def _device_run(
     )
 
 
-def run_device(
-    config: PipelineConfig, index: int, lfsr_seed: int, env_grid: Sequence[EnvCondition] = (),
-) -> DeviceRun:
-    """Execute the full per-device chain at ``config.kappa``."""
-    times = _StageTimes()
-    return _chain([config], _device_spec(config), [index],
-                  lambda c, _, sel: _device_run(c, sel, lfsr_seed, env_grid, times), times)[0][0]
+def run_device(config: PipelineConfig, index: int) -> DeviceRun:
+    """Device ``index`` of ``run_pipeline(config)``, run alone."""
+    [[run]] = _device_runs(config, [config.ro_count], [index], _StageTimes())
+    return run
 
 
 def _shared_lfsr_seed(config: PipelineConfig) -> int:
@@ -461,14 +456,15 @@ def _shared_lfsr_seed(config: PipelineConfig) -> int:
     return derive_seed(config.global_seed, 10_000, STAGE_LFSR) % period + 1
 
 
-def _device_runs(configs: Sequence[PipelineConfig], times: _StageTimes) -> list[list[DeviceRun]]:
-    """Every device's run at ``config.kappa``, one list per config."""
-    env_grid = configs[0].env_grid()
-    return _chain(
-        configs, _device_spec(configs[0]), range(configs[0].devices),
-        lambda c, _, sel: _device_run(c, sel, _shared_lfsr_seed(c), env_grid, times),
-        times,
-    )
+def _device_runs(
+    config: PipelineConfig, ms: Sequence[int], indices: Sequence[int], times: _StageTimes,
+) -> list[list[DeviceRun]]:
+    """The runs of devices ``indices`` at ``config.kappa``, one list per M."""
+    env_grid = config.env_grid()
+    lfsr_seeds = [_shared_lfsr_seed(replace(config, ro_count=m)) for m in ms]
+    return _chain(config, ms, indices,
+                  lambda j, sel: _device_run(sel, config.kappa, lfsr_seeds[j], env_grid, times),
+                  times)
 
 
 def _judge(runs: Sequence[DeviceRun], times: _StageTimes) -> tuple[EvalReport, NistReport]:
@@ -493,7 +489,7 @@ def run_pipeline(
     """
     config.validate()
     times = _StageTimes()
-    (runs,) = _device_runs([config], times)
+    (runs,) = _device_runs(config, [config.ro_count], range(config.devices), times)
     report, nist_report = _judge(runs, times)
     if write:
         with times.stage("write"):
@@ -566,43 +562,32 @@ class KappaSweepPoint:
 
 
 def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPoint]:
-    """Re-run group assignment, placement and NIST for every admissible ratio.
+    """``run_pipeline``'s placement, golden response and judgement at every
+    admissible ratio, without the swept conditions.
 
-    Characterization and selection are ratio-independent and computed once
-    per device.
+    The candidate pool, K-means and relocation are ratio-independent and run
+    once per device.
     """
-    from .metrics import min_entropy, uniqueness
-
     config.validate()
-    spec = _device_spec(config)
     kappas = valid_kappas(config.ro_count)
-
     times = _StageTimes()
     lfsr_seed = _shared_lfsr_seed(config)
-
-    def goldens(_: PipelineConfig, __: int, sel: _Selection) -> np.ndarray:
-        rows = []
-        for k_idx, kappa in enumerate(kappas):
-            with times.stage("assign/place"):
-                plan = _place(sel, kappa, k_idx)
-            with times.stage("respond"):
-                rows.append(_respond(sel, plan, lfsr_seed, [REFERENCE_ENV], k_idx)[0].bits)
-        return np.stack(rows)
-
-    # (ratios, devices, k) golden bits
-    per_ratio = np.stack(_chain([config], spec, range(config.devices), goldens, times)[0], axis=1)
+    (per_device,) = _chain(
+        config, [config.ro_count], range(config.devices),
+        lambda _, sel: [_device_run(sel, kappa, lfsr_seed, (), times) for kappa in kappas],
+        times,
+    )
     points: list[KappaSweepPoint] = []
-    for kappa, golden in zip(kappas, per_ratio):
-        with times.stage("nist"):
-            nist_report = run_suite(golden)
+    for kappa, runs in zip(kappas, zip(*per_device)):
+        report, nist_report = _judge(runs, times)
         points.append(
             KappaSweepPoint(
                 kappa=kappa,
                 pass_rate=nist_report.pass_rate,
                 all_pass=nist_report.all_pass(),
                 per_test={n: r.population_pass for n, r in nist_report.results.items()},
-                uniqueness=uniqueness(golden)["u"] if len(golden) >= 2 else 0.0,
-                min_entropy_avg=min_entropy(golden)["h_avg"],
+                uniqueness=report.u,
+                min_entropy_avg=report.min_entropy_avg,
             )
         )
     if write:
@@ -633,18 +618,17 @@ def sweep_m(config: PipelineConfig, write: bool = True) -> list[MSweepPoint]:
     ``config.ro_count``, from one candidate pool per device.  Every M's
     config is validated before any device work; an error names the M.
     """
-    configs = [replace(config, ro_count=m) for m in RO_COUNTS]
-    for c in configs:
+    for m in RO_COUNTS:
         try:
-            c.validate()
+            replace(config, ro_count=m).validate()
         except ConfigError as exc:
-            raise ConfigError(f"ro_count {c.ro_count}: {exc}") from None
+            raise ConfigError(f"ro_count {m}: {exc}") from None
     times = _StageTimes()
     points = []
-    for c, runs in zip(configs, _device_runs(configs, times)):
+    for m, runs in zip(RO_COUNTS, _device_runs(config, RO_COUNTS, range(config.devices), times)):
         report, nist_report = _judge(runs, times)
         median_min_diff = float(np.median([r.relocated_min_diff for r in runs]))
-        points.append(MSweepPoint(c.ro_count, runs[0].golden.k, median_min_diff, report.r_avg,
+        points.append(MSweepPoint(m, runs[0].golden.k, median_min_diff, report.r_avg,
                                   nist_report.pass_rate))
     if write:
         root = Path(config.out_dir)
@@ -653,7 +637,7 @@ def sweep_m(config: PipelineConfig, write: bool = True) -> list[MSweepPoint]:
         rows += [f"{p.m},{p.bits},{p.median_min_diff:.6f},{p.r_avg:.6f},"
                  f"{format_rate(p.nist_pass_rate, '.4f')}" for p in points]
         (root / "m_sweep.csv").write_text("\n".join(rows) + "\n")
-    times.log(f"M sweep of {config.devices} devices over {len(configs)} sizes:")
+    times.log(f"M sweep of {config.devices} devices over {len(RO_COUNTS)} sizes:")
     return points
 
 
@@ -678,13 +662,11 @@ def bench(config: PipelineConfig) -> BenchReport:
     kmeans stage and of its relocation stage.
     """
     config.validate()
-    spec = _device_spec(config)
     times = _StageTimes()
-
-    [[(km, rel)]] = _chain([config], spec, [0], lambda _, __, sel: (sel.kmeans, sel.relocated),
-                           times)
+    [[(km, rel)]] = _chain(config, [config.ro_count], [0],
+                           lambda _, sel: (sel.kmeans, sel.relocated), times)
     times.log("bench of 1 device:")
-    t_p1 = spec.site_count * config.samples * SAMPLE_COST_SEC
+    t_p1 = _device_spec(config).site_count * config.samples * SAMPLE_COST_SEC
     sec = times.seconds
     t_select = sec["kmeans"]
     return BenchReport(

@@ -535,6 +535,9 @@ class TestSpecConfigFile:
         ("class_bias", [1, 2], "class_bias must map slice classes to MHz"),
         ("class_bias", {"M": "1"}, r"class_bias\['M'\] must be a finite number"),
         ("kind", 5, "kind must be a string"),
+        ("temp_coeff_sigma", -1e-5, "temp_coeff_sigma must be non-negative, got -1e-05"),
+        ("volt_coeff_sigma", -0.02, "volt_coeff_sigma must be non-negative, got -0.02"),
+        ("erroneous_sigma_mult", -30.0, "erroneous_sigma_mult must be non-negative, got -30.0"),
     ])
     def test_non_numeric_field_names_field_and_file(self, tmp_path, field, value, message):
         p = tmp_path / "spec.json"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +274,43 @@ class TestRunPipeline:
         run_pipeline(tiny_config(tmp_path, out_dir="run"))
         assert tree_sha256(Path("run")) == TINY_RUN_SHA256
 
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_block_chips_freed_before_next_block(self, tmp_path, monkeypatch, block):
+        # with the cyclic collector off, a chip is gone only once nothing
+        # refers to it: at each synth, only the current block's earlier
+        # chips may still be alive
+        live = weakref.WeakSet()
+        counts = []
+        synth = pipeline.synth_chip
+
+        def spy(*args, **kwargs):
+            counts.append(len(live))
+            chip = synth(*args, **kwargs)
+            live.add(chip)
+            return chip
+
+        monkeypatch.setattr(pipeline, "synth_chip", spy)
+        monkeypatch.setattr(pipeline, "_BLOCK_DEVICES", block)
+        gc.disable()
+        try:
+            run_pipeline(tiny_config(tmp_path, devices=5), write=False)
+        finally:
+            gc.enable()
+        assert counts == [i % block for i in range(5)]
+
+    def test_run_device_is_run_pipelines_device(self, tmp_path):
+        config = tiny_config(tmp_path)
+        _, _, runs = run_pipeline(config, write=False)
+        for i, want in enumerate(runs):
+            got = pipeline.run_device(config, i)
+            assert got.seeds == want.seeds
+            assert got.selection_json == want.selection_json
+            assert np.array_equal(got.golden.bits, want.golden.bits)
+            assert len(got.sweep_responses) == len(want.sweep_responses) == 5
+            for g, w in zip(got.sweep_responses, want.sweep_responses):
+                assert g.env == w.env
+                assert np.array_equal(g.bits, w.bits)
+
     @pytest.mark.parametrize("size", ["tiny", "default"])
     def test_written_run_leaves_numpy_ma_unimported(self, tmp_path, size):
         # numpy's np.unique without return_index imports numpy.ma; no stage
@@ -309,7 +348,7 @@ class TestRunPipeline:
         bench(tiny_config(tmp_path))
         # bench times device 0's chain: its pool, kmeans and relocation
         assert [re.search(r"stage (\S+) ", m)[1] for m in caplog.messages] == [
-            *STAGES[:7], "nist", *STAGES[:9], *STAGES[:5]]
+            *STAGES[:9], *STAGES[:9], *STAGES[:5]]
 
     def test_micd_trace_same_with_and_without_files(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -525,22 +564,15 @@ class TestSweeps:
         )
         assert len(synth_calls) == 6
 
-    def test_chain_configs_may_differ_only_in_ro_count(self, tmp_path, synth_calls):
-        configs = [tiny_config(tmp_path), tiny_config(tmp_path, ro_count=16, kappa=0.25)]
-        with pytest.raises(ValueError, match="may differ only in ro_count"):
-            pipeline._chain(configs, get_preset("zybo"), [0], lambda *_: None,
-                            pipeline._StageTimes())
-        assert synth_calls == []
-
     def test_kappa_zero_identical_ones_count(self, tmp_path):
         # ordered-only assignment leaves the multiset of compared rank pairs
         # fixed, so every device's golden response has the same weight +-1
         config = tiny_config(tmp_path, devices=4, ro_count=16, kappa=0.0)
-        from ropufsim.pipeline import run_device, _shared_lfsr_seed
+        from ropufsim.pipeline import run_device
 
         weights = []
         for i in range(4):
-            run = run_device(config, i, _shared_lfsr_seed(config))
+            run = run_device(config, i)
             weights.append(int(run.golden.bits.sum()))
         assert max(weights) - min(weights) <= 1
 
@@ -560,7 +592,7 @@ class TestBench:
         config = tiny_config(tmp_path, ro_count=16)
         report = bench(config)
         assert len(synth_calls) == 1
-        run = pipeline.run_device(config, 0, pipeline._shared_lfsr_seed(config))
+        run = pipeline.run_device(config, 0)
         assert report.kmeans_iterations == run.kmeans.iterations
         assert report.relocation_iterations == run.relocated.iterations
 
@@ -796,6 +828,8 @@ class TestCli:
     @pytest.mark.parametrize("spec,message", [
         ({"preset": "zybo", "site_count": "10"}, "site_count must be an integer, got '10'"),
         ({"preset": "zybo", "meas_sigma": None}, "meas_sigma must be a finite number, got None"),
+        ({"preset": "zybo", "temp_coeff_sigma": -1e-5},
+         "temp_coeff_sigma must be non-negative, got -1e-05"),
         ({"preset": "nope"}, "unknown device preset 'nope'"),
     ])
     def test_bad_device_spec_value_exits_2_naming_file_and_field(
@@ -807,6 +841,17 @@ class TestCli:
                    "--device-spec", str(spec_file), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"ropuf run: {spec_file}: {message}" in capsys.readouterr().err
+
+    def test_spec_drawing_non_positive_frequency_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "device.json"
+        spec_file.write_text(json.dumps({"preset": "zybo", "mean_freq_base": 10.0}))
+        rc = main(["run", "--devices", "1", "--ro-count", "8", "--seed", "3",
+                   "--device-spec", str(spec_file), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        seed = device_seeds(3, 0)["synth"]
+        assert re.search(rf"^ropuf run: device spec 'zybo' drew a nominal frequency of "
+                         rf"-\d+\.\d{{3}} MHz at device seed {seed}; ",
+                         capsys.readouterr().err, re.M)
 
     def test_bad_config_file_exits_2_naming_file_and_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
