@@ -8,7 +8,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -336,8 +338,12 @@ class TestRunPipeline:
     def test_stage_times_logged_at_debug(self, tmp_path, caplog):
         caplog.set_level(logging.DEBUG, logger="ropufsim")
         run_pipeline(tiny_config(tmp_path))
+        # the helper thread's seconds and the write stage's wait for it come first
+        tree, *stages = caplog.messages
+        assert re.fullmatch(r"run of 3 devices: tree made in \d+\.\d{4} host s on a helper "
+                            r"thread; write waited \d+\.\d{4} host s for it", tree)
         logged = [re.fullmatch(r"run of 3 devices: stage (\S+) +\d+\.\d{4} host s", m)
-                  for m in caplog.messages]
+                  for m in stages]
         assert [m[1] for m in logged] == list(STAGES)
         caplog.clear()
         run_pipeline(tiny_config(tmp_path), write=False)
@@ -510,6 +516,79 @@ class TestRunPipeline:
         with pytest.raises(SystemExit):
             main(["run", "--workers", "2", "--out", str(tmp_path / "cli")])
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def tree_snapshot(root: Path) -> dict:
+    """Every path under ``root``, with a file's bytes and None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+class TestTreeOnHelperThread:
+    """A written run makes out_dir first and the tree's directories and empty
+    files on a helper thread; a failed run leaves no trace and no thread."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @pytest.fixture
+    def bad_spec(self, tmp_path) -> str:
+        # draws a non-positive nominal frequency, so the chain raises at synth
+        spec_file = tmp_path / "device.json"
+        spec_file.write_text(json.dumps({"preset": "zybo", "mean_freq_base": 10.0}))
+        return str(spec_file)
+
+    def test_tiny_tree_has_no_empty_file(self, tmp_path):
+        config = tiny_config(tmp_path)
+        run_pipeline(config)
+        files = [p for p in Path(config.out_dir).rglob("*") if p.is_file()]
+        assert len(files) == 1 + 4 * config.devices + 4
+        assert [p for p in files if p.stat().st_size == 0] == []
+
+    def test_unusable_out_dir_fails_before_device_work(self, tmp_path, synth_calls, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "out"
+        with pytest.raises(NotADirectoryError) as info:
+            run_pipeline(tiny_config(tmp_path, out_dir=str(out)))
+        assert info.value.filename == str(out)
+        assert main(["run", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ropuf run: {out}: Not a directory\n"
+        assert synth_calls == []
+        assert afile.read_bytes() == b""
+
+    def test_failed_chain_leaves_no_out_dir(self, tmp_path, bad_spec):
+        config = tiny_config(tmp_path, out_dir=str(tmp_path / "new" / "run"),
+                             device_spec_file=bad_spec)
+        with pytest.raises(ConfigError, match="drew a nominal frequency"):
+            run_pipeline(config)
+        assert [p.name for p in tmp_path.iterdir()] == ["device.json"]
+
+    def test_failed_chain_leaves_earlier_tree_as_it_was(self, tmp_path, bad_spec):
+        config = tiny_config(tmp_path, devices=2)
+        run_pipeline(config)
+        before = tree_snapshot(Path(config.out_dir))
+        # a larger population's tree would add device_002/ and device_003/
+        with pytest.raises(ConfigError, match="drew a nominal frequency"):
+            run_pipeline(replace(config, devices=4, device_spec_file=bad_spec))
+        assert tree_snapshot(Path(config.out_dir)) == before
+
+    def test_regular_file_in_tree_raises_naming_it(self, tmp_path, capsys):
+        config = tiny_config(tmp_path, devices=4)
+        root = Path(config.out_dir)
+        root.mkdir()
+        (root / "device_003").write_text("not a directory")
+        with pytest.raises(OSError, match=re.escape(str(root / "device_003"))):
+            run_pipeline(config)
+        assert tree_snapshot(root) == {Path("device_003"): b"not a directory"}
+        (tmp_path / "tiny.json").write_text(config.to_json())
+        assert main(["run", "--config", str(tmp_path / "tiny.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ropuf run: {root / 'device_003'}") and err.count("\n") == 1
+        assert tree_snapshot(root) == {Path("device_003"): b"not a directory"}
 
 
 class TestSweeps:
