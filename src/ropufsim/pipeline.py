@@ -20,6 +20,7 @@ import threading
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from itertools import takewhile
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar, get_args
@@ -217,23 +218,149 @@ class _StageTimes:
             _log.debug("%s stage %-12s %8.4f host s", what, name, sec)
 
 
+# numpy's SeedSequence hash and PCG64 seeding (NEP 19) in uint32 and 128-bit arithmetic
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hash_consts(c: int, mult: int, n: int) -> np.ndarray:
+    """The hash constant before each of n hash calls and after the last, as a column."""
+    consts = [c]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _seed_states(entropy: np.ndarray, held, n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words)`` of each column e of the
+    (W >= 4, N) uint32 ``entropy``, column i holding ``held[i]`` words."""
+    hc = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
+
+    def hashmix(v, t, k):  # hash calls t .. t + k - 1
+        v = (v ^ hc[t : t + k]) * hc[t + 1 : t + k + 1]
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ r >> 16
+
+    pool = hashmix(entropy[:4], 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for i in range(4, len(entropy)):
+        pool = np.where(held > i, mix(pool, hashmix(entropy[i], 4 * i, 4)), pool)
+    hb = _hash_consts(_INIT_B, _MULT_B, n_words)
+    out = (pool[np.arange(n_words) % 4] ^ hb[:-1]) * hb[1:]
+    return out ^ out >> 16
+
+
+def _path_words(x) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 words of path element ``x`` (an int or int array), low word
+    first and zero-padded, and which of them SeedSequence takes."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iu":
+        a = np.asarray(x, dtype=object)  # ints beyond 64 bits; a float raises below
+    if (a < 0).any():
+        raise ValueError("expected non-negative integer")
+    js = range(max(1, -(-int(a.max(initial=0)).bit_length() // 32)))
+    return (np.stack([a >> 32 * j & _MASK32 for j in js], -1).astype(np.uint32),
+            np.stack([(a >> 32 * j > 0) | (j == 0) for j in js], -1))
+
+
+def seed_table(*path) -> np.ndarray:
+    """numpy's derived seed for every path of a broadcast grid.
+
+    Each path element is a non-negative int or int array; the uint32 result
+    has their broadcast shape, and each entry is
+    ``np.random.SeedSequence(list(path)).generate_state(1)[0]``.
+    """
+    parts = [_path_words(x) for x in path]
+    shape = np.broadcast_shapes(*(held.shape[:-1] for _, held in parts))
+    words, held = (np.concatenate([np.broadcast_to(a, shape + a.shape[-1:]) for a in arrays], -1)
+                   for arrays in zip(*parts))
+    # one row per path: its elements' words side by side
+    words, held = words.reshape(-1, words.shape[-1]), held.reshape(-1, held.shape[-1])
+    entropy = np.zeros((max(4, words.shape[1]), len(words)), np.uint32)
+    if held.all():
+        entropy[: words.shape[1]] = words.T
+    else:  # some element has more than one word: pack each path's words
+        rows, cols = np.nonzero(held)
+        entropy[held.cumsum(1)[rows, cols] - 1, rows] = words[rows, cols]
+    return _seed_states(entropy, held.sum(1), 1).reshape(shape)
+
+
+def generator_words(seeds: np.ndarray) -> np.ndarray:
+    """The uint64 words (state >> 64, state mod 2^64, inc >> 64, inc mod 2^64)
+    of ``np.random.default_rng(seed).bit_generator.state`` for each uint32
+    seed, of shape ``seeds.shape + (4,)``."""
+    # PCG64(seed) takes (init, seq) = SeedSequence(seed).generate_state(4, uint64)
+    # and starts at inc = 2 seq + 1, state = (inc + init) * MULT + inc, mod 2^128
+    seeds = np.asarray(seeds)
+    entropy = np.zeros((4, seeds.size), np.uint32)
+    entropy[0] = seeds.ravel()
+    w = _seed_states(entropy, 1, 8).astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = w[::2] | w[1::2] << 32
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < inc_lo)
+    # lo * _PCG_LO's high word from 32-bit limbs
+    a0, a1, b0, b1 = lo & _MASK32, lo >> 32, _PCG_LO & _MASK32, _PCG_LO >> 32
+    mid = (a0 * b0 >> 32) + (a1 * b0 & _MASK32) + (a0 * b1 & _MASK32)
+    hi = (hi * _PCG_LO + lo * _PCG_HI + a1 * b1 + (a1 * b0 >> 32) + (a0 * b1 >> 32)
+          + (mid >> 32) + inc_hi)
+    lo = lo * _PCG_LO + inc_lo
+    hi += lo < inc_lo
+    return np.stack([hi, lo, inc_hi, inc_lo], -1).reshape(seeds.shape + (4,))
+
+
 def derive_seed(*path: int) -> int:
     """Deterministic child seed from a (global_seed, index, stage...) path."""
-    return int(np.random.SeedSequence(list(path)).generate_state(1)[0])
+    return int(seed_table(*path))
 
 
 STAGE_SYNTH, STAGE_CHAR, STAGE_SELECT, STAGE_ASSIGN, STAGE_PLACE, STAGE_RESP, STAGE_LFSR = range(7)
+_STAGES = ("synth", "characterize", "select", "assign", "place", "response")
 
 
 def device_seeds(global_seed: int, index: int) -> dict[str, int]:
-    return {
-        "synth": derive_seed(global_seed, index, STAGE_SYNTH),
-        "characterize": derive_seed(global_seed, index, STAGE_CHAR),
-        "select": derive_seed(global_seed, index, STAGE_SELECT),
-        "assign": derive_seed(global_seed, index, STAGE_ASSIGN),
-        "place": derive_seed(global_seed, index, STAGE_PLACE),
-        "response": derive_seed(global_seed, index, STAGE_RESP),
-    }
+    return dict(zip(_STAGES, seed_table(global_seed, index, np.arange(6)).tolist()))
+
+
+class _SeedTable:
+    """The seeds of a chain's devices, row d for ``indices[d]``: by stage,
+    ``stage`` and the characterization's generator words ``characterize``;
+    at the r-th (M, ratio index) of ``ratios``, the placement seed
+    ``place[d, r]`` and the generator words of the group assignment
+    ``assign[d, r]`` and of each response slot ``respond[d, r, slot]``."""
+
+    def __init__(self, global_seed: int, indices: Sequence[int],
+                 ratios: list[tuple[int, int]], slots: int) -> None:
+        self.indices, self.ratios = indices, ratios
+        self.stage = seed_table(global_seed, np.asarray(indices)[:, None], np.arange(len(_STAGES)))
+        self.characterize = generator_words(self.stage[:, STAGE_CHAR])
+        tags = np.array([tag for _, tag in ratios], dtype=np.intp)
+        assign, self.place = seed_table(self.stage.T[[STAGE_ASSIGN, STAGE_PLACE], :, None], tags)
+        self.assign = generator_words(assign)
+        self.respond = generator_words(seed_table(self.stage[:, STAGE_RESP, None, None],
+                                                  tags[:, None], np.arange(slots)))
+
+    @cached_property
+    def gen(self) -> np.random.Generator:
+        # made at the first draw, after synth_chip has imported numpy.random,
+        # so the seeds stage does not pay for that import
+        return np.random.Generator(np.random.PCG64(0))
+
+    def draw(self, words: np.ndarray) -> np.random.Generator:
+        """The shared generator, set to where ``np.random.default_rng(seed)``
+        starts for the seed whose table words are ``words``."""
+        state, state_lo, inc, inc_lo = words.tolist()
+        self.gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                        "state": {"state": state << 64 | state_lo,
+                                                  "inc": inc << 64 | inc_lo}}
+        return self.gen
 
 
 @dataclass(eq=False)
@@ -303,6 +430,8 @@ class _Pool:
     kept sites sorted by mean frequency."""
 
     seeds: dict[str, int]
+    table: _SeedTable
+    row: int
     chip: ChipProfile
     profile: FrequencyProfile
     kept_sites: int
@@ -312,14 +441,14 @@ class _Pool:
 
 
 def _candidate_pool(
-    config: PipelineConfig, index: int, spec: DeviceSpec, times: _StageTimes
+    config: PipelineConfig, table: _SeedTable, row: int, spec: DeviceSpec, times: _StageTimes
 ) -> _Pool:
-    seeds = device_seeds(config.global_seed, index)
+    seeds = dict(zip(_STAGES, table.stage[row].tolist()))
     with times.stage("synth"):
-        chip = synth_chip(spec, seeds["synth"], device_id=f"{spec.kind}_{index:03d}")
+        chip = synth_chip(spec, seeds["synth"], device_id=f"{spec.kind}_{table.indices[row]:03d}")
     with times.stage("characterize"):
         prof = characterize(chip, m=config.samples,
-                            rng=np.random.default_rng(seeds["characterize"]))
+                            rng=table.draw(table.characterize[row]))
     with times.stage("reject"):
         clean = reject_erroneous(prof)
         kept = clean.kept
@@ -328,7 +457,7 @@ def _candidate_pool(
         # keys orders the pool as a stable sort of the means
         s1 = kept.sum_count.astype(np.int64)
         order = np.argsort(s1 * s1.size + np.arange(s1.size))
-    return _Pool(seeds, chip, prof, clean.z_bar, clean.rejected_count,
+    return _Pool(seeds, table, row, chip, prof, clean.z_bar, clean.rejected_count,
                  kept.mean[order], kept.site_refs[order])
 
 
@@ -362,25 +491,33 @@ _T = TypeVar("_T")
 def _chain(
     config: PipelineConfig, ms: Sequence[int], indices: Sequence[int],
     finish: Callable[[int, _Selection], _T], times: _StageTimes,
+    kappas: Sequence[float] = (), slots: int = 0,
 ) -> list[list[_T]]:
     """``finish(j, selection)`` of the devices ``indices`` of ``config`` at
     the j-th M of ``ms``, one list per M in index order.
 
-    Devices run in blocks of ``_BLOCK_DEVICES``: each device's candidate pool
-    once, then per M one K-means run for the block and each device's
-    relocation and ``finish``.  What ``finish`` returns must not hold the
-    chip, so a block's chips are freed before the next block is synthesized.
+    The seed table comes first, with the placement and ``slots`` response
+    streams of each ratio of ``kappas`` at each M.  Devices run in blocks of
+    ``_BLOCK_DEVICES``: each device's candidate pool once, then per M one
+    K-means run for the block and each device's relocation and ``finish``.
+    What ``finish`` returns must not hold the chip, so a block's chips are
+    freed before the next block is synthesized.
     """
+    with times.stage("seeds"):
+        ratios = [(m, _kappa_index(m, kappa)) for m in ms for kappa in kappas]
+        table = _SeedTable(config.global_seed, indices, ratios, slots)
     spec = _device_spec(config)
     out: list[list[_T]] = [[] for _ in ms]
-    for start in range(0, len(indices), _BLOCK_DEVICES):
+    rows = range(len(indices))
+    for start in rows[::_BLOCK_DEVICES]:
         # a block's pools live in _chain_block's frame, so returning frees them
-        _chain_block(config, spec, ms, indices[start : start + _BLOCK_DEVICES], finish, times, out)
+        _chain_block(config, spec, ms, table, rows[start : start + _BLOCK_DEVICES], finish,
+                     times, out)
     return out
 
 
-def _chain_block(config, spec, ms, indices, finish, times, out) -> None:
-    pools = [_candidate_pool(config, i, spec, times) for i in indices]
+def _chain_block(config, spec, ms, table, rows, finish, times, out) -> None:
+    pools = [_candidate_pool(config, table, d, spec, times) for d in rows]
     for j, (m, results) in enumerate(zip(ms, out)):
         with times.stage("kmeans"):
             kms = _kmeans(m, config.seeding, pools)
@@ -390,30 +527,26 @@ def _chain_block(config, spec, ms, indices, finish, times, out) -> None:
             results.append(finish(j, _Selection(pool, km, relocated)))
 
 
-def _place(sel: _Selection, kappa: float, kappa_tag: int) -> PlacementPlan:
-    """Group assignment and placement at one ratio; ``kappa_tag``, the
-    ratio's index in ``valid_kappas``, derives their seeds."""
+def _place(sel: _Selection, kappa: float, r: int) -> PlacementPlan:
+    """Group assignment and placement at ratio ``kappa``, the r-th of the
+    seed table's ratios."""
     pool = sel.pool
-    relocated = sel.relocated
-    assignment = assign_groups(
-        relocated.refs, relocated.freqs, kappa, derive_seed(pool.seeds["assign"], kappa_tag)
-    )
-    return randomize_placement(
-        assignment, pool.chip.layout, derive_seed(pool.seeds["place"], kappa_tag)
-    )
+    table, relocated = pool.table, sel.relocated
+    assignment = assign_groups(relocated.refs, relocated.freqs, kappa,
+                               table.draw(table.assign[pool.row, r]))
+    return randomize_placement(assignment, pool.chip.layout, int(table.place[pool.row, r]))
 
 
 def _respond(
-    sel: _Selection, plan: PlacementPlan, lfsr_seed: int, envs: Sequence[EnvCondition],
-    kappa_tag: int,
+    sel: _Selection, plan: PlacementPlan, lfsr_seed: int, envs: Sequence[EnvCondition], r: int,
 ) -> list[ResponseSet]:
     """The responses of one placement, one per condition: slot 0 is the
     golden one and slot 1 + j the j-th swept condition, each with its own
-    generator.
+    stream of the seed table at its r-th ratio.
     """
     pool = sel.pool
-    rngs = [np.random.default_rng(derive_seed(pool.seeds["response"], kappa_tag, slot))
-            for slot in range(len(envs))]
+    table = pool.table
+    rngs = (table.draw(words) for words in table.respond[pool.row, r, : len(envs)])
     bits = generate_responses(plan, pool.chip, lfsr_seed, envs, rngs)
     return [ResponseSet(pool.chip.device_id, env, row, bits.shape[1], lfsr_seed)
             for env, row in zip(envs, bits)]
@@ -427,12 +560,13 @@ def _device_run(
     condition of ``env_grid``, and what the writer needs of the chain.  The
     seeds derive from the ratio's grid index at the selection's M, so run and
     ``sweep_kappa`` give a device the same golden response at one ratio."""
-    k_idx = _kappa_index(len(sel.relocated.refs), kappa)
-    with times.stage("assign/place"):
-        plan = _place(sel, kappa, k_idx)
-    with times.stage("respond"):
-        golden, *sweep = _respond(sel, plan, lfsr_seed, [REFERENCE_ENV, *env_grid], k_idx)
     pool = sel.pool
+    m = len(sel.relocated.refs)
+    r = pool.table.ratios.index((m, _kappa_index(m, kappa)))
+    with times.stage("assign/place"):
+        plan = _place(sel, kappa, r)
+    with times.stage("respond"):
+        golden, *sweep = _respond(sel, plan, lfsr_seed, [REFERENCE_ENV, *env_grid], r)
     return DeviceRun(
         device_id=pool.chip.device_id,
         seeds=pool.seeds,
@@ -467,7 +601,7 @@ def _device_runs(
     lfsr_seeds = [_shared_lfsr_seed(replace(config, ro_count=m)) for m in ms]
     return _chain(config, ms, indices,
                   lambda j, sel: _device_run(sel, config.kappa, lfsr_seeds[j], env_grid, times),
-                  times)
+                  times, [config.kappa], 1 + len(env_grid))
 
 
 def _judge(
@@ -491,6 +625,35 @@ _DEVICE_FILES = ("profile.csv", "selection.json", "constraints.txt", "responses.
 _REPORT_FILES = ("eval.json", "nist.csv", "nist.json", "hd_hist.csv")
 
 
+def _make_out_dir(root: str) -> list[str]:
+    """Make ``root`` and its missing parents; the ones made, parents first,
+    each a path ending in "/"."""
+    top = Path(root)
+    missing = takewhile(lambda p: not p.exists(), [top, *top.parents])
+    made = [f"{p}/" for p in missing][::-1]
+    top.mkdir(parents=True, exist_ok=True)
+    return made
+
+
+def _remove_made(made: Sequence[str]) -> None:
+    """Remove the paths of ``made``, last first."""
+    for path in reversed(made):
+        with suppress(OSError):  # a directory that something else wrote into stays
+            (os.rmdir if path.endswith("/") else os.unlink)(path)
+
+
+@contextmanager
+def _sweep_dir(config: PipelineConfig, write: bool):
+    """``config.out_dir``, made before a written sweep's device work; a sweep
+    that fails removes it and the parents it made."""
+    made = _make_out_dir(config.out_dir) if write else []
+    try:
+        yield Path(config.out_dir)
+    except BaseException:
+        _remove_made(made)
+        raise
+
+
 class _Skeleton(threading.Thread):
     """Makes ``out_dir``, then on this helper thread, while the chain runs,
     the artifact tree's directories and empty files, so that the writer only
@@ -499,17 +662,14 @@ class _Skeleton(threading.Thread):
 
     def __init__(self, root: str, devices: int) -> None:
         super().__init__()
-        top = Path(root)
         # the tree under out_dir, parents first, a directory's path ending in "/"
         self.dirs = [f"device_{i:03d}/" for i in range(devices)] + ["reports/"]
         held = [_DEVICE_FILES] * devices + [_REPORT_FILES]
         self.paths = [_MANIFEST, *self.dirs,
                       *(d + f for d, names in zip(self.dirs, held) for f in names)]
         # what the run makes: out_dir's missing ancestors and itself, then the thread's
-        missing = takewhile(lambda p: not p.exists(), [top, *top.parents])
-        self.made = [f"{p}/" for p in missing][::-1]
-        top.mkdir(parents=True, exist_ok=True)
-        self.root, self.error = top, None
+        self.made = _make_out_dir(root)
+        self.root, self.error = Path(root), None
         self.start()
 
     def run(self) -> None:
@@ -529,9 +689,7 @@ class _Skeleton(threading.Thread):
     def discard(self) -> None:
         """Wait for the thread, then remove what this run made."""
         self.join()
-        for path in reversed(self.made):
-            with suppress(OSError):  # a directory that something else wrote into stays
-                (os.rmdir if path.endswith("/") else os.unlink)(path)
+        _remove_made(self.made)
 
 
 def run_pipeline(
@@ -637,36 +795,35 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
     kappas = valid_kappas(config.ro_count)
     times = _StageTimes()
     lfsr_seed = _shared_lfsr_seed(config)
-    # each device keeps only its golden responses, all that _judge reads
-    (per_device,) = _chain(
-        config, [config.ro_count], range(config.devices),
-        lambda _, sel: [[_device_run(sel, kappa, lfsr_seed, (), times).golden]
-                        for kappa in kappas],
-        times,
-    )
-    points: list[KappaSweepPoint] = []
-    for kappa, responses in zip(kappas, zip(*per_device)):
-        report, nist_report = _judge(responses, times)
-        points.append(
-            KappaSweepPoint(
-                kappa=kappa,
-                pass_rate=nist_report.pass_rate,
-                all_pass=nist_report.all_pass(),
-                per_test={n: r.population_pass for n, r in nist_report.results.items()},
-                uniqueness=report.u,
-                min_entropy_avg=report.min_entropy_avg,
-            )
+    with _sweep_dir(config, write) as root:
+        # each device keeps only its golden responses, all that _judge reads
+        (per_device,) = _chain(
+            config, [config.ro_count], range(config.devices),
+            lambda _, sel: [[_device_run(sel, kappa, lfsr_seed, (), times).golden]
+                            for kappa in kappas],
+            times, kappas, 1,
         )
-    if write:
-        root = Path(config.out_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        rows = ["kappa,pass_rate,all_pass,uniqueness,min_entropy"]
-        for p in points:
-            rows.append(
-                f"{p.kappa},{format_rate(p.pass_rate, '.4f')},{int(p.all_pass)},"
-                f"{p.uniqueness:.4f},{p.min_entropy_avg:.4f}"
+        points: list[KappaSweepPoint] = []
+        for kappa, responses in zip(kappas, zip(*per_device)):
+            report, nist_report = _judge(responses, times)
+            points.append(
+                KappaSweepPoint(
+                    kappa=kappa,
+                    pass_rate=nist_report.pass_rate,
+                    all_pass=nist_report.all_pass(),
+                    per_test={n: r.population_pass for n, r in nist_report.results.items()},
+                    uniqueness=report.u,
+                    min_entropy_avg=report.min_entropy_avg,
+                )
             )
-        (root / "kappa_sweep.csv").write_text("\n".join(rows) + "\n")
+        if write:
+            rows = ["kappa,pass_rate,all_pass,uniqueness,min_entropy"]
+            for p in points:
+                rows.append(
+                    f"{p.kappa},{format_rate(p.pass_rate, '.4f')},{int(p.all_pass)},"
+                    f"{p.uniqueness:.4f},{p.min_entropy_avg:.4f}"
+                )
+            (root / "kappa_sweep.csv").write_text("\n".join(rows) + "\n")
     times.log(f"kappa sweep of {config.devices} devices over {len(kappas)} ratios:")
     return points
 
@@ -692,18 +849,18 @@ def sweep_m(config: PipelineConfig, write: bool = True) -> list[MSweepPoint]:
             raise ConfigError(f"ro_count {m}: {exc}") from None
     times = _StageTimes()
     points = []
-    for m, runs in zip(RO_COUNTS, _device_runs(config, RO_COUNTS, range(config.devices), times)):
-        report, nist_report = _judge([[r.golden, *r.sweep_responses] for r in runs], times)
-        median_min_diff = float(np.median([r.relocated_min_diff for r in runs]))
-        points.append(MSweepPoint(m, runs[0].golden.k, median_min_diff, report.r_avg,
-                                  nist_report.pass_rate))
-    if write:
-        root = Path(config.out_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        rows = ["m,bits,median_min_diff_mhz,r_avg,nist_pass_rate"]
-        rows += [f"{p.m},{p.bits},{p.median_min_diff:.6f},{p.r_avg:.6f},"
-                 f"{format_rate(p.nist_pass_rate, '.4f')}" for p in points]
-        (root / "m_sweep.csv").write_text("\n".join(rows) + "\n")
+    with _sweep_dir(config, write) as root:
+        for m, runs in zip(RO_COUNTS,
+                           _device_runs(config, RO_COUNTS, range(config.devices), times)):
+            report, nist_report = _judge([[r.golden, *r.sweep_responses] for r in runs], times)
+            median_min_diff = float(np.median([r.relocated_min_diff for r in runs]))
+            points.append(MSweepPoint(m, runs[0].golden.k, median_min_diff, report.r_avg,
+                                      nist_report.pass_rate))
+        if write:
+            rows = ["m,bits,median_min_diff_mhz,r_avg,nist_pass_rate"]
+            rows += [f"{p.m},{p.bits},{p.median_min_diff:.6f},{p.r_avg:.6f},"
+                     f"{format_rate(p.nist_pass_rate, '.4f')}" for p in points]
+            (root / "m_sweep.csv").write_text("\n".join(rows) + "\n")
     times.log(f"M sweep of {config.devices} devices over {len(RO_COUNTS)} sizes:")
     return points
 

@@ -15,7 +15,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -158,12 +158,12 @@ def generate_responses(
     chip: ChipProfile,
     lfsr_seed: int,
     envs: Sequence[EnvCondition],
-    rngs: Sequence[np.random.Generator | None],
+    rngs: Iterable[np.random.Generator | None],
     t_on_us: float = DEFAULT_T_ON_US,
 ) -> np.ndarray:
     """Full k-bit responses of one placement, k = (M/2)^2 - 1, as a
     (conditions, k) bit matrix: row j is measured under ``envs[j]`` with
-    fresh noise from ``rngs[j]``.
+    fresh noise from the j-th generator of ``rngs``, taken when row j draws.
 
     Frequencies are scaled to each condition at the M placed sites only.
     Each row draws its lower-group noise, then its upper-group noise, k
@@ -186,10 +186,10 @@ def generate_responses(
     noise = np.zeros(freqs.shape)
     groups = [g for g in (slice(0, k), slice(k, 2 * k)) if np.any(sigma[g] > 0)]
     if groups:
-        if any(rng is None for rng in rngs):
-            raise ValueError("rng required when measurement noise is enabled")
         draw = slice(groups[0].start, groups[-1].stop)
         for row, rng in zip(noise, rngs):
+            if rng is None:
+                raise ValueError("rng required when measurement noise is enabled")
             rng.standard_normal(out=row[draw])
     counts = noisy_counts(freqs, t_on_us, noise, sigma)
     return (counts[:, :k] < counts[:, k:]).astype(np.uint8)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ropufsim.pipeline as pipeline
 import ropufsim.select as select
@@ -37,9 +39,12 @@ from ropufsim.pipeline import (
     BenchReport,
     PipelineConfig,
     bench,
+    derive_seed,
     device_seeds,
+    generator_words,
     kmeans_scaling,
     run_pipeline,
+    seed_table,
     sweep_kappa,
     sweep_m,
 )
@@ -72,7 +77,7 @@ def tree_sha256(root: Path) -> str:
 
 
 # Stages a written run logs, in order.
-STAGES = ("synth", "characterize", "reject", "kmeans", "relocation", "assign/place",
+STAGES = ("seeds", "synth", "characterize", "reject", "kmeans", "relocation", "assign/place",
           "respond", "evaluate", "nist", "write")
 
 # Artifact tree of tiny_config with out_dir="run".  Only a change that
@@ -218,6 +223,91 @@ class TestConfig:
         assert device_seeds(5, 0) != device_seeds(5, 1)
 
 
+def numpy_seed(path) -> tuple[int, list[int]]:
+    """The reference for seed_table: numpy's derived seed of ``path`` and the
+    PCG64 state words default_rng of that seed starts from."""
+    seed = int(np.random.SeedSequence(list(path)).generate_state(1)[0])
+    state = np.random.PCG64(seed).state["state"]
+    return seed, [state["state"] >> 64, state["state"] & (2**64 - 1),
+                  state["inc"] >> 64, state["inc"] & (2**64 - 1)]
+
+
+class TestSeedTable:
+    """seed_table and generator_words compute numpy's SeedSequence hash and
+    PCG64 seeding in arrays; numpy is the reference here and nowhere in the
+    chain."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n), min_size=1, max_size=6)))
+    @example([[0]])
+    @example([[2**32 + 5, 0, 1], [0, 7, 2**64 - 1], [4, 2**32 - 1, 2**32]])
+    def test_matches_numpy(self, paths):
+        # element j of every path in one column, so paths whose elements take
+        # one or two words share a call
+        seeds = seed_table(*(np.array(col, dtype=np.uint64) for col in zip(*paths)))
+        words = generator_words(seeds)
+        assert [(s, w) for s, w in zip(seeds.tolist(), words.tolist())] \
+            == [numpy_seed(path) for path in paths]
+        assert derive_seed(*paths[-1]) == numpy_seed(paths[-1])[0]
+
+    @pytest.mark.parametrize("global_seed", [0, 5, 2**32 + 1, 2**64 - 1, 2**64, 2**100 + 3])
+    def test_device_grid_matches_numpy(self, global_seed):
+        seeds = seed_table(global_seed, np.arange(3)[:, None], np.arange(6))
+        words = generator_words(seeds)
+        assert device_seeds(global_seed, 2) == dict(zip(
+            ("synth", "characterize", "select", "assign", "place", "response"),
+            seeds[2].tolist()))
+        for index in range(3):
+            for stage in range(6):
+                assert (int(seeds[index, stage]), words[index, stage].tolist()) \
+                    == numpy_seed([global_seed, index, stage])
+
+    def test_restated_generator_draws_as_default_rng(self):
+        seeds = seed_table(7, np.arange(4)[:, None], np.arange(5))
+        words = generator_words(seeds)
+        table = pipeline._SeedTable(7, [0], [], 0)
+        for seed, w in zip(seeds.ravel().tolist(), words.reshape(-1, 4)):
+            want = np.random.default_rng(seed)
+            got = table.draw(w)
+            assert got.standard_normal(510).tobytes() == want.standard_normal(510).tobytes()
+            # a buffered 32-bit half is dropped when the generator is re-stated
+            assert got.integers(0, 1000, 3, dtype=np.uint32).tolist() \
+                == want.integers(0, 1000, 3, dtype=np.uint32).tolist()
+
+    def test_negative_element_raises_as_numpy_does(self):
+        for path in ([3, -1], [-2**40]):
+            with pytest.raises(ValueError, match="^expected non-negative integer$"):
+                np.random.SeedSequence(path)
+            with pytest.raises(ValueError, match="^expected non-negative integer$"):
+                seed_table(*path)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            seed_table(3, np.array([0, -1]))
+
+    def test_default_run_responds_without_default_rng(self, monkeypatch):
+        calls, responding = [], []
+        default_rng, respond = np.random.default_rng, pipeline._respond
+
+        def rng_spy(*args, **kwargs):
+            calls.append(bool(responding))
+            return default_rng(*args, **kwargs)
+
+        def respond_spy(*args, **kwargs):
+            responding.append(True)
+            try:
+                return respond(*args, **kwargs)
+            finally:
+                responding.pop()
+
+        monkeypatch.setattr(np.random, "default_rng", rng_spy)
+        monkeypatch.setattr(pipeline, "_respond", respond_spy)
+        _, _, runs = run_pipeline(PipelineConfig(), write=False)
+        assert len(runs) == 54 and len(runs[0].sweep_responses) == 19
+        assert True not in calls
+        # synth, select, assign and place seed or pass on a generator of their own
+        assert len(calls) <= 5 * len(runs)
+
+
 class TestRunPipeline:
     def test_artifact_tree(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -352,9 +442,9 @@ class TestRunPipeline:
         sweep_kappa(tiny_config(tmp_path), write=False)
         sweep_m(tiny_config(tmp_path), write=False)
         bench(tiny_config(tmp_path))
-        # bench times device 0's chain: its pool, kmeans and relocation
+        # bench times device 0's chain: its seeds, pool, kmeans and relocation
         assert [re.search(r"stage (\S+) ", m)[1] for m in caplog.messages] == [
-            *STAGES[:9], *STAGES[:9], *STAGES[:5]]
+            *STAGES[:10], *STAGES[:10], *STAGES[:6]]
 
     def test_micd_trace_same_with_and_without_files(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -406,7 +496,8 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pipeline, "characterize", tied)
         config = tiny_config(tmp_path)
-        pool = pipeline._candidate_pool(config, 0, pipeline._device_spec(config),
+        table = pipeline._SeedTable(config.global_seed, [0], [], 0)
+        pool = pipeline._candidate_pool(config, table, 0, pipeline._device_spec(config),
                                         pipeline._StageTimes())
         kept = reject_erroneous(pool.profile).kept
         mean = kept.mean
@@ -642,6 +733,31 @@ class TestSweeps:
             "5805f0c3bd1abf4e3ef40b20c975861ad41304d1a22d1465e86343193aac2498"
         )
         assert len(synth_calls) == 6
+
+    @pytest.mark.parametrize("verb, sweep", [("sweep-kappa", sweep_kappa), ("sweep-m", sweep_m)])
+    def test_unusable_out_dir_fails_before_device_work(self, tmp_path, synth_calls, capsys,
+                                                       verb, sweep):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "out"
+        with pytest.raises(NotADirectoryError) as info:
+            sweep(tiny_config(tmp_path, out_dir=str(out)))
+        assert info.value.filename == str(out)
+        assert main([verb, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ropuf {verb}: {out}: Not a directory\n"
+        assert synth_calls == []
+        assert afile.read_bytes() == b""
+
+    @pytest.mark.parametrize("sweep", [sweep_kappa, sweep_m])
+    def test_failed_sweep_leaves_no_out_dir(self, tmp_path, sweep):
+        # draws a non-positive nominal frequency, so the chain raises at synth
+        spec_file = tmp_path / "device.json"
+        spec_file.write_text(json.dumps({"preset": "zybo", "mean_freq_base": 10.0}))
+        config = tiny_config(tmp_path, out_dir=str(tmp_path / "new" / "sweep"),
+                             device_spec_file=str(spec_file))
+        with pytest.raises(ConfigError, match="drew a nominal frequency"):
+            sweep(config)
+        assert [p.name for p in tmp_path.iterdir()] == ["device.json"]
 
     def test_kappa_zero_identical_ones_count(self, tmp_path):
         # ordered-only assignment leaves the multiset of compared rank pairs
