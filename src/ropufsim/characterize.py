@@ -156,15 +156,15 @@ def reject_erroneous(prof: FrequencyProfile, threshold: float = DEFAULT_THRESHOL
 PROFILE_HEADER = ",".join(("clb_x", "clb_y", "corner", "class", *MOMENT_COLUMNS))
 
 
-def export_profile_csv(layout: FabricLayout, prof: FrequencyProfile, path: str) -> None:
-    """Write a profile in the moments schema ``ingest_csv`` reads.
+def profile_csv(layout: FabricLayout, prof: FrequencyProfile) -> bytes:
+    """A profile in the moments schema ``ingest_csv`` reads, as file bytes.
 
     Two header lines record ``# t_on_us=`` (its ``repr``) and ``# samples=``
     (m); then each site's row joins its label from the chip's layout
     (``ChipProfile.layout``) with its two integer count moments.  The rows
     are one bytes ``%`` format of the layout's row template, which a profile
     of the layout's ``active`` sites shares with every other chip of that
-    layout.  Re-ingesting the file gives the profile's means and sigmas bit
+    layout.  Re-ingesting the bytes gives the profile's means and sigmas bit
     for bit.
     """
     refs = prof.site_refs
@@ -175,5 +175,10 @@ def export_profile_csv(layout: FabricLayout, prof: FrequencyProfile, path: str) 
     moments = np.empty(2 * len(refs), dtype=np.int64)
     moments[0::2], moments[1::2] = prof.sum_count, prof.sum_count_sq
     head = f"# t_on_us={float(prof.t_on_us)!r}\n# samples={prof.m}\n{PROFILE_HEADER}\n"
+    return head.encode() + template % tuple(moments.tolist())
+
+
+def export_profile_csv(layout: FabricLayout, prof: FrequencyProfile, path: str) -> None:
+    """Write ``profile_csv(layout, prof)`` to ``path``."""
     with open(path, "wb") as fh:
-        fh.write(head.encode() + template % tuple(moments.tolist()))
+        fh.write(profile_csv(layout, prof))

@@ -1,8 +1,9 @@
 """End-to-end orchestration: synth -> characterize -> reject -> select ->
 relocate -> group -> place -> respond -> evaluate, plus sweeps and a
 computation-time model.  Every verb runs devices through one chain, in
-blocks, in one process: each device's candidate pool is built once, then
-one K-means run per block and design size.
+blocks, in one process: each device's candidate pool is built once (a
+written run stages its profile.csv then), then one K-means run per block
+and design size.  No run returns a characterization.
 
 Every stage's randomness derives from the declared global seed, so a run is
 reproducible from its manifest alone.  A run logs its host seconds per stage
@@ -367,30 +368,25 @@ class _SeedTable:
 class DeviceRun:
     """Artifacts of one device's stage chain.
 
-    ``profile`` is the characterization before rejection and ``plan`` the
-    placement the responses came from; the artifact writer emits both as
-    they are, with the site labels of the plan's shared ``layout``, so no
-    stage runs again to write a run and no per-site chip array outlives the
-    chain.
+    ``plan`` is the placement the responses came from; the writer emits it
+    with the site labels of the plan's shared ``layout``.  No per-site chip
+    array or characterization outlives the chain: a written run writes
+    ``profile.csv`` when the device's pool is built, and ``excluded_sites``
+    counts the fabric's sites that were never characterized.
     ``kmeans`` and ``relocated`` are the two selection results;
     ``selection_json`` is their file form, built on each access.
     """
 
     device_id: str
     seeds: dict[str, int]
-    profile: FrequencyProfile
     plan: PlacementPlan
+    excluded_sites: int
     kept_sites: int
     rejected: int
     kmeans: SelectionResult
     relocated: SelectionResult
     golden: ResponseSet
     sweep_responses: list[ResponseSet]
-
-    @property
-    def excluded_sites(self) -> int:
-        """Sites of the fabric that were never characterized."""
-        return len(self.plan.layout) - len(self.profile)
 
     @property
     def selection_min_diff(self) -> float:
@@ -433,7 +429,7 @@ class _Pool:
     table: _SeedTable
     row: int
     chip: ChipProfile
-    profile: FrequencyProfile
+    excluded_sites: int
     kept_sites: int
     rejected: int
     nu: np.ndarray
@@ -442,7 +438,8 @@ class _Pool:
 
 def _candidate_pool(
     config: PipelineConfig, table: _SeedTable, row: int, spec: DeviceSpec, times: _StageTimes
-) -> _Pool:
+) -> tuple[_Pool, FrequencyProfile]:
+    """Device ``row``'s pool, and its characterization before rejection."""
     seeds = dict(zip(_STAGES, table.stage[row].tolist()))
     with times.stage("synth"):
         chip = synth_chip(spec, seeds["synth"], device_id=f"{spec.kind}_{table.indices[row]:03d}")
@@ -457,8 +454,8 @@ def _candidate_pool(
         # keys orders the pool as a stable sort of the means
         s1 = kept.sum_count.astype(np.int64)
         order = np.argsort(s1 * s1.size + np.arange(s1.size))
-    return _Pool(seeds, table, row, chip, prof, clean.z_bar, clean.rejected_count,
-                 kept.mean[order], kept.site_refs[order])
+    return _Pool(seeds, table, row, chip, len(chip.layout) - len(prof), clean.z_bar,
+                 clean.rejected_count, kept.mean[order], kept.site_refs[order]), prof
 
 
 def _kmeans(m: int, seeding: SeedStrategy, pools: Sequence[_Pool]) -> list[SelectionResult]:
@@ -491,7 +488,7 @@ _T = TypeVar("_T")
 def _chain(
     config: PipelineConfig, ms: Sequence[int], indices: Sequence[int],
     finish: Callable[[int, _Selection], _T], times: _StageTimes,
-    kappas: Sequence[float] = (), slots: int = 0,
+    kappas: Sequence[float] = (), slots: int = 0, tree: _Skeleton | None = None,
 ) -> list[list[_T]]:
     """``finish(j, selection)`` of the devices ``indices`` of ``config`` at
     the j-th M of ``ms``, one list per M in index order.
@@ -501,7 +498,8 @@ def _chain(
     ``_BLOCK_DEVICES``: each device's candidate pool once, then per M one
     K-means run for the block and each device's relocation and ``finish``.
     What ``finish`` returns must not hold the chip, so a block's chips are
-    freed before the next block is synthesized.
+    freed before the next block is synthesized.  With ``tree``, each device's
+    profile goes to its staged file when its pool is built, and is dropped.
     """
     with times.stage("seeds"):
         ratios = [(m, _kappa_index(m, kappa)) for m in ms for kappa in kappas]
@@ -512,12 +510,18 @@ def _chain(
     for start in rows[::_BLOCK_DEVICES]:
         # a block's pools live in _chain_block's frame, so returning frees them
         _chain_block(config, spec, ms, table, rows[start : start + _BLOCK_DEVICES], finish,
-                     times, out)
+                     times, out, tree)
     return out
 
 
-def _chain_block(config, spec, ms, table, rows, finish, times, out) -> None:
-    pools = [_candidate_pool(config, table, d, spec, times) for d in rows]
+def _chain_block(config, spec, ms, table, rows, finish, times, out, tree) -> None:
+    pools = []
+    for d in rows:
+        pool, prof = _candidate_pool(config, table, d, spec, times)
+        if tree is not None:
+            with times.stage("write"):
+                export_profile_csv(pool.chip.layout, prof, tree.staged(d))
+        pools.append(pool)
     for j, (m, results) in enumerate(zip(ms, out)):
         with times.stage("kmeans"):
             kms = _kmeans(m, config.seeding, pools)
@@ -570,8 +574,8 @@ def _device_run(
     return DeviceRun(
         device_id=pool.chip.device_id,
         seeds=pool.seeds,
-        profile=pool.profile,
         plan=plan,
+        excluded_sites=pool.excluded_sites,
         kept_sites=pool.kept_sites,
         rejected=pool.rejected,
         kmeans=sel.kmeans,
@@ -583,6 +587,7 @@ def _device_run(
 
 def run_device(config: PipelineConfig, index: int) -> DeviceRun:
     """Device ``index`` of ``run_pipeline(config)``, run alone."""
+    config.validate()
     [[run]] = _device_runs(config, [config.ro_count], [index], _StageTimes())
     return run
 
@@ -595,13 +600,14 @@ def _shared_lfsr_seed(config: PipelineConfig) -> int:
 
 def _device_runs(
     config: PipelineConfig, ms: Sequence[int], indices: Sequence[int], times: _StageTimes,
+    tree: _Skeleton | None = None,
 ) -> list[list[DeviceRun]]:
     """The runs of devices ``indices`` at ``config.kappa``, one list per M."""
     env_grid = config.env_grid()
     lfsr_seeds = [_shared_lfsr_seed(replace(config, ro_count=m)) for m in ms]
     return _chain(config, ms, indices,
                   lambda j, sel: _device_run(sel, config.kappa, lfsr_seeds[j], env_grid, times),
-                  times, [config.kappa], 1 + len(env_grid))
+                  times, [config.kappa], 1 + len(env_grid), tree)
 
 
 def _judge(
@@ -623,6 +629,7 @@ def _judge(
 _MANIFEST = "manifest.json"
 _DEVICE_FILES = ("profile.csv", "selection.json", "constraints.txt", "responses.csv")
 _REPORT_FILES = ("eval.json", "nist.csv", "nist.json", "hd_hist.csv")
+_STAGED = _DEVICE_FILES[0] + ".part"  # the chain's profile.csv, until the writer renames it
 
 
 def _make_out_dir(root: str) -> list[str]:
@@ -656,20 +663,22 @@ def _sweep_dir(config: PipelineConfig, write: bool):
 
 class _Skeleton(threading.Thread):
     """Makes ``out_dir``, then on this helper thread, while the chain runs,
-    the artifact tree's directories and empty files, so that the writer only
-    rewrites files: on ext4 a new file costs about ten times a rewrite.  The
-    thread runs no numpy code and no emitter."""
+    each device's directory and staged profile in device order, for the chain
+    to fill, then the tree's other empty files, so that the writer only
+    rewrites files: on ext4 a new file costs about ten times a rewrite.  It
+    runs no numpy code and no emitter."""
 
     def __init__(self, root: str, devices: int) -> None:
         super().__init__()
         # the tree under out_dir, parents first, a directory's path ending in "/"
         self.dirs = [f"device_{i:03d}/" for i in range(devices)] + ["reports/"]
-        held = [_DEVICE_FILES] * devices + [_REPORT_FILES]
-        self.paths = [_MANIFEST, *self.dirs,
-                      *(d + f for d, names in zip(self.dirs, held) for f in names)]
+        held = [_DEVICE_FILES[1:]] * devices + [_REPORT_FILES]
+        self.paths = [*(p for d in self.dirs[:-1] for p in (d, d + _STAGED)), self.dirs[-1],
+                      _MANIFEST, *(d + f for d, names in zip(self.dirs, held) for f in names)]
         # what the run makes: out_dir's missing ancestors and itself, then the thread's
         self.made = _make_out_dir(root)
         self.root, self.error = Path(root), None
+        self.staged_made = threading.Semaphore(0)
         self.start()
 
     def run(self) -> None:
@@ -682,9 +691,23 @@ class _Skeleton(threading.Thread):
                     else:
                         os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
                     self.made.append(path)
+                if path.endswith(_STAGED):
+                    # the writer renames it to profile.csv, which this run makes if it is new
+                    if not os.path.lexists(profile := path.removesuffix(".part")):
+                        self.made.append(profile)
+                    self.staged_made.release()
         except OSError as exc:
             self.error = exc
+        finally:  # wakes the chain however far the thread got
+            self.staged_made.release(len(self.dirs))
         self.seconds = time.perf_counter() - t0
+
+    def staged(self, row: int) -> str:
+        """Device ``row``'s staged profile, once made; asked once per device, in order."""
+        self.staged_made.acquire()
+        if self.error is not None:
+            raise self.error
+        return os.path.join(self.root, self.dirs[row] + _STAGED)
 
     def discard(self) -> None:
         """Wait for the thread, then remove what this run made."""
@@ -697,15 +720,16 @@ def run_pipeline(
 ) -> tuple[EvalReport, NistReport, list[DeviceRun]]:
     """Full multi-device run; optionally writes the artifact tree.
 
-    A written run makes ``out_dir`` before any device work, and a failed run
-    removes every file and directory it made.  The stage times are logged,
-    not written, so the tree depends on the config alone.
+    A written run makes ``out_dir`` before any device work and stages each
+    profile.csv as its pool is built; a failed run removes every file and
+    directory it made.  The stage times are logged, not written, so the tree
+    depends on the config alone.
     """
     config.validate()
     times = _StageTimes()
     tree = _Skeleton(config.out_dir, config.devices) if write else None
     try:
-        (runs,) = _device_runs(config, [config.ro_count], range(config.devices), times)
+        (runs,) = _device_runs(config, [config.ro_count], range(config.devices), times, tree)
         report, nist_report = _judge([[r.golden, *r.sweep_responses] for r in runs], times)
         if tree is not None:
             with times.stage("write"):
@@ -754,7 +778,7 @@ def _write_run(
 
     profile, selection, constraints, responses = _DEVICE_FILES
     for dev_dir, r in zip((root / d for d in tree.dirs), runs):
-        export_profile_csv(r.plan.layout, r.profile, str(dev_dir / profile))
+        os.replace(dev_dir / _STAGED, dev_dir / profile)
         (dev_dir / selection).write_text(json.dumps(r.selection_json, sort_keys=True))
         emit_constraints(r.plan, str(dev_dir / constraints))
         save_responses(str(dev_dir / responses), [r.golden, *r.sweep_responses])
@@ -768,9 +792,7 @@ def _write_run(
     )
     counts, edges = np.histogram(np.asarray(report.hd_inter), bins=20, range=(0.0, 1.0))
     hist_rows = ["bin_lo,bin_hi,count"]
-    hist_rows += [
-        f"{edges[i]:.3f},{edges[i + 1]:.3f},{int(c)}" for i, c in enumerate(counts)
-    ]
+    hist_rows += [f"{lo:.3f},{hi:.3f},{int(c)}" for lo, hi, c in zip(edges, edges[1:], counts)]
     (reports / hd_hist).write_text("\n".join(hist_rows) + "\n")
 
 
@@ -806,23 +828,13 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
         points: list[KappaSweepPoint] = []
         for kappa, responses in zip(kappas, zip(*per_device)):
             report, nist_report = _judge(responses, times)
-            points.append(
-                KappaSweepPoint(
-                    kappa=kappa,
-                    pass_rate=nist_report.pass_rate,
-                    all_pass=nist_report.all_pass(),
-                    per_test={n: r.population_pass for n, r in nist_report.results.items()},
-                    uniqueness=report.u,
-                    min_entropy_avg=report.min_entropy_avg,
-                )
-            )
+            per_test = {n: r.population_pass for n, r in nist_report.results.items()}
+            points.append(KappaSweepPoint(kappa, nist_report.pass_rate, nist_report.all_pass(),
+                                          per_test, report.u, report.min_entropy_avg))
         if write:
             rows = ["kappa,pass_rate,all_pass,uniqueness,min_entropy"]
-            for p in points:
-                rows.append(
-                    f"{p.kappa},{format_rate(p.pass_rate, '.4f')},{int(p.all_pass)},"
-                    f"{p.uniqueness:.4f},{p.min_entropy_avg:.4f}"
-                )
+            rows += [f"{p.kappa},{format_rate(p.pass_rate, '.4f')},{int(p.all_pass)},"
+                     f"{p.uniqueness:.4f},{p.min_entropy_avg:.4f}" for p in points]
             (root / "kappa_sweep.csv").write_text("\n".join(rows) + "\n")
     times.log(f"kappa sweep of {config.devices} devices over {len(kappas)} ratios:")
     return points

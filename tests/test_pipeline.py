@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -66,6 +67,15 @@ def tiny_config(tmp_path, **overrides) -> PipelineConfig:
     return PipelineConfig(**base)
 
 
+def device_profile(config: PipelineConfig, index: int) -> FrequencyProfile:
+    """Device ``index``'s characterization before rejection, as the chain
+    built it; a run keeps none."""
+    table = pipeline._SeedTable(config.global_seed, [index], [], 0)
+    _, prof = pipeline._candidate_pool(config, table, 0, pipeline._device_spec(config),
+                                       pipeline._StageTimes())
+    return prof
+
+
 def tree_sha256(root: Path) -> str:
     """sha256 over every file's relative path and bytes, in path order."""
     h = hashlib.sha256()
@@ -76,9 +86,11 @@ def tree_sha256(root: Path) -> str:
     return h.hexdigest()
 
 
-# Stages a written run logs, in order.
+# Stages a run logs, in order, and a written run's order: it writes device
+# 0's profile as soon as the device's pool is built.
 STAGES = ("seeds", "synth", "characterize", "reject", "kmeans", "relocation", "assign/place",
           "respond", "evaluate", "nist", "write")
+WRITTEN_STAGES = (*STAGES[:4], "write", *STAGES[4:-1])
 
 # Artifact tree of tiny_config with out_dir="run".  Only a change that
 # announces a behaviour change may move it.  Last moved when the MICD trace
@@ -151,9 +163,12 @@ class TestConfig:
 
     def test_every_verb_validates_first(self, tmp_path, synth_calls, capsys):
         config = tiny_config(tmp_path, kappa=0.3)
-        for verb in (sweep_kappa, bench):
+        for verb in (sweep_kappa, bench, lambda c: pipeline.run_device(c, 0)):
             with pytest.raises(ConfigError, match="^kappa must"):
                 verb(config)
+        for field, value in (("samples", 1), ("seeding", "bogus")):
+            with pytest.raises(ConfigError, match=f"^{field} must"):
+                pipeline.run_device(tiny_config(tmp_path, **{field: value}), 0)
         rc = main(["run", "--preset", "zybo", "--devices", "0", "--out", str(tmp_path / "cli")])
         assert rc == 2
         assert "devices must be an integer >= 1, got 0" in capsys.readouterr().err
@@ -434,7 +449,7 @@ class TestRunPipeline:
                             r"thread; write waited \d+\.\d{4} host s for it", tree)
         logged = [re.fullmatch(r"run of 3 devices: stage (\S+) +\d+\.\d{4} host s", m)
                   for m in stages]
-        assert [m[1] for m in logged] == list(STAGES)
+        assert [m[1] for m in logged] == list(WRITTEN_STAGES)
         caplog.clear()
         run_pipeline(tiny_config(tmp_path), write=False)
         assert len(caplog.messages) == len(STAGES) - 1  # no write stage
@@ -464,7 +479,7 @@ class TestRunPipeline:
         # the default 122.87 us window resolves
         config = tiny_config(tmp_path, devices=1, ro_count=16)
         _, _, (run,) = run_pipeline(config, write=False)
-        assert run.profile.t_on_us == DEFAULT_T_ON_US
+        assert device_profile(config, 0).t_on_us == DEFAULT_T_ON_US
         chip = synth_chip(get_preset("zybo"), run.seeds["synth"], device_id=run.device_id)
 
         def golden(**window):
@@ -479,9 +494,10 @@ class TestRunPipeline:
         assert not np.array_equal(run.golden.bits, golden(t_on_us=0.1))
 
     def test_pool_rejects_at_default_threshold(self, tmp_path):
-        _, _, runs = run_pipeline(tiny_config(tmp_path), write=False)
-        for run in runs:
-            clean = reject_erroneous(run.profile, threshold=DEFAULT_THRESHOLD)
+        config = tiny_config(tmp_path)
+        _, _, runs = run_pipeline(config, write=False)
+        for i, run in enumerate(runs):
+            clean = reject_erroneous(device_profile(config, i), threshold=DEFAULT_THRESHOLD)
             assert (run.kept_sites, run.rejected) == (clean.z_bar, clean.rejected_count)
             assert run.rejected > 0
 
@@ -497,9 +513,9 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "characterize", tied)
         config = tiny_config(tmp_path)
         table = pipeline._SeedTable(config.global_seed, [0], [], 0)
-        pool = pipeline._candidate_pool(config, table, 0, pipeline._device_spec(config),
-                                        pipeline._StageTimes())
-        kept = reject_erroneous(pool.profile).kept
+        pool, prof = pipeline._candidate_pool(config, table, 0, pipeline._device_spec(config),
+                                              pipeline._StageTimes())
+        kept = reject_erroneous(prof).kept
         mean = kept.mean
         _, first, counts = np.unique(mean, return_index=True, return_counts=True)
         tied_runs = counts > 1
@@ -557,10 +573,11 @@ class TestRunPipeline:
             "preset", "devices", "ro_count", "kappa", "seeding", "samples", "temps", "volts",
             "env_mode", "global_seed", "workers", "out_dir", "device_spec_file",
         }
-        for entry, run in zip(manifest["devices"], runs):
-            assert entry["excluded_sites"] + len(run.profile) == 3520  # zybo sites
+        for i, (entry, run) in enumerate(zip(manifest["devices"], runs)):
+            characterized = len(device_profile(config, i))
+            assert entry["excluded_sites"] + characterized == 3520  # zybo sites
             assert entry["excluded_sites"] == run.excluded_sites > 0
-            assert entry["rejected"] + entry["kept_sites"] == len(run.profile)
+            assert entry["rejected"] + entry["kept_sites"] == characterized
             assert entry["kmeans_iterations"] == run.kmeans.iterations > 0
             assert entry["relocation_iterations"] == run.relocated.iterations
 
@@ -571,7 +588,7 @@ class TestRunPipeline:
         _, _, runs = run_pipeline(config)
         for i, run in enumerate(runs):
             back = ingest_csv(str(Path(config.out_dir) / f"device_{i:03d}" / "profile.csv"))
-            prof = run.profile
+            prof = device_profile(config, i)
             assert np.array_equal(back.nominal_freq, prof.mean)
             assert np.array_equal(back.meas_sigma_site, prof.sigma)
             kept = prof.site_refs[back.meas_sigma_site / back.nominal_freq <= DEFAULT_THRESHOLD]
@@ -597,6 +614,20 @@ class TestRunPipeline:
             index = pipeline.valid_kappas(config.ro_count).index(kappa)
             assert np.array_equal(suites[-1], suites[index])
             assert np.array_equal(np.stack([r.golden.bits for r in runs]), suites[index])
+
+    def test_no_profile_outlives_a_run(self, tmp_path):
+        # each profile is written, when at all, as soon as its pool is built;
+        # nothing a verb returns holds one
+        def live_profiles():
+            gc.collect()
+            return [o for o in gc.get_objects() if isinstance(o, FrequencyProfile)]
+
+        before = live_profiles()
+        config = tiny_config(tmp_path)
+        results = [run_pipeline(config), run_pipeline(config, write=False),
+                   sweep_kappa(config, write=False), sweep_m(config, write=False)]
+        assert len(results[0][2]) == config.devices
+        assert [o for o in live_profiles() if not any(o is b for b in before)] == []
 
     def test_workers_other_than_one_rejected(self, tmp_path, synth_calls, capsys):
         # there is no process pool: a run is one process whatever the config
@@ -632,12 +663,84 @@ class TestTreeOnHelperThread:
         spec_file.write_text(json.dumps({"preset": "zybo", "mean_freq_base": 10.0}))
         return str(spec_file)
 
+    @pytest.fixture
+    def fails_in_second_block(self, monkeypatch):
+        """Blocks of 2 devices, and a relocation that raises in the second
+        block, once the first block's profiles are staged."""
+        relocate = pipeline.relocate_centroids
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 2:
+                raise RuntimeError("relocation failed in the second block")
+            return relocate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_BLOCK_DEVICES", 2)
+        monkeypatch.setattr(pipeline, "relocate_centroids", spy)
+
+    def staged(self, root: Path) -> dict:
+        return {p.relative_to(root): p.stat().st_size for p in root.rglob("profile.csv.part")}
+
     def test_tiny_tree_has_no_empty_file(self, tmp_path):
         config = tiny_config(tmp_path)
         run_pipeline(config)
         files = [p for p in Path(config.out_dir).rglob("*") if p.is_file()]
         assert len(files) == 1 + 4 * config.devices + 4
         assert [p for p in files if p.stat().st_size == 0] == []
+        assert self.staged(Path(config.out_dir)) == {}
+
+    def test_chain_waits_for_a_slow_helper(self, tmp_path, monkeypatch, caplog):
+        # the helper starts late, so the chain reaches device 0's staged
+        # profile before the thread has made it, and waits; thread switches
+        # are forced often so that the two threads interleave finely
+        make = pipeline._Skeleton.run
+
+        def late(self):
+            time.sleep(0.2)
+            make(self)
+
+        monkeypatch.setattr(pipeline._Skeleton, "run", late)
+        monkeypatch.chdir(tmp_path)
+        caplog.set_level(logging.DEBUG, logger="ropufsim")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            run_pipeline(tiny_config(tmp_path, out_dir="run"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - t0 < 30.0
+        assert tree_sha256(Path("run")) == TINY_RUN_SHA256
+        write = [float(m.split()[-3]) for m in caplog.messages if " stage write " in m]
+        assert write[0] > 0.1  # device 0's profile waited for the thread
+
+    def test_failed_run_after_staging_leaves_no_out_dir(self, tmp_path, monkeypatch,
+                                                        fails_in_second_block):
+        config = tiny_config(tmp_path, out_dir=str(tmp_path / "new" / "run"))
+        seen = []
+        export = pipeline.export_profile_csv
+
+        def spy(layout, prof, path):
+            export(layout, prof, path)
+            seen.append(self.staged(Path(config.out_dir)))
+
+        monkeypatch.setattr(pipeline, "export_profile_csv", spy)
+        with pytest.raises(RuntimeError, match="second block"):
+            run_pipeline(config)
+        # all three devices' profiles were staged, none of them empty
+        assert len(seen) == config.devices
+        assert len(seen[-1]) == config.devices and all(seen[-1].values())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_after_staging_leaves_earlier_tree_as_it_was(
+            self, tmp_path, fails_in_second_block):
+        config = tiny_config(tmp_path, devices=2)
+        run_pipeline(config)
+        before = tree_snapshot(Path(config.out_dir))
+        with pytest.raises(RuntimeError, match="second block"):
+            run_pipeline(replace(config, devices=3))
+        assert tree_snapshot(Path(config.out_dir)) == before
 
     def test_unusable_out_dir_fails_before_device_work(self, tmp_path, synth_calls, capsys):
         afile = tmp_path / "afile"
@@ -830,7 +933,7 @@ class TestCli:
         Path("tiny.json").write_text(config.to_json())
         assert main([*args, "-v"]) == 0
         err = capsys.readouterr().err
-        assert re.findall(r"stage (\S+) ", err) == list(STAGES)
+        assert re.findall(r"stage (\S+) ", err) == list(WRITTEN_STAGES)
         assert tree_sha256(Path("run")) == TINY_RUN_SHA256
         assert main(args) == 0  # the logger is quiet again
         assert capsys.readouterr().err == ""
@@ -914,9 +1017,10 @@ class TestCli:
         rc = main(["ingest", str(Path(config.out_dir) / "device_000" / "profile.csv")])
         assert rc == 0
         out = capsys.readouterr().out
-        sigma = run.profile.sigma
+        prof = device_profile(config, 0)
+        sigma = prof.sigma
         assert f"sigma span {(sigma.max() - sigma.min()) * 1e3:.3f} kHz" in out
-        assert (f"sigma/mean > 0.002 rejects {run.rejected} of {len(run.profile)} sites"
+        assert (f"sigma/mean > 0.002 rejects {run.rejected} of {len(prof)} sites"
                 in out)
         assert run.rejected > 0
 
