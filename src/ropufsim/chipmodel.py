@@ -151,6 +151,10 @@ class DeviceSpec:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and not _finite_real(value):
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        # the device ids made from it head the lines of responses.csv
+        if not self.kind or any(c.isspace() or c == "," for c in self.kind):
+            raise ConfigError(f"kind must be non-empty, without commas or whitespace, "
+                              f"got {self.kind!r}")
         if not isinstance(self.class_bias, Mapping):
             raise ConfigError(f"class_bias must map slice classes to MHz, got {self.class_bias!r}")
         if self.site_count <= 0:

@@ -2,8 +2,10 @@
 relocate -> group -> place -> respond -> evaluate, plus sweeps and a
 computation-time model.  Every verb runs devices through one chain, in
 blocks, in one process: each device's candidate pool is built once (a
-written run stages its profile.csv then), then one K-means run per block
-and design size.  No run returns a characterization.
+written run writes its profile.csv then), then one K-means run per block
+and design size.  No run returns a characterization.  A written verb stages
+every file it writes as ``<name>.part`` and renames them all at its commit,
+so a verb that fails leaves an earlier tree under ``out_dir`` as it was.
 
 Every stage's randomness derives from the declared global seed, so a run is
 reproducible from its manifest alone.  A run logs its host seconds per stage
@@ -12,6 +14,7 @@ through the ``ropufsim`` logger at DEBUG.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import math
@@ -19,7 +22,7 @@ import numbers
 import os
 import threading
 import time
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from itertools import takewhile
@@ -488,7 +491,7 @@ _T = TypeVar("_T")
 def _chain(
     config: PipelineConfig, ms: Sequence[int], indices: Sequence[int],
     finish: Callable[[int, _Selection], _T], times: _StageTimes,
-    kappas: Sequence[float] = (), slots: int = 0, tree: _Skeleton | None = None,
+    kappas: Sequence[float] = (), slots: int = 0, tree: _Tree | None = None,
 ) -> list[list[_T]]:
     """``finish(j, selection)`` of the devices ``indices`` of ``config`` at
     the j-th M of ``ms``, one list per M in index order.
@@ -520,7 +523,8 @@ def _chain_block(config, spec, ms, table, rows, finish, times, out, tree) -> Non
         pool, prof = _candidate_pool(config, table, d, spec, times)
         if tree is not None:
             with times.stage("write"):
-                export_profile_csv(pool.chip.layout, prof, tree.staged(d))
+                rel = _device_dir(table.indices[d]) + _DEVICE_FILES[0]
+                export_profile_csv(pool.chip.layout, prof, tree.staged(rel))
         pools.append(pool)
     for j, (m, results) in enumerate(zip(ms, out)):
         with times.stage("kmeans"):
@@ -600,7 +604,7 @@ def _shared_lfsr_seed(config: PipelineConfig) -> int:
 
 def _device_runs(
     config: PipelineConfig, ms: Sequence[int], indices: Sequence[int], times: _StageTimes,
-    tree: _Skeleton | None = None,
+    tree: _Tree | None = None,
 ) -> list[list[DeviceRun]]:
     """The runs of devices ``indices`` at ``config.kappa``, one list per M."""
     env_grid = config.env_grid()
@@ -625,94 +629,97 @@ def _judge(
 
 
 # The artifact tree under out_dir: _MANIFEST, each device's directory of
-# _DEVICE_FILES and reports/ of _REPORT_FILES, its paths listed by _Skeleton.
+# _DEVICE_FILES and reports/ of _REPORT_FILES.
 _MANIFEST = "manifest.json"
 _DEVICE_FILES = ("profile.csv", "selection.json", "constraints.txt", "responses.csv")
 _REPORT_FILES = ("eval.json", "nist.csv", "nist.json", "hd_hist.csv")
-_STAGED = _DEVICE_FILES[0] + ".part"  # the chain's profile.csv, until the writer renames it
+_REPORTS = "reports/"
 
 
-def _make_out_dir(root: str) -> list[str]:
-    """Make ``root`` and its missing parents; the ones made, parents first,
-    each a path ending in "/"."""
-    top = Path(root)
-    missing = takewhile(lambda p: not p.exists(), [top, *top.parents])
-    made = [f"{p}/" for p in missing][::-1]
-    top.mkdir(parents=True, exist_ok=True)
-    return made
+def _device_dir(index: int) -> str:
+    return f"device_{index:03d}/"
 
 
-def _remove_made(made: Sequence[str]) -> None:
-    """Remove the paths of ``made``, last first."""
-    for path in reversed(made):
-        with suppress(OSError):  # a directory that something else wrote into stays
-            (os.rmdir if path.endswith("/") else os.unlink)(path)
+def _run_paths(devices: int) -> list[str]:
+    """A run's tree, in the order it is written: each device's directory and
+    profile, which the chain writes in device order, then the writer's files."""
+    dirs = [_device_dir(i) for i in range(devices)]
+    profile, *rest = _DEVICE_FILES
+    return [*(p for d in dirs for p in (d, d + profile)), _REPORTS, _MANIFEST,
+            *(d + f for d in dirs for f in rest), *(_REPORTS + f for f in _REPORT_FILES)]
 
 
-@contextmanager
-def _sweep_dir(config: PipelineConfig, write: bool):
-    """``config.out_dir``, made before a written sweep's device work; a sweep
-    that fails removes it and the parents it made."""
-    made = _make_out_dir(config.out_dir) if write else []
-    try:
-        yield Path(config.out_dir)
-    except BaseException:
-        _remove_made(made)
-        raise
+class _Tree(threading.Thread):
+    """The files a written verb makes under ``root``, staged and committed.
 
+    ``paths`` are relative to ``root``, parents first, a directory's ending
+    in "/".  ``root`` and its missing parents are made at once, so an
+    unusable one fails before any device work; then this helper thread makes
+    each directory and each file as an empty ``<name>.part`` while the chain
+    runs, so that writing only rewrites files: on ext4 a new file costs about
+    ten times a rewrite.  It runs no numpy code and no emitter.  ``commit``
+    renames every staged file to its name; a verb that raises inside the
+    context removes what it made instead, so an earlier tree stays as it was.
+    """
 
-class _Skeleton(threading.Thread):
-    """Makes ``out_dir``, then on this helper thread, while the chain runs,
-    each device's directory and staged profile in device order, for the chain
-    to fill, then the tree's other empty files, so that the writer only
-    rewrites files: on ext4 a new file costs about ten times a rewrite.  It
-    runs no numpy code and no emitter."""
-
-    def __init__(self, root: str, devices: int) -> None:
+    def __init__(self, root: str, paths: Sequence[str]) -> None:
         super().__init__()
-        # the tree under out_dir, parents first, a directory's path ending in "/"
-        self.dirs = [f"device_{i:03d}/" for i in range(devices)] + ["reports/"]
-        held = [_DEVICE_FILES[1:]] * devices + [_REPORT_FILES]
-        self.paths = [*(p for d in self.dirs[:-1] for p in (d, d + _STAGED)), self.dirs[-1],
-                      _MANIFEST, *(d + f for d, names in zip(self.dirs, held) for f in names)]
-        # what the run makes: out_dir's missing ancestors and itself, then the thread's
-        self.made = _make_out_dir(root)
-        self.root, self.error = Path(root), None
-        self.staged_made = threading.Semaphore(0)
+        self.root, self.paths, self.error = root, paths, None
+        # what the verb makes, in order: root's missing ancestors and itself, then the thread's
+        top = Path(root)
+        self.made = [f"{p}/" for p in takewhile(lambda p: not p.exists(), [top, *top.parents])]
+        self.made.reverse()
+        top.mkdir(parents=True, exist_ok=True)
+        self.file_made = threading.Semaphore(0)
         self.start()
 
     def run(self) -> None:
         t0 = time.perf_counter()
         try:
             for path in [os.path.join(self.root, rel) for rel in self.paths]:
-                with suppress(FileExistsError):  # an earlier tree's entry is reused
-                    if path.endswith("/"):
+                if path.endswith("/"):
+                    with suppress(FileExistsError):  # an earlier tree's directory is reused
                         os.mkdir(path)
-                    else:
-                        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
-                    self.made.append(path)
-                if path.endswith(_STAGED):
-                    # the writer renames it to profile.csv, which this run makes if it is new
-                    if not os.path.lexists(profile := path.removesuffix(".part")):
-                        self.made.append(profile)
-                    self.staged_made.release()
+                        self.made.append(path)
+                else:
+                    if os.path.isdir(path):  # commit could not rename the staged file onto it
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                    os.close(os.open(path + ".part", os.O_WRONLY | os.O_CREAT | os.O_TRUNC))
+                    self.made.append(path + ".part")
+                    self.file_made.release()
         except OSError as exc:
             self.error = exc
         finally:  # wakes the chain however far the thread got
-            self.staged_made.release(len(self.dirs))
+            self.file_made.release(len(self.paths))
         self.seconds = time.perf_counter() - t0
 
-    def staged(self, row: int) -> str:
-        """Device ``row``'s staged profile, once made; asked once per device, in order."""
-        self.staged_made.acquire()
+    def staged(self, rel: str) -> str:
+        """``rel``'s staged file, once made; every file is asked for at most
+        once, in the order of ``paths``."""
+        self.file_made.acquire()
         if self.error is not None:
             raise self.error
-        return os.path.join(self.root, self.dirs[row] + _STAGED)
+        return os.path.join(self.root, rel + ".part")
 
-    def discard(self) -> None:
-        """Wait for the thread, then remove what this run made."""
+    def put(self, rel: str, text: str) -> None:
+        Path(self.staged(rel)).write_text(text)
+
+    def commit(self) -> None:
+        """Rename every staged file to its name, once all of them are written."""
+        for rel in self.paths:
+            if not rel.endswith("/"):
+                path = os.path.join(self.root, rel)
+                os.replace(path + ".part", path)
+
+    def __enter__(self) -> "_Tree":
+        return self
+
+    def __exit__(self, kind, *_) -> None:
         self.join()
-        _remove_made(self.made)
+        if kind is not None:
+            for path in reversed(self.made):
+                with suppress(OSError):  # a directory that something else wrote into stays
+                    (os.rmdir if path.endswith("/") else os.unlink)(path)
 
 
 def run_pipeline(
@@ -720,43 +727,31 @@ def run_pipeline(
 ) -> tuple[EvalReport, NistReport, list[DeviceRun]]:
     """Full multi-device run; optionally writes the artifact tree.
 
-    A written run makes ``out_dir`` before any device work and stages each
-    profile.csv as its pool is built; a failed run removes every file and
-    directory it made.  The stage times are logged, not written, so the tree
-    depends on the config alone.
+    A written run stages every file of its tree, each profile.csv as its
+    pool is built, and renames them all at the end; a failed run removes
+    every file and directory it made.  The stage times are logged, not
+    written, so the tree depends on the config alone.
     """
     config.validate()
     times = _StageTimes()
-    tree = _Skeleton(config.out_dir, config.devices) if write else None
-    try:
+    with _Tree(config.out_dir, _run_paths(config.devices)) if write else nullcontext() as tree:
         (runs,) = _device_runs(config, [config.ro_count], range(config.devices), times, tree)
         report, nist_report = _judge([[r.golden, *r.sweep_responses] for r in runs], times)
         if tree is not None:
             with times.stage("write"):
                 _write_run(tree, config, runs, report, nist_report)
-    except BaseException:
-        if tree is not None:
-            tree.discard()
-        raise
+                tree.commit()
     times.log(f"run of {len(runs)} devices:")
     return report, nist_report, runs
 
 
-def _write_run(
-    tree: _Skeleton,
-    config: PipelineConfig,
-    runs: list[DeviceRun],
-    report: EvalReport,
-    nist_report: NistReport,
-) -> None:
+def _write_run(tree: _Tree, config: PipelineConfig, runs: list[DeviceRun], report: EvalReport,
+               nist_report: NistReport) -> None:
     t0 = time.perf_counter()
     tree.join()
-    if tree.error is not None:
-        raise tree.error
     _log.debug("run of %d devices: tree made in %.4f host s on a helper thread; write "
                "waited %.4f host s for it", len(runs), tree.seconds, time.perf_counter() - t0)
-    root = tree.root
-    manifest = {
+    tree.put(_MANIFEST, json.dumps({
         "format_version": FORMAT_VERSION,
         "config": json.loads(config.to_json()),
         "devices": [
@@ -773,27 +768,23 @@ def _write_run(
             }
             for r in runs
         ],
-    }
-    (root / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    }, indent=2, sort_keys=True))
 
-    profile, selection, constraints, responses = _DEVICE_FILES
-    for dev_dir, r in zip((root / d for d in tree.dirs), runs):
-        os.replace(dev_dir / _STAGED, dev_dir / profile)
-        (dev_dir / selection).write_text(json.dumps(r.selection_json, sort_keys=True))
-        emit_constraints(r.plan, str(dev_dir / constraints))
-        save_responses(str(dev_dir / responses), [r.golden, *r.sweep_responses])
+    _, selection, constraints, responses = _DEVICE_FILES
+    for i, r in enumerate(runs):
+        dev_dir = _device_dir(i)
+        tree.put(dev_dir + selection, json.dumps(r.selection_json, sort_keys=True))
+        emit_constraints(r.plan, tree.staged(dev_dir + constraints))
+        save_responses(tree.staged(dev_dir + responses), [r.golden, *r.sweep_responses])
 
-    reports = root / tree.dirs[-1]
     eval_json, nist_csv, nist_json, hd_hist = _REPORT_FILES
-    (reports / eval_json).write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
-    (reports / nist_csv).write_text(nist_report.to_csv())
-    (reports / nist_json).write_text(
-        json.dumps(nist_report.to_json_dict(), indent=2, sort_keys=True)
-    )
+    tree.put(_REPORTS + eval_json, json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+    tree.put(_REPORTS + nist_csv, nist_report.to_csv())
+    tree.put(_REPORTS + nist_json, json.dumps(nist_report.to_json_dict(), indent=2, sort_keys=True))
     counts, edges = np.histogram(np.asarray(report.hd_inter), bins=20, range=(0.0, 1.0))
     hist_rows = ["bin_lo,bin_hi,count"]
     hist_rows += [f"{lo:.3f},{hi:.3f},{int(c)}" for lo, hi, c in zip(edges, edges[1:], counts)]
-    (reports / hd_hist).write_text("\n".join(hist_rows) + "\n")
+    tree.put(_REPORTS + hd_hist, "\n".join(hist_rows) + "\n")
 
 
 @dataclass
@@ -817,7 +808,8 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
     kappas = valid_kappas(config.ro_count)
     times = _StageTimes()
     lfsr_seed = _shared_lfsr_seed(config)
-    with _sweep_dir(config, write) as root:
+    csv = "kappa_sweep.csv"
+    with _Tree(config.out_dir, [csv]) if write else nullcontext() as tree:
         # each device keeps only its golden responses, all that _judge reads
         (per_device,) = _chain(
             config, [config.ro_count], range(config.devices),
@@ -831,11 +823,12 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
             per_test = {n: r.population_pass for n, r in nist_report.results.items()}
             points.append(KappaSweepPoint(kappa, nist_report.pass_rate, nist_report.all_pass(),
                                           per_test, report.u, report.min_entropy_avg))
-        if write:
+        if tree is not None:
             rows = ["kappa,pass_rate,all_pass,uniqueness,min_entropy"]
             rows += [f"{p.kappa},{format_rate(p.pass_rate, '.4f')},{int(p.all_pass)},"
                      f"{p.uniqueness:.4f},{p.min_entropy_avg:.4f}" for p in points]
-            (root / "kappa_sweep.csv").write_text("\n".join(rows) + "\n")
+            tree.put(csv, "\n".join(rows) + "\n")
+            tree.commit()
     times.log(f"kappa sweep of {config.devices} devices over {len(kappas)} ratios:")
     return points
 
@@ -861,18 +854,20 @@ def sweep_m(config: PipelineConfig, write: bool = True) -> list[MSweepPoint]:
             raise ConfigError(f"ro_count {m}: {exc}") from None
     times = _StageTimes()
     points = []
-    with _sweep_dir(config, write) as root:
+    csv = "m_sweep.csv"
+    with _Tree(config.out_dir, [csv]) if write else nullcontext() as tree:
         for m, runs in zip(RO_COUNTS,
                            _device_runs(config, RO_COUNTS, range(config.devices), times)):
             report, nist_report = _judge([[r.golden, *r.sweep_responses] for r in runs], times)
             median_min_diff = float(np.median([r.relocated_min_diff for r in runs]))
             points.append(MSweepPoint(m, runs[0].golden.k, median_min_diff, report.r_avg,
                                       nist_report.pass_rate))
-        if write:
+        if tree is not None:
             rows = ["m,bits,median_min_diff_mhz,r_avg,nist_pass_rate"]
             rows += [f"{p.m},{p.bits},{p.median_min_diff:.6f},{p.r_avg:.6f},"
                      f"{format_rate(p.nist_pass_rate, '.4f')}" for p in points]
-            (root / "m_sweep.csv").write_text("\n".join(rows) + "\n")
+            tree.put(csv, "\n".join(rows) + "\n")
+            tree.commit()
     times.log(f"M sweep of {config.devices} devices over {len(RO_COUNTS)} sizes:")
     return points
 

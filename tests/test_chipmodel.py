@@ -163,6 +163,11 @@ class TestSynth:
                        mean_span=1.0, sigma_span=1.0).validate()
         with pytest.raises(ConfigError):
             toy_spec(meas_sigma=-1.0).validate()
+        # the kind heads every responses.csv line as <kind>_<index>, so an
+        # empty kind, a comma or whitespace would not read back
+        for kind in ("", "a,b", "a\nb", " zybo", "zy bo", "zybo\t"):
+            with pytest.raises(ConfigError, match=rf"^kind must be .*, got {re.escape(repr(kind))}$"):
+                toy_spec(kind=kind).validate()
 
 
 class TestEnvFrequency:

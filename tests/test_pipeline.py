@@ -679,6 +679,19 @@ class TestTreeOnHelperThread:
         monkeypatch.setattr(pipeline, "_BLOCK_DEVICES", 2)
         monkeypatch.setattr(pipeline, "relocate_centroids", spy)
 
+    @pytest.fixture
+    def fails_in_write_stage(self, monkeypatch):
+        """A save_responses that raises on device 1, once the writer has
+        written the manifest and device 0's files."""
+        save = pipeline.save_responses
+
+        def spy(path, sets):
+            if "device_001" in path:
+                raise RuntimeError("save_responses failed on device 1")
+            save(path, sets)
+
+        return lambda: monkeypatch.setattr(pipeline, "save_responses", spy)
+
     def staged(self, root: Path) -> dict:
         return {p.relative_to(root): p.stat().st_size for p in root.rglob("profile.csv.part")}
 
@@ -688,19 +701,19 @@ class TestTreeOnHelperThread:
         files = [p for p in Path(config.out_dir).rglob("*") if p.is_file()]
         assert len(files) == 1 + 4 * config.devices + 4
         assert [p for p in files if p.stat().st_size == 0] == []
-        assert self.staged(Path(config.out_dir)) == {}
+        assert list(Path(config.out_dir).rglob("*.part")) == []
 
     def test_chain_waits_for_a_slow_helper(self, tmp_path, monkeypatch, caplog):
         # the helper starts late, so the chain reaches device 0's staged
         # profile before the thread has made it, and waits; thread switches
         # are forced often so that the two threads interleave finely
-        make = pipeline._Skeleton.run
+        make = pipeline._Tree.run
 
         def late(self):
             time.sleep(0.2)
             make(self)
 
-        monkeypatch.setattr(pipeline._Skeleton, "run", late)
+        monkeypatch.setattr(pipeline._Tree, "run", late)
         monkeypatch.chdir(tmp_path)
         caplog.set_level(logging.DEBUG, logger="ropufsim")
         interval = sys.getswitchinterval()
@@ -741,6 +754,24 @@ class TestTreeOnHelperThread:
         with pytest.raises(RuntimeError, match="second block"):
             run_pipeline(replace(config, devices=3))
         assert tree_snapshot(Path(config.out_dir)) == before
+
+    def test_failed_write_stage_leaves_earlier_tree_as_it_was(self, tmp_path,
+                                                              fails_in_write_stage):
+        # an earlier seed's tree: every file of the failed run differs from it
+        config = tiny_config(tmp_path)
+        run_pipeline(replace(config, global_seed=4))
+        before = tree_snapshot(Path(config.out_dir))
+        fails_in_write_stage()
+        with pytest.raises(RuntimeError, match="device 1"):
+            run_pipeline(config)
+        assert tree_snapshot(Path(config.out_dir)) == before
+
+    def test_failed_write_stage_leaves_no_out_dir(self, tmp_path, fails_in_write_stage):
+        config = tiny_config(tmp_path, out_dir=str(tmp_path / "new" / "run"))
+        fails_in_write_stage()
+        with pytest.raises(RuntimeError, match="device 1"):
+            run_pipeline(config)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unusable_out_dir_fails_before_device_work(self, tmp_path, synth_calls, capsys):
         afile = tmp_path / "afile"
@@ -783,6 +814,20 @@ class TestTreeOnHelperThread:
         err = capsys.readouterr().err
         assert err.startswith(f"ropuf run: {root / 'device_003'}") and err.count("\n") == 1
         assert tree_snapshot(root) == {Path("device_003"): b"not a directory"}
+
+    def test_directory_at_a_file_name_fails_before_commit(self, tmp_path):
+        # commit could not rename a staged file onto a directory, so the run
+        # fails before it and leaves the earlier tree as it was
+        config = tiny_config(tmp_path)
+        run_pipeline(replace(config, global_seed=4))
+        selection = Path(config.out_dir) / "device_001" / "selection.json"
+        selection.unlink()
+        selection.mkdir()
+        before = tree_snapshot(Path(config.out_dir))
+        with pytest.raises(IsADirectoryError) as info:
+            run_pipeline(config)
+        assert info.value.filename == str(selection)
+        assert tree_snapshot(Path(config.out_dir)) == before
 
 
 class TestSweeps:
@@ -850,6 +895,33 @@ class TestSweeps:
         assert capsys.readouterr().err == f"ropuf {verb}: {out}: Not a directory\n"
         assert synth_calls == []
         assert afile.read_bytes() == b""
+
+    @pytest.mark.parametrize("sweep, csv", [(sweep_kappa, "kappa_sweep.csv"),
+                                            (sweep_m, "m_sweep.csv")])
+    def test_sweep_replaces_earlier_csv(self, tmp_path, sweep, csv):
+        config = tiny_config(tmp_path, out_dir=str(tmp_path / "sweep"))
+        sweep(replace(config, global_seed=4))
+        earlier = (tmp_path / "sweep" / csv).read_bytes()
+        sweep(config)
+        assert [p.name for p in (tmp_path / "sweep").iterdir()] == [csv]
+        text = (tmp_path / "sweep" / csv).read_bytes()
+        assert text != earlier
+        sweep(replace(config, out_dir=str(tmp_path / "fresh")))
+        assert (tmp_path / "fresh" / csv).read_bytes() == text
+
+    @pytest.mark.parametrize("sweep", [sweep_kappa, sweep_m])
+    def test_failed_sweep_leaves_earlier_csv_as_it_was(self, tmp_path, monkeypatch, sweep):
+        config = tiny_config(tmp_path, out_dir=str(tmp_path / "sweep"))
+        sweep(replace(config, global_seed=4))
+        before = tree_snapshot(tmp_path / "sweep")
+
+        def fail(*args):  # the CSV's rows are formatted after all device work
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(pipeline, "format_rate", fail)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            sweep(config)
+        assert tree_snapshot(tmp_path / "sweep") == before
 
     @pytest.mark.parametrize("sweep", [sweep_kappa, sweep_m])
     def test_failed_sweep_leaves_no_out_dir(self, tmp_path, sweep):
@@ -1130,6 +1202,10 @@ class TestCli:
         ({"preset": "zybo", "temp_coeff_sigma": -1e-5},
          "temp_coeff_sigma must be non-negative, got -1e-05"),
         ({"preset": "nope"}, "unknown device preset 'nope'"),
+        ({"preset": "zybo", "kind": "a,b"},
+         "kind must be non-empty, without commas or whitespace, got 'a,b'"),
+        ({"preset": "zybo", "kind": ""},
+         "kind must be non-empty, without commas or whitespace, got ''"),
     ])
     def test_bad_device_spec_value_exits_2_naming_file_and_field(
         self, tmp_path, capsys, spec, message
