@@ -18,13 +18,23 @@ operations (row sums, one cumulative sum whose extremes give both the
 forward and the reversed walk's excursion, one offset ``bincount`` for the
 pattern counts, a half-spectrum FFT whose rows with a modulus near the DFT
 threshold are recounted over the full spectrum, so the count is exact),
-then maps each row's statistic to a p-value, so a row's p-value does not
-depend on the rows beside it.  The cumulative-sums p-value, a sum over
+then maps the column of statistics to p-values with one call of a
+``special`` array map: ``erfc`` for frequency, runs and DFT, and
+``reg_gamma_upper`` at the test's shape a for the chi-square tests.  Each
+map looks up its shape's memo table once per call and takes each element
+alone, so a row's p-value does not depend on the rows beside it, and
+across populations a p-value whose statistic has come up before is looked
+up, bit for bit the value it had.  The cumulative-sums p-value, a sum over
 many normal CDFs, is memoized on its integer statistic (n, z) in a bounded
-``functools.lru_cache`` that fills as values are first asked for.  Every other p-value, and the uniformity check,
-is an erfc or an incomplete gamma Q(a, x), which ``special.reg_gamma_upper``
-memoizes on its exact arguments; so across populations a p-value whose
-statistic has come up before is looked up, bit for bit the value it had.
+``functools.lru_cache`` that fills as values are first asked for; a miss
+skips the terms whose two CDFs are both exactly 1.0 (arguments above 9) or
+both exactly 0.0 (below -38.5), which are exactly 0.0, and evaluates the
+others' CDFs with one ``normal_cdf`` call.
+
+The population verdict is one pass over the stacked (tests, sequences)
+p-value matrix: the pass counts and proportions are row sums, and every
+test's uniformity chi-square comes from one ``searchsorted`` into the ten
+bins and one ``bincount`` whose bins are offset by the test's row.
 """
 
 from __future__ import annotations
@@ -126,17 +136,11 @@ def _as_row(bits) -> np.ndarray:
     return _as_matrix(_as_bits(bits)[None])
 
 
-def _gamma_p_values(a: float, xs: np.ndarray) -> np.ndarray:
-    return np.array([reg_gamma_upper(a, x) for x in xs.tolist()], dtype=float)
-
-
 def _frequency(mat: np.ndarray) -> np.ndarray:
     """Monobit: p = erfc(|S| / sqrt(2 n)) with S the +-1 sum."""
     s, n = mat.shape
     abs_s = np.abs(2 * mat.sum(axis=1, dtype=np.int64) - n)
-    return np.array(
-        [erfc(v / math.sqrt(n) / math.sqrt(2.0)) for v in abs_s.tolist()], dtype=float
-    )
+    return erfc(abs_s / math.sqrt(n) / math.sqrt(2.0))
 
 
 def _block_frequency(mat: np.ndarray, block_len: int) -> np.ndarray:
@@ -148,7 +152,7 @@ def _block_frequency(mat: np.ndarray, block_len: int) -> np.ndarray:
     blocks = mat[:, : num_blocks * block_len].reshape(s, num_blocks, block_len)
     pi = blocks.sum(axis=2) / block_len
     chi2 = 4.0 * block_len * ((pi - 0.5) ** 2).sum(axis=1)
-    return _gamma_p_values(num_blocks / 2.0, chi2 / 2.0)
+    return reg_gamma_upper(num_blocks / 2.0, chi2 / 2.0)
 
 
 # The p-value depends only on the integers (n, z), and a miss costs O(n / z)
@@ -158,18 +162,24 @@ def _cusum_p(n: int, z: int) -> float:
     if z == 0:
         return 1.0
     sqrt_n = math.sqrt(n)
-    k_lo1 = math.floor((-n / z + 1) / 4)
     k_hi = math.floor((n / z - 1) / 4)
-    sum1 = sum(
-        normal_cdf((4 * k + 1) * z / sqrt_n) - normal_cdf((4 * k - 1) * z / sqrt_n)
-        for k in range(k_lo1, k_hi + 1)
-    )
-    k_lo2 = math.floor((-n / z - 3) / 4)
-    sum2 = sum(
-        normal_cdf((4 * k + 3) * z / sqrt_n) - normal_cdf((4 * k + 1) * z / sqrt_n)
-        for k in range(k_lo2, k_hi + 1)
-    )
-    return min(max(1.0 - sum1 + sum2, 0.0), 1.0)
+    # sum1 over k of Phi((4k+1) z / sqrt n) - Phi((4k-1) z / sqrt n), and sum2
+    # of Phi((4k+3) z / sqrt n) - Phi((4k+1) z / sqrt n), as (upper, lower)
+    # argument pairs.  A term whose two CDFs are both exactly 1.0 (arguments
+    # above 9) or both exactly 0.0 (below -38.5, where erfc underflows) is
+    # exactly 0.0 and is skipped; sum() over the others, in order, gives the
+    # same bits.  Every kept argument goes through one normal_cdf call.
+    kept = []
+    for k_lo, hi, lo in ((math.floor((-n / z + 1) / 4), 1, -1),
+                         (math.floor((-n / z - 3) / 4), 3, 1)):
+        pairs = [((4 * k + hi) * z / sqrt_n, (4 * k + lo) * z / sqrt_n)
+                 for k in range(k_lo, k_hi + 1)]
+        kept.append([(upper, lower) for upper, lower in pairs
+                     if lower <= 9.0 and upper >= -38.5])
+    phi = normal_cdf(np.array(kept[0] + kept[1]).reshape(-1, 2))
+    terms = (phi[:, 0] - phi[:, 1]).tolist()
+    split = len(kept[0])
+    return min(max(1.0 - sum(terms[:split]) + sum(terms[split:]), 0.0), 1.0)
 
 
 def _cusum_excursions(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,21 +207,9 @@ def _cusum_excursions(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _cumulative_sums(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative-sums p-values of the forward and the reversed walk."""
     n = mat.shape[1]
-    return tuple(
-        np.array([_cusum_p(n, v) for v in z.tolist()], dtype=float)
-        for z in _cusum_excursions(mat)
-    )
-
-
-def _runs_p(n: int, ones: int, v: int) -> float:
-    # |pi - 1/2| >= 2/sqrt(n) as an exact integer comparison, so the gate and
-    # the statistic are bitwise invariant under bit complement
-    if (2 * ones - n) ** 2 >= 16 * n:
-        return 0.0
-    prod = ones * (n - ones) / (float(n) * n)
-    num = abs(v - 2.0 * n * prod)
-    den = 2.0 * math.sqrt(2.0 * n) * prod
-    return erfc(num / den)
+    forward, reverse = _cusum_excursions(mat)
+    p = [_cusum_p(n, z) for z in forward.tolist() + reverse.tolist()]
+    return np.array(p[: len(forward)]), np.array(p[len(forward) :])
 
 
 def _runs(mat: np.ndarray) -> np.ndarray:
@@ -221,9 +219,17 @@ def _runs(mat: np.ndarray) -> np.ndarray:
     gets p = 0, matching the standard's handling.
     """
     s, n = mat.shape
-    ones = mat.sum(axis=1, dtype=np.int64).tolist()
-    runs = (1 + np.count_nonzero(mat[:, 1:] != mat[:, :-1], axis=1)).tolist()
-    return np.array([_runs_p(n, o, v) for o, v in zip(ones, runs)], dtype=float)
+    ones = mat.sum(axis=1, dtype=np.int64)
+    runs = 1 + np.count_nonzero(mat[:, 1:] != mat[:, :-1], axis=1)
+    # |pi - 1/2| < 2/sqrt(n) as an exact integer comparison, so the gate and
+    # the statistic are bitwise invariant under bit complement
+    ok = (2 * ones - n) ** 2 < 16 * n
+    prod = ones[ok] * (n - ones[ok]) / (float(n) * n)
+    num = np.abs(runs[ok] - 2.0 * n * prod)
+    den = 2.0 * math.sqrt(2.0 * n) * prod
+    p = np.zeros(s)
+    p[ok] = erfc(num / den)
+    return p
 
 
 def _longest_run(mat: np.ndarray) -> np.ndarray:
@@ -233,18 +239,19 @@ def _longest_run(mat: np.ndarray) -> np.ndarray:
     _, block_len, v_min, v_max, pi = [t for t in _LONGEST_RUN_TIERS if n >= t[0]][-1]
     num_blocks = n // block_len
     blocks = mat[:, : num_blocks * block_len].reshape(s, num_blocks, block_len)
-    longest = np.zeros((s, num_blocks), dtype=np.int64)
-    run = np.zeros((s, num_blocks), dtype=np.int64)
+    longest = np.zeros((s, num_blocks), dtype=np.int32)
+    run = np.zeros((s, num_blocks), dtype=np.int32)
     for col in range(block_len):
-        run = (run + 1) * blocks[:, :, col]
-        longest = np.maximum(longest, run)
+        run += 1
+        run *= blocks[:, :, col]
+        np.maximum(longest, run, out=longest)
     classes = np.clip(longest, v_min, v_max) - v_min
     # one bincount for every row: row r's classes are offset by r * len(pi)
     offset = classes + len(pi) * np.arange(s, dtype=np.int64)[:, None]
     counts = np.bincount(offset.ravel(), minlength=s * len(pi)).reshape(s, len(pi))
     expected = num_blocks * np.asarray(pi)
     chi2 = ((counts - expected) ** 2 / expected).sum(axis=1)
-    return _gamma_p_values(len(pi) / 2.0 - 0.5, chi2 / 2.0)
+    return reg_gamma_upper(len(pi) / 2.0 - 0.5, chi2 / 2.0)
 
 
 def _pattern_counts(mat: np.ndarray, top: int) -> list[np.ndarray]:
@@ -293,7 +300,7 @@ def _approximate_entropy(tables: list[np.ndarray], m: int, n: int) -> np.ndarray
     rows counted up to at least m + 1 bits."""
     apen = _phi(tables[m], n) - _phi(tables[m + 1], n)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
-    return _gamma_p_values(float(1 << (m - 1)), chi2 / 2.0)
+    return reg_gamma_upper(float(1 << (m - 1)), chi2 / 2.0)
 
 
 def _serial(tables: list[np.ndarray], m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,15 +318,9 @@ def _serial(tables: list[np.ndarray], m: int, n: int) -> tuple[np.ndarray, np.nd
     # below zero (-7e-15); it is read as zero, whose p-value Q(a, 0) is 1.
     d1 = np.maximum(p_m - p_m1, 0.0)
     d2 = np.maximum(p_m - 2.0 * p_m1 + p_m2, 0.0)
-    p1 = _gamma_p_values(float(1 << (m - 2)), d1 / 2.0)
-    p2 = _gamma_p_values(float(1 << (m - 3)) if m >= 3 else 0.5, d2 / 2.0)
+    p1 = reg_gamma_upper(float(1 << (m - 2)), d1 / 2.0)
+    p2 = reg_gamma_upper(float(1 << (m - 3)) if m >= 3 else 0.5, d2 / 2.0)
     return p1, p2
-
-
-def _dft_p(n: int, n1: int) -> float:
-    n0 = 0.95 * n / 2.0
-    d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
-    return erfc(abs(d) / math.sqrt(2.0))
 
 
 # A row with a half-spectrum modulus within this relative band of the DFT
@@ -354,7 +355,8 @@ def _dft(mat: np.ndarray) -> np.ndarray:
     s, n = mat.shape
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n1 = _dft_n1(2.0 * mat - 1.0, threshold)
-    return np.array([_dft_p(n, v) for v in n1.tolist()], dtype=float)
+    d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    return erfc(np.abs(d) / math.sqrt(2.0))
 
 
 @dataclass
@@ -441,17 +443,22 @@ def min_pass_count(sequences: int) -> int:
 _UNIFORMITY_EDGES = np.linspace(0.0, 1.0, 11)
 
 
-def uniformity_p_value(p_values: np.ndarray) -> float:
-    """Chi-square uniformity of p-values over ten equal bins.
+def uniformity_p_values(p_values: np.ndarray) -> np.ndarray:
+    """Chi-square uniformity of each row of a (tests, sequences) matrix of
+    p-values in [0, 1] over ten equal bins, one p-value per row.
 
     The bins are those of ``np.histogram`` on ``_UNIFORMITY_EDGES``: each is
     closed below and open above, except the last, which also holds 1.0.
+    Every row's bins are counted with one ``bincount``, row t's offset by
+    10 t.
     """
-    bins = np.searchsorted(_UNIFORMITY_EDGES, np.asarray(p_values, dtype=float), "right") - 1
-    counts = np.bincount(np.minimum(bins, 9), minlength=10)
-    s = counts.sum()
+    tests, s = p_values.shape
+    bins = np.searchsorted(_UNIFORMITY_EDGES, p_values, "right") - 1
+    np.minimum(bins, 9, out=bins)
+    bins += 10 * np.arange(tests)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=10 * tests).reshape(tests, 10)
     expected = s / 10.0
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    chi2 = ((counts - expected) ** 2 / expected).sum(axis=1)
     return reg_gamma_upper(4.5, chi2 / 2.0)
 
 
@@ -539,25 +546,28 @@ def run_suite(sequences, params: NistParams | None = None) -> NistReport:
         per_block = [kernel(b, t) for b, t in zip(blocks, tables)]
         p_values.update(zip(names, map(np.concatenate, zip(*per_block))))
 
-    min_pass = min_pass_count(s_count)
+    names = [name for name in _SUITE_ORDER if name in p_values]
     results: dict[str, TestOutcome] = {}
-    for name in _SUITE_ORDER:
-        arr = p_values.get(name)
-        if arr is None:
-            continue
-        passed = arr >= ALPHA
-        prop_ok = int(passed.sum()) >= min_pass
-        unif_p = uniformity_p_value(arr)
-        unif_ok = unif_p >= UNIFORMITY_ALPHA or s_count < UNIFORMITY_MIN_SEQUENCES
-        results[name] = TestOutcome(
-            name=name,
-            p_values=arr,
-            passed=passed,
-            proportion=float(passed.mean()),
-            min_pass=min_pass,
-            proportion_pass=prop_ok,
-            uniformity_p=unif_p,
-            uniformity_pass=unif_ok,
-            population_pass=prop_ok and unif_ok,
-        )
+    if names:
+        # one verdict pass over the stacked (tests, sequences) p-values
+        stacked = np.stack([p_values[name] for name in names])
+        passed = stacked >= ALPHA
+        counts = passed.sum(axis=1)
+        min_pass = min_pass_count(s_count)
+        prop_ok = (counts >= min_pass).tolist()
+        proportions = (counts / s_count).tolist()
+        unif_p = uniformity_p_values(stacked).tolist()
+        for t, name in enumerate(names):
+            unif_ok = unif_p[t] >= UNIFORMITY_ALPHA or s_count < UNIFORMITY_MIN_SEQUENCES
+            results[name] = TestOutcome(
+                name=name,
+                p_values=p_values[name],
+                passed=passed[t],
+                proportion=proportions[t],
+                min_pass=min_pass,
+                proportion_pass=prop_ok[t],
+                uniformity_p=unif_p[t],
+                uniformity_pass=unif_ok,
+                population_pass=prop_ok[t] and unif_ok,
+            )
     return NistReport(n=n, sequences=s_count, results=results, not_applicable=not_applicable)

@@ -329,10 +329,6 @@ STAGE_SYNTH, STAGE_CHAR, STAGE_SELECT, STAGE_ASSIGN, STAGE_PLACE, STAGE_RESP, ST
 _STAGES = ("synth", "characterize", "select", "assign", "place", "response")
 
 
-def device_seeds(global_seed: int, index: int) -> dict[str, int]:
-    return dict(zip(_STAGES, seed_table(global_seed, index, np.arange(6)).tolist()))
-
-
 class _SeedTable:
     """The seeds of a chain's devices, row d for ``indices[d]``: by stage,
     ``stage`` and the characterization's generator words ``characterize``;
@@ -684,7 +680,8 @@ class _Tree(threading.Thread):
                 else:
                     if os.path.isdir(path):  # commit could not rename the staged file onto it
                         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-                    os.close(os.open(path + ".part", os.O_WRONLY | os.O_CREAT | os.O_TRUNC))
+                    # 0o666 under the umask, as open() makes files: artifacts are data
+                    os.close(os.open(path + ".part", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
                     self.made.append(path + ".part")
                     self.file_made.release()
         except OSError as exc:

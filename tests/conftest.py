@@ -1,4 +1,5 @@
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,30 @@ def empty_gamma_memo():
         yield special
     finally:
         special._memo, special._memo_size = saved
+
+
+# The scalar special functions the array maps replaced, as references: one
+# float at a time, Q evaluated afresh by the series or continued fraction,
+# so no memo is involved.
+def ref_q(a: float, x: float) -> float:
+    if x == 0.0:
+        return 1.0
+    return 0.0 if x == math.inf else special._reg_gamma_upper(a, x)
+
+
+def ref_erfc(x: float) -> float:
+    if x > 0.0:
+        return 0.0 if x > 27.0 else ref_q(0.5, x * x)
+    return 2.0 - ref_erfc(-x) if x < 0.0 else 1.0
+
+
+def ref_normal_cdf(x: float) -> float:
+    return 0.5 * ref_erfc(-x / math.sqrt(2.0))
+
+
+def hexes(values) -> list[str]:
+    """Each float's exact bits, so -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 def toy_spec(**overrides) -> DeviceSpec:

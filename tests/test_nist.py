@@ -1,11 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_gamma_memo
+from conftest import empty_gamma_memo, hexes, ref_erfc, ref_normal_cdf, ref_q
 from reference_sp80022 import (
     ref_approximate_entropy,
     ref_block_frequency,
@@ -22,7 +23,7 @@ from ropufsim.nist import (
     format_rate,
     min_pass_count,
     run_suite,
-    uniformity_p_value,
+    uniformity_p_values,
 )
 
 LONGEST_RUN_EXAMPLE = (
@@ -341,9 +342,10 @@ class TestSuite:
 
     def test_uniformity_flags_concentrated_p_values(self):
         concentrated = np.full(54, 0.3)
-        assert uniformity_p_value(concentrated) < 1e-10
         spread = np.linspace(0.01, 0.99, 54)
-        assert uniformity_p_value(spread) > 1e-4
+        unif = uniformity_p_values(np.stack([concentrated, spread]))
+        assert unif[0] < 1e-10
+        assert unif[1] > 1e-4
 
     def test_uniformity_bins_match_histogram(self):
         # p-values on the bin edges and their float neighbours, where a bin
@@ -359,7 +361,7 @@ class TestSuite:
             counts, _ = np.histogram(p, bins=edges)
             expected = counts.sum() / 10.0
             chi2 = float(((counts - expected) ** 2 / expected).sum())
-            assert uniformity_p_value(p) == reg_gamma_upper(4.5, chi2 / 2.0)
+            assert uniformity_p_values(p[None])[0] == reg_gamma_upper(4.5, chi2 / 2.0)
 
     def test_report_serialization(self):
         seqs = [random_bits(255, i) for i in range(12)]
@@ -518,3 +520,133 @@ class TestBatchedSuite:
         assert p_value(bits, "serial_2") == 1.0
         report = run_suite([bits] + [random_bits(100, i) for i in range(9)])
         assert report.results["serial_2"].p_values[0] == 1.0
+
+
+# The per-row formulas the batched p-value maps replaced, as references:
+# each maps one row's statistic with the scalar erfc, normal CDF or Q of
+# conftest, which evaluate Q afresh.
+def ref_frequency_p(n, abs_s):
+    return ref_erfc(abs_s / math.sqrt(n) / math.sqrt(2.0))
+
+
+def ref_runs_p(n, ones, v):
+    if (2 * ones - n) ** 2 >= 16 * n:
+        return 0.0
+    prod = ones * (n - ones) / (float(n) * n)
+    num = abs(v - 2.0 * n * prod)
+    den = 2.0 * math.sqrt(2.0 * n) * prod
+    return ref_erfc(num / den)
+
+
+def ref_dft_p(n, n1):
+    n0 = 0.95 * n / 2.0
+    d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    return ref_erfc(abs(d) / math.sqrt(2.0))
+
+
+def ref_cusum_p(n, z):
+    """The cumulative-sums p-value with every term of both sums computed."""
+    if z == 0:
+        return 1.0
+    sqrt_n = math.sqrt(n)
+    k_lo1 = math.floor((-n / z + 1) / 4)
+    k_hi = math.floor((n / z - 1) / 4)
+    sum1 = sum(
+        ref_normal_cdf((4 * k + 1) * z / sqrt_n) - ref_normal_cdf((4 * k - 1) * z / sqrt_n)
+        for k in range(k_lo1, k_hi + 1)
+    )
+    k_lo2 = math.floor((-n / z - 3) / 4)
+    sum2 = sum(
+        ref_normal_cdf((4 * k + 3) * z / sqrt_n) - ref_normal_cdf((4 * k + 1) * z / sqrt_n)
+        for k in range(k_lo2, k_hi + 1)
+    )
+    return min(max(1.0 - sum1 + sum2, 0.0), 1.0)
+
+
+def ref_uniformity_p(p_values):
+    """One test's uniformity p-value, from its own ten-bin histogram."""
+    bins = np.searchsorted(np.linspace(0.0, 1.0, 11), p_values, "right") - 1
+    counts = np.bincount(np.minimum(bins, 9), minlength=10)
+    expected = counts.sum() / 10.0
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    return ref_q(4.5, chi2 / 2.0)
+
+
+def edge_population(n, seed):
+    """Random rows, then the rows that reach the maps' edges: all zeros and
+    all ones fail the runs gate, and at n = 2048 put frequency's erfc
+    argument above 27; alternating rows put it at 0 at even n, and at
+    n = 2048 put the runs' erfc argument above 27."""
+    rng = np.random.default_rng(seed)
+    alternating = np.arange(n) % 2
+    edges = [np.zeros(n), np.ones(n), alternating, 1 - alternating]
+    return np.vstack([rng.integers(0, 2, (12, n)), *edges]).astype(np.uint8)
+
+
+class TestBatchedMapsEqualPerRowFormulas:
+    @pytest.mark.parametrize("n", [100, 128, 255, 1000, 1023, 2048])
+    def test_erfc_tests_equal_per_row_formulas(self, n):
+        mat = edge_population(n, n)
+        ones = mat.sum(axis=1).tolist()
+        runs = (1 + np.count_nonzero(np.diff(mat, axis=1), axis=1)).tolist()
+        want = {
+            "frequency": [ref_frequency_p(n, abs(2 * o - n)) for o in ones],
+            "runs": [ref_runs_p(n, o, v) for o, v in zip(ones, runs)],
+        }
+        kernels = {"frequency": nist._frequency, "runs": nist._runs}
+        if n >= nist.DFT_MIN_N:
+            threshold = math.sqrt(math.log(1.0 / 0.05) * n)
+            n1 = nist._dft_n1(2.0 * mat - 1.0, threshold).tolist()
+            want["dft"] = [ref_dft_p(n, v) for v in n1]
+            kernels["dft"] = nist._dft
+        with empty_gamma_memo():
+            cold = {name: kernels[name](mat) for name in want}
+            warm = {name: kernels[name](mat) for name in want}
+        for name, values in want.items():
+            assert hexes(cold[name]) == hexes(values), name
+            assert hexes(warm[name]) == hexes(values), name
+        # the edges are reached: the runs gate, erfc at 0 and above 27
+        assert cold["runs"][-4] == cold["runs"][-3] == 0.0
+        if n % 2 == 0:
+            assert cold["frequency"][-2] == cold["frequency"][-1] == 1.0
+        if n == 2048:
+            assert want["frequency"][-3] == 0.0 and want["runs"][-2] == 0.0
+
+    @pytest.mark.parametrize("n", [100, 128, 255, 1000, 1023, 2048])
+    def test_skipping_zero_cusum_terms_equals_full_sum(self, n):
+        # every z a walk of n steps can reach; at n = 2048 the lowest
+        # arguments, near -sqrt(n), fall below -38.5 as well
+        with empty_gamma_memo():
+            got = [nist._cusum_p.__wrapped__(n, z) for z in range(n + 1)]
+        assert hexes(got) == hexes([ref_cusum_p(n, z) for z in range(n + 1)])
+
+    def test_uniformity_map_equals_per_test_arithmetic(self):
+        # p-values on the bin edges and their float neighbours, and random
+        # ones, over several (tests, sequences) shapes
+        edges = np.linspace(0.0, 1.0, 11)
+        near = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+        near = near[(near >= 0.0) & (near <= 1.0)]
+        rng = np.random.default_rng(29)
+        for tests, s in [(1, 1), (1, 54), (9, 54), (10, 54), (10, 7), (3, 1000)]:
+            p = rng.random((tests, s))
+            p[:, ::3] = rng.choice(near, size=p[:, ::3].shape)
+            want = hexes([ref_uniformity_p(row) for row in p])
+            with empty_gamma_memo():
+                assert hexes(uniformity_p_values(p)) == want
+                assert hexes(uniformity_p_values(p)) == want
+
+    def test_verdict_pass_equals_per_test_judgment(self):
+        for mat, params in pinned_populations():
+            mat = np.vstack([mat] * 4)  # 64 sequences, so uniformity judges
+            report = run_suite(mat, params)
+            min_pass = min_pass_count(len(mat))
+            for name, r in report.results.items():
+                passed = r.p_values >= nist.ALPHA
+                unif_p = ref_uniformity_p(r.p_values)
+                prop_ok = int(passed.sum()) >= min_pass
+                unif_ok = unif_p >= nist.UNIFORMITY_ALPHA
+                assert r.passed.tolist() == passed.tolist(), name
+                assert r.proportion.hex() == float(passed.mean()).hex(), name
+                assert r.uniformity_p.hex() == unif_p.hex(), name
+                assert (r.min_pass, r.proportion_pass, r.uniformity_pass, r.population_pass) \
+                    == (min_pass, prop_ok, unif_ok, prop_ok and unif_ok), name

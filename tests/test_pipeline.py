@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -41,7 +42,6 @@ from ropufsim.pipeline import (
     PipelineConfig,
     bench,
     derive_seed,
-    device_seeds,
     generator_words,
     kmeans_scaling,
     run_pipeline,
@@ -234,6 +234,9 @@ class TestConfig:
         assert not (tmp_path / "run").exists()
 
     def test_seed_derivation_stable(self):
+        def device_seeds(global_seed, index):
+            return seed_table(global_seed, index, np.arange(6)).tolist()
+
         assert device_seeds(5, 0) == device_seeds(5, 0)
         assert device_seeds(5, 0) != device_seeds(5, 1)
 
@@ -270,9 +273,7 @@ class TestSeedTable:
     def test_device_grid_matches_numpy(self, global_seed):
         seeds = seed_table(global_seed, np.arange(3)[:, None], np.arange(6))
         words = generator_words(seeds)
-        assert device_seeds(global_seed, 2) == dict(zip(
-            ("synth", "characterize", "select", "assign", "place", "response"),
-            seeds[2].tolist()))
+        assert seed_table(global_seed, 2, np.arange(6)).tolist() == seeds[2].tolist()
         for index in range(3):
             for stage in range(6):
                 assert (int(seeds[index, stage]), words[index, stage].tolist()) \
@@ -702,6 +703,18 @@ class TestTreeOnHelperThread:
         assert len(files) == 1 + 4 * config.devices + 4
         assert [p for p in files if p.stat().st_size == 0] == []
         assert list(Path(config.out_dir).rglob("*.part")) == []
+
+    def test_tiny_tree_has_no_executable_file(self, tmp_path):
+        config = tiny_config(tmp_path)
+        umask = os.umask(0o022)
+        try:
+            run_pipeline(config)
+        finally:
+            os.umask(umask)
+        modes = {p.relative_to(config.out_dir): stat.S_IMODE(p.stat().st_mode)
+                 for p in Path(config.out_dir).rglob("*") if p.is_file()}
+        assert len(modes) == 1 + 4 * config.devices + 4
+        assert {p: oct(m) for p, m in modes.items() if m & 0o111} == {}
 
     def test_chain_waits_for_a_slow_helper(self, tmp_path, monkeypatch, caplog):
         # the helper starts late, so the chain reaches device 0's staged
@@ -1223,7 +1236,7 @@ class TestCli:
         rc = main(["run", "--devices", "1", "--ro-count", "8", "--seed", "3",
                    "--device-spec", str(spec_file), "--out", str(tmp_path / "out")])
         assert rc == 2
-        seed = device_seeds(3, 0)["synth"]
+        seed = int(seed_table(3, 0, pipeline.STAGE_SYNTH))
         assert re.search(rf"^ropuf run: device spec 'zybo' drew a nominal frequency of "
                          rf"-\d+\.\d{{3}} MHz at device seed {seed}; ",
                          capsys.readouterr().err, re.M)

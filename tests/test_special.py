@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from conftest import empty_gamma_memo
+from conftest import empty_gamma_memo, hexes, ref_erfc, ref_normal_cdf, ref_q
 from ropufsim import special
 from ropufsim.special import erfc, normal_cdf, reg_gamma_upper
 
@@ -105,3 +105,61 @@ def test_memo_stops_growing_at_its_cap():
     fresh = [special._reg_gamma_upper(1.5, x) for x in xs]
     assert [q.hex() for q in first] == [q.hex() for q in fresh]
     assert [q.hex() for q in again] == [q.hex() for q in fresh]
+
+
+# Every shape the SP 800-22 suite asks for at 100 to 1023 bits: erfc's 1/2,
+# serial, approximate entropy, longest run, uniformity and block frequency.
+SUITE_SHAPES = (0.5, 1.0, 1.5, 2.0, 2.5, 4.0, 4.5, 8.0, 16.0, 25.0, 25.5, 32.0)
+
+
+@pytest.mark.parametrize("a", SUITE_SHAPES)
+def test_q_map_equals_scalar_evaluations(a):
+    # random and half-integer statistics, the crossover a + 1, zeros, inf,
+    # extremes and repeats within one call, with the memo empty and warm
+    rng = np.random.default_rng(int(4 * a))
+    xs = np.concatenate([
+        rng.uniform(0.0, 3.0 * a + 10.0, 150), rng.integers(0, 60, 50) / 2.0,
+        [0.0, -0.0, math.inf, a, a + 1.0, np.nextafter(a + 1.0, 0.0), 1e-300, 1e4],
+    ])
+    xs = np.concatenate([xs, xs[::7]])
+    want = hexes([ref_q(a, x) for x in xs.tolist()])
+    with empty_gamma_memo() as memo:
+        cold = reg_gamma_upper(a, xs)
+        assert memo._memo_size == len({x for x in xs.tolist() if 0.0 < x < math.inf})
+        warm = reg_gamma_upper(a, xs.reshape(2, -1))
+    assert hexes(cold) == want
+    assert warm.shape == (2, len(xs) // 2) and hexes(warm) == want
+
+
+def test_erfc_and_normal_cdf_maps_equal_scalar_formulas():
+    # both signs, 0, the underflow cut at 27 and its float neighbours, inf
+    cut = [27.0, np.nextafter(27.0, 0.0), np.nextafter(27.0, 30.0), 38.5]
+    xs = np.concatenate([np.linspace(-45.0, 45.0, 901), [0.0, -0.0, math.inf, -math.inf],
+                         cut, np.negative(cut)])
+    with empty_gamma_memo():
+        for _ in range(2):  # empty, then warm memo
+            assert hexes(erfc(xs)) == hexes([ref_erfc(x) for x in xs.tolist()])
+            assert hexes(normal_cdf(xs)) == hexes([ref_normal_cdf(x) for x in xs.tolist()])
+
+
+def test_maps_keep_shape_and_give_floats_for_floats():
+    x = np.linspace(0.0, 4.0, 12).reshape(3, 4)
+    for fn in (erfc, normal_cdf, lambda v: reg_gamma_upper(1.5, v)):
+        assert fn(x).shape == (3, 4)
+        assert fn(np.empty((0,))).shape == (0,)
+        assert type(fn(1.25)) is float
+        assert fn(1.25) == fn(np.array([1.25]))[0]
+
+
+@pytest.mark.parametrize("bad, match", [
+    (math.nan, "argument x must not be NaN"),
+    (-1.0, "argument x must be non-negative, got -1.0"),
+])
+def test_q_map_rejects_a_bad_element_storing_nothing(bad, match):
+    with empty_gamma_memo() as memo:
+        with pytest.raises(ValueError, match=match):
+            reg_gamma_upper(1.5, np.array([0.5, 2.0, bad, 3.0]))
+        assert memo._memo == {} and memo._memo_size == 0
+    for fn, name in ((erfc, "erfc"), (normal_cdf, "normal_cdf")):
+        with pytest.raises(ValueError, match=f"{name} argument x must not be NaN"):
+            fn(np.array([0.5, math.nan]))
