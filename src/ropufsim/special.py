@@ -117,11 +117,11 @@ def reg_gamma_upper(a: float, x):
     if None in qs:
         # the memo holds valid arguments alone, so only a miss is checked
         misses = [i for i, q in enumerate(qs) if q is None]
-        for i in misses:
-            if not values[i] >= 0.0:
-                if math.isnan(values[i]):
+        for v in [values[i] for i in misses]:
+            if not v >= 0.0:
+                if math.isnan(v):
                     raise ValueError("argument x must not be NaN")
-                raise ValueError(f"argument x must be non-negative, got {values[i]}")
+                raise ValueError(f"argument x must be non-negative, got {v}")
         for i in misses:
             v = values[i]
             q = by_x.get(v)  # an earlier miss of this call may have stored it
