@@ -5,6 +5,7 @@ from .characterize import (
     FrequencyProfile,
     characterize,
     export_profile_csv,
+    ingest_csv,
     reject_erroneous,
 )
 from .chipmodel import (
@@ -16,7 +17,6 @@ from .chipmodel import (
     FabricLayout,
     SliceClass,
     get_preset,
-    ingest_csv,
     load_device_spec,
     synth_chip,
 )

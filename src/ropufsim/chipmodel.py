@@ -9,9 +9,7 @@ produces integer pulse counts over a fixed enable window.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 import numbers
@@ -282,26 +280,6 @@ class FabricLayout:
         """Site ``ref`` as (clb_x, clb_y, corner)."""
         return int(self.clb_x[ref]), int(self.clb_y[ref]), CORNERS[self.corner[ref]]
 
-    @functools.cached_property
-    def csv_labels(self) -> tuple[str, ...]:
-        """Each site's ``clb_x,clb_y,corner,class`` profile CSV fields."""
-        return tuple(
-            f"{x},{y},{CORNERS[c]},{CLASS_NAMES[k]}"
-            for x, y, c, k in zip(self.clb_x.tolist(), self.clb_y.tolist(),
-                                  self.corner.tolist(), self.class_codes.tolist())
-        )
-
-    def csv_row_template(self, site_refs: Sequence[int]) -> bytes:
-        """``%``-format bytes template of profile CSV rows, one line
-        ``<label>,%d,%d`` per site of ``site_refs``; no label holds a ``%``."""
-        labels = self.csv_labels
-        return "".join(labels[r] + ",%d,%d\n" for r in site_refs).encode()
-
-    @functools.cached_property
-    def active_csv_row_template(self) -> bytes:
-        """``csv_row_template`` of the ``active`` sites, built on first use."""
-        return self.csv_row_template(self.active.tolist())
-
 
 @dataclass(eq=False)
 class ChipProfile:
@@ -473,218 +451,3 @@ def noisy_counts(
     np.rint(noise, out=noise)
     np.maximum(noise, 0.0, out=noise)
     return noise
-
-
-# Count moments are exact while samples * sum(c^2) stays below 2^53: then
-# every partial sum, sum(c)^2 <= samples * sum(c^2) and their difference are
-# integers a float64 holds exactly.
-EXACT_MOMENT_LIMIT = 2**53
-
-
-def count_mean(sum_count: np.ndarray, m: int, t_on_us: float) -> np.ndarray:
-    """Per-site mean frequency in MHz from the sum of ``m`` counts of
-    ``t_on_us`` each: sum / (m * t_on_us)."""
-    return sum_count / (m * t_on_us)
-
-
-def count_sigma(
-    sum_count: np.ndarray, sum_count_sq: np.ndarray, m: int, t_on_us: float
-) -> np.ndarray:
-    """Per-site sample standard deviation in MHz (n - 1 denominator) from the
-    sums of ``m`` counts and of their squares:
-    sqrt((m * S2 - S1^2) / (m * (m - 1))) / t_on_us; zero for one sample."""
-    if m < 2:
-        return np.zeros(np.shape(sum_count))
-    var = (m * sum_count_sq - sum_count * sum_count) / (m * (m - 1))
-    return np.sqrt(var) / t_on_us
-
-
-# Value columns of a count-moment profile, as ``export_profile_csv`` writes it.
-MOMENT_COLUMNS = ("sum_count", "sum_count_sq")
-
-
-def _parse_header(fields: list[str]) -> tuple[str, list[str], bool]:
-    """The header's data kind (``mhz``, ``count`` or ``moments``), its value
-    columns and whether it has a class column."""
-    for i, col in enumerate(fields):
-        if col in fields[:i]:
-            raise ValueError(f"repeated column {col!r} in CSV header")
-    required = ["clb_x", "clb_y", "corner"]
-    for col in required:
-        if col not in fields:
-            raise ValueError(f"missing required column {col!r} in CSV header")
-    has_class = "class" in fields
-    sample_cols = [f for f in fields if f.startswith("mhz_") or f.startswith("count_")]
-    if any(col in fields for col in MOMENT_COLUMNS):
-        for col in MOMENT_COLUMNS:
-            if col not in fields:
-                raise ValueError(f"missing required column {col!r} in CSV header")
-        if sample_cols:
-            raise ValueError("moment columns cannot be mixed with sample columns")
-        return "moments", list(MOMENT_COLUMNS), has_class
-    if not sample_cols:
-        raise ValueError("no sample columns found (expected mhz_*, count_* or "
-                         "sum_count,sum_count_sq)")
-    kinds = {c.split("_")[0] for c in sample_cols}
-    if len(kinds) != 1:
-        raise ValueError("sample columns must be all mhz_* or all count_*")
-    return kinds.pop(), sample_cols, has_class
-
-
-def _header_value(key: str, text: str) -> float | int:
-    """A ``# t_on_us=`` (positive, finite) or ``# samples=`` (integer >= 1)
-    header value."""
-    if key == "samples":
-        value = ascii_int(text)
-        if value < 1:
-            raise ValueError(f"samples must be >= 1, got {value}")
-        return value
-    value = ascii_float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"t_on_us must be positive and finite, got {text!r}")
-    return value
-
-
-def _count(text: str, name: str) -> int:
-    value = ascii_int(text)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
-
-
-def ingest_csv(path: str, device_id: str | None = None) -> ChipProfile:
-    """Build a ChipProfile from measured per-site data.
-
-    Expected columns: ``clb_x,clb_y,corner[,class]`` and then one of
-
-    - ``mhz_1..mhz_m``: frequency samples in MHz;
-    - ``count_1..count_m``: integer counts over the enable duration declared
-      in a leading ``# t_on_us=<value>`` line (default 122.87);
-    - ``sum_count,sum_count_sq``: each site's sum of m counts and of their
-      squares (the profile ``export_profile_csv`` writes), with both
-      ``# t_on_us=<value>`` and ``# samples=<m>`` header lines.
-
-    Count and moment rows share one moments -> (mean, sigma) arithmetic
-    (``count_mean``, ``count_sigma``), so a count file and its moments file
-    ingest to identical means and sigmas, and re-ingesting a written profile
-    reproduces its characterization bit for bit.  Nominal frequencies are
-    the per-site means and measurement sigmas the per-site sample deviations;
-    environmental coefficients stay unset.  Every number, header values
-    included, must be in ASCII decimal form (``ascii_int``, ``ascii_float``).
-    Malformed input, a header that repeats a column or a row with more or
-    fewer fields than the header included, raises ``DataError`` naming the
-    file and line.
-    """
-    declared: dict[str, float | int] = {}
-    # (clb_x, clb_y, corner) -> class name or None, in row order
-    sites: dict[tuple[int, int, str], str | None] = {}
-    means: list[float] = []
-    sigmas: list[float] = []
-    sums: list[int] = []
-    sq_sums: list[int] = []
-
-    with io.StringIO(read_text(path), newline="") as fh:
-        header: list[str] | None = None
-        value_cols: list[str] = []
-        kind = ""
-        has_class = False
-        m = 0
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if header is None and row[0].startswith("#"):
-                key, eq, text = ",".join(row)[1:].partition("=")
-                key = key.strip()
-                if eq and key in ("t_on_us", "samples"):
-                    try:
-                        declared[key] = _header_value(key, text)
-                    except ValueError as exc:
-                        raise DataError(f"{path}:{lineno}: bad header line ({exc})") from None
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                try:
-                    kind, value_cols, has_class = _parse_header(header)
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-                if kind == "moments":
-                    missing = [k for k in ("t_on_us", "samples") if k not in declared]
-                    if missing:
-                        raise DataError(
-                            f"{path}:{lineno}: a sum_count,sum_count_sq profile needs "
-                            + " and ".join(f"a '# {k}=' line" for k in missing)
-                            + " before its header"
-                        )
-                    m = int(declared["samples"])
-                elif kind == "count":
-                    m = len(value_cols)
-                    if declared.get("samples", m) != m:
-                        raise DataError(f"{path}:{lineno}: '# samples={declared['samples']}' "
-                                        f"but {m} count columns")
-                continue
-            rec = dict(zip(header, row))
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields but the header has {len(header)}")
-                x, y = ascii_int(rec["clb_x"]), ascii_int(rec["clb_y"])
-                if max(abs(x), abs(y)) >= 2**63:
-                    raise ValueError(f"CLB coordinates must lie within +-(2**63 - 1), "
-                                     f"got ({x}, {y})")
-                corner = rec["corner"].strip()
-                if corner not in CORNERS:
-                    raise ValueError(f"bad corner {corner!r}")
-                if kind == "mhz":
-                    samples = np.array([ascii_float(rec[c]) for c in value_cols])
-                    if not (np.isfinite(samples).all() and (samples > 0).all()):
-                        raise ValueError(f"mhz samples must be finite and positive, "
-                                         f"got {samples.tolist()}")
-                else:
-                    if kind == "count":
-                        counts = [_count(rec[c], c) for c in value_cols]
-                        s1, s2 = sum(counts), sum(c * c for c in counts)
-                    else:
-                        s1, s2 = (_count(rec[c], c) for c in value_cols)
-                    if s1 == 0:
-                        raise ValueError("sum_count must be positive")
-                    if m * s2 < s1 * s1:
-                        raise ValueError(f"samples * sum_count_sq = {m * s2} is below "
-                                         f"sum_count^2 = {s1 * s1}")
-                    if m * s2 >= EXACT_MOMENT_LIMIT:
-                        raise ValueError(f"samples * sum_count_sq = {m * s2} reaches 2**53")
-                cls = SliceClass(rec["class"].strip()).value if has_class else None
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
-            key = (x, y, corner)
-            if key in sites:
-                raise DataError(f"{path}:{lineno}: duplicate site {key}")
-            sites[key] = cls
-            if kind == "mhz":
-                means.append(float(samples.mean()))
-                sigmas.append(float(samples.std(ddof=1)) if len(samples) > 1 else 0.0)
-            else:
-                sums.append(s1)
-                sq_sums.append(s2)
-
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    if not sites:
-        raise DataError(f"{path}: no data rows")
-    if kind == "mhz":
-        mean, sigma = np.array(means), np.array(sigmas)
-    else:
-        t_on_us = declared.get("t_on_us", DEFAULT_T_ON_US)
-        s1_arr = np.array(sums, dtype=float)
-        mean = count_mean(s1_arr, m, t_on_us)
-        sigma = count_sigma(s1_arr, np.array(sq_sums, dtype=float), m, t_on_us)
-
-    xs, ys, corners = zip(*sites)
-    return ChipProfile(
-        device_id=device_id or "ingested",
-        layout=FabricLayout(xs, ys, [CORNERS.index(c) for c in corners],
-                            [CLASS_NAMES.index(c) for c in sites.values()] if has_class else None),
-        nominal_freq=mean,
-        temp_coeff=None,
-        volt_coeff=None,
-        meas_sigma_site=sigma,
-    )

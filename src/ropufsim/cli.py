@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .characterize import DEFAULT_THRESHOLD
-from .chipmodel import PRESETS, ConfigError, DataError, ingest_csv
+from .characterize import DEFAULT_THRESHOLD, ingest_csv, keep_mask
+from .chipmodel import PRESETS, ConfigError, DataError
 from .nist import format_rate, run_suite
 from .pipeline import (
     PipelineConfig,
@@ -115,8 +115,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     chip = ingest_csv(args.csv)
     means, sigmas = chip.nominal_freq, chip.meas_sigma_site
-    # reject_erroneous' rule: a site is kept when sigma/mean <= threshold
-    rejected = int(np.count_nonzero(~(sigmas / means <= DEFAULT_THRESHOLD)))
+    rejected = int(np.count_nonzero(~keep_mask(means, sigmas)))
     print(f"ingested {chip.site_count} sites from {args.csv}")
     print(f"mean span {means.max() - means.min():.3f} MHz, "
           f"mean of means {means.mean():.3f} MHz")

@@ -136,10 +136,10 @@ def _as_row(bits) -> np.ndarray:
     return _as_matrix(_as_bits(bits)[None])
 
 
-def _frequency(mat: np.ndarray) -> np.ndarray:
-    """Monobit: p = erfc(|S| / sqrt(2 n)) with S the +-1 sum."""
-    s, n = mat.shape
-    abs_s = np.abs(2 * mat.sum(axis=1, dtype=np.int64) - n)
+def _frequency(mat: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """Monobit: p = erfc(|S| / sqrt(2 n)) with S = 2 ones - n the +-1 sum."""
+    n = mat.shape[1]
+    abs_s = np.abs(2 * ones - n)
     return erfc(abs_s / math.sqrt(n) / math.sqrt(2.0))
 
 
@@ -212,14 +212,13 @@ def _cumulative_sums(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(p[: len(forward)]), np.array(p[len(forward) :])
 
 
-def _runs(mat: np.ndarray) -> np.ndarray:
+def _runs(mat: np.ndarray, ones: np.ndarray) -> np.ndarray:
     """Total number of runs against its expectation for the observed bias.
 
     A row whose ones proportion fails the precondition |pi - 1/2| < 2/sqrt(n)
     gets p = 0, matching the standard's handling.
     """
     s, n = mat.shape
-    ones = mat.sum(axis=1, dtype=np.int64)
     runs = 1 + np.count_nonzero(mat[:, 1:] != mat[:, :-1], axis=1)
     # |pi - 1/2| < 2/sqrt(n) as an exact integer comparison, so the gate and
     # the statistic are bitwise invariant under bit complement
@@ -480,6 +479,9 @@ def _suite_tests(params: NistParams):
     def plain(kernel, *args):
         return lambda n: (0, lambda b, t: (kernel(b, *args),))
 
+    def by_ones(kernel):  # the 1-bit table counts each row's zeros and ones
+        return lambda n: (1, lambda b, t: (kernel(b, t[1][:, 1]),))
+
     def entropy(n: int):
         m = params.entropy_block_len(n)
         return m + 1, lambda b, t: (_approximate_entropy(t, m, n),)
@@ -489,12 +491,12 @@ def _suite_tests(params: NistParams):
         return m, lambda b, t: _serial(t, m, n)
 
     return (
-        (("frequency",), 100, plain(_frequency)),
+        (("frequency",), 100, by_ones(_frequency)),
         (("block_frequency",), max(100, params.block_len),
          plain(_block_frequency, params.block_len)),
         (("cumsum_forward", "cumsum_reverse"), 100,
          lambda n: (0, lambda b, t: _cumulative_sums(b))),
-        (("runs",), 100, plain(_runs)),
+        (("runs",), 100, by_ones(_runs)),
         (("longest_run",), _LONGEST_RUN_TIERS[0][0], plain(_longest_run)),
         (("approximate_entropy",), 128, entropy),
         (("dft",), DFT_MIN_N, plain(_dft)),
@@ -535,8 +537,8 @@ def run_suite(sequences, params: NistParams | None = None) -> NistReport:
             not_applicable.extend(names)
         else:
             tests.append((names, *make(n)))
-    # approximate entropy and serial share one pattern table per row block,
-    # counted at the longer of their pattern lengths
+    # one pattern table per row block, at the longest pattern any test reads:
+    # frequency and runs take each row's ones from its 1-bit table
     top = max((t[1] for t in tests), default=0)
     rows = max(1, _BLOCK_BITS // max(n, 1))
     blocks = [mat[i : i + rows] for i in range(0, s_count, rows)]

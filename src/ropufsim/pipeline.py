@@ -15,11 +15,13 @@ through the ``ropufsim`` logger at DEBUG.
 from __future__ import annotations
 
 import errno
+import glob
 import json
 import logging
 import math
 import numbers
 import os
+import re
 import threading
 import time
 from contextlib import contextmanager, nullcontext, suppress
@@ -650,8 +652,10 @@ class _Tree(threading.Thread):
 
     ``paths`` are relative to ``root``, parents first, a directory's ending
     in "/".  ``root`` and its missing parents are made at once, so an
-    unusable one fails before any device work; then this helper thread makes
-    each directory and each file as an empty ``<name>.part`` while the chain
+    unusable one fails before any device work; then this helper thread
+    removes what a killed verb left (each file's ``<name>.part`` in any device
+    directory, then each directory of ``paths`` left empty) and makes each
+    directory and each file as an empty ``<name>.part`` while the chain
     runs, so that writing only rewrites files: on ext4 a new file costs about
     ten times a rewrite.  It runs no numpy code and no emitter.  ``commit``
     renames every staged file to its name; a verb that raises inside the
@@ -672,6 +676,12 @@ class _Tree(threading.Thread):
     def run(self) -> None:
         t0 = time.perf_counter()
         try:
+            names = {re.sub(r"^device_\d+/", "device_[0-9]*/", rel) for rel in self.paths}
+            for name in sorted(names, key=lambda name: name.endswith("/")):  # files first
+                pattern = name if name.endswith("/") else name + ".part"
+                for path in glob.glob(os.path.join(glob.escape(self.root), pattern)):
+                    with suppress(OSError):  # a directory holding anything else stays
+                        (os.rmdir if path.endswith("/") else os.unlink)(path)
             for path in [os.path.join(self.root, rel) for rel in self.paths]:
                 if path.endswith("/"):
                     with suppress(FileExistsError):  # an earlier tree's directory is reused

@@ -14,8 +14,10 @@ from ropufsim.characterize import (
     PROFILE_HEADER,
     FrequencyProfile,
     NoSurvivorsError,
+    _active_row_template,
     characterize,
     export_profile_csv,
+    ingest_csv,
     reject_erroneous,
 )
 from ropufsim.chipmodel import (
@@ -23,7 +25,6 @@ from ropufsim.chipmodel import (
     REFERENCE_ENV,
     env_frequencies,
     get_preset,
-    ingest_csv,
     noisy_counts,
     synth_chip,
 )
@@ -250,7 +251,7 @@ def profile_bytes_reference(layout, prof) -> bytes:
     its reference."""
     rows = [f"# t_on_us={float(prof.t_on_us)!r}", f"# samples={prof.m}", PROFILE_HEADER]
     rows += [
-        f"{layout.csv_labels[ref]},{s1},{s2}"
+        "{},{},{},{},{},{}".format(*layout.key(ref), CLASS_NAMES[layout.class_codes[ref]], s1, s2)
         for ref, s1, s2 in zip(
             prof.site_refs.tolist(),
             prof.sum_count.astype(np.int64).tolist(),
@@ -270,10 +271,14 @@ class TestExportRoundTrip:
         order = np.random.default_rng(4).permutation(len(prof))
         subset = prof.subset(order[: len(prof) // 3])  # an ingested-style subset
         path = tmp_path / "profile.csv"
+        _active_row_template.cache_clear()
         for p in (prof, subset, prof, subset):
             export_profile_csv(layout, p, str(path))
             assert path.read_bytes() == profile_bytes_reference(layout, p)
-        assert "active_csv_row_template" in vars(layout)  # built once, then reused
+        info = _active_row_template.cache_info()
+        assert (info.misses, info.hits) == (1, 1)  # built once, then reused
+        # the layout keeps its arrays alone: no label or template lives on it
+        assert all(isinstance(v, np.ndarray) for v in vars(layout).values())
 
     def test_export_then_ingest_preserves_sites_and_means(self, small_chip, tmp_path):
         prof = characterize(small_chip, rng=np.random.default_rng(9))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import manual_chip, toy_spec
+from ropufsim.characterize import _row_template, ingest_csv
 from ropufsim.chipmodel import (
     CLASS_NAMES,
     CORNERS,
@@ -23,7 +24,6 @@ from ropufsim.chipmodel import (
     corner_classes,
     env_frequencies,
     get_preset,
-    ingest_csv,
     load_device_spec,
     noisy_counts,
     synth_chip,
@@ -101,7 +101,9 @@ class TestFabric:
         assert layout.excluded.tolist() == excluded
         assert layout.active.tolist() == [i for i, e in enumerate(excluded) if not e]
         assert layout.diag.tolist() == [float(a + b) for a, b in zip(x, y)]
-        assert list(layout.csv_labels) == [f"{a},{b},{c},{k}" for a, b, c, k, _ in ref]
+        # each site's profile row fields, from characterize's row template
+        assert _row_template(layout, np.arange(len(layout))) == "".join(
+            f"{a},{b},{c},{k},%d,%d\n" for a, b, c, k, _ in ref).encode()
         for name in ("clb_x", "clb_y", "corner", "class_codes", "excluded", "active", "diag"):
             assert not getattr(layout, name).flags.writeable
 

@@ -57,6 +57,11 @@ def row(bits):
     return nist._as_matrix([bits])
 
 
+def row_ones(mat):
+    """Each row's count of ones, as run_suite hands it to frequency and runs."""
+    return mat.sum(axis=1, dtype=np.int64)
+
+
 def p_value(bits, name):
     """One sequence's p-value for one test, from a one-row suite."""
     return float(run_suite([bits]).results[name].p_values[0])
@@ -72,7 +77,8 @@ def p_columns(mat):
 class TestFrequency:
     def test_published_example(self):
         # S=2, n=10 -> p ~ 0.527089
-        assert nist._frequency(row("1011010101"))[0] == pytest.approx(0.527089, abs=1e-6)
+        mat = row("1011010101")
+        assert nist._frequency(mat, row_ones(mat))[0] == pytest.approx(0.527089, abs=1e-6)
 
     def test_alternating_is_perfectly_balanced(self):
         bits = "01" * 200
@@ -145,7 +151,8 @@ class TestCumulativeSums:
 
 class TestRuns:
     def test_published_example(self):
-        assert nist._runs(row("1001101011"))[0] == pytest.approx(0.147232, abs=1e-6)
+        mat = row("1001101011")
+        assert nist._runs(mat, row_ones(mat))[0] == pytest.approx(0.147232, abs=1e-6)
 
     def test_balanced_alternation_fails_runs(self):
         # perfectly alternating: far too many runs
@@ -442,6 +449,15 @@ class TestBatchedSuite:
         run_suite([random_bits(n, i) for i in range(rows)], params)
         assert counted == tops
 
+    @pytest.mark.parametrize("n,top", [(1, 1), (1, 2), (10, 1), (100, 4), (255, 4), (1023, 6)])
+    def test_one_bit_table_counts_each_rows_ones(self, n, top):
+        # frequency and runs read each row's ones from the 1-bit table, as
+        # exact int64 counts
+        mat = np.stack([random_bits(n, i) for i in range(7)])
+        ones = nist._pattern_counts(mat, top)[1][:, 1]
+        assert ones.dtype == np.int64
+        assert np.array_equal(ones, row_ones(mat))
+
     def test_population_above_block_budget_equals_rows_alone(self):
         # 100 rows of 1023 bits span two row blocks
         mat = np.stack([random_bits(1023, 500 + i) for i in range(100)])
@@ -593,7 +609,8 @@ class TestBatchedMapsEqualPerRowFormulas:
             "frequency": [ref_frequency_p(n, abs(2 * o - n)) for o in ones],
             "runs": [ref_runs_p(n, o, v) for o, v in zip(ones, runs)],
         }
-        kernels = {"frequency": nist._frequency, "runs": nist._runs}
+        kernels = {"frequency": lambda m: nist._frequency(m, row_ones(m)),
+                   "runs": lambda m: nist._runs(m, row_ones(m))}
         if n >= nist.DFT_MIN_N:
             threshold = math.sqrt(math.log(1.0 / 0.05) * n)
             n1 = nist._dft_n1(2.0 * mat - 1.0, threshold).tolist()

@@ -26,14 +26,15 @@ from ropufsim.characterize import (
     DEFAULT_THRESHOLD,
     FrequencyProfile,
     characterize,
+    ingest_csv,
     reject_erroneous,
 )
 from ropufsim.chipmodel import (
     DEFAULT_T_ON_US,
     REFERENCE_ENV,
     ConfigError,
+    build_fabric,
     get_preset,
-    ingest_csv,
     synth_chip,
 )
 from ropufsim.cli import main
@@ -582,6 +583,15 @@ class TestRunPipeline:
             assert entry["kmeans_iterations"] == run.kmeans.iterations > 0
             assert entry["relocation_iterations"] == run.relocated.iterations
 
+    def test_written_run_leaves_no_strings_on_the_shared_layout(self, tmp_path):
+        # profile rows come from characterize's row template, so the
+        # family's shared layout keeps its per-site arrays alone
+        run_pipeline(tiny_config(tmp_path, preset="basys3", devices=1))
+        layout = build_fabric(get_preset("basys3"))
+        assert len(layout) == 5696
+        assert {name: type(v) for name, v in vars(layout).items()
+                if not (isinstance(v, np.ndarray) and v.dtype.kind in "biuf")} == {}
+
     def test_profiles_reingest_exactly(self, tmp_path):
         # each device's profile.csv gives back its characterization's means
         # and sigmas bit for bit, so the run's threshold keeps the same sites
@@ -715,6 +725,25 @@ class TestTreeOnHelperThread:
                  for p in Path(config.out_dir).rglob("*") if p.is_file()}
         assert len(modes) == 1 + 4 * config.devices + 4
         assert {p: oct(m) for p, m in modes.items() if m & 0o111} == {}
+
+    def test_run_removes_a_killed_runs_staged_files(self, tmp_path, monkeypatch):
+        # a six-device run killed after staging left its directories and
+        # every staged file, device_003/ to device_005/ and reports/ included
+        monkeypatch.chdir(tmp_path)
+        out = Path("run")
+        for rel in pipeline._run_paths(6):
+            if rel.endswith("/"):
+                (out / rel).mkdir(parents=True)
+            else:
+                (out / (rel + ".part")).write_text("staged by a killed run")
+        run_pipeline(tiny_config(tmp_path, out_dir="run"))
+        assert list(out.rglob("*.part")) == []
+        assert tree_sha256(out) == TINY_RUN_SHA256
+        # the same tree, directories included, as a run into an empty directory
+        (tmp_path / "fresh").mkdir()
+        monkeypatch.chdir(tmp_path / "fresh")
+        run_pipeline(tiny_config(tmp_path, out_dir="run"))
+        assert tree_snapshot(tmp_path / "fresh" / "run") == tree_snapshot(tmp_path / "run")
 
     def test_chain_waits_for_a_slow_helper(self, tmp_path, monkeypatch, caplog):
         # the helper starts late, so the chain reaches device 0's staged
