@@ -33,7 +33,6 @@ from .placement import (
     PlacementPlan,
     assign_groups,
     emit_constraints,
-    parse_constraints,
     randomize_placement,
     valid_kappas,
 )
@@ -45,7 +44,6 @@ from .select import (
     batched_kmeans,
     improved_kmeans,
     min_pairwise_diff,
-    plain_kmeans,
     relocate_centroids,
     seed_centroids,
 )

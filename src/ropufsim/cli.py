@@ -20,14 +20,7 @@ import numpy as np
 from .characterize import DEFAULT_THRESHOLD, ingest_csv, keep_mask
 from .chipmodel import PRESETS, ConfigError, DataError
 from .nist import format_rate, run_suite
-from .pipeline import (
-    PipelineConfig,
-    bench,
-    kmeans_scaling,
-    run_pipeline,
-    sweep_kappa,
-    sweep_m,
-)
+from .pipeline import PipelineConfig, bench, run_pipeline, sweep_kappa, sweep_m
 from .puf import load_responses
 
 
@@ -103,12 +96,8 @@ def cmd_sweep_m(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    report = bench(config)
+    report = bench(_config_from_args(args))
     print(json.dumps(report.to_json_dict(), indent=2))
-    if args.kmeans_scaling:
-        for n, sec in kmeans_scaling([1_000, 10_000, 100_000], m=config.ro_count):
-            print(f"kmeans n={n:<7d} {sec * 1e3:8.2f} ms")
     return 0
 
 
@@ -155,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="computation-time accounting")
     _add_common(p)
-    p.add_argument("--kmeans-scaling", action="store_true")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("ingest", help="summarize a measured-frequency CSV")

@@ -21,7 +21,6 @@ import logging
 import math
 import numbers
 import os
-import re
 import threading
 import time
 from contextlib import contextmanager, nullcontext, suppress
@@ -74,7 +73,7 @@ from .select import (
     SelectionConfig,
     SelectionResult,
     batched_kmeans,
-    improved_kmeans,
+    improved_kmeans,  # noqa: F401  (perfbench/spans.py traces it by this name)
     pair_rows,
     relocate_centroids,
 )
@@ -320,11 +319,6 @@ def generator_words(seeds: np.ndarray) -> np.ndarray:
     lo = lo * _PCG_LO + inc_lo
     hi += lo < inc_lo
     return np.stack([hi, lo, inc_hi, inc_lo], -1).reshape(seeds.shape + (4,))
-
-
-def derive_seed(*path: int) -> int:
-    """Deterministic child seed from a (global_seed, index, stage...) path."""
-    return int(seed_table(*path))
 
 
 STAGE_SYNTH, STAGE_CHAR, STAGE_SELECT, STAGE_ASSIGN, STAGE_PLACE, STAGE_RESP, STAGE_LFSR = range(7)
@@ -597,7 +591,7 @@ def run_device(config: PipelineConfig, index: int) -> DeviceRun:
 def _shared_lfsr_seed(config: PipelineConfig) -> int:
     """The LFSR seed every device of a run starts from at ``config.ro_count``."""
     period = (1 << challenge_width(config.ro_count)) - 1
-    return derive_seed(config.global_seed, 10_000, STAGE_LFSR) % period + 1
+    return int(seed_table(config.global_seed, 10_000, STAGE_LFSR)) % period + 1
 
 
 def _device_runs(
@@ -632,6 +626,17 @@ _MANIFEST = "manifest.json"
 _DEVICE_FILES = ("profile.csv", "selection.json", "constraints.txt", "responses.csv")
 _REPORT_FILES = ("eval.json", "nist.csv", "nist.json", "hd_hist.csv")
 _REPORTS = "reports/"
+_KAPPA_SWEEP = "kappa_sweep.csv"
+_M_SWEEP = "m_sweep.csv"
+_DEVICE_DIRS = "device_[0-9]*/"
+
+# Every written verb's artifact names, any device directory's as a glob,
+# files before the directories that hold them: each verb removes what any
+# killed verb left under them.
+_ARTIFACT_NAMES = (
+    _MANIFEST, _KAPPA_SWEEP, _M_SWEEP, *(_DEVICE_DIRS + f for f in _DEVICE_FILES),
+    *(_REPORTS + f for f in _REPORT_FILES), _DEVICE_DIRS, _REPORTS,
+)
 
 
 def _device_dir(index: int) -> str:
@@ -653,9 +658,9 @@ class _Tree(threading.Thread):
     ``paths`` are relative to ``root``, parents first, a directory's ending
     in "/".  ``root`` and its missing parents are made at once, so an
     unusable one fails before any device work; then this helper thread
-    removes what a killed verb left (each file's ``<name>.part`` in any device
-    directory, then each directory of ``paths`` left empty) and makes each
-    directory and each file as an empty ``<name>.part`` while the chain
+    removes what any killed verb left (the ``<name>.part`` of each file of
+    ``_ARTIFACT_NAMES``, then each of its directories left empty) and makes
+    each directory and each file as an empty ``<name>.part`` while the chain
     runs, so that writing only rewrites files: on ext4 a new file costs about
     ten times a rewrite.  It runs no numpy code and no emitter.  ``commit``
     renames every staged file to its name; a verb that raises inside the
@@ -676,8 +681,7 @@ class _Tree(threading.Thread):
     def run(self) -> None:
         t0 = time.perf_counter()
         try:
-            names = {re.sub(r"^device_\d+/", "device_[0-9]*/", rel) for rel in self.paths}
-            for name in sorted(names, key=lambda name: name.endswith("/")):  # files first
+            for name in _ARTIFACT_NAMES:
                 pattern = name if name.endswith("/") else name + ".part"
                 for path in glob.glob(os.path.join(glob.escape(self.root), pattern)):
                     with suppress(OSError):  # a directory holding anything else stays
@@ -815,8 +819,7 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
     kappas = valid_kappas(config.ro_count)
     times = _StageTimes()
     lfsr_seed = _shared_lfsr_seed(config)
-    csv = "kappa_sweep.csv"
-    with _Tree(config.out_dir, [csv]) if write else nullcontext() as tree:
+    with _Tree(config.out_dir, [_KAPPA_SWEEP]) if write else nullcontext() as tree:
         # each device keeps only its golden responses, all that _judge reads
         (per_device,) = _chain(
             config, [config.ro_count], range(config.devices),
@@ -834,7 +837,7 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
             rows = ["kappa,pass_rate,all_pass,uniqueness,min_entropy"]
             rows += [f"{p.kappa},{format_rate(p.pass_rate, '.4f')},{int(p.all_pass)},"
                      f"{p.uniqueness:.4f},{p.min_entropy_avg:.4f}" for p in points]
-            tree.put(csv, "\n".join(rows) + "\n")
+            tree.put(_KAPPA_SWEEP, "\n".join(rows) + "\n")
             tree.commit()
     times.log(f"kappa sweep of {config.devices} devices over {len(kappas)} ratios:")
     return points
@@ -861,8 +864,7 @@ def sweep_m(config: PipelineConfig, write: bool = True) -> list[MSweepPoint]:
             raise ConfigError(f"ro_count {m}: {exc}") from None
     times = _StageTimes()
     points = []
-    csv = "m_sweep.csv"
-    with _Tree(config.out_dir, [csv]) if write else nullcontext() as tree:
+    with _Tree(config.out_dir, [_M_SWEEP]) if write else nullcontext() as tree:
         for m, runs in zip(RO_COUNTS,
                            _device_runs(config, RO_COUNTS, range(config.devices), times)):
             report, nist_report = _judge([[r.golden, *r.sweep_responses] for r in runs], times)
@@ -873,7 +875,7 @@ def sweep_m(config: PipelineConfig, write: bool = True) -> list[MSweepPoint]:
             rows = ["m,bits,median_min_diff_mhz,r_avg,nist_pass_rate"]
             rows += [f"{p.m},{p.bits},{p.median_min_diff:.6f},{p.r_avg:.6f},"
                      f"{format_rate(p.nist_pass_rate, '.4f')}" for p in points]
-            tree.put(csv, "\n".join(rows) + "\n")
+            tree.put(_M_SWEEP, "\n".join(rows) + "\n")
             tree.commit()
     times.log(f"M sweep of {config.devices} devices over {len(RO_COUNTS)} sizes:")
     return points
@@ -915,16 +917,3 @@ def bench(config: PipelineConfig) -> BenchReport:
         kmeans_iterations=km.iterations,
         p2_much_less_than_p1=t_select + sec["relocation"] < 0.1 * t_p1,
     )
-
-
-def kmeans_scaling(sizes: Sequence[int], m: int = 32, seed: int = 0) -> list[tuple[int, float]]:
-    """Wall-clock per candidate-pool size, for complexity trend inspection."""
-    out: list[tuple[int, float]] = []
-    rng = np.random.default_rng(seed)
-    for n in sizes:
-        f = np.sort(rng.uniform(380.0, 450.0, int(n)))
-        cfg = SelectionConfig(m=m, rng_seed=seed)
-        t0 = time.perf_counter()
-        improved_kmeans(f, cfg)
-        out.append((int(n), time.perf_counter() - t0))
-    return out

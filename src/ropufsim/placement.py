@@ -9,15 +9,13 @@ vendor-neutral constraint file.
 
 from __future__ import annotations
 
-import io
 import math
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chipmodel import CLASS_NAMES, DataError, FabricLayout, read_text
+from .chipmodel import CLASS_NAMES, FabricLayout
 
 
 def valid_kappas(m: int) -> list[float]:
@@ -182,55 +180,3 @@ def emit_constraints(plan: PlacementPlan, path: str) -> None:
         lines.append(f"set_loc RO{logical} SLICE_X{x}Y{y} CLASS={CLASS_NAMES[code]} GROUP={group}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# A constraint line's location; nine digits bound the coordinates far above
-# any fabric and keep int() within its digit limit.
-_LOCATION = re.compile(r"SLICE_X([0-9]{1,9})Y([0-9]{1,9})")
-
-
-def parse_constraints(path: str) -> tuple[FabricLayout, np.ndarray]:
-    """Read a constraint file back as its sites, a ``FabricLayout`` in
-    logical order with the file's classes, and each site's group (``LG`` or
-    ``UG``).
-
-    Constraint line i must name ``RO<i>`` and a site no earlier line names.
-    Every malformed line, one that is not UTF-8 text included, raises
-    ``DataError`` naming the file and line.
-    """
-    sites: list[tuple[int, int, int, int]] = []  # clb_x, clb_y, corner, class
-    placed: dict[tuple[int, int, int], int] = {}  # site -> its line
-    groups: list[str] = []
-    with io.StringIO(read_text(path), newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 5 or parts[0] != "set_loc":
-                raise DataError(f"{path}:{lineno}: malformed constraint line")
-            loc = _LOCATION.fullmatch(parts[2])
-            if loc is None:
-                raise DataError(f"{path}:{lineno}: malformed location {parts[2]!r}")
-            key, _, cls = parts[3].partition("=")
-            if key != "CLASS" or cls not in CLASS_NAMES:
-                raise DataError(
-                    f"{path}:{lineno}: expected CLASS=L12, L3 or M, got {parts[3]!r}"
-                )
-            key, _, group = parts[4].partition("=")
-            if key != "GROUP" or group not in ("LG", "UG"):
-                raise DataError(f"{path}:{lineno}: expected GROUP=LG or UG, got {parts[4]!r}")
-            if parts[1] != f"RO{len(sites)}":
-                raise DataError(f"{path}:{lineno}: expected RO{len(sites)}, got {parts[1]!r}")
-            # the class gives the corner's row (L12 slices are the top
-            # ones) and the slice column's parity its side
-            clb_x, lr = divmod(int(loc[1]), 2)
-            site = (clb_x, int(loc[2]), lr + (0 if cls == "L12" else 2))
-            if site in placed:
-                raise DataError(f"{path}:{lineno}: {parts[1]} repeats the site of line "
-                                f"{placed[site]}")
-            placed[site] = lineno
-            sites.append((*site, CLASS_NAMES.index(cls)))
-            groups.append(group)
-    x, y, corner, codes = np.array(sites, dtype=np.int64).reshape(-1, 4).T
-    return FabricLayout(x, y, corner, codes), np.array(groups, dtype="<U2")

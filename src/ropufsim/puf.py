@@ -57,54 +57,39 @@ def challenge_width(m: int) -> int:
     return 2 * (half.bit_length() - 1)
 
 
-def lfsr_sequence(
-    width: int,
-    taps: tuple[int, ...] | None = None,
-    seed_state: int = 1,
-) -> np.ndarray:
-    """All 2^width - 1 nonzero states in traversal order starting at the seed.
+def lfsr_sequence(width: int, seed_state: int = 1) -> np.ndarray:
+    """All 2^width - 1 nonzero states in traversal order starting at the seed,
+    from the primitive polynomial ``TAPS[width]``.
 
-    ``WORD_CLOCKS[width]`` register steps (1 for a width it does not list)
-    separate successive entries: a full word, so consecutive challenge words
-    share no register bits.  Because every clock count there is coprime to
-    its period, the traversal still visits every nonzero state exactly once.
-    Raises if the tap polynomial is not maximal-length (the single-step
-    cycle would revisit a state early or fail to close).
+    ``WORD_CLOCKS[width]`` register steps separate successive entries: a full
+    word, so consecutive challenge words share no register bits.  Because
+    every clock count there is coprime to its period, the traversal still
+    visits every nonzero state exactly once.
 
-    The validated table is cached per (width, taps, seed); each call
-    returns its own copy, so a caller that mutates it changes no other result.
+    The table is cached per (width, seed); each call returns its own copy, so
+    a caller that mutates it changes no other result.
     """
-    if taps is None:
-        try:
-            taps = TAPS[width]
-        except KeyError:
-            raise ValueError(f"no default taps for width {width}") from None
-    return _lfsr_table(width, tuple(taps), seed_state).copy()
+    if width not in TAPS:
+        raise ValueError(f"no default taps for width {width}")
+    return _lfsr_table(width, seed_state).copy()
 
 
 @functools.lru_cache(maxsize=256)
-def _lfsr_table(width: int, taps: tuple[int, ...], seed_state: int) -> np.ndarray:
+def _lfsr_table(width: int, seed_state: int) -> np.ndarray:
     if seed_state == 0:
         raise ValueError("LFSR seed state must be nonzero")
     period = (1 << width) - 1
     if not 0 < seed_state <= period:
         raise ValueError(f"seed {seed_state:#x} does not fit in {width} bits")
-    if max(taps) != width:
-        raise ValueError("highest tap must equal the register width")
     # Galois form: shift right, and fold the polynomial (x^0 term dropped)
     # back in whenever a one falls out
-    mask = sum(1 << e for e in set(taps)) >> 1
+    mask = sum(1 << e for e in TAPS[width]) >> 1
     single = np.empty(period, dtype=np.int64)
     s = seed_state
     for i in range(period):
         single[i] = s
         s = (s >> 1) ^ (mask if s & 1 else 0)
-    if s != seed_state or not (np.diff(np.sort(single)) > 0).all():
-        raise ValueError(
-            f"taps {taps} are not maximal-length for width {width} "
-            f"(period check failed)"
-        )
-    table = single[(np.arange(period) * WORD_CLOCKS.get(width, 1)) % period]
+    table = single[(np.arange(period) * WORD_CLOCKS[width]) % period]
     table.setflags(write=False)
     return table
 
@@ -172,7 +157,7 @@ def generate_responses(
     """
     m = plan.m
     w = challenge_width(m)
-    states = lfsr_sequence(w, TAPS[w], lfsr_seed)
+    states = lfsr_sequence(w, lfsr_seed)
     half_bits = w // 2
     k = len(states)
     sites = plan.refs

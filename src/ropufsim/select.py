@@ -26,7 +26,7 @@ import numpy as np
 
 EVALUATED_RO_COUNTS = (8, 16, 32, 64)
 
-SeedStrategy = Literal["linear", "uniform_density", "kmeanspp", "random", "random_select"]
+SeedStrategy = Literal["linear", "uniform_density", "random_select"]
 
 
 @dataclass
@@ -116,9 +116,8 @@ def seed_centroids(
     """Initial centroid positions for M clusters.
 
     linear: equal spacing over [min, max].  uniform_density: existing values
-    at equal-count positions.  kmeanspp: squared-distance-proportional
-    sampling.  random: uniform values in range.  random_select: M distinct
-    uniform picks from the candidates.
+    at equal-count positions.  random_select: M distinct uniform picks from
+    the candidates.
     """
     f = _require_candidates(freqs)
     if f.size < m:
@@ -129,24 +128,10 @@ def seed_centroids(
     if strategy == "uniform_density":
         idx = np.round(np.linspace(0, fs.size - 1, m)).astype(int)
         return fs[idx]
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if strategy == "random":
-        return np.sort(rng.uniform(fs[0], fs[-1], m))
     if strategy == "random_select":
+        if rng is None:
+            rng = np.random.default_rng(0)
         return np.sort(rng.choice(f, size=m, replace=False))
-    if strategy == "kmeanspp":
-        cents = [float(f[rng.integers(f.size)])]
-        d2 = (f - cents[0]) ** 2
-        for _ in range(m - 1):
-            total = d2.sum()
-            if total <= 0:
-                cents.append(cents[0])
-                continue
-            pick = int(rng.choice(f.size, p=d2 / total))
-            cents.append(float(f[pick]))
-            d2 = np.minimum(d2, (f - cents[-1]) ** 2)
-        return np.sort(np.array(cents))
     raise ValueError(f"unknown seeding strategy {strategy!r}")
 
 
@@ -412,11 +397,6 @@ def improved_kmeans(freqs, config: SelectionConfig, site_refs=None) -> Selection
     one-pool call of ``batched_kmeans``.
     """
     return batched_kmeans([freqs], [config], [site_refs])[0][0]
-
-
-def plain_kmeans(freqs, config: SelectionConfig, site_refs=None) -> SelectionResult:
-    """Baseline: identical EM loop, but returns the final iteration's snap."""
-    return batched_kmeans([freqs], [config], [site_refs])[0][1]
 
 
 def _map_to_indices(nu: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -42,9 +42,7 @@ from ropufsim.pipeline import (
     BenchReport,
     PipelineConfig,
     bench,
-    derive_seed,
     generator_words,
-    kmeans_scaling,
     run_pipeline,
     seed_table,
     sweep_kappa,
@@ -138,6 +136,8 @@ class TestConfig:
         ("samples", 1),
         ("env_mode", "diagonal"),
         ("seeding", "spectral"),
+        ("seeding", "kmeanspp"),
+        ("seeding", "random"),
         ("workers", 0),
         ("global_seed", -1),
         ("global_seed", "2026"),
@@ -268,7 +268,7 @@ class TestSeedTable:
         words = generator_words(seeds)
         assert [(s, w) for s, w in zip(seeds.tolist(), words.tolist())] \
             == [numpy_seed(path) for path in paths]
-        assert derive_seed(*paths[-1]) == numpy_seed(paths[-1])[0]
+        assert int(seed_table(*paths[-1])) == numpy_seed(paths[-1])[0]
 
     @pytest.mark.parametrize("global_seed", [0, 5, 2**32 + 1, 2**64 - 1, 2**64, 2**100 + 3])
     def test_device_grid_matches_numpy(self, global_seed):
@@ -485,7 +485,7 @@ class TestRunPipeline:
         chip = synth_chip(get_preset("zybo"), run.seeds["synth"], device_id=run.device_id)
 
         def golden(**window):
-            rng = np.random.default_rng(pipeline.derive_seed(run.seeds["response"], 0, 0))
+            rng = np.random.default_rng(int(seed_table(run.seeds["response"], 0, 0)))
             return generate_response(
                 run.plan, chip, pipeline._shared_lfsr_seed(config), REFERENCE_ENV,
                 rng=rng, **window,
@@ -546,7 +546,7 @@ class TestRunPipeline:
         config = tiny_config(tmp_path)
         _, _, runs = run_pipeline(config, write=False)
         period = (1 << challenge_width(config.ro_count)) - 1
-        want = pipeline.derive_seed(config.global_seed, 10_000, pipeline.STAGE_LFSR) % period + 1
+        want = int(seed_table(config.global_seed, 10_000, pipeline.STAGE_LFSR)) % period + 1
         assert {r.challenge_seed for run in runs for r in (run.golden, *run.sweep_responses)} \
             == {want}
         other = pipeline._shared_lfsr_seed(tiny_config(tmp_path, global_seed=6))
@@ -726,23 +726,27 @@ class TestTreeOnHelperThread:
         assert len(modes) == 1 + 4 * config.devices + 4
         assert {p: oct(m) for p, m in modes.items() if m & 0o111} == {}
 
-    def test_run_removes_a_killed_runs_staged_files(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("verb", [run_pipeline, sweep_kappa, sweep_m],
+                             ids=["run", "sweep-kappa", "sweep-m"])
+    def test_verb_removes_every_killed_verbs_staged_files(self, tmp_path, monkeypatch, verb):
         # a six-device run killed after staging left its directories and
-        # every staged file, device_003/ to device_005/ and reports/ included
+        # every staged file, device_003/ to device_005/ and reports/ included,
+        # and each killed sweep its staged CSV
         monkeypatch.chdir(tmp_path)
         out = Path("run")
-        for rel in pipeline._run_paths(6):
+        for rel in [*pipeline._run_paths(6), "kappa_sweep.csv", "m_sweep.csv"]:
             if rel.endswith("/"):
                 (out / rel).mkdir(parents=True)
             else:
-                (out / (rel + ".part")).write_text("staged by a killed run")
-        run_pipeline(tiny_config(tmp_path, out_dir="run"))
+                (out / (rel + ".part")).write_text("staged by a killed verb")
+        verb(tiny_config(tmp_path, out_dir="run"))
         assert list(out.rglob("*.part")) == []
-        assert tree_sha256(out) == TINY_RUN_SHA256
-        # the same tree, directories included, as a run into an empty directory
+        if verb is run_pipeline:
+            assert tree_sha256(out) == TINY_RUN_SHA256
+        # the same tree, directories included, as the verb writes into an empty directory
         (tmp_path / "fresh").mkdir()
         monkeypatch.chdir(tmp_path / "fresh")
-        run_pipeline(tiny_config(tmp_path, out_dir="run"))
+        verb(tiny_config(tmp_path, out_dir="run"))
         assert tree_snapshot(tmp_path / "fresh" / "run") == tree_snapshot(tmp_path / "run")
 
     def test_chain_waits_for_a_slow_helper(self, tmp_path, monkeypatch, caplog):
@@ -1021,11 +1025,6 @@ class TestBench:
             config = tiny_config(tmp_path, ro_count=m)
             iters[m] = bench(config).relocation_iterations
         assert iters[64] > iters[8]
-
-    def test_kmeans_scaling_returns_timings(self):
-        out = kmeans_scaling([500, 2000], m=8, seed=1)
-        assert len(out) == 2
-        assert all(t > 0 for _, t in out)
 
 
 class TestCli:

@@ -43,7 +43,7 @@ def lfsr_reference(width, seed_state):
 
 class TestLfsr:
     def test_width4_visits_all_fifteen_states(self):
-        states = lfsr_sequence(4, (4, 3), seed_state=1)
+        states = lfsr_sequence(4, seed_state=1)
         assert len(states) == 15
         assert sorted(states.tolist()) == list(range(1, 16))
 
@@ -55,12 +55,7 @@ class TestLfsr:
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
-            lfsr_sequence(4, (4, 3), seed_state=0)
-
-    def test_non_primitive_taps_fail_period_check(self):
-        # x^4 + x^2 + 1 = (x^2 + x + 1)^2 is reducible
-        with pytest.raises(ValueError, match="period"):
-            lfsr_sequence(4, (4, 2), seed_state=1)
+            lfsr_sequence(4, seed_state=0)
 
     def test_word_clocks_coprime_to_period(self):
         for width, clocks in WORD_CLOCKS.items():
@@ -69,7 +64,7 @@ class TestLfsr:
 
     def test_oversized_seed_rejected(self):
         with pytest.raises(ValueError):
-            lfsr_sequence(4, (4, 3), seed_state=16)
+            lfsr_sequence(4, seed_state=16)
 
     def test_traversal_shifts_with_seed(self):
         a = lfsr_sequence(8, seed_state=1)
@@ -90,11 +85,11 @@ class TestLfsr:
 
     def test_lfsr_state_validation(self):
         with pytest.raises(ValueError, match="nonzero"):
-            lfsr_sequence(4, (4, 3), seed_state=0)
+            lfsr_sequence(4, seed_state=0)
         with pytest.raises(ValueError, match="does not fit"):
-            lfsr_sequence(4, (4, 3), seed_state=16)
-        with pytest.raises(ValueError, match="highest tap"):
-            lfsr_sequence(4, (3, 2), seed_state=1)
+            lfsr_sequence(4, seed_state=16)
+        with pytest.raises(ValueError, match="no default taps for width 5"):
+            lfsr_sequence(5)
 
 
 class TestChallengeDecoding:
@@ -212,7 +207,7 @@ def response_reference(plan, chip, lfsr_seed, env, rng, t_on_us):
     replaced: every site's frequency at the condition, then the lower and
     the upper group's counts, each with its own draw when noisy."""
     w = challenge_width(plan.m)
-    states = lfsr_sequence(w, TAPS[w], lfsr_seed)
+    states = lfsr_sequence(w, lfsr_seed)
     half = w // 2
     refs_l, refs_u = plan.refs[: plan.m // 2], plan.refs[plan.m // 2 :]
     scale = 1.0

@@ -20,7 +20,6 @@ from ropufsim.select import (
     batched_kmeans,
     improved_kmeans,
     min_pairwise_diff,
-    plain_kmeans,
     relocate_centroids,
     seed_centroids,
 )
@@ -342,7 +341,7 @@ class TestMicdTraces:
             f = rng.integers(0, int(rng.integers(1, 30)), n) / 2.0
         else:
             f = rng.uniform(380.0, 450.0, n)
-        seeding = ["linear", "uniform_density", "kmeanspp", "random"][seed % 4]
+        seeding = get_args(SeedStrategy)[seed % len(get_args(SeedStrategy))]
         return f, config(int(rng.integers(2, min(n, 12) + 1)), seeding=seeding,
                          k_max=int(rng.integers(1, 30)), rng_seed=seed)
 
@@ -352,7 +351,7 @@ class TestMicdTraces:
         reference."""
         references = [micd_trace_reference(f, cfg) for f, cfg in cases]
         for (f, cfg), (trace, _) in zip(cases, references):
-            for res in (improved_kmeans(f, cfg), plain_kmeans(f, cfg)):
+            for res in (improved_kmeans(f, cfg), batched_kmeans([f], [cfg])[0][1]):
                 np.testing.assert_allclose(res.micd_trace, trace, rtol=0, atol=1e-9)
         return [met for _, met in references]
 
@@ -418,19 +417,9 @@ class TestSeedCentroids:
         gaps = np.diff(np.searchsorted(f, cents))
         assert np.all(np.abs(gaps - gaps.mean()) <= 1)
 
-    def test_kmeanspp_degenerate_identical_points(self):
-        f = np.full(10, 7.0)
-        cents = seed_centroids(f, 3, "kmeanspp", np.random.default_rng(0))
-        assert np.all(cents == 7.0)
-
     def test_too_few_candidates(self):
         with pytest.raises(ValueError):
             seed_centroids(np.array([1.0, 2.0]), 3, "linear")
-
-    def test_random_within_range(self):
-        f = np.linspace(10.0, 20.0, 12)
-        cents = seed_centroids(f, 8, "random", np.random.default_rng(0))
-        assert np.all((cents >= 10.0) & (cents <= 20.0))
 
 
 class TestImprovedKmeans:
@@ -438,7 +427,7 @@ class TestImprovedKmeans:
         f = np.array([100.0, 101.0, 105.0, 110.0, 120.0])
         cfg = config(3, rng_seed=1)
         imp = improved_kmeans(f, cfg)
-        pla = plain_kmeans(f, cfg)
+        pla = batched_kmeans([f], [cfg])[0][1]
         opt = brute_force_best_min_diff(f, 3)
         assert opt == 10.0  # exhaustive over C(5,3): {100, 110, 120}
         assert imp.min_diff >= pla.min_diff
@@ -483,8 +472,8 @@ class TestImprovedKmeans:
     def test_deterministic_under_fixed_seed(self):
         rng = np.random.default_rng(7)
         f = rng.uniform(0, 90, 300)
-        a = improved_kmeans(f, config(16, seeding="kmeanspp", rng_seed=11))
-        b = improved_kmeans(f, config(16, seeding="kmeanspp", rng_seed=11))
+        a = improved_kmeans(f, config(16, seeding="random_select", rng_seed=11))
+        b = improved_kmeans(f, config(16, seeding="random_select", rng_seed=11))
         assert np.array_equal(a.refs, b.refs) and np.array_equal(a.freqs, b.freqs)
 
     def test_site_refs_map_back_to_candidates(self):
@@ -700,7 +689,7 @@ class TestBatchedKmeans:
     @pytest.mark.parametrize("block", [1, 100])
     def test_hard_cases_met(self, block):
         pools = [self.pool("grid" if s % 3 else "uniform", 4 + 4 * (s % 2), s)
-                 for s in range(42)]
+                 for s in range(54)]
         pools = [p for p in pools if p[1].m == 4]
         pools.append(self.pool("exact", 4, 1))
         refs = self.check(pools, block)
@@ -716,13 +705,13 @@ class TestBatchedKmeans:
     @pytest.mark.parametrize("kind", ["grid", "uniform", "negative"])
     def test_zero_iteration_pools(self, kind):
         # baselines: pools that run no iteration, alone and beside iterating
-        # ones
+        # ones, each seeding in both
         pools = []
-        for seed in range(12):
+        for seed in range(28):
             f, cfg, refs = self.pool(kind, 8, seed)
-            cfg.k_max = 0 if seed % 3 else cfg.k_max
+            cfg.k_max = 0 if seed % 4 else cfg.k_max
             pools.append((f, cfg, refs))
-        for block in (1, 12):
+        for block in (1, 28):
             self.check(pools, block)
         assert any(micd_trace_reference(f, cfg)[1]["seed_collision"]
                    for f, cfg, _ in pools if cfg.k_max == 0)
@@ -735,7 +724,7 @@ class TestBatchedKmeans:
         f, cfg, refs = self.pool("grid", 8, 3)
         imp, pla, _ = kmeans_reference(f, cfg, refs)
         assert as_outcome(improved_kmeans(f, cfg, site_refs=refs)) == imp
-        assert as_outcome(plain_kmeans(f, cfg, site_refs=refs)) == pla
+        assert as_outcome(batched_kmeans([f], [cfg], [refs])[0][1]) == pla
 
     def test_sorted_pools_used_without_a_copy(self):
         pools = [self.pool(kind, 8, seed) for seed, kind in enumerate(["grid", "uniform"] * 3)]
