@@ -1,3 +1,4 @@
+import fnmatch
 import gc
 import hashlib
 import importlib
@@ -749,6 +750,18 @@ class TestTreeOnHelperThread:
         verb(tiny_config(tmp_path, out_dir="run"))
         assert tree_snapshot(tmp_path / "fresh" / "run") == tree_snapshot(tmp_path / "run")
 
+    @pytest.mark.parametrize("verb", [run_pipeline, sweep_kappa, sweep_m],
+                             ids=["run", "sweep-kappa", "sweep-m"])
+    def test_artifact_names_cover_everything_a_verb_writes(self, tmp_path, verb):
+        # so every other verb removes what this one leaves staged when killed
+        config = tiny_config(tmp_path)
+        verb(config)
+        root = Path(config.out_dir)
+        written = [p.relative_to(root).as_posix() + "/" * p.is_dir() for p in root.rglob("*")]
+        assert written
+        assert [rel for rel in written if not any(
+            fnmatch.fnmatchcase(rel, name) for name in pipeline._ARTIFACT_NAMES)] == []
+
     def test_chain_waits_for_a_slow_helper(self, tmp_path, monkeypatch, caplog):
         # the helper starts late, so the chain reaches device 0's staged
         # profile before the thread has made it, and waits; thread switches
@@ -1028,6 +1041,24 @@ class TestBench:
 
 
 class TestCli:
+    @pytest.mark.parametrize("seeding", ["kmeanspp", "random"])
+    def test_removed_seeding_exits_2_naming_seeding(self, tmp_path, capsys, synth_calls, seeding):
+        out = tmp_path / "cli"
+        rc = main(["run", "--preset", "zybo", "--devices", "1", "--seeding", seeding,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "ropuf run: seeding must be one of ['linear', 'uniform_density', 'random_select'], "
+            f"got {seeding!r}\n")
+        assert synth_calls == []
+        assert not out.exists()
+
+    def test_bench_has_no_kmeans_scaling_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--kmeans-scaling", "500,2000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kmeans-scaling" in capsys.readouterr().err
+
     def test_run_verb(self, tmp_path, capsys):
         out = tmp_path / "cli_run"
         rc = main([

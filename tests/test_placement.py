@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -216,3 +217,18 @@ class TestConstraints:
                              f"GROUP={'LG' if logical < 4 else 'UG'}"]
         # a location and class name one site, so no two oscillators share both
         assert len({(parts[2], parts[3]) for parts in body}) == 8
+
+    def test_one_clbs_four_sites_share_two_slices_told_apart_by_class(self, small_chip, tmp_path):
+        layout = small_chip.layout
+        keys = [layout.key(i) for i in range(len(layout))]
+        per_clb = Counter(k[:2] for k in keys)
+        x, y = next(clb for clb, n in per_clb.items() if n == 4)
+        refs = np.array([i for i, k in enumerate(keys) if k[:2] == (x, y)])
+        a = assign_groups(refs, small_chip.nominal_freq[refs], 0.0, np.random.default_rng(0))
+        path = tmp_path / "c.txt"
+        emit_constraints(randomize_placement(a, layout, 1), str(path))
+        body = [l.split() for l in path.read_text().splitlines() if not l.startswith("#")]
+        # the left slice holds TL and BL, the right one TR and BR
+        assert sorted(parts[2] for parts in body) == \
+            [f"SLICE_X{2 * x}Y{y}"] * 2 + [f"SLICE_X{2 * x + 1}Y{y}"] * 2
+        assert len({(parts[2], parts[3]) for parts in body}) == 4

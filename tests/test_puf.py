@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import re
 
@@ -82,6 +83,18 @@ class TestLfsr:
         second = lfsr_sequence(8, seed_state=3)
         second[::2] = -1
         assert lfsr_sequence(8, seed_state=3).tolist() == lfsr_reference(8, 3)
+
+    @pytest.mark.parametrize("width", sorted(TAPS))
+    def test_every_seed_starts_a_rotation_of_one_traversal(self, width):
+        base = lfsr_sequence(width).tolist()
+        for seed in range(1, len(base) + 1):
+            k = base.index(seed)
+            assert lfsr_sequence(width, seed_state=seed).tolist() == base[k:] + base[:k]
+
+    def test_takes_width_and_seed_state_only(self):
+        assert list(inspect.signature(lfsr_sequence).parameters) == ["width", "seed_state"]
+        with pytest.raises(TypeError):
+            lfsr_sequence(4, taps=(4, 3))
 
     def test_lfsr_state_validation(self):
         with pytest.raises(ValueError, match="nonzero"):

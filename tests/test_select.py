@@ -421,6 +421,31 @@ class TestSeedCentroids:
         with pytest.raises(ValueError):
             seed_centroids(np.array([1.0, 2.0]), 3, "linear")
 
+    def test_strategies_are_the_default_and_two_baselines(self):
+        assert get_args(SeedStrategy) == ("linear", "uniform_density", "random_select")
+
+    @pytest.mark.parametrize("strategy", get_args(SeedStrategy))
+    def test_each_strategy_seeds_m_increasing_values_in_range(self, strategy):
+        f = np.random.default_rng(3).uniform(380.0, 450.0, 40)
+        cents = seed_centroids(f, 8, strategy, np.random.default_rng(0))
+        assert cents.shape == (8,)
+        assert np.all(np.diff(cents) > 0)
+        assert f.min() <= cents[0] and cents[-1] <= f.max()
+
+    @pytest.mark.parametrize("strategy", ["kmeanspp", "random"])
+    def test_removed_strategy_rejected(self, strategy):
+        with pytest.raises(ValueError, match=rf"^unknown seeding strategy '{strategy}'$"):
+            seed_centroids(np.linspace(10.0, 20.0, 12), 3, strategy, np.random.default_rng(0))
+
+    def test_random_select_draws_distinct_candidates_from_its_rng(self):
+        f = np.linspace(10.0, 20.0, 12)
+        cents = seed_centroids(f, 8, "random_select", np.random.default_rng(4))
+        assert set(cents.tolist()) <= set(f.tolist()) and len(set(cents.tolist())) == 8
+        assert np.array_equal(cents, seed_centroids(f, 8, "random_select", np.random.default_rng(4)))
+        # without a generator it draws from seed 0
+        assert np.array_equal(seed_centroids(f, 8, "random_select"),
+                              seed_centroids(f, 8, "random_select", np.random.default_rng(0)))
+
 
 class TestImprovedKmeans:
     def test_returns_at_least_plain_and_at_most_oracle(self):
