@@ -2,9 +2,11 @@
 
 Verbs: run (full pipeline), sweep-kappa, sweep-m (every RO count from one
 candidate pool per device; ignores --ro-count), bench (stage times of device
-0's chain), ingest (measured CSV), nist (standalone suite on a response dump:
-exit status 0 when the suite passes, 1 when it fails and 2 for a malformed,
-unreadable or empty dump).
+0's chain, which writes nothing; it takes only --preset, --ro-count,
+--seeding, --samples, --seed, --config, --device-spec and -v), ingest
+(measured CSV), nist (standalone suite on a response dump: exit status 0
+when the suite passes, 1 when it fails and 2 for a malformed, unreadable or
+empty dump).
 """
 
 from __future__ import annotations
@@ -24,23 +26,28 @@ from .pipeline import PipelineConfig, bench, run_pipeline, sweep_kappa, sweep_m
 from .puf import load_responses
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_chain(p: argparse.ArgumentParser) -> None:
+    """The flags of one device's chain to relocation, all that bench reads."""
     # No defaults here: a flag left out keeps the --config file's value, or
     # PipelineConfig's default without one.
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--devices", type=int)
     p.add_argument("--ro-count", type=int, dest="ro_count")
-    p.add_argument("--kappa", type=float)
     p.add_argument("--seeding")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, dest="global_seed")
-    p.add_argument("--env-mode", choices=["axes", "cross", "reference"])
-    p.add_argument("--out", dest="out_dir")
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--device-spec", dest="device_spec_file",
                    help="JSON device spec file; overrides --preset")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="log each stage's host seconds to stderr")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_chain(p)
+    p.add_argument("--devices", type=int)
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--env-mode", choices=["axes", "cross", "reference"])
+    p.add_argument("--out", dest="out_dir")
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -143,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep_m)
 
     p = sub.add_parser("bench", help="computation-time accounting")
-    _add_common(p)
+    _add_chain(p)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("ingest", help="summarize a measured-frequency CSV")

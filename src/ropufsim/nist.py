@@ -26,10 +26,15 @@ alone, so a row's p-value does not depend on the rows beside it, and
 across populations a p-value whose statistic has come up before is looked
 up, bit for bit the value it had.  The cumulative-sums p-value, a sum over
 many normal CDFs, is memoized on its integer statistic (n, z) in a bounded
-``functools.lru_cache`` that fills as values are first asked for; a miss
-skips the terms whose two CDFs are both exactly 1.0 (arguments above 9) or
-both exactly 0.0 (below -38.5), which are exactly 0.0, and evaluates the
+memo that fills as values are first asked for; the misses of one call skip
+the terms whose two CDFs are both exactly 1.0 (arguments above 9) or both
+exactly 0.0 (below -38.5), which are exactly 0.0, and evaluate all the
 others' CDFs with one ``normal_cdf`` call.
+
+Every kernel takes a whole row block of up to 2^16 bits but the DFT, which
+works through it in chunks of at most 2^13 bits: a block's worth of its
+float and complex temporaries, freed at the top of glibc's heap, would be
+handed back to the kernel after each population and faulted in again.
 
 The population verdict is one pass over the stacked (tests, sequences)
 p-value matrix: the pass counts and proportions are row sums, and every
@@ -39,7 +44,6 @@ bins and one ``bincount`` whose bins are offset by the test's row.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -155,31 +159,45 @@ def _block_frequency(mat: np.ndarray, block_len: int) -> np.ndarray:
     return reg_gamma_upper(num_blocks / 2.0, chi2 / 2.0)
 
 
-# The p-value depends only on the integers (n, z), and a miss costs O(n / z)
-# normal CDFs, so it is memoized; the cache is bounded and fills lazily.
-@functools.lru_cache(maxsize=1 << 12)
-def _cusum_p(n: int, z: int) -> float:
-    if z == 0:
-        return 1.0
+def _cusum_p_values(n: int, zs: list[int]) -> list[float]:
+    """Cumulative-sums p-values of n-step walks with maximum excursions zs.
+
+    sum1 over k of Phi((4k+1) z / sqrt n) - Phi((4k-1) z / sqrt n), and sum2
+    of Phi((4k+3) z / sqrt n) - Phi((4k+1) z / sqrt n), as (upper, lower)
+    argument pairs.  A term whose two CDFs are both exactly 1.0 (arguments
+    above 9) or both exactly 0.0 (below -38.5, where erfc underflows) is
+    exactly 0.0 and is skipped; sum() over the others, in order, gives the
+    same bits.  Every kept argument of every z goes through one
+    ``normal_cdf`` call, which maps each element alone.
+    """
     sqrt_n = math.sqrt(n)
-    k_hi = math.floor((n / z - 1) / 4)
-    # sum1 over k of Phi((4k+1) z / sqrt n) - Phi((4k-1) z / sqrt n), and sum2
-    # of Phi((4k+3) z / sqrt n) - Phi((4k+1) z / sqrt n), as (upper, lower)
-    # argument pairs.  A term whose two CDFs are both exactly 1.0 (arguments
-    # above 9) or both exactly 0.0 (below -38.5, where erfc underflows) is
-    # exactly 0.0 and is skipped; sum() over the others, in order, gives the
-    # same bits.  Every kept argument goes through one normal_cdf call.
-    kept = []
-    for k_lo, hi, lo in ((math.floor((-n / z + 1) / 4), 1, -1),
-                         (math.floor((-n / z - 3) / 4), 3, 1)):
-        pairs = [((4 * k + hi) * z / sqrt_n, (4 * k + lo) * z / sqrt_n)
-                 for k in range(k_lo, k_hi + 1)]
-        kept.append([(upper, lower) for upper, lower in pairs
-                     if lower <= 9.0 and upper >= -38.5])
-    phi = normal_cdf(np.array(kept[0] + kept[1]).reshape(-1, 2))
+    pairs, ends = [], []  # ends: where each z's sum1 and sum2 terms end
+    for z in zs:
+        if z == 0:  # no terms: p = 1
+            ends += [len(pairs)] * 2
+            continue
+        k_hi = math.floor((n / z - 1) / 4)
+        for k_lo, hi, lo in ((math.floor((-n / z + 1) / 4), 1, -1),
+                             (math.floor((-n / z - 3) / 4), 3, 1)):
+            for k in range(k_lo, k_hi + 1):
+                upper, lower = (4 * k + hi) * z / sqrt_n, (4 * k + lo) * z / sqrt_n
+                if lower <= 9.0 and upper >= -38.5:
+                    pairs.append((upper, lower))
+            ends.append(len(pairs))
+    phi = normal_cdf(np.array(pairs, dtype=float).reshape(-1, 2))
     terms = (phi[:, 0] - phi[:, 1]).tolist()
-    split = len(kept[0])
-    return min(max(1.0 - sum(terms[:split]) + sum(terms[split:]), 0.0), 1.0)
+    p, start = [], 0
+    for split, stop in zip(ends[::2], ends[1::2]):
+        p.append(min(max(1.0 - sum(terms[start:split]) + sum(terms[split:stop]), 0.0), 1.0))
+        start = stop
+    return p
+
+
+# The p-value depends only on the integers (n, z), and a miss costs O(n / z)
+# normal CDFs, so it is memoized: the memo stores the first
+# ``_CUSUM_MEMO_CAP`` values asked for, then stores no more.
+_CUSUM_MEMO_CAP = 1 << 12
+_cusum_memo: dict[tuple[int, int], float] = {}
 
 
 def _cusum_excursions(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,11 +223,19 @@ def _cusum_excursions(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cumulative_sums(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative-sums p-values of the forward and the reversed walk."""
+    """Cumulative-sums p-values of the forward and the reversed walk: each
+    (n, z) the memo lacks is computed in one ``_cusum_p_values`` call."""
     n = mat.shape[1]
     forward, reverse = _cusum_excursions(mat)
-    p = [_cusum_p(n, z) for z in forward.tolist() + reverse.tolist()]
-    return np.array(p[: len(forward)]), np.array(p[len(forward) :])
+    zs = forward.tolist() + reverse.tolist()
+    values = {z: _cusum_memo.get((n, z)) for z in zs}
+    missing = [z for z, p in values.items() if p is None]
+    if missing:
+        values.update(zip(missing, _cusum_p_values(n, missing)))
+        for z in missing[: max(0, _CUSUM_MEMO_CAP - len(_cusum_memo))]:
+            _cusum_memo[n, z] = values[z]
+    p = np.array([values[z] for z in zs])
+    return p[: len(forward)], p[len(forward) :]
 
 
 def _runs(mat: np.ndarray, ones: np.ndarray) -> np.ndarray:
@@ -353,7 +379,9 @@ def _dft(mat: np.ndarray) -> np.ndarray:
     """Spectral test: fraction of low-magnitude DFT peaks vs expectation."""
     s, n = mat.shape
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
-    n1 = _dft_n1(2.0 * mat - 1.0, threshold)
+    rows = max(1, _DFT_CHUNK_BITS // n)
+    n1 = np.concatenate([_dft_n1(2.0 * mat[i : i + rows] - 1.0, threshold)
+                         for i in range(0, s, rows)])
     d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return erfc(np.abs(d) / math.sqrt(2.0))
 
@@ -506,13 +534,16 @@ def _suite_tests(params: NistParams):
 
 # run_suite judges a population in blocks of rows holding at most this many
 # bits (at least one row), so a population of 54 sequences of up to 1213
-# bits is one block.  The largest temporaries take 8 bytes per bit: the
-# DFT's +-1 float rows and its half-spectrum complex rows, and the intp
-# copy of the pattern codes that ``bincount`` makes; so none exceeds 512 KB
-# however many sequences there are, while a row holds at most 2^16 bits.  The
-# full-spectrum recount of rows near the DFT threshold takes 16 bytes per
-# bit, of those rows alone.
+# bits is one block and each kernel's per-block Python work is paid once.
+# The largest temporary of a block, the intp pattern codes that ``bincount``
+# copies, takes 8 bytes per bit: 512 KB while a row holds at most 2^16 bits.
+# The DFT's +-1 rows, half spectrum and moduli take 20 bytes per bit, 1.1 MB
+# for 54 x 1023 bits, past glibc's dynamic trim threshold once freed at the
+# heap's top, so ``_dft`` works in chunks of ``_DFT_CHUNK_BITS`` (8 rows at
+# n = 1023, about 170 KB) and no population's frees hand pages back to the
+# kernel; its full-spectrum recount takes 16 bytes per bit of near rows.
 _BLOCK_BITS = 1 << 16
+_DFT_CHUNK_BITS = _BLOCK_BITS >> 3
 
 
 def run_suite(sequences, params: NistParams | None = None) -> NistReport:

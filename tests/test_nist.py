@@ -1,5 +1,8 @@
 import hashlib
 import math
+import platform
+import resource
+import sys
 
 import numpy as np
 import pytest
@@ -255,6 +258,31 @@ class TestDft:
         assert any(np.array_equal(r, x[2]) for r in recounted[0])
         assert n1.tolist() == np.count_nonzero(full < threshold, axis=1).tolist()
 
+    @pytest.mark.parametrize("n", [1000, 1023, 1024, 2048, 9000])
+    @pytest.mark.parametrize("band", [nist._DFT_BAND, 1.0])
+    def test_row_chunks_equal_whole_block(self, monkeypatch, n, band):
+        # _dft takes c rows at a time; at band 1.0 every row, having a
+        # modulus below twice the threshold, is recounted on the full
+        # spectrum, one fft call per chunk
+        monkeypatch.setattr(nist, "_DFT_BAND", band)
+        fft, recounted = np.fft.fft, []
+
+        def spy(a, *args, **kwargs):
+            recounted.append(len(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", spy)
+        c = max(1, nist._DFT_CHUNK_BITS // n)
+        threshold = math.sqrt(math.log(1.0 / 0.05) * n)
+        rng = np.random.default_rng(n)
+        for s in sorted({1, c - 1, c, c + 1, 3 * c + 2} - {0}):
+            mat = rng.integers(0, 2, (s, n), dtype=np.uint8)
+            whole = nist._dft_n1(2.0 * mat - 1.0, threshold).tolist()
+            recounted.clear()
+            assert hexes(nist._dft(mat)) == hexes([ref_dft_p(n, v) for v in whole])
+            if band == 1.0:
+                assert recounted == [min(c, s - i) for i in range(0, s, c)]
+
 
 class TestSymmetries:
     def test_complement_invariance_exact(self):
@@ -469,6 +497,23 @@ class TestBatchedSuite:
             alone = np.concatenate([s.results[name].p_values for s in singles])
             assert np.array_equal(result.p_values, alone), name
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="guards glibc's heap trimming")
+    def test_warm_populations_fault_in_no_pages(self):
+        # a whole block's DFT temporaries, freed at the heap's top, passed
+        # glibc's trim threshold, so each 54 x 1023 population handed the
+        # pages back and faulted them in again: about 185 minor faults each
+        rng = np.random.default_rng(54)
+        pops = [rng.integers(0, 2, (54, 1023), dtype=np.uint8) for _ in range(3)]
+        for mat in pops:
+            run_suite(mat)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for i in range(30):
+            run_suite(pops[i % 3])
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 30 < 5
+
     def test_p_values_pinned(self):
         # sha256 over each report's NA list and p-values, computed with the
         # one-sequence-at-a-time suite this batched one replaced
@@ -483,7 +528,7 @@ class TestBatchedSuite:
     def test_p_values_equal_with_empty_and_warm_gamma_memo(self):
         pops = pinned_populations()
         with empty_gamma_memo() as memo:
-            nist._cusum_p.cache_clear()
+            nist._cusum_memo.clear()
             cold = [run_suite(mat, params) for mat, params in pops]
             assert memo._memo_size > 0
             warm = [run_suite(mat, params) for mat, params in pops]
@@ -634,7 +679,7 @@ class TestBatchedMapsEqualPerRowFormulas:
         # every z a walk of n steps can reach; at n = 2048 the lowest
         # arguments, near -sqrt(n), fall below -38.5 as well
         with empty_gamma_memo():
-            got = [nist._cusum_p.__wrapped__(n, z) for z in range(n + 1)]
+            got = nist._cusum_p_values(n, list(range(n + 1)))
         assert hexes(got) == hexes([ref_cusum_p(n, z) for z in range(n + 1)])
 
     def test_uniformity_map_equals_per_test_arithmetic(self):

@@ -1059,6 +1059,15 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --kmeans-scaling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--devices", "1"], ["--kappa", "1.0"],
+                                      ["--env-mode", "cross"], ["--out", "X"]])
+    def test_bench_rejects_flags_it_does_not_read(self, flag, capsys):
+        # bench always runs device 0's chain to relocation and writes nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_run_verb(self, tmp_path, capsys):
         out = tmp_path / "cli_run"
         rc = main([
@@ -1091,11 +1100,8 @@ class TestCli:
         assert rc == 0
         assert "full-pass" in capsys.readouterr().out
 
-    def test_bench_verb(self, tmp_path, capsys):
-        rc = main([
-            "bench", "--preset", "zybo", "--devices", "1", "--ro-count", "8",
-            "--out", str(tmp_path / "cli_bench"),
-        ])
+    def test_bench_verb(self, capsys):
+        rc = main(["bench", "--preset", "zybo", "--ro-count", "8"])
         assert rc == 0
         assert "characterization_model_sec" in capsys.readouterr().out
 
