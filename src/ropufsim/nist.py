@@ -232,7 +232,7 @@ def _cumulative_sums(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     missing = [z for z, p in values.items() if p is None]
     if missing:
         values.update(zip(missing, _cusum_p_values(n, missing)))
-        for z in missing[: max(0, _CUSUM_MEMO_CAP - len(_cusum_memo))]:
+        for z in missing[: _CUSUM_MEMO_CAP - len(_cusum_memo)]:
             _cusum_memo[n, z] = values[z]
     p = np.array([values[z] for z in zs])
     return p[: len(forward)], p[len(forward) :]

@@ -147,6 +147,21 @@ class TestCumulativeSums:
     def test_balanced_alternation(self):
         assert p_value("01" * 100, "cumsum_forward") > 0.99
 
+    def test_full_memo_stores_no_more_and_changes_no_p_value(self, monkeypatch):
+        # a call's misses are computed together; a full memo keeps its
+        # entries and the p-values are those of the unbounded memo
+        mat = np.stack([random_bits(255, 40 + i) for i in range(20)])
+        monkeypatch.setattr(nist, "_cusum_memo", {})
+        unbounded = nist._cumulative_sums(mat)
+        assert len(nist._cusum_memo) > 5
+        monkeypatch.setattr(nist, "_cusum_memo", {})
+        monkeypatch.setattr(nist, "_CUSUM_MEMO_CAP", 5)
+        for _ in range(2):
+            got = nist._cumulative_sums(mat)
+            assert len(nist._cusum_memo) == 5
+            for a, b in zip(got, unbounded):
+                assert hexes(a) == hexes(b)
+
     def test_reverse_equals_forward_of_reversed(self):
         bits = random_bits(255, 2)
         assert p_value(bits, "cumsum_reverse") == p_value(bits[::-1], "cumsum_forward")
