@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Verbs: run (full pipeline), sweep-kappa, sweep-m (every RO count from one
-candidate pool per device; ignores --ro-count), bench (stage times of device
-0's chain, which writes nothing; it takes only --preset, --ro-count,
+Verbs: run (full pipeline), sweep-kappa (golden responses at every ratio;
+it takes no --kappa or --env-mode), sweep-m (every RO count from one
+candidate pool per device; it takes no --ro-count), bench (stage times of
+device 0's chain, which writes nothing; it takes only --preset, --ro-count,
 --seeding, --samples, --seed, --config, --device-spec and -v), ingest
 (measured CSV), nist (standalone suite on a response dump: exit status 0
 when the suite passes, 1 when it fails and 2 for a malformed, unreadable or
@@ -26,12 +27,22 @@ from .pipeline import PipelineConfig, bench, run_pipeline, sweep_kappa, sweep_m
 from .puf import load_responses
 
 
-def _add_chain(p: argparse.ArgumentParser) -> None:
-    """The flags of one device's chain to relocation, all that bench reads."""
+# Flags beyond the chain's, each added to the verbs that read it.
+_FLAGS = {
+    "--ro-count": dict(type=int, dest="ro_count"),
+    "--devices": dict(type=int),
+    "--kappa": dict(type=float),
+    "--env-mode": dict(choices=["axes", "cross", "reference"]),
+    "--out": dict(dest="out_dir"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """The flags of one device's chain to relocation, which every pipeline
+    verb reads, then the ``_FLAGS`` of ``names``."""
     # No defaults here: a flag left out keeps the --config file's value, or
     # PipelineConfig's default without one.
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--ro-count", type=int, dest="ro_count")
     p.add_argument("--seeding")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, dest="global_seed")
@@ -40,14 +51,8 @@ def _add_chain(p: argparse.ArgumentParser) -> None:
                    help="JSON device spec file; overrides --preset")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="log each stage's host seconds to stderr")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    _add_chain(p)
-    p.add_argument("--devices", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--env-mode", choices=["axes", "cross", "reference"])
-    p.add_argument("--out", dest="out_dir")
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -138,19 +143,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("run", help="full pipeline over a device population")
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sweep-kappa", help="NIST pass rate per randomness ratio")
-    _add_common(p)
+    _add_flags(p, "--ro-count", "--devices", "--out")
     p.set_defaults(fn=cmd_sweep_kappa)
 
     p = sub.add_parser("sweep-m", help="summary per oscillator count")
-    _add_common(p)
+    _add_flags(p, "--devices", "--kappa", "--env-mode", "--out")
     p.set_defaults(fn=cmd_sweep_m)
 
     p = sub.add_parser("bench", help="computation-time accounting")
-    _add_chain(p)
+    _add_flags(p, "--ro-count")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("ingest", help="summarize a measured-frequency CSV")

@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -874,6 +875,38 @@ class TestTreeOnHelperThread:
         assert err.startswith(f"ropuf run: {root / 'device_003'}") and err.count("\n") == 1
         assert tree_snapshot(root) == {Path("device_003"): b"not a directory"}
 
+    def test_regular_file_at_a_device_directory_fails_before_commit(
+            self, tmp_path, monkeypatch, capsys):
+        # a regular file standing at an earlier tree's device directory fails
+        # the run at that device's first file, before commit, and the earlier
+        # tree stays as it was
+        config = tiny_config(tmp_path)
+        run_pipeline(replace(config, global_seed=4))
+        root = Path(config.out_dir)
+        device = root / "device_001"
+        shutil.rmtree(device)
+        device.write_text("not a directory")
+        before = tree_snapshot(root)
+        commits = []
+        commit = pipeline._Tree.commit
+
+        def spy(tree):
+            commits.append(tree)
+            commit(tree)
+
+        monkeypatch.setattr(pipeline._Tree, "commit", spy)
+        with pytest.raises(OSError, match=re.escape(str(device))):
+            run_pipeline(config)
+        assert commits == []
+        assert tree_snapshot(root) == before
+        (tmp_path / "tiny.json").write_text(config.to_json())
+        assert main(["run", "--config", str(tmp_path / "tiny.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ropuf run: {device}") and err.count("\n") == 1
+        assert commits == []
+        assert tree_snapshot(root) == before
+        assert list(root.rglob("*.part")) == []
+
     def test_directory_at_a_file_name_fails_before_commit(self, tmp_path):
         # commit could not rename a staged file onto a directory, so the run
         # fails before it and leaves the earlier tree as it was
@@ -1059,12 +1092,18 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --kmeans-scaling" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--devices", "1"], ["--kappa", "1.0"],
-                                      ["--env-mode", "cross"], ["--out", "X"]])
-    def test_bench_rejects_flags_it_does_not_read(self, flag, capsys):
+    @pytest.mark.parametrize("verb, flag", [
         # bench always runs device 0's chain to relocation and writes nothing
+        *(("bench", flag) for flag in (["--devices", "1"], ["--kappa", "1.0"],
+                                       ["--env-mode", "cross"], ["--out", "X"])),
+        # sweep-kappa judges golden responses at every ratio
+        ("sweep-kappa", ["--kappa", "0.25"]), ("sweep-kappa", ["--env-mode", "cross"]),
+        # sweep-m runs every M
+        ("sweep-m", ["--ro-count", "64"]), ("sweep-m", ["--ro-count", "12"]),
+    ])
+    def test_verb_rejects_flags_it_does_not_read(self, verb, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", *flag])
+            main([verb, *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
@@ -1119,12 +1158,11 @@ class TestCli:
         rows = (tmp_path / "cli_sweep_m" / "m_sweep.csv").read_text().splitlines()
         assert [r.split(",")[-1] for r in rows[1:3]] == ["NA", "NA"]
 
-    @pytest.mark.parametrize("ro_count", [[], ["--ro-count", "64"], ["--ro-count", "12"]])
-    def test_sweep_m_config_error_names_its_m(self, tmp_path, synth_calls, capsys, ro_count):
-        # every M's config is checked before any device work; --ro-count is
-        # ignored, and the ratio 0.375 is off the M = 8 grid
+    def test_sweep_m_config_error_names_its_m(self, tmp_path, synth_calls, capsys):
+        # every M's config is checked before any device work, and the ratio
+        # 0.375 is off the M = 8 grid
         out = tmp_path / "cli_sweep_m"
-        assert main(["sweep-m", "--kappa", "0.375", *ro_count, "--out", str(out)]) == 2
+        assert main(["sweep-m", "--kappa", "0.375", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "ropuf sweep-m: ro_count 8: kappa must be one of [0.0, 0.5, 1.0], got 0.375\n"
         )
