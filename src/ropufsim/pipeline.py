@@ -457,8 +457,7 @@ def _kmeans(m: int, seeding: SeedStrategy, pools: Sequence[_Pool]) -> list[Selec
     """The improved K-means result of every pool at ``m``, from one batched run."""
     configs = [SelectionConfig(m=m, seeding=seeding, rng_seed=p.seeds["select"])
                for p in pools]
-    pairs = batched_kmeans([p.nu for p in pools], configs, [p.nu_refs for p in pools])
-    return [improved for improved, _ in pairs]
+    return batched_kmeans([p.nu for p in pools], configs, [p.nu_refs for p in pools])
 
 
 @dataclass(eq=False)
@@ -688,9 +687,13 @@ class _Tree(threading.Thread):
                         (os.rmdir if path.endswith("/") else os.unlink)(path)
             for path in [os.path.join(self.root, rel) for rel in self.paths]:
                 if path.endswith("/"):
-                    with suppress(FileExistsError):  # an earlier tree's directory is reused
+                    try:
                         os.mkdir(path)
                         self.made.append(path)
+                    except FileExistsError:  # an earlier tree's directory is reused
+                        if not os.path.isdir(path):
+                            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                                     path.rstrip("/")) from None
                 else:
                     if os.path.isdir(path):  # commit could not rename the staged file onto it
                         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -813,9 +816,10 @@ def sweep_kappa(config: PipelineConfig, write: bool = True) -> list[KappaSweepPo
     admissible ratio, without the swept conditions.
 
     The candidate pool, K-means and relocation are ratio-independent and run
-    once per device.
+    once per device.  ``config.kappa`` is never read, so the config is
+    validated at ratio 0.0, which is on every M's grid.
     """
-    config.validate()
+    replace(config, kappa=0.0).validate()
     kappas = valid_kappas(config.ro_count)
     times = _StageTimes()
     lfsr_seed = _shared_lfsr_seed(config)

@@ -11,9 +11,11 @@ median-based one and ``random_select`` the random one.
 
 Each K-means iteration works on the sorted candidates, where every cluster is
 one contiguous slice, so it needs no label vector and no sort, and one
-iteration serves many pools at once (``batched_kmeans``).  The mean
-intra-cluster distance (MICD) after each iteration comes from the same
-prefix sums that give the cluster means.
+iteration serves many pools at once (``batched_kmeans``, one result per
+pool).  The neighbours of each step's search positions give the snap, the
+chosen frequencies and the next bounds.  The mean intra-cluster distance
+(MICD) after each iteration comes from the same prefix sums that give the
+cluster means, in one pass over every pool's logged steps.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _snap_distinct(fs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     ``fs`` must be sorted.  Exact distance ties go to the lower value, which
     for duplicated frequencies is the lowest index.  Centroids are resolved
     in ascending order, and one whose nearest candidate is taken walks
-    outward to the nearest free one: ``_SortedRows.snap``'s collision walk.
+    outward to the nearest free one: ``batched_kmeans``' collision walk.
     """
     n = fs.size
     centroids = np.asarray(centroids, dtype=float)
@@ -172,41 +174,14 @@ def _snap_distinct(fs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-class _SortedRows:
-    """The sorted candidate arrays of several pools, searched row by row and
-    gathered together.
-
-    ``padded`` lays the arrays end to end, each between -inf and +inf, with
-    array r's first candidate at ``starts[r]``.
-    """
-
-    def __init__(self, arrays: Sequence[np.ndarray]) -> None:
-        self.arrays = list(arrays)
-        self.sizes = np.array([a.size for a in self.arrays], dtype=np.intp)
-        self.starts = 1 + np.concatenate([[0], np.cumsum(self.sizes + 2)[:-1]])
-        edge = [np.array([-np.inf]), np.array([np.inf])]
-        self.padded = np.concatenate([x for a in self.arrays for x in (edge[0], a, edge[1])])
-
-    def search(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``"left"`` positions of the values ``x[i]`` in array ``rows[i]``;
-        those of ``np.nextafter(x, np.inf)`` are the ``"right"`` positions of
-        a finite ``x``."""
-        pos = np.empty(x.shape, dtype=np.intp)
-        for i, r in enumerate(rows.tolist()):
-            pos[i] = self.arrays[r].searchsorted(x[i])
-        return pos
-
-    def snap(self, rows: np.ndarray, cents: np.ndarray, pos: np.ndarray,
-             starts: np.ndarray) -> np.ndarray:
-        """``np.sort(_snap_distinct(...))`` of each row of sorted centroids,
-        from their ``search`` positions ``pos`` and the rows' ``starts``."""
-        at = starts + pos
-        d_lo = cents - self.padded[at - 1]
-        d_hi = self.padded[at] - cents
-        nearest = pos - (d_lo <= d_hi)
-        for i in np.flatnonzero(~(nearest[:, 1:] > nearest[:, :-1]).all(axis=1)):
-            nearest[i] = np.sort(_snap_distinct(self.arrays[rows[i]], cents[i]))
-        return nearest
+def _search(arrays: Sequence[np.ndarray], rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``"left"`` positions of the values ``x[i]`` in the sorted array
+    ``arrays[rows[i]]``, one search per row; those of
+    ``np.nextafter(x, np.inf)`` are the ``"right"`` positions of a finite ``x``."""
+    pos = np.empty(x.shape, dtype=np.intp)
+    for i, r in enumerate(rows.tolist()):
+        pos[i] = arrays[r].searchsorted(x[i])
+    return pos
 
 
 def _nearest_centroid_distance(fs: np.ndarray, cents: np.ndarray) -> np.ndarray:
@@ -224,14 +199,14 @@ def _nearest_centroid_distance(fs: np.ndarray, cents: np.ndarray) -> np.ndarray:
 
 
 def _mean_distances(
-    fs: np.ndarray, cum: np.ndarray, starts: np.ndarray, ends: np.ndarray, cents: np.ndarray
+    cum: np.ndarray, starts: np.ndarray, ends: np.ndarray, cents: np.ndarray, q: np.ndarray
 ) -> np.ndarray:
-    """Mean of |fs[s:e] - c| for each slice (s, e, c) of the sorted
-    candidates ``fs``, from their prefix sums ``cum`` (leading 0); 0.0 when
-    empty.  The candidates before position q = clip(searchsorted(fs, c), s, e)
-    lie at or below c, those from q on at or above it.
+    """Mean of |x - c| over each slice [s, e) of sorted candidates, with c
+    its centroid and q = clip(searchsorted(candidates, c), s, e): the
+    candidates before q lie at or below c, those from q on at or above it.
+    Entry i of the prefix sums ``cum`` sums the candidates before i; 0.0 when
+    empty.
     """
-    q = np.clip(np.searchsorted(fs, cents), starts, ends)
     total = (cents * (q - starts) - (cum[q] - cum[starts])
              + (cum[ends] - cum[q]) - cents * (ends - q))
     return total / np.maximum(ends - starts, 1)
@@ -239,9 +214,10 @@ def _mean_distances(
 
 def batched_kmeans(
     freqs: Sequence, configs: Sequence[SelectionConfig], site_refs: Sequence | None = None
-) -> list[tuple[SelectionResult, SelectionResult]]:
-    """K-means selection of several candidate pools at once; per pool, the
-    (global-best, final-iteration) results.
+) -> list[SelectionResult]:
+    """Improved K-means selection of several candidate pools at once: per
+    pool, the snapped list of its step log with the largest minimum
+    difference, the first one where steps tie.
 
     Every pool runs its own 1-D expectation-maximization on its sorted
     candidates, where every cluster is a contiguous slice: an update step
@@ -251,17 +227,17 @@ def batched_kmeans(
     pool filled one at a time), then the M + 1 bounds of the new clusters (a
     candidate on a midpoint joins the lower cluster) and the snap of the
     centroids to distinct candidates.  Each step makes one search per pool,
-    of its centroids and of the next float above each midpoint, which gives
-    the snap and the next update's bounds; only a pool with a candidate
-    exactly on a midpoint searches again.  Step 0 searches and snaps the
-    sorted seed list the same way.  A pool stops when an update without
-    re-seeds leaves its centroids unchanged, or after its ``k_max``
-    iterations; with ``k_max=0`` it stops after step 0, and both results are
+    of its centroids and of the next float above each midpoint; the two
+    candidates beside each position give the snap, the chosen frequencies
+    and the next update's bounds, and only a pool with a candidate exactly on
+    a midpoint searches again.  Step 0 does the same for the sorted seed
+    list.  A pool stops when an update without re-seeds leaves its centroids
+    unchanged, or after its ``k_max`` iterations; with ``k_max=0`` it keeps
     its snapped seed list (a baseline selector).  Each step runs for all
     pools still active at once, on a (pools, M) centroid matrix, and gives
-    every pool the results it would get alone.  All configs must share one
-    M.  Both results of a pool share one MICD trace.  A pool given in
-    ascending order is used as it is, without a sorted copy.
+    every pool the result it would get alone; one pass over the whole log
+    gives every iteration's MICD.  All configs must share one M.  A pool
+    given in ascending order is used as it is, without a sorted copy.
     """
     if len(configs) != len(freqs):
         raise ValueError("need one config per candidate pool")
@@ -270,7 +246,6 @@ def batched_kmeans(
     ms = {c.m for c in configs}
     if len(ms) > 1:
         raise ValueError(f"pools of one batch must share M, got {sorted(ms)}")
-    out: list = [None] * len(freqs)
     pools, inits = [], []
     for d, (f, cfg, refs) in enumerate(zip(freqs, configs, site_refs)):
         try:
@@ -286,79 +261,86 @@ def batched_kmeans(
         else:
             order = np.argsort(f, kind="stable")
             fs, refs_sorted = f[order], refs[order]
-        init = seed_centroids(fs, m, cfg.seeding, np.random.default_rng(cfg.rng_seed))
-        pools.append((d, fs, refs_sorted, cfg.k_max))
-        inits.append(np.sort(init))
-    if pools:
-        _em_batch(pools, np.array(inits), out)
-    return out
+        # only the random seeding draws from a generator
+        rng = np.random.default_rng(cfg.rng_seed) if cfg.seeding == "random_select" else None
+        pools.append((fs, refs_sorted, cfg.k_max))
+        inits.append(np.sort(seed_centroids(fs, m, cfg.seeding, rng)))
+    return _em_batch(pools, np.array(inits)) if pools else []
 
 
-def _result(fs, refs_sorted, snaps, trace, micd, step) -> SelectionResult:
-    """The snapped list of one step of a pool's EM log."""
-    idx = snaps[step]
-    return SelectionResult(
-        refs=refs_sorted[idx],
-        freqs=fs[idx],
-        min_diff=trace[step],
-        min_diff_trace=trace,
-        micd_trace=micd,
-    )
+# Log rows per chunk of the MICD pass, whose temporaries take 8 M bytes per
+# row: whole-log temporaries raised a population run's peak memory.
+_MICD_ROWS = 64
 
 
-def _em_batch(pools, c: np.ndarray, out) -> None:
-    """The EM log of ``batched_kmeans`` from the pools' sorted seed lists
-    ``c``, whose snap is step 0; fills their entries of ``out``."""
-    cands = _SortedRows([fs for _, fs, _, _ in pools])
-    n = cands.sizes
-    # each pool's prefix sums, with a leading 0, end to end
-    cums = np.concatenate([np.concatenate([[0.0], np.cumsum(fs)]) for _, fs, _, _ in pools])
-    cum_starts = np.concatenate([[0], np.cumsum(n + 1)[:-1]])
-    k_act = np.array([k for _, _, _, k in pools])
+def _em_batch(pools, c: np.ndarray) -> list[SelectionResult]:
+    """The results of ``batched_kmeans`` from the pools' sorted seed lists
+    ``c``, whose snap is step 0."""
+    arrays = [fs for fs, _, _ in pools]
+    n = np.array([fs.size for fs in arrays])
+    # each pool's candidates between -inf and +inf, and its prefix sums with a
+    # leading 0 and a trailing pad, end to end: at base[p] + i lie candidate
+    # i - 1 of pool p and the sum of its first i candidates
+    padded = np.concatenate([x for fs in arrays for x in ([-np.inf], fs, [np.inf])])
+    cums = np.concatenate([x for fs in arrays for x in ([0.0], np.cumsum(fs), [0.0])])
+    base = np.concatenate([[0], np.cumsum(n + 2)[:-1]])
+    k_act = np.array([k for _, _, k in pools])
     m = c.shape[1]
     ids = np.arange(len(pools))  # the pools still in the log
     # the active pools' rows of every per-pool array, compacted as pools finish
-    starts, cum0 = cands.starts[:, None], cum_starts[:, None]
+    at0 = base[:, None]
     bounds = np.empty((ids.size, m + 1), dtype=np.intp)
     bounds[:, 0], bounds[:, -1] = 0, n
     # one search per step: the centroids at even columns and, at odd ones,
     # the next float above each midpoint, whose "left" positions are its "right" ones
     query = np.empty((ids.size, 2 * m - 1))
-    log = []
+    # per field, its array of every step: the pools, the search positions,
+    # the centroids, their snap and its minimum difference
+    log = [[] for _ in range(5)]
     done = np.zeros(ids.size, dtype=bool)
     step = 0
     while True:
         query[:, 0::2] = c
         mids = (c[:, :-1] + c[:, 1:]) / 2.0
         np.nextafter(mids, np.inf, out=query[:, 1::2])
-        pos = cands.search(ids, query)
-        snapped = cands.snap(ids, c, pos[:, 0::2], starts)
-        chosen = cands.padded[starts + snapped]
+        pos = _search(arrays, ids, query)
+        # every query's neighbours, the candidates before and at its position
+        at = at0 + pos
+        lo, hi = padded[at], padded[at + 1]
+        # each centroid's nearest candidate, an exact tie going lower; a row
+        # whose nearest candidates collide takes the walk of _snap_distinct
+        below = c - lo[:, 0::2] <= hi[:, 0::2] - c
+        snapped = pos[:, 0::2] - below
+        chosen = np.where(below, lo[:, 0::2], hi[:, 0::2])
+        for i in np.flatnonzero(~(snapped[:, 1:] > snapped[:, :-1]).all(axis=1)):
+            fs = arrays[ids[i]]
+            snapped[i] = np.sort(_snap_distinct(fs, c[i]))
+            chosen[i] = fs[snapped[i]]
         beta = (chosen[:, 1:] - chosen[:, :-1]).min(axis=1)
-        right = pos[:, 1::2].copy()  # the log keeps it, not all of pos
-        log.append((ids, right, c, snapped, beta))
-        done |= step >= k_act
-        if done.any():
-            keep = ~done
-            ids, c, mids, right, k_act = ids[keep], c[keep], mids[keep], right[keep], k_act[keep]
-            starts, cum0, bounds, query = starts[keep], cum0[keep], bounds[keep], query[keep]
-            if not ids.size:
-                break
-        step += 1
+        for field, x in zip(log, (ids, pos, c, snapped, beta)):
+            field.append(x)
         # the update step assigns a candidate on a midpoint to the upper
         # cluster; the "right" positions differ from the "left" ones only
         # where the candidate before them lies on the midpoint
-        bounds[:, 1:-1] = right
-        on_mid = (cands.padded[starts + right - 1] == mids).any(axis=1)
+        on_mid = (lo[:, 1::2] == mids).any(axis=1)
+        done |= step >= k_act
+        if done.any():
+            keep = ~done
+            ids, c, mids, pos, on_mid = ids[keep], c[keep], mids[keep], pos[keep], on_mid[keep]
+            k_act, at0, bounds, query = k_act[keep], at0[keep], bounds[keep], query[keep]
+            if not ids.size:
+                break
+        step += 1
+        bounds[:, 1:-1] = pos[:, 1::2]
         if on_mid.any():
-            bounds[on_mid, 1:-1] = cands.search(ids[on_mid], mids[on_mid])
+            bounds[on_mid, 1:-1] = _search(arrays, ids[on_mid], mids[on_mid])
         counts = bounds[:, 1:] - bounds[:, :-1]
-        edge_sums = cums[cum0 + bounds]
+        edge_sums = cums[at0 + bounds]
         new_c = (edge_sums[:, 1:] - edge_sums[:, :-1]) / np.maximum(counts, 1)
         reseeded = (counts == 0).any(axis=1)
         for i in np.flatnonzero(reseeded):
             row = np.where(counts[i] > 0, new_c[i], c[i])
-            fs = cands.arrays[ids[i]]
+            fs = arrays[ids[i]]
             for j in np.flatnonzero(counts[i] == 0):
                 row[j] = fs[int(np.argmax(_nearest_centroid_distance(fs, row)))]
             new_c[i] = row
@@ -366,26 +348,29 @@ def _em_batch(pools, c: np.ndarray, out) -> None:
         done = (new_c == c).all(axis=1) & ~reseeded
         c = new_c
 
-    # every pool's steps, in order, as one slice of each logged array
-    row_of = np.concatenate([entry[0] for entry in log])
-    order = np.argsort(row_of, kind="stable")
-    splits = np.cumsum(np.bincount(row_of))[:-1]
-    inner, cents, snaps, betas = (
-        np.split(np.concatenate([entry[k] for entry in log])[order], splits) for k in range(1, 5)
-    )
-    for p, (d, fs, refs, _) in enumerate(pools):
-        trace = betas[p].tolist()
-        # the MICD of every iteration, the steps after the seed list
-        b = np.empty((len(trace) - 1, m + 1), dtype=np.intp)
-        b[:, 0], b[:, -1], b[:, 1:-1] = 0, fs.size, inner[p][1:]
-        cum = cums[cum_starts[p] : cum_starts[p] + fs.size + 1]
-        means = _mean_distances(fs, cum, b[:, :-1], b[:, 1:], cents[p][1:])
-        micd = (np.add.reduce(means, axis=1) / m).tolist()
-        # improved K-means keeps the first strict maximum, plain K-means the
-        # last step
-        top = int(np.argmax(betas[p]))
-        out[d] = (_result(fs, refs, snaps[p], trace, micd, top),
-                  _result(fs, refs, snaps[p], trace, micd, -1))
+    # each field as one array, its steps freed once joined
+    rows, pos, cents, snaps, betas = (np.concatenate(log.pop(0)) for _ in range(5))
+    # the MICD of every logged step's clusters, bounded by the "right" positions
+    # of its midpoints, in chunks of rows
+    micd = np.empty(rows.size)
+    for r in range(0, rows.size, _MICD_ROWS):
+        part = slice(r, r + _MICD_ROWS)
+        at = base[rows[part], None]
+        b = np.concatenate([at, at + pos[part, 1::2], at + n[rows[part], None]], axis=1)
+        q = np.clip(at + pos[part, 0::2], b[:, :-1], b[:, 1:])
+        means = _mean_distances(cums, b[:, :-1], b[:, 1:], cents[part], q)
+        micd[part] = np.add.reduce(means, axis=1) / m
+    # each pool's rows of the log, in step order
+    order = np.argsort(rows, kind="stable")
+    out = []
+    for (fs, refs, _), steps in zip(pools, np.split(order, np.cumsum(np.bincount(rows))[:-1])):
+        trace = betas[steps].tolist()
+        top = int(np.argmax(trace))  # the first strict maximum
+        idx = snaps[steps[top]]
+        # the seed list's step has no MICD
+        out.append(SelectionResult(refs=refs[idx], freqs=fs[idx], min_diff=trace[top],
+                                   min_diff_trace=trace, micd_trace=micd[steps[1:]].tolist()))
+    return out
 
 
 def improved_kmeans(freqs, config: SelectionConfig, site_refs=None) -> SelectionResult:
@@ -396,7 +381,7 @@ def improved_kmeans(freqs, config: SelectionConfig, site_refs=None) -> Selection
     pairwise difference seen over all iterations, never the final one.  A
     one-pool call of ``batched_kmeans``.
     """
-    return batched_kmeans([freqs], [config], [site_refs])[0][0]
+    return batched_kmeans([freqs], [config], [site_refs])[0]
 
 
 def _map_to_indices(nu: np.ndarray, values: np.ndarray) -> np.ndarray:

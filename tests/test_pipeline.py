@@ -166,12 +166,14 @@ class TestConfig:
 
     def test_every_verb_validates_first(self, tmp_path, synth_calls, capsys):
         config = tiny_config(tmp_path, kappa=0.3)
-        for verb in (sweep_kappa, bench, lambda c: pipeline.run_device(c, 0)):
+        for verb in (bench, lambda c: pipeline.run_device(c, 0)):
             with pytest.raises(ConfigError, match="^kappa must"):
                 verb(config)
+        # sweep_kappa judges every ratio and reads no kappa
         for field, value in (("samples", 1), ("seeding", "bogus")):
-            with pytest.raises(ConfigError, match=f"^{field} must"):
-                pipeline.run_device(tiny_config(tmp_path, **{field: value}), 0)
+            for verb in (sweep_kappa, lambda c: pipeline.run_device(c, 0)):
+                with pytest.raises(ConfigError, match=f"^{field} must"):
+                    verb(tiny_config(tmp_path, **{field: value}))
         rc = main(["run", "--preset", "zybo", "--devices", "0", "--out", str(tmp_path / "cli")])
         assert rc == 2
         assert "devices must be an integer >= 1, got 0" in capsys.readouterr().err
@@ -544,6 +546,21 @@ class TestRunPipeline:
         assert {c.k_max for c in configs} == {select.SelectionConfig(8).k_max} == {100}
         assert all(run.kmeans.iterations <= 100 for run in runs)
 
+    def test_reference_kmeans_bits_pinned(self):
+        # the chosen sites and both traces of all 54 K-means results of the
+        # default run, every float by its hex form; pinned before the snap and
+        # the MICD moved into one pass of the EM log
+        config = PipelineConfig()
+        [kms] = pipeline._chain(config, [config.ro_count], range(config.devices),
+                                lambda _, sel: sel.kmeans, pipeline._StageTimes())
+        h = hashlib.sha256()
+        for km in kms:
+            h.update(" ".join(map(str, km.refs.tolist())).encode() + b"\n")
+            for trace in (km.min_diff_trace, km.micd_trace):
+                h.update(" ".join(map(float.hex, trace)).encode() + b"\n")
+        assert len(kms) == 54
+        assert h.hexdigest() == "924db82f4eb94b5b02e78973b047e02c243b9a361e8dc6233715d00adedd2052"
+
     def test_every_device_shares_one_lfsr_seed(self, tmp_path):
         config = tiny_config(tmp_path)
         _, _, runs = run_pipeline(config, write=False)
@@ -878,8 +895,8 @@ class TestTreeOnHelperThread:
     def test_regular_file_at_a_device_directory_fails_before_commit(
             self, tmp_path, monkeypatch, capsys):
         # a regular file standing at an earlier tree's device directory fails
-        # the run at that device's first file, before commit, and the earlier
-        # tree stays as it was
+        # the run, naming that path, before commit, and the earlier tree stays
+        # as it was
         config = tiny_config(tmp_path)
         run_pipeline(replace(config, global_seed=4))
         root = Path(config.out_dir)
@@ -895,14 +912,14 @@ class TestTreeOnHelperThread:
             commit(tree)
 
         monkeypatch.setattr(pipeline._Tree, "commit", spy)
-        with pytest.raises(OSError, match=re.escape(str(device))):
+        with pytest.raises(NotADirectoryError) as info:
             run_pipeline(config)
+        assert info.value.filename == str(device)
         assert commits == []
         assert tree_snapshot(root) == before
         (tmp_path / "tiny.json").write_text(config.to_json())
         assert main(["run", "--config", str(tmp_path / "tiny.json")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"ropuf run: {device}") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"ropuf run: {device}: Not a directory\n"
         assert commits == []
         assert tree_snapshot(root) == before
         assert list(root.rglob("*.part")) == []
@@ -962,6 +979,19 @@ class TestSweeps:
             "78779fb14d7f6b9b6a7ea61045f95b9957c62f2a10b79d186e905e138bc4e5e5"
         )
         assert [p.pass_rate for p in points][2:6] == [1.0] * 4
+
+    def test_kappa_sweep_ignores_config_kappa(self, tmp_path):
+        # the sweep judges every ratio, so a config's kappa is never read,
+        # even one off every grid
+        config = json.loads(tiny_config(tmp_path).to_json())
+        del config["kappa"]
+        texts = []
+        for name, extra in (("plain", {}), ("off_grid", {"kappa": 0.3})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**config, **extra, "out_dir": str(tmp_path / name)}))
+            assert main(["sweep-kappa", "--config", str(path)]) == 0
+            texts.append((tmp_path / name / "kappa_sweep.csv").read_bytes())
+        assert texts[0] == texts[1]
 
     def test_m_sweep_pinned_with_one_pool_per_device(self, tmp_path, synth_calls):
         # m_sweep.csv of a 6-device zybo sweep, whose min-diff and r_avg

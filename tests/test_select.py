@@ -15,8 +15,8 @@ from ropufsim.select import (
     _map_to_indices,
     _mean_distances,
     _nearest_centroid_distance,
+    _search,
     _snap_distinct,
-    _SortedRows,
     batched_kmeans,
     improved_kmeans,
     min_pairwise_diff,
@@ -48,8 +48,10 @@ def micd_reference(values, labels, centroids):
 
 
 def mean_distances(fs, starts, ends, cents):
-    """``_mean_distances`` of sorted ``fs`` with its prefix sums."""
-    return _mean_distances(fs, np.concatenate([[0.0], np.cumsum(fs)]), starts, ends, cents)
+    """``_mean_distances`` of sorted ``fs`` with its prefix sums, each
+    centroid's position searched in its slice."""
+    q = np.clip(np.searchsorted(fs, cents), starts, ends)
+    return _mean_distances(np.concatenate([[0.0], np.cumsum(fs)]), starts, ends, cents, q)
 
 
 def snap_reference(fs, centroids):
@@ -182,9 +184,9 @@ def relocate_reference(nu, lp, site_refs=None):
 
 
 def kmeans_reference(freqs, cfg, site_refs=None):
-    """One pool's (improved, plain) K-means outcome from the per-device loop,
-    each as (refs, freqs, min_diff, min_diff_trace, iterations), plus
-    whether the run converged before ``k_max``."""
+    """One pool's improved K-means outcome from the per-device loop, as
+    (refs, freqs, min_diff, min_diff_trace, iterations), and whether the run
+    converged before ``k_max``."""
     f = np.asarray(freqs, dtype=float)
     m = cfg.m
     refs = np.arange(f.size) if site_refs is None else np.asarray(site_refs)
@@ -200,7 +202,7 @@ def kmeans_reference(freqs, cfg, site_refs=None):
     best_idx = _snap_distinct(fs, init)
     beta_p = min_pairwise_diff(fs[best_idx])
     trace = [beta_p]
-    final_idx, iterations, converged = best_idx, 0, False
+    iterations, converged = 0, False
     for iterations, c, _, converged in kmeans_iterations_reference(fs, init, cfg.k_max):
         snapped = np.sort(_snap_distinct(fs, c))
         chosen = fs[snapped]
@@ -208,9 +210,7 @@ def kmeans_reference(freqs, cfg, site_refs=None):
         trace.append(beta_c)
         if beta_c > beta_p:
             beta_p, best_idx = beta_c, snapped
-        final_idx = snapped
-    return (outcome(best_idx, trace, iterations), outcome(final_idx, trace, iterations),
-            converged)
+    return outcome(best_idx, trace, iterations), converged
 
 
 def as_outcome(res):
@@ -347,11 +347,11 @@ class TestMicdTraces:
 
     @staticmethod
     def check(cases):
-        """The trace of either result of each case must match its
-        reference."""
+        """The trace of each case's result, alone and batched, must match
+        its reference."""
         references = [micd_trace_reference(f, cfg) for f, cfg in cases]
         for (f, cfg), (trace, _) in zip(cases, references):
-            for res in (improved_kmeans(f, cfg), batched_kmeans([f], [cfg])[0][1]):
+            for res in (improved_kmeans(f, cfg), batched_kmeans([f, f], [cfg, cfg])[1]):
                 np.testing.assert_allclose(res.micd_trace, trace, rtol=0, atol=1e-9)
         return [met for _, met in references]
 
@@ -452,10 +452,10 @@ class TestImprovedKmeans:
         f = np.array([100.0, 101.0, 105.0, 110.0, 120.0])
         cfg = config(3, rng_seed=1)
         imp = improved_kmeans(f, cfg)
-        pla = batched_kmeans([f], [cfg])[0][1]
         opt = brute_force_best_min_diff(f, 3)
         assert opt == 10.0  # exhaustive over C(5,3): {100, 110, 120}
-        assert imp.min_diff >= pla.min_diff
+        # plain K-means keeps the last step, whose minimum difference ends the trace
+        assert imp.min_diff >= imp.min_diff_trace[-1]
         assert imp.min_diff <= opt + 1e-12
         # linear seeds land on the optimum for this instance
         assert imp.min_diff == pytest.approx(10.0)
@@ -693,9 +693,8 @@ class TestBatchedKmeans:
             part = pools[start : start + block]
             got += batched_kmeans([f for f, _, _ in part], [c for _, c, _ in part],
                                   [r for _, _, r in part])
-        for (f, cfg, _), (imp, pla, _), (g_imp, g_pla) in zip(pools, refs, got):
+        for (f, cfg, _), (imp, _), g_imp in zip(pools, refs, got):
             assert as_outcome(g_imp) == imp
-            assert as_outcome(g_pla) == pla
             np.testing.assert_allclose(g_imp.micd_trace, micd_trace_reference(f, cfg)[0],
                                        rtol=0, atol=1e-9)
         return refs
@@ -721,10 +720,10 @@ class TestBatchedKmeans:
         met = [micd_trace_reference(f, cfg)[1] for f, cfg, _ in pools]
         for hard in ("duplicates", "on_midpoint", "reseed", "collision", "seed_collision"):
             assert any(m.get(hard) for m in met), hard
-        converged_at = {imp[4] for imp, _, converged in refs if converged}
+        converged_at = {imp[4] for imp, converged in refs if converged}
         assert len(converged_at) >= 3  # pools leave the batch at different iterations
         assert any(not converged and imp[4] == cfg.k_max
-                   for (_, cfg, _), (imp, _, converged) in zip(pools, refs))
+                   for (_, cfg, _), (imp, converged) in zip(pools, refs))
         assert any(f.size == cfg.m for f, cfg, _ in pools)
 
     @pytest.mark.parametrize("kind", ["grid", "uniform", "negative"])
@@ -741,25 +740,45 @@ class TestBatchedKmeans:
         assert any(micd_trace_reference(f, cfg)[1]["seed_collision"]
                    for f, cfg, _ in pools if cfg.k_max == 0)
         got = batched_kmeans([f for f, _, _ in pools[1:3]], [c for _, c, _ in pools[1:3]])
-        for imp, pla in got:
+        for imp in got:
             assert imp.iterations == 0 and len(imp.min_diff_trace) == 1
-            assert imp.micd_trace == [] and imp.freqs.tolist() == pla.freqs.tolist()
+            assert imp.micd_trace == []
 
     def test_one_pool_calls(self):
         f, cfg, refs = self.pool("grid", 8, 3)
-        imp, pla, _ = kmeans_reference(f, cfg, refs)
+        imp, _ = kmeans_reference(f, cfg, refs)
         assert as_outcome(improved_kmeans(f, cfg, site_refs=refs)) == imp
-        assert as_outcome(batched_kmeans([f], [cfg], [refs])[0][1]) == pla
+        assert as_outcome(batched_kmeans([f], [cfg], [refs])[0]) == imp
 
     def test_sorted_pools_used_without_a_copy(self):
         pools = [self.pool(kind, 8, seed) for seed, kind in enumerate(["grid", "uniform"] * 3)]
         order = [np.argsort(f, kind="stable") for f, _, _ in pools]
         ascending = [(f[o], cfg, r[o]) for (f, cfg, r), o in zip(pools, order)]
         self.check(ascending, 4)
-        got = batched_kmeans([f for f, _, _ in ascending], [c for _, c, _ in ascending],
-                             [r for _, _, r in ascending])
-        for imp, pla in got:
-            assert imp.micd_trace is pla.micd_trace
+
+    @pytest.mark.parametrize("rows", [1, 7, 10_000])
+    def test_micd_chunks_change_no_bit(self, monkeypatch, rows):
+        pools = [self.pool("grid" if s % 3 else "uniform", 8, s) for s in range(40)]
+        args = [f for f, _, _ in pools], [c for _, c, _ in pools]
+        want = [res.micd_trace for res in batched_kmeans(*args)]
+        assert sum(map(len, want)) > 64  # more rows than one default chunk
+        monkeypatch.setattr(select, "_MICD_ROWS", rows)
+        assert [res.micd_trace for res in batched_kmeans(*args)] == want
+
+    def test_only_random_seeding_builds_a_generator(self, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def spy(seed):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        f = np.linspace(380.0, 450.0, 40)
+        batched_kmeans([f] * 4, [config(8, seeding=s, rng_seed=i) for i, s in
+                                 enumerate(["linear", "random_select", "uniform_density",
+                                            "random_select"])])
+        assert seeds == [1, 3]
 
     def test_pools_must_share_m(self):
         f = np.arange(20.0)
@@ -794,8 +813,8 @@ class TestNearestCentroidDistance:
         assert int(np.argmax(got)) == int(np.argmax(dense))
 
 
-class TestSortedRowsSearch:
-    """The batched search equals np.searchsorted on each row's own array."""
+class TestRowSearch:
+    """``_search`` equals np.searchsorted on each row's own array."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -810,7 +829,6 @@ class TestSortedRowsSearch:
         # offset 0 keeps every candidate positive, -1 puts a zero among them
         # beside values up to 1e6, and -1e7 makes them all negative
         arrays = [np.sort(np.array([1.0, *r]) + offset) for r in rows]
-        cands = _SortedRows(arrays)
         rng = np.random.default_rng(seed)
         every = np.concatenate(arrays)
         picks = rng.integers(0, len(arrays), 6)
@@ -825,8 +843,8 @@ class TestSortedRowsSearch:
         # "right" positions of x
         for query, side in ((x, "left"), (np.nextafter(x, np.inf), "right")):
             want = [np.searchsorted(arrays[r], xi, side).tolist() for r, xi in zip(picks, x)]
-            assert cands.search(picks, query).tolist() == want
-            assert cands.search(picks[:1], query[:1]).tolist() == want[:1]
+            assert _search(arrays, picks, query).tolist() == want
+            assert _search(arrays, picks[:1], query[:1]).tolist() == want[:1]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -846,13 +864,12 @@ class TestSortedRowsSearch:
         # centroids on candidates and midpoints equal to candidates; the
         # scales make pools negative or near the ends of the float range
         arrays = [np.sort(np.array(r) * scale) for r in rows]
-        cands = _SortedRows(arrays)
         c = np.sort(np.array(cents) * scale, axis=1)
         picks = np.random.default_rng(seed).integers(0, len(arrays), len(c))
         mids = (c[:, :-1] + c[:, 1:]) / 2.0
         query = np.empty((len(c), 2 * c.shape[1] - 1))
         query[:, 0::2], query[:, 1::2] = c, np.nextafter(mids, np.inf)
-        pos = cands.search(picks, query)
+        pos = _search(arrays, picks, query)
         for r, row, ci, mi in zip(picks, pos, c, mids):
             assert row[0::2].tolist() == np.searchsorted(arrays[r], ci, "left").tolist()
             assert row[1::2].tolist() == np.searchsorted(arrays[r], mi, "right").tolist()
